@@ -16,10 +16,11 @@ from .errors import (
     LinGaussError,
     NotPSD,
     NotSymmetric,
+    NumericalBreakdown,
     ProblemFormatError,
     SingularEqualityGram,
 )
-from .feasibility import FeasibilityResult, find_feasible_point, max_slack_model, phase_one_model
+from .feasibility import FeasibilityResult, find_feasible_point, max_slack_model
 from .fixtures import pentagon_problem, pentagon_transform, write_pentagon_files
 from .linalg import CovarianceFactor, factor_covariance, matrix_rank, sample_mvn_zero
 from .oracles import (
@@ -59,6 +60,7 @@ __all__ = [
     "LpSolution",
     "NotPSD",
     "NotSymmetric",
+    "NumericalBreakdown",
     "ProblemFormatError",
     "ProblemSpec",
     "RejectionReport",
@@ -83,7 +85,6 @@ __all__ = [
     "pentagon_plane_coords",
     "pentagon_problem",
     "pentagon_transform",
-    "phase_one_model",
     "problem_from_dict",
     "problem_to_dict",
     "rejection_sample",

@@ -26,6 +26,7 @@ from .errors import (
     EmptyArcSet,
     NotPSD,
     NotSymmetric,
+    NumericalBreakdown,
     ProblemFormatError,
     SingularEqualityGram,
 )
@@ -137,7 +138,7 @@ def _cmd_check(args):
     result = find_feasible_point(transformed.H, transformed.k)
     if result.kind == "infeasible":
         print(
-            "infeasible: no point satisfies the inequalities (positive violation optimum)",
+            "infeasible: no point satisfies the inequalities (negative maximum slack)",
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE
@@ -272,6 +273,7 @@ def main(argv=None) -> int:
         EmptyArcSet,
         CyclingGuardExceeded,
         DegenerateSamples,
+        NumericalBreakdown,
     ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

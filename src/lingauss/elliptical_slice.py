@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyArcSet
+from .errors import EmptyArcSet, NumericalBreakdown
 from .linalg import CovarianceFactor, sample_mvn_zero
 from .transform import TransformedProblem
 
@@ -132,7 +132,7 @@ def ess_step(
         along_y = H @ y
         worst = float((along_y + k).min())
         if worst < -SLACK_TOL:
-            raise RuntimeError(
+            raise NumericalBreakdown(
                 f"chain state violates a constraint by {-worst:.3e}; "
                 "the state is corrupted"
             )

@@ -39,3 +39,11 @@ class DegenerateSamples(LinGaussError):
 
 class ProblemFormatError(LinGaussError):
     """Problem file is malformed or internally inconsistent."""
+
+
+class NumericalBreakdown(LinGaussError):
+    """An invariant that holds in exact arithmetic failed, so the run cannot go on.
+
+    Raised when a chain state violates a constraint, or when the max-slack
+    program, which is feasible and bounded by construction, ends otherwise.
+    """

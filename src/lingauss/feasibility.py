@@ -1,17 +1,23 @@
 """Feasibility classification of {y : H y + k >= 0} and chain start points.
 
-Three linear programs answer three questions:
+Two linear programs, plus a range probe when the region is flat:
 
-1. Is the region nonempty?  Minimize the total violation sum(a) subject to
-   H y + k + a >= 0, a >= 0.  This program is feasible by construction; a
-   positive optimum means no y satisfies everything at once.
-2. Does it have an interior?  Maximize a slack s (capped at 1) subject to
-   H y + k >= s * rownorm(H), a Chebyshev-ball construction whose optimum is
-   the radius of the largest inscribed ball.
+1. Is the region nonempty, and does it have an interior?  Maximize a slack
+   s (capped at 1) subject to H y + k >= s * rownorm(H), a Chebyshev-ball
+   construction. With s free below, the program is feasible whenever every
+   row of H is nonzero, and the cap bounds it, so its optimum s* decides
+   the trichotomy: s* < 0 means no y satisfies every row at once, s* = 0
+   means the region is nonempty with an empty interior, and s* > 0 is the
+   radius of the largest inscribed ball. Rows of H that are exactly zero
+   are decided first: 0 + k_i >= 0 either fails outright or holds for
+   every y, and then the row is dropped.
+2. Where is a good start point?  For a full-dimensional region, trade
+   slack against distance from the origin (_pull_in).
 3. If the interior is empty, is the region a single point?  Probe the range
    of every coordinate with a pair of LPs; all ranges at zero means a point
    mass, anything wider (or unbounded) is a flat region the sampler cannot
-   honestly represent, reported as DegenerateRegion.
+   honestly represent, reported as DegenerateRegion. The 2n range programs
+   share one region, so they share one phase 1 and differ only in phase 2.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DegenerateRegion
-from .simplex import LinearProgram, LpSolution, solve_lp
+from .errors import DegenerateRegion, NumericalBreakdown
+from .simplex import LinearProgram, phase_one, phase_two, solve_lp
 
 FEAS_TOL = 1e-9
 
@@ -40,21 +46,6 @@ class FeasibilityResult:
     kind: Literal["infeasible", "point_mass", "full_dimensional"]
     point: np.ndarray | None = None
     chebyshev_radius: float | None = None
-
-
-def phase_one_model(H, k) -> LinearProgram:
-    """min sum(a)  s.t.  H y + k + a >= 0,  a >= 0  (y free).
-
-    Always feasible: a can absorb any violation. Optimum 0 iff some y
-    satisfies every inequality.
-    """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
-    k = np.asarray(k, dtype=float).reshape(-1)
-    m, n = H.shape
-    c = np.concatenate([np.zeros(n), np.ones(m)])
-    G = np.hstack([H, np.eye(m)])
-    nonneg = np.concatenate([np.zeros(n, dtype=bool), np.ones(m, dtype=bool)])
-    return LinearProgram(c=c, G=G, h=-k, nonneg=nonneg)
 
 
 def max_slack_model(H, k) -> LinearProgram:
@@ -105,14 +96,13 @@ def _pull_in(H, k, radius, tol):
     return solution.x[:n] - solution.x[n : 2 * n]
 
 
-def _coordinate_range(H, negk, i, tol):
+def _coordinate_range(start, n, i, tol):
     """(low, high) extent of coordinate i over the region, entries None if unbounded."""
-    n = H.shape[1]
     bounds = []
     for sign in (1.0, -1.0):
         c = np.zeros(n)
         c[i] = sign
-        solution = solve_lp(LinearProgram(c=c, G=H, h=negk), tol)
+        solution = phase_two(start, c, tol)
         bounds.append(None if solution.status == "unbounded" else sign * solution.objective)
     return bounds[0], bounds[1]
 
@@ -131,17 +121,18 @@ def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
     if m != k.size:
         raise ValueError(f"H has {m} rows but k has {k.size} entries")
 
-    violation = solve_lp(phase_one_model(H, k), tol)
-    if violation.status != "optimal":  # the model is feasible by construction
-        raise RuntimeError(f"violation program ended {violation.status}; expected optimal")
-    if violation.objective > tol:
-        return FeasibilityResult("infeasible")
-    feasible_y = violation.x[:n]
+    zero = ~H.any(axis=1)
+    if zero.any():  # s cannot relax a zero row, so decide these rows here
+        if (k[zero] < 0.0).any():
+            return FeasibilityResult("infeasible")
+        H, k = H[~zero], k[~zero]
 
     slack = solve_lp(max_slack_model(H, k), tol)
-    if slack.status != "optimal":  # s is capped at 1, so unbounded is impossible
-        raise RuntimeError(f"slack program ended {slack.status}; expected optimal")
+    if slack.status != "optimal":  # feasible and capped by construction
+        raise NumericalBreakdown(f"slack program ended {slack.status}; expected optimal")
     radius = -slack.objective
+    if radius < -tol:
+        return FeasibilityResult("infeasible")
     if radius > tol:
         point = _pull_in(H, k, radius, tol)
         if point is None:  # roundoff starved the follow-up program; keep the vertex
@@ -149,8 +140,11 @@ def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
         return FeasibilityResult("full_dimensional", point, float(radius))
 
     # empty interior: point mass or flat region?
+    start = phase_one(H, -k, tol=tol)
+    if start is None:  # |s*| <= tol, yet phase 1 leaves a violation above tol
+        return FeasibilityResult("infeasible")
     for i in range(n):
-        low, high = _coordinate_range(H, -k, i, tol)
+        low, high = _coordinate_range(start, n, i, tol)
         if low is None or high is None:
             raise DegenerateRegion(
                 f"feasible region has empty interior yet coordinate {i + 1} is unbounded"
@@ -160,4 +154,4 @@ def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
                 "feasible region has empty interior but positive extent "
                 f"{high - low:.3e} along coordinate {i + 1}"
             )
-    return FeasibilityResult("point_mass", feasible_y)
+    return FeasibilityResult("point_mass", slack.x[:n])

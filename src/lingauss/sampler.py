@@ -139,7 +139,7 @@ def sample_constrained(
     if feasibility.kind == "infeasible":
         return done(
             "impossible",
-            reason="no point satisfies the inequalities (positive violation optimum)",
+            reason="no point satisfies the inequalities (negative maximum slack)",
         )
     if feasibility.kind == "point_mass":
         return done("point_mass", point=map_latent(transformed, feasibility.point))

@@ -5,10 +5,14 @@ Solves    minimize c @ x    subject to    G @ x >= h,
 where each variable is either free or sign-restricted to x_j >= 0. Free
 variables are split into positive and negative parts, surplus variables turn
 the inequalities into equations, and phase 1 drives artificial variables out
-of the basis before phase 2 optimizes the real objective. Entering columns
-follow Dantzig's rule (most negative reduced cost) until the objective stops
-improving for STALL_LIMIT consecutive pivots, after which Bland's rule takes
-over to rule out cycling; a hard iteration cap backstops both phases.
+of the basis before phase 2 optimizes the real objective. Phase 1 does not
+depend on the objective, so `phase_one` returns its feasible basis and
+`phase_two` prices one cost vector against a copy of it; `solve_lp` is one
+of each, and several objectives over one region can share a phase 1.
+Entering columns follow Dantzig's rule (most negative reduced cost) until
+the objective stops improving for STALL_LIMIT consecutive pivots, after
+which Bland's rule takes over to rule out cycling; a hard iteration cap
+backstops both phases.
 
 The problems fed to this solver are tiny (tens of variables), so the code
 favours clarity over sparse-matrix tricks.
@@ -118,15 +122,36 @@ def _iterate(tableau, basis, ncols, tol, cap):
     raise CyclingGuardExceeded(f"simplex did not converge within {cap} pivots")
 
 
-def solve_lp(model: LinearProgram, tol: float = PIVOT_TOL) -> LpSolution:
-    """Solve the model; an Optimal solution is a vertex of the standard form."""
-    nrows, nv = model.G.shape
+@dataclass(frozen=True)
+class FeasibleBasis:
+    """A feasible basis of the standard form of {G x >= h}, found by phase 1.
 
-    # column t of the standard form is sign * (original variable j)
+    It depends only on (G, h, nonneg), so one phase 1 serves any number of
+    objectives over the same region: phase_two copies the tableau and prices
+    one cost vector. The tableau holds the constraint rows (redundant rows
+    removed) and a cost row, without the artificial columns.
+    """
+
+    tableau: np.ndarray
+    basis: tuple[int, ...]
+    split: tuple[tuple[int, float], ...]  # column t is sign * (original variable j)
+    cap: int
+
+
+def phase_one(G, h, nonneg=None, tol: float = PIVOT_TOL) -> FeasibleBasis | None:
+    """A feasible basis of {G x >= h; x_j >= 0 where nonneg[j]}, or None if empty.
+
+    G and h must already have consistent shapes (LinearProgram checks them);
+    nonneg=None marks every variable free.
+    """
+    nrows, nv = G.shape
+    if nonneg is None:
+        nonneg = np.zeros(nv, dtype=bool)
+
     split: list[tuple[int, float]] = []
     for j in range(nv):
         split.append((j, 1.0))
-        if not model.nonneg[j]:
+        if not nonneg[j]:
             split.append((j, -1.0))
     n_struct = len(split)
     total = n_struct + 2 * nrows  # + surplus + artificial
@@ -134,9 +159,9 @@ def solve_lp(model: LinearProgram, tol: float = PIVOT_TOL) -> LpSolution:
 
     body = np.zeros((nrows, total))
     for t, (j, sign) in enumerate(split):
-        body[:, t] = sign * model.G[:, j]
+        body[:, t] = sign * G[:, j]
     body[:, n_struct:art0] = -np.eye(nrows)
-    rhs = model.h.copy()
+    rhs = np.array(h, dtype=float)
     flip = rhs < 0.0
     body[flip] *= -1.0
     rhs[flip] *= -1.0
@@ -156,7 +181,7 @@ def solve_lp(model: LinearProgram, tol: float = PIVOT_TOL) -> LpSolution:
     if status == "unbounded":  # impossible for a sum of nonnegative variables
         raise CyclingGuardExceeded("phase 1 reported unbounded: numerical breakdown")
     if -tableau[-1, -1] > tol:
-        return LpSolution("infeasible", None, None)
+        return None
 
     # drive any leftover zero-valued artificials out of the basis
     drop_rows = []
@@ -171,28 +196,43 @@ def solve_lp(model: LinearProgram, tol: float = PIVOT_TOL) -> LpSolution:
     if drop_rows:
         tableau = np.delete(tableau, drop_rows, axis=0)
         basis = [b for i, b in enumerate(basis) if i not in set(drop_rows)]
-        nrows = len(basis)
 
-    # phase 2: drop artificial columns, price the real objective
     tableau = np.delete(tableau, np.s_[art0:total], axis=1)
-    cost = np.zeros(art0)
-    for t, (j, sign) in enumerate(split):
-        cost[t] = sign * model.c[j]
+    return FeasibleBasis(tableau, tuple(basis), tuple(split), cap)
+
+
+def phase_two(start: FeasibleBasis, c, tol: float = PIVOT_TOL) -> LpSolution:
+    """Minimize c @ x from the phase-1 basis; start itself is left unchanged."""
+    tableau = start.tableau.copy()
+    basis = list(start.basis)
+    nrows = len(basis)
+    ncols = tableau.shape[1] - 1
+    cost = np.zeros(ncols)
+    for t, (j, sign) in enumerate(start.split):
+        cost[t] = sign * c[j]
     tableau[-1, :] = 0.0
-    tableau[-1, :art0] = cost
+    tableau[-1, :ncols] = cost
     for i in range(nrows):
         cb = cost[basis[i]]
         if cb != 0.0:
             tableau[-1] -= cb * tableau[i]
 
-    status = _iterate(tableau, basis, art0, tol, cap)
+    status = _iterate(tableau, basis, ncols, tol, start.cap)
     if status == "unbounded":
         return LpSolution("unbounded", None, None)
 
-    values = np.zeros(art0)
+    values = np.zeros(ncols)
     for i in range(nrows):
         values[basis[i]] = tableau[i, -1]
-    x = np.zeros(nv)
-    for t, (j, sign) in enumerate(split):
+    x = np.zeros(len(c))
+    for t, (j, sign) in enumerate(start.split):
         x[j] += sign * values[t]
-    return LpSolution("optimal", float(model.c @ x), x)
+    return LpSolution("optimal", float(c @ x), x)
+
+
+def solve_lp(model: LinearProgram, tol: float = PIVOT_TOL) -> LpSolution:
+    """Solve the model; an Optimal solution is a vertex of the standard form."""
+    start = phase_one(model.G, model.h, model.nonneg, tol)
+    if start is None:
+        return LpSolution("infeasible", None, None)
+    return phase_two(start, model.c, tol)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lingauss.cli import main
+from lingauss.errors import NumericalBreakdown
 from lingauss.fixtures import write_pentagon_files
 from lingauss.problem import ProblemSpec, save_problem
 
@@ -162,6 +163,28 @@ def test_degenerate_region_exits_3(tmp_path, capsys):
     code = main(["sample", "--problem", path, "--n", "10", "--seed", "1"])
     assert code == 3
     assert "DegenerateRegion" in capsys.readouterr().err
+
+
+def test_numerical_breakdown_exits_3(problem_dir, tmp_path, monkeypatch, capsys):
+    def broken_chain(*args, **kwargs):
+        raise NumericalBreakdown("chain state violates a constraint; the state is corrupted")
+
+    monkeypatch.setattr("lingauss.sampler.run_chain", broken_chain)
+    code = main(
+        [
+            "sample",
+            "--problem",
+            str(problem_dir / "pentagon_inequality.json"),
+            "--n",
+            "10",
+            "--seed",
+            "1",
+            "--out",
+            str(tmp_path / "never.csv"),
+        ]
+    )
+    assert code == 3
+    assert "NumericalBreakdown" in capsys.readouterr().err
 
 
 def test_compare_agrees_rejection(problem_dir, tmp_path, capsys):

@@ -8,7 +8,7 @@ from lingauss.elliptical_slice import (
     ess_step,
     run_chain,
 )
-from lingauss.errors import EmptyArcSet
+from lingauss.errors import EmptyArcSet, NumericalBreakdown
 from lingauss.linalg import factor_covariance
 from lingauss.problem import ProblemSpec
 from lingauss.transform import build_transform
@@ -130,7 +130,7 @@ def test_corrupted_state_raises():
     transformed = build_transform(spec)
     factor = factor_covariance(spec.sigma)
     state = ChainState(np.array([-1.0]), np.random.default_rng(0))  # violates y >= 0
-    with pytest.raises(RuntimeError, match="corrupted"):
+    with pytest.raises(NumericalBreakdown, match="corrupted"):
         ess_step(state, transformed, factor)
 
 

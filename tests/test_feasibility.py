@@ -3,13 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from lingauss.errors import DegenerateRegion
-from lingauss.feasibility import (
-    FeasibilityResult,
-    find_feasible_point,
-    max_slack_model,
-    phase_one_model,
-)
-from lingauss.simplex import solve_lp
+from lingauss.feasibility import FeasibilityResult, find_feasible_point, max_slack_model
 from lingauss.transform import build_transform
 
 
@@ -174,11 +168,75 @@ def test_grid_confirms_classification_2d():
 def test_model_builders_shapes():
     H = np.array([[1.0, -1.0], [0.5, 2.0]])
     k = np.array([0.3, -0.7])
-    phase1 = phase_one_model(H, k)
-    assert phase1.G.shape == (2, 4)
-    assert solve_lp(phase1).status == "optimal"
     slack = max_slack_model(H, k)
     assert slack.G.shape == (3, 3)  # two rows plus the cap row
+
+
+def test_classification_always_reaches_a_verdict():
+    # the max-slack program is feasible and bounded for every input, so any
+    # system gets a verdict; infeasible verdicts agree with an independent
+    # zero-violation LP, and returned points satisfy every row
+    H = np.array([[1.0, -1.0], [0.5, 2.0]])
+    k = np.array([0.3, -0.7])
+    assert find_feasible_point(H, k).kind == "full_dimensional"
+    rng = np.random.default_rng(79)
+    kinds = set()
+    for _ in range(60):
+        m = int(rng.integers(1, 9))
+        n = int(rng.integers(1, 5))
+        H = rng.normal(size=(m, n))
+        k = rng.normal(size=m)
+        result = find_feasible_point(H, k)
+        kinds.add(result.kind)
+        reference = linprog(
+            np.zeros(n), A_ub=-H, b_ub=k, bounds=[(None, None)] * n, method="highs"
+        )
+        assert (result.kind == "infeasible") == (reference.status == 2)
+        if result.kind != "infeasible":
+            assert (H @ result.point + k).min() >= -1e-9
+    assert kinds == {"infeasible", "full_dimensional"}
+
+
+def test_zero_row_with_negative_offset_is_infeasible():
+    # 0 y1 + 0 y2 - 1 >= 0 fails for every y, whatever the other rows say
+    result = find_feasible_point(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([-1.0, 0.5]))
+    assert result.kind == "infeasible"
+
+
+def test_zero_row_with_nonnegative_offset_is_dropped():
+    H = np.array([[0.0, 0.0], [1.0, 0.0]])
+    result = find_feasible_point(H, np.array([1.0, 0.5]))
+    assert result.kind == "full_dimensional"
+    assert result.chebyshev_radius == pytest.approx(1.0, abs=1e-9)
+    without = find_feasible_point(H[1:], np.array([0.5]))
+    assert np.array_equal(result.point, without.point)
+    assert result.chebyshev_radius == without.chebyshev_radius
+    assert (H @ result.point + np.array([1.0, 0.5])).min() > 1e-7
+
+
+def test_all_zero_rows_leave_the_whole_space():
+    result = find_feasible_point(np.zeros((2, 3)), np.array([0.0, 2.0]))
+    assert result.kind == "full_dimensional"
+    assert result.chebyshev_radius == pytest.approx(1.0, abs=1e-9)
+
+
+def test_slack_within_tolerance_but_violation_above_it_is_infeasible():
+    # y >= 0 and 1e3 y <= -5e-7: the normalized slack optimum -2.5e-10 is
+    # within tolerance of zero, but no y comes within 5e-7 of both rows, so
+    # the range probe's phase 1 finds the region empty
+    result = find_feasible_point(np.array([[1e3], [-1e3]]), np.array([0.0, -5e-7]))
+    assert result.kind == "infeasible"
+
+
+def test_point_mass_among_redundant_rows():
+    # y = (1, -2) pinned by two opposite pairs plus slack rows and a duplicate
+    H = np.array(
+        [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0], [0.0, -1.0]]
+    )
+    k = np.array([-1.0, 1.0, 2.0, -2.0, 5.0, -2.0])
+    result = find_feasible_point(H, k)
+    assert result.kind == "point_mass"
+    np.testing.assert_allclose(result.point, [1.0, -2.0], atol=1e-9)
 
 
 def test_rejects_empty_or_mismatched_input():

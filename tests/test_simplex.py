@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from lingauss.simplex import LinearProgram, LpSolution, solve_lp
+from lingauss.simplex import LinearProgram, LpSolution, phase_one, phase_two, solve_lp
 
 
 def scipy_status(result):
@@ -145,6 +145,40 @@ def test_randomized_against_reference_solver():
                 assert feasible
             checked += 1
     assert checked == 300
+
+
+def test_shared_phase_one_matches_separate_solves_bit_for_bit():
+    rng = np.random.default_rng(83)
+    statuses = set()
+    for trial in range(120):
+        m = int(rng.integers(1, 10))
+        n = int(rng.integers(1, 7))
+        G = rng.normal(size=(m, n))
+        h = rng.normal(size=m)
+        nonneg = rng.random(n) < 0.5
+        if trial % 5 == 0 and m > 1:  # a duplicate row leaves a redundant one
+            G[1] = G[0]
+            h[1] = h[0]
+        costs = [rng.normal(size=n) for _ in range(3)]
+        costs += [sign * np.eye(n)[i] for i in range(n) for sign in (1.0, -1.0)]
+        start = phase_one(G, h, nonneg)
+        if start is not None:
+            tableau = start.tableau.copy()
+        for c in costs:
+            separate = solve_lp(LinearProgram(c=c, G=G, h=h, nonneg=nonneg))
+            statuses.add(separate.status)
+            if start is None:
+                assert separate.status == "infeasible"
+                continue
+            shared = phase_two(start, c)
+            assert shared.status == separate.status
+            assert shared.objective == separate.objective
+            assert (shared.x is None) == (separate.x is None)
+            if shared.x is not None:
+                assert np.array_equal(shared.x, separate.x)
+        if start is not None:
+            assert np.array_equal(start.tableau, tableau)  # phase 2 works on a copy
+    assert statuses == {"optimal", "unbounded", "infeasible"}
 
 
 def test_shape_validation():
