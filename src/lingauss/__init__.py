@@ -7,7 +7,7 @@ of each proposal ellipse, so every chain step yields a sample. Infeasible and
 point-mass constraint systems are detected and reported instead of sampled.
 """
 
-from .elliptical_slice import ArcSet, ChainState, active_arcs, ess_step, run_chain
+from .elliptical_slice import ArcSet, active_arcs, run_chain
 from .errors import (
     CyclingGuardExceeded,
     DegenerateRegion,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcSet",
-    "ChainState",
     "ComparisonReport",
     "CovarianceFactor",
     "CyclingGuardExceeded",
@@ -75,7 +74,6 @@ __all__ = [
     "classify_equality_system",
     "compare_stats",
     "conditional_direct_sample",
-    "ess_step",
     "factor_covariance",
     "find_feasible_point",
     "load_problem",

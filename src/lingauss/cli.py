@@ -34,7 +34,7 @@ from .feasibility import find_feasible_point
 from .fixtures import write_pentagon_files
 from .oracles import conditional_direct_sample, rejection_sample
 from .problem import load_problem
-from .sampler import sample_constrained
+from .sampler import POINT_TOL, sample_constrained
 from .stats import compare_stats, sample_stats
 from .transform import build_transform, classify_equality_system, map_latent
 
@@ -122,7 +122,7 @@ def _cmd_check(args):
             return EXIT_INFEASIBLE
         if classification.kind == "unique":
             x = classification.x
-            if spec.m and float((spec.A @ x + spec.b).min()) < -1e-8:
+            if spec.m and float((spec.A @ x + spec.b).min()) < -POINT_TOL:
                 print(
                     "infeasible: the unique equality solution violates the inequalities",
                     file=sys.stderr,

@@ -12,7 +12,13 @@ of these arcs; theta is drawn uniformly from it, so no proposal is ever
 rejected and theta = 0 (staying put) is always available as a member of the
 set. One nu and one theta draw per step, nothing else touches the generator.
 
-Angles live in [-pi, pi); arcs that cross the seam are split in two.
+Angles live in [-pi, pi). Per step, the radii, the active rows, the phases,
+the half-widths and the shift that moves each arc's start into [-pi, pi) are
+whole-array operations. The arcs that then end beyond pi cross the seam and
+are split in two, and a sweep over the sorted endpoints, held as plain
+floats, keeps the angles covered by every active arc. A chain's output is a
+deterministic function of its seed: the tests compare it bit for bit with a
+per-arc reference implementation.
 """
 
 from __future__ import annotations
@@ -22,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyArcSet, NumericalBreakdown
-from .linalg import CovarianceFactor, sample_mvn_zero
+from .linalg import CovarianceFactor
 from .transform import TransformedProblem
 
 SLACK_TOL = 1e-9
+_PI = np.pi
 _TWO_PI = 2.0 * np.pi
-_FULL_CIRCLE = np.array([[-np.pi, np.pi]])
+_FULL_CIRCLE = [[-_PI, _PI]]
 
 
 @dataclass(frozen=True)
@@ -40,108 +47,85 @@ class ArcSet:
     def total_measure(self) -> float:
         return float(np.sum(self.intervals[:, 1] - self.intervals[:, 0]))
 
-    def contains(self, theta: float) -> bool:
-        return bool(
-            np.any((self.intervals[:, 0] <= theta) & (theta <= self.intervals[:, 1]))
-        )
 
-    def sample(self, u: float) -> float:
-        """Map u in [0, total_measure) onto the union by walking the intervals."""
-        for start, end in self.intervals:
-            width = end - start
-            if u < width:
-                return float(start + u)
-            u -= width
-        return float(self.intervals[-1, 1])  # u landed exactly on the total measure
+def _intersect(events, needed):
+    """Sweep-line intersection of `needed` arc families given as endpoint events.
 
-
-def _wrap_arc(start, end):
-    """Shift [start, end] (width < 2*pi) into [-pi, pi), splitting at the seam."""
-    shift = np.floor((start + np.pi) / _TWO_PI) * _TWO_PI
-    start -= shift
-    end -= shift
-    if end <= np.pi:
-        return [(start, end)]
-    return [(-np.pi, end - _TWO_PI), (start, np.pi)]
-
-
-def _intersect(pieces, needed):
-    """Sweep-line intersection of `needed` arc families given as interval pieces."""
-    events = []
-    for start, end in pieces:
-        events.append((start, 1))
-        events.append((end, -1))
-    events.sort(key=lambda event: (event[0], -event[1]))  # open before close at ties
+    An event is (angle, -w) where w pieces open and (angle, +w) where w
+    close, so sorting the tuples puts opens before closes at ties. Returns
+    the angles covered by `needed` pieces at once as [start, end] pairs.
+    """
+    events.sort()
     segments = []
     cover = 0
-    previous = -np.pi
-    for angle, delta in events:
+    previous = -_PI
+    for angle, step in events:
         if cover == needed and angle > previous:
             if segments and segments[-1][1] == previous:
-                segments[-1] = (segments[-1][0], angle)  # merge abutting pieces
+                segments[-1][1] = angle  # merge abutting pieces
             else:
-                segments.append((previous, angle))
-        cover += delta
+                segments.append([previous, angle])
+        cover -= step
         previous = angle
     return segments
 
 
-def _arcs_from_projections(along_y, along_nu, k):
+def _feasible_segments(along_y, along_nu, k):
+    """Sorted, disjoint [start, end] pairs of the angles every constraint allows."""
     radius = np.hypot(along_y, along_nu)
-    inactive = k >= radius  # the whole circle satisfies constraint i
-    if np.any(~inactive & (k <= -radius)):
+    active = ~(k >= radius)  # k >= radius: the whole circle satisfies row i
+    needed = np.count_nonzero(active)
+    if not needed:
+        return _FULL_CIRCLE
+    neg_k, radius = -k[active], radius[active]
+    if np.count_nonzero(neg_k >= radius):  # k <= -radius
         raise EmptyArcSet("a constraint excludes the entire ellipse")
-    active = ~inactive
-    if not active.any():
-        return ArcSet(_FULL_CIRCLE)
     phase = np.arctan2(along_nu[active], along_y[active])
-    half_width = np.arccos(np.clip(-k[active] / radius[active], -1.0, 1.0))
-    pieces = []
-    for mid, half in zip(phase, half_width):
-        pieces.extend(_wrap_arc(mid - half, mid + half))
-    segments = _intersect(pieces, int(active.sum()))
-    if not segments or sum(end - start for start, end in segments) <= 0.0:
+    # -radius < k < radius on active rows, so the ratio lies in [-1, 1]
+    half_width = np.arccos(neg_k / radius)
+    start = phase - half_width
+    end = phase + half_width
+    shift = np.floor((start + _PI) / _TWO_PI) * _TWO_PI
+    start = start - shift
+    end = end - shift
+    # [s, e] is one piece unless e > pi. Then it crosses the seam and becomes
+    # [s, pi] and [-pi, e - 2 pi]; the seam endpoints of all crossing arcs
+    # coincide, so each side is one event weighted by their count
+    events = []
+    crossing = 0
+    for s, e in zip(start.tolist(), end.tolist()):
+        if e > _PI:
+            e -= _TWO_PI
+            crossing += 1
+        events += ((s, -1), (e, 1))
+    if crossing:
+        events += ((-_PI, -crossing), (_PI, crossing))
+    segments = _intersect(events, needed)
+    # every kept piece has end > start, so a nonempty list has positive measure
+    if not segments:
         raise EmptyArcSet("constraint arcs intersect in a set of measure zero")
-    return ArcSet(np.asarray(segments))
+    return segments
+
+
+def _angle_at(segments, u):
+    """Map u in [0, total measure) onto the union by walking the segments."""
+    for start, end in segments:
+        width = end - start
+        if u < width:
+            return start + u
+        u -= width
+    return segments[-1][1]  # u landed exactly on the total measure
 
 
 def active_arcs(y, nu, H, k) -> ArcSet:
     """Feasible ellipse angles for current point y and auxiliary draw nu."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
     if H.shape[0] == 0:
-        return ArcSet(_FULL_CIRCLE)
+        return ArcSet(np.asarray(_FULL_CIRCLE))
     k = np.asarray(k, dtype=float).reshape(-1)
-    return _arcs_from_projections(H @ np.asarray(y, float), H @ np.asarray(nu, float), k)
-
-
-@dataclass
-class ChainState:
-    y: np.ndarray
-    rng: np.random.Generator
-    step_count: int = 0
-
-
-def ess_step(
-    state: ChainState, transformed: TransformedProblem, factor: CovarianceFactor
-) -> ChainState:
-    """One slice-sampling transition. Exactly one nu draw and one theta draw."""
-    y = state.y
-    H, k = transformed.H, transformed.k
-    nu = sample_mvn_zero(factor, state.rng)
-    if H.shape[0]:
-        along_y = H @ y
-        worst = float((along_y + k).min())
-        if worst < -SLACK_TOL:
-            raise NumericalBreakdown(
-                f"chain state violates a constraint by {-worst:.3e}; "
-                "the state is corrupted"
-            )
-        arcs = _arcs_from_projections(along_y, H @ nu, k)
-    else:
-        arcs = ArcSet(_FULL_CIRCLE)
-    theta = arcs.sample(state.rng.uniform(0.0, arcs.total_measure))
-    y_next = y * np.cos(theta) + nu * np.sin(theta)
-    return ChainState(y_next, state.rng, state.step_count + 1)
+    along_y = H @ np.asarray(y, float)
+    along_nu = H @ np.asarray(nu, float)
+    return ArcSet(np.asarray(_feasible_segments(along_y, along_nu, k)))
 
 
 def run_chain(
@@ -151,13 +135,35 @@ def run_chain(
     n_steps: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """The n_steps states after y0 (y0 itself excluded), one per row."""
-    y0 = np.asarray(y0, dtype=float)
+    """The n_steps states after y0 (y0 itself excluded), one per row.
+
+    Each step draws nu = L w with w ~ N(0, I) and then one theta uniform on
+    the feasible arcs, in that order, so a seed fixes the whole chain.
+    """
+    y = np.asarray(y0, dtype=float)
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
-    out = np.empty((n_steps, y0.size))
-    state = ChainState(y0, rng)
+    H, k = transformed.H, transformed.k
+    has_rows = H.shape[0] > 0
+    root, dimension = factor.factor, factor.dimension
+    standard_normal, uniform = rng.standard_normal, rng.uniform
+    out = np.empty((n_steps, y.size))
     for i in range(n_steps):
-        state = ess_step(state, transformed, factor)
-        out[i] = state.y
+        nu = root @ standard_normal(dimension)
+        if has_rows:
+            along_y = H @ y
+            worst = float(np.minimum.reduce(along_y + k))
+            if not worst >= -SLACK_TOL:  # also catches a NaN state
+                raise NumericalBreakdown(
+                    f"chain state violates a constraint by {-worst:.3e}; "
+                    "the state is corrupted"
+                )
+            segments = _feasible_segments(along_y, H @ nu, k)
+        else:
+            segments = _FULL_CIRCLE
+        # np.add.reduce sums in numpy's pairwise order, as ArcSet.total_measure does
+        total = float(np.add.reduce([end - start for start, end in segments]))
+        theta = _angle_at(segments, uniform(0.0, total))
+        y = y * np.cos(theta) + nu * np.sin(theta)
+        out[i] = y
     return out

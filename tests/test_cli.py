@@ -124,6 +124,27 @@ def test_sample_point_mass_rows(tmp_path, capsys):
     assert "point mass" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("violation, expected", [(2e-8, 2), (5e-9, 0)])
+def test_check_and_sample_agree_on_unique_point_tolerance(
+    tmp_path, capsys, violation, expected
+):
+    # x = (1, 2) is pinned by the equalities and misses x_1 >= 1 + violation
+    path = write_spec(
+        tmp_path / "pinned.json",
+        mu=[0.0, 0.0],
+        sigma=np.eye(2),
+        A=[[1.0, 0.0]],
+        b=[-1.0 - violation],
+        C=np.eye(2),
+        d=[-1.0, -2.0],
+    )
+    assert main(["check", "--problem", path]) == expected
+    out = str(tmp_path / "draws.csv")
+    assert main(["sample", "--problem", path, "--n", "3", "--seed", "1", "--out", out]) == expected
+    if expected:
+        assert capsys.readouterr().err.count("unique equality solution violates") == 2
+
+
 def test_sample_infeasible_exits_2(tmp_path, capsys):
     path = write_spec(
         tmp_path / "empty.json",

@@ -2,18 +2,113 @@ import numpy as np
 import pytest
 
 from lingauss.elliptical_slice import (
+    SLACK_TOL,
     ArcSet,
-    ChainState,
+    _angle_at,
+    _intersect,
     active_arcs,
-    ess_step,
     run_chain,
 )
 from lingauss.errors import EmptyArcSet, NumericalBreakdown
+from lingauss.feasibility import find_feasible_point
+from lingauss.fixtures import pentagon_problem
 from lingauss.linalg import factor_covariance
 from lingauss.problem import ProblemSpec
 from lingauss.transform import build_transform
 
 from conftest import random_spd
+
+
+# Reference: the per-arc slice step that run_chain replaced, kept verbatim in
+# arithmetic. run_chain must reproduce its output bit for bit.
+
+
+def _reference_wrap_arc(start, end):
+    shift = np.floor((start + np.pi) / (2.0 * np.pi)) * (2.0 * np.pi)
+    start -= shift
+    end -= shift
+    if end <= np.pi:
+        return [(start, end)]
+    return [(-np.pi, end - 2.0 * np.pi), (start, np.pi)]
+
+
+def _reference_intersect(pieces, needed, stats=None):
+    events = []
+    for start, end in pieces:
+        events.append((start, 1))
+        events.append((end, -1))
+    events.sort(key=lambda event: (event[0], -event[1]))
+    segments = []
+    cover = 0
+    previous = -np.pi
+    for angle, delta in events:
+        if cover == needed and angle > previous:
+            if segments and segments[-1][1] == previous:
+                segments[-1] = (segments[-1][0], angle)
+                if stats is not None:
+                    stats["merges"] += 1
+            else:
+                segments.append((previous, angle))
+        cover += delta
+        previous = angle
+    return segments
+
+
+def _reference_intervals(along_y, along_nu, k, stats=None):
+    radius = np.hypot(along_y, along_nu)
+    inactive = k >= radius
+    if np.any(~inactive & (k <= -radius)):
+        raise EmptyArcSet("a constraint excludes the entire ellipse")
+    active = ~inactive
+    if not active.any():
+        return np.array([[-np.pi, np.pi]])
+    phase = np.arctan2(along_nu[active], along_y[active])
+    half_width = np.arccos(np.clip(-k[active] / radius[active], -1.0, 1.0))
+    pieces = []
+    for mid, half in zip(phase, half_width):
+        pieces.extend(_reference_wrap_arc(mid - half, mid + half))
+    if stats is not None:
+        stats["active"] += int(active.sum())
+        stats["crossing"] += len(pieces) - int(active.sum())
+    segments = _reference_intersect(pieces, int(active.sum()))
+    if not segments or sum(end - start for start, end in segments) <= 0.0:
+        raise EmptyArcSet("constraint arcs intersect in a set of measure zero")
+    return np.asarray(segments)
+
+
+def _reference_sample(intervals, u):
+    for start, end in intervals:
+        width = end - start
+        if u < width:
+            return float(start + u)
+        u -= width
+    return float(intervals[-1, 1])
+
+
+def _reference_chain(transformed, factor, y0, n_steps, rng, stats=None):
+    H, k = transformed.H, transformed.k
+    y = np.asarray(y0, dtype=float)
+    out = np.empty((n_steps, y.size))
+    for i in range(n_steps):
+        nu = factor.factor @ rng.standard_normal(factor.dimension)
+        if H.shape[0]:
+            along_y = H @ y
+            assert float((along_y + k).min()) >= -SLACK_TOL
+            intervals = _reference_intervals(along_y, H @ nu, k, stats)
+        else:
+            intervals = np.array([[-np.pi, np.pi]])
+        total = float(np.sum(intervals[:, 1] - intervals[:, 0]))
+        theta = _reference_sample(intervals, rng.uniform(0.0, total))
+        y = y * np.cos(theta) + nu * np.sin(theta)
+        out[i] = y
+    return out
+
+
+def member(intervals, theta):
+    """Whether each theta lies in one of the closed intervals."""
+    intervals = np.asarray(intervals)
+    theta = np.asarray(theta)[..., None]
+    return np.any((intervals[:, 0] <= theta) & (theta <= intervals[:, 1]), axis=-1)
 
 
 def grid_feasible_mask(y, nu, H, k, n_grid=10_000):
@@ -41,9 +136,9 @@ def test_arcs_match_grid_oracle():
         y, nu, H, k = random_feasible_instance(rng)
         arcs = active_arcs(y, nu, H, k)
         theta, feasible = grid_feasible_mask(y, nu, H, k)
-        member = np.array([arcs.contains(t) for t in theta])
+        inside = member(arcs.intervals, theta)
         # grid points can straddle an arc boundary; allow one-cell mismatches
-        disagreements = np.flatnonzero(member != feasible)
+        disagreements = np.flatnonzero(inside != feasible)
         for idx in disagreements:
             neighborhood = feasible[[(idx - 1) % theta.size, (idx + 1) % theta.size]]
             assert neighborhood[0] != neighborhood[1], (
@@ -65,7 +160,7 @@ def test_zero_is_always_feasible():
     rng = np.random.default_rng(97)
     for _ in range(200):
         y, nu, H, k = random_feasible_instance(rng)
-        assert active_arcs(y, nu, H, k).contains(0.0)
+        assert member(active_arcs(y, nu, H, k).intervals, 0.0)
 
 
 def test_whole_circle_when_constraints_inactive():
@@ -96,17 +191,18 @@ def test_impossible_constraint_raises():
 
 
 def test_sample_lands_inside_and_covers_intervals():
-    intervals = np.array([[-2.0, -1.0], [0.5, 1.5]])
-    arcs = ArcSet(intervals)
-    assert arcs.total_measure == pytest.approx(2.0)
+    intervals = [[-2.0, -1.0], [0.5, 1.5]]
+    total = ArcSet(np.asarray(intervals)).total_measure
+    assert total == pytest.approx(2.0)
     rng = np.random.default_rng(7)
-    draws = np.array([arcs.sample(rng.uniform(0, arcs.total_measure)) for _ in range(4_000)])
-    assert all(arcs.contains(t) for t in draws)
+    draws = np.array([_angle_at(intervals, rng.uniform(0, total)) for _ in range(4_000)])
+    assert member(intervals, draws).all()
     in_first = ((draws >= -2.0) & (draws <= -1.0)).mean()
     assert in_first == pytest.approx(0.5, abs=0.05)  # uniform across the union
+    assert _angle_at(intervals, total) == 1.5  # u on the total measure ends the last piece
 
 
-def test_ess_step_preserves_feasibility_and_counts():
+def test_run_chain_stays_feasible_every_step():
     rng = np.random.default_rng(103)
     spec = ProblemSpec(
         mu=np.zeros(2),
@@ -116,11 +212,9 @@ def test_ess_step_preserves_feasibility_and_counts():
     )
     transformed = build_transform(spec)
     factor = factor_covariance(spec.sigma)
-    state = ChainState(np.array([0.0, 0.0]), np.random.default_rng(11))
-    for expected_count in range(1, 301):
-        state = ess_step(state, transformed, factor)
-        assert state.step_count == expected_count
-        assert (transformed.H @ state.y + transformed.k).min() >= -1e-9
+    chain = run_chain(transformed, factor, np.zeros(2), 300, np.random.default_rng(11))
+    assert chain.shape == (300, 2)
+    assert (chain @ transformed.H.T + transformed.k).min() >= -1e-9
 
 
 def test_corrupted_state_raises():
@@ -129,9 +223,18 @@ def test_corrupted_state_raises():
     )
     transformed = build_transform(spec)
     factor = factor_covariance(spec.sigma)
-    state = ChainState(np.array([-1.0]), np.random.default_rng(0))  # violates y >= 0
+    with pytest.raises(NumericalBreakdown, match="corrupted"):  # y0 violates y >= 0
+        run_chain(transformed, factor, np.array([-1.0]), 5, np.random.default_rng(0))
+
+
+def test_nan_state_raises():
+    spec = ProblemSpec(
+        mu=np.zeros(2), sigma=np.eye(2), A=np.array([[1.0, 0.0]]), b=np.array([1.0])
+    )
+    transformed = build_transform(spec)
+    factor = factor_covariance(spec.sigma)
     with pytest.raises(NumericalBreakdown, match="corrupted"):
-        ess_step(state, transformed, factor)
+        run_chain(transformed, factor, np.array([np.nan, 0.0]), 5, np.random.default_rng(0))
 
 
 def test_run_chain_shape_and_determinism():
@@ -176,3 +279,125 @@ def test_unconstrained_chain_is_standard_normal():
     chain = run_chain(transformed, factor, np.zeros(2), 40_000, np.random.default_rng(3))
     np.testing.assert_allclose(chain.mean(axis=0), 0.0, atol=4 * np.sqrt(sigma.max() / 4_000))
     np.testing.assert_allclose(np.cov(chain.T), sigma, rtol=0.15, atol=0.05 * sigma.max())
+
+
+def rotated_box(n=50, seed=23):
+    """A randomly rotated 50-D box of 2n rows, each scaled by a random factor."""
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    scales = rng.uniform(0.5, 2.0, 2 * n)
+    A = np.vstack([rotation, -rotation]) * scales[:, None]
+    b = np.concatenate([rng.uniform(1.4, 1.6, n), rng.uniform(1.9, 2.1, n)]) * scales
+    return ProblemSpec(mu=np.zeros(n), sigma=np.eye(n), A=A, b=b)
+
+
+CHAIN_CASES = {
+    # name: (problem, steps, check on the reference's per-step statistics)
+    "pentagon_inequality": (lambda: pentagon_problem("inequality"), 10_000, None),
+    "pentagon_both": (lambda: pentagon_problem("both"), 3_000, None),
+    "rotated_box": (rotated_box, 2_000, lambda s, steps: s["active"] >= 10 * steps),
+    # y >= -0.5: the feasible arc is wider than pi, so most arcs cross the seam
+    "seam": (
+        lambda: ProblemSpec(
+            mu=np.zeros(1), sigma=np.eye(1), A=np.array([[1.0]]), b=np.array([0.5])
+        ),
+        5_000,
+        lambda s, steps: s["crossing"] >= steps // 4,
+    ),
+    "no_active_row": (
+        lambda: ProblemSpec(
+            mu=np.zeros(2), sigma=np.eye(2), A=np.array([[1.0, 0.0]]), b=np.array([1e6])
+        ),
+        2_000,
+        lambda s, steps: s["active"] == 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_run_chain_matches_reference_bit_for_bit(case):
+    make, steps, check = CHAIN_CASES[case]
+    spec = make()
+    transformed = build_transform(spec)
+    factor = factor_covariance(spec.sigma)
+    y0 = find_feasible_point(transformed.H, transformed.k).point
+    stats = {"active": 0, "crossing": 0}
+    expected = _reference_chain(
+        transformed, factor, y0, steps, np.random.default_rng(29), stats
+    )
+    chain = run_chain(transformed, factor, y0, steps, np.random.default_rng(29))
+    assert np.array_equal(chain, expected)
+    if check is not None:
+        assert check(stats, steps), stats
+
+
+def test_no_rows_chain_matches_reference_bit_for_bit():
+    spec = ProblemSpec(mu=np.zeros(3), sigma=random_spd(np.random.default_rng(5), 3))
+    transformed = build_transform(spec)
+    factor = factor_covariance(spec.sigma)
+    expected = _reference_chain(transformed, factor, np.ones(3), 500, np.random.default_rng(3))
+    chain = run_chain(transformed, factor, np.ones(3), 500, np.random.default_rng(3))
+    assert np.array_equal(chain, expected)
+
+
+def test_many_segments_chain_matches_reference_bit_for_bit():
+    # Chains rarely see more than a few segments; numpy sums 8 or more
+    # pairwise. The first nu is known from the seed, so the problem is built
+    # around it: y0 orthogonal to nu and as long makes the first ellipse a
+    # circle, which pokes out of all 16 sides of a polygon whose vertex
+    # points at y0, leaving 16 feasible pieces.
+    sides = 16
+    for seed in range(20):
+        nu = np.random.default_rng(seed).standard_normal(2)
+        y0 = np.array([-nu[1], nu[0]])
+        normals = np.arctan2(y0[1], y0[0]) + np.pi * (1 + 2 * np.arange(sides)) / sides
+        A = -np.column_stack([np.cos(normals), np.sin(normals)])
+        b = np.full(sides, np.hypot(*nu) / 1.01)
+        spec = ProblemSpec(mu=np.zeros(2), sigma=np.eye(2), A=A, b=b)
+        transformed = build_transform(spec)
+        factor = factor_covariance(spec.sigma)
+        # one more when a segment straddles the seam at +-pi
+        assert len(active_arcs(y0, nu, transformed.H, transformed.k).intervals) >= sides
+        expected = _reference_chain(transformed, factor, y0, 3, np.random.default_rng(seed))
+        chain = run_chain(transformed, factor, y0, 3, np.random.default_rng(seed))
+        assert np.array_equal(chain, expected)
+
+
+def test_active_arcs_match_reference_on_criterion_8_instances():
+    rng = np.random.default_rng(401)  # the instances of criterion 8
+    for _ in range(1_000):
+        m = int(rng.integers(1, 7))
+        n = int(rng.integers(1, 5))
+        H = rng.normal(size=(m, n))
+        y = rng.normal(size=n)
+        k = rng.uniform(0.05, 1.0, size=m) - H @ y
+        nu = rng.normal(size=n)
+        expected = _reference_intervals(H @ y, H @ nu, k)
+        assert np.array_equal(active_arcs(y, nu, H, k).intervals, expected)
+
+
+def test_sweep_matches_reference_on_abutting_pieces():
+    # Arcs computed from finite projections never abut exactly, so the merge
+    # is exercised here on endpoints drawn from a coarse grid, where shared
+    # endpoints are common; split rows are given as the weighted seam events
+    # that _feasible_segments produces.
+    grid = np.linspace(-np.pi, np.pi, 9)[1:-1]
+    rng = np.random.default_rng(31)
+    stats = {"merges": 0}
+    for _ in range(2_000):
+        needed = int(rng.integers(1, 5))
+        pieces, events, crossing = [], [], 0
+        for _ in range(needed):
+            a, b = np.sort(rng.choice(grid, size=2))
+            if rng.random() < 0.5:  # one piece [a, b], a point when a == b
+                pieces.append((a, b))
+                events += [(a, -1), (b, 1)]
+            else:  # a seam-crossing arc [-pi, a] and [b, pi], abutting when a == b
+                pieces += [(-np.pi, a), (b, np.pi)]
+                events += [(b, -1), (a, 1)]
+                crossing += 1
+        if crossing:
+            events += [(-np.pi, -crossing), (np.pi, crossing)]
+        expected = np.asarray(_reference_intersect(pieces, needed, stats)).reshape(-1, 2)
+        assert np.array_equal(np.asarray(_intersect(events, needed)).reshape(-1, 2), expected)
+    assert stats["merges"] > 0
