@@ -28,7 +28,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DegenerateRegion, NumericalBreakdown
-from .simplex import LinearProgram, phase_one, phase_two, solve_lp
+from .simplex import LinearProgram, _phase_one, phase_two, solve_lp
 
 FEAS_TOL = 1e-9
 
@@ -41,11 +41,13 @@ class FeasibilityResult:
     chebyshev_radius is set only for full-dimensional regions (the optimum of
     the slack program, capped at 1; the returned point is strictly interior
     but may hold less slack than the optimum when the optimum face is remote).
+    lp_pivots sums the simplex pivots of every program the classification ran.
     """
 
     kind: Literal["infeasible", "point_mass", "full_dimensional"]
     point: np.ndarray | None = None
     chebyshev_radius: float | None = None
+    lp_pivots: int = 0
 
 
 def max_slack_model(H, k) -> LinearProgram:
@@ -92,19 +94,22 @@ def _pull_in(H, k, radius, tol):
     model = LinearProgram(c=c, G=G, h=h, nonneg=np.ones(2 * n + 1, dtype=bool))
     solution = solve_lp(model, tol)
     if solution.status != "optimal":
-        return None
-    return solution.x[:n] - solution.x[n : 2 * n]
+        return None, solution.pivots
+    return solution.x[:n] - solution.x[n : 2 * n], solution.pivots
 
 
 def _coordinate_range(start, n, i, tol):
-    """(low, high) extent of coordinate i over the region, entries None if unbounded."""
+    """(low, high, pivots): the extent of coordinate i over the region, entries
+    None if unbounded, and the pivots of its two phase 2s."""
     bounds = []
+    pivots = 0
     for sign in (1.0, -1.0):
         c = np.zeros(n)
         c[i] = sign
         solution = phase_two(start, c, tol)
+        pivots += solution.pivots
         bounds.append(None if solution.status == "unbounded" else sign * solution.objective)
-    return bounds[0], bounds[1]
+    return bounds[0], bounds[1], pivots
 
 
 def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
@@ -131,20 +136,25 @@ def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
     if slack.status != "optimal":  # feasible and capped by construction
         raise NumericalBreakdown(f"slack program ended {slack.status}; expected optimal")
     radius = -slack.objective
+    pivots = slack.pivots
     if radius < -tol:
-        return FeasibilityResult("infeasible")
+        return FeasibilityResult("infeasible", lp_pivots=pivots)
     if radius > tol:
-        point = _pull_in(H, k, radius, tol)
+        point, pull_pivots = _pull_in(H, k, radius, tol)
         if point is None:  # roundoff starved the follow-up program; keep the vertex
             point = slack.x[:n]
-        return FeasibilityResult("full_dimensional", point, float(radius))
+        return FeasibilityResult(
+            "full_dimensional", point, float(radius), lp_pivots=pivots + pull_pivots
+        )
 
     # empty interior: point mass or flat region?
-    start = phase_one(H, -k, tol=tol)
+    start, start_pivots = _phase_one(H, -k, None, tol)
+    pivots += start_pivots
     if start is None:  # |s*| <= tol, yet phase 1 leaves a violation above tol
-        return FeasibilityResult("infeasible")
+        return FeasibilityResult("infeasible", lp_pivots=pivots)
     for i in range(n):
-        low, high = _coordinate_range(start, n, i, tol)
+        low, high, range_pivots = _coordinate_range(start, n, i, tol)
+        pivots += range_pivots
         if low is None or high is None:
             raise DegenerateRegion(
                 f"feasible region has empty interior yet coordinate {i + 1} is unbounded"
@@ -154,4 +164,4 @@ def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
                 "feasible region has empty interior but positive extent "
                 f"{high - low:.3e} along coordinate {i + 1}"
             )
-    return FeasibilityResult("point_mass", slack.x[:n])
+    return FeasibilityResult("point_mass", slack.x[:n], lp_pivots=pivots)

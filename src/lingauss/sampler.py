@@ -35,7 +35,8 @@ class RunReport:
     """What actually ran: recipe, classifications, and chain bookkeeping.
 
     chain_steps == 0 marks a direct (iid) recipe; stats consumers use that to
-    skip the autocorrelation correction.
+    skip the autocorrelation correction. lp_pivots sums the simplex pivots
+    of the call's feasibility programs.
     """
 
     recipe: str
@@ -45,6 +46,7 @@ class RunReport:
     chains: int = 1
     chain_steps: int = 0
     seconds: float = 0.0
+    lp_pivots: int = 0
 
 
 @dataclass
@@ -136,6 +138,7 @@ def sample_constrained(
     feasibility = find_feasible_point(transformed.H, transformed.k)
     report.feasibility = feasibility.kind
     report.chebyshev_radius = feasibility.chebyshev_radius
+    report.lp_pivots = feasibility.lp_pivots
     if feasibility.kind == "infeasible":
         return done(
             "impossible",

@@ -3,12 +3,16 @@
 Solves    minimize c @ x    subject to    G @ x >= h,
 
 where each variable is either free or sign-restricted to x_j >= 0. Free
-variables are split into positive and negative parts, surplus variables turn
-the inequalities into equations, and phase 1 drives artificial variables out
-of the basis before phase 2 optimizes the real objective. Phase 1 does not
-depend on the objective, so `phase_one` returns its feasible basis and
-`phase_two` prices one cost vector against a copy of it; `solve_lp` is one
-of each, and several objectives over one region can share a phase 1.
+variables are split into positive and negative parts, and surplus variables
+turn the inequalities into equations. Phase 1 starts from the origin's slack
+basis: a row that x = 0 already satisfies (h_i <= 0) starts with its surplus
+variable basic, and only a row that the origin violates (h_i > 0) gets an
+artificial variable, which phase 1 drives out of the basis before phase 2
+optimizes the real objective. A region that contains the origin thus costs
+phase 1 no pivot at all. Phase 1 does not depend on the objective, so
+`phase_one` returns its feasible basis and `phase_two` prices one cost
+vector against a copy of it; `solve_lp` is one of each, and several
+objectives over one region can share a phase 1.
 Entering columns follow Dantzig's rule (most negative reduced cost) until
 the objective stops improving for STALL_LIMIT consecutive pivots, after
 which Bland's rule takes over to rule out cycling; a hard iteration cap
@@ -20,7 +24,7 @@ favours clarity over sparse-matrix tricks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,9 +69,13 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """pivots counts the simplex pivots that reached this result: phase 1 and
+    phase 2 for solve_lp, phase 2 alone for phase_two."""
+
     status: str  # "optimal" | "unbounded" | "infeasible"
     objective: float | None
     x: np.ndarray | None
+    pivots: int = 0
 
 
 def _pivot(tableau, basis, row, col):
@@ -84,27 +92,28 @@ def _pivot(tableau, basis, row, col):
 def _iterate(tableau, basis, ncols, tol, cap):
     """Pivot until the reduced costs are nonnegative. Mutates tableau/basis.
 
-    Returns "optimal" or "unbounded"; raises CyclingGuardExceeded at the cap.
+    Returns ("optimal" or "unbounded", pivots made); raises
+    CyclingGuardExceeded at the cap.
     """
     nrows = len(basis)
     bland = False
     stalled = 0
     best = -tableau[-1, -1]
-    for _ in range(cap):
+    for pivots in range(cap):
         reduced = tableau[-1, :ncols]
         if bland:
             negatives = np.flatnonzero(reduced < -tol)
             if negatives.size == 0:
-                return "optimal"
+                return "optimal", pivots
             col = int(negatives[0])
         else:
             col = int(np.argmin(reduced))
             if reduced[col] >= -tol:
-                return "optimal"
+                return "optimal", pivots
         pivot_col = tableau[:nrows, col]
         eligible = pivot_col > tol
         if not eligible.any():
-            return "unbounded"
+            return "unbounded", pivots
         ratios = np.full(nrows, np.inf)
         ratios[eligible] = tableau[:nrows, -1][eligible] / pivot_col[eligible]
         least = ratios.min()
@@ -129,21 +138,34 @@ class FeasibleBasis:
     It depends only on (G, h, nonneg), so one phase 1 serves any number of
     objectives over the same region: phase_two copies the tableau and prices
     one cost vector. The tableau holds the constraint rows (redundant rows
-    removed) and a cost row, without the artificial columns.
+    removed) and a cost row, without the artificial columns. pivots counts
+    the pivots phase 1 made, the drive-out of artificials included.
     """
 
     tableau: np.ndarray
     basis: tuple[int, ...]
     split: tuple[tuple[int, float], ...]  # column t is sign * (original variable j)
     cap: int
+    pivots: int
 
 
 def phase_one(G, h, nonneg=None, tol: float = PIVOT_TOL) -> FeasibleBasis | None:
     """A feasible basis of {G x >= h; x_j >= 0 where nonneg[j]}, or None if empty.
 
+    The start basis is the origin's: each row with h_i <= 0, which x = 0
+    satisfies, is negated so that its surplus column is +e_i and starts
+    basic at value -h_i >= 0. Only the rows with h_i > 0 get an artificial
+    column, and the phase-1 cost sums those artificials alone, so a region
+    that contains the origin is feasible at once, with no pivot.
+
     G and h must already have consistent shapes (LinearProgram checks them);
     nonneg=None marks every variable free.
     """
+    return _phase_one(G, h, nonneg, tol)[0]
+
+
+def _phase_one(G, h, nonneg, tol) -> tuple[FeasibleBasis | None, int]:
+    """phase_one's basis together with its pivot count, which an empty region keeps."""
     nrows, nv = G.shape
     if nonneg is None:
         nonneg = np.zeros(nv, dtype=bool)
@@ -154,34 +176,37 @@ def phase_one(G, h, nonneg=None, tol: float = PIVOT_TOL) -> FeasibleBasis | None
         if not nonneg[j]:
             split.append((j, -1.0))
     n_struct = len(split)
-    total = n_struct + 2 * nrows  # + surplus + artificial
+    rhs = np.array(h, dtype=float)
+    slack_start = rhs <= 0.0  # rows the origin satisfies, -0.0 included
+    art_rows = np.flatnonzero(~slack_start)
     art0 = n_struct + nrows
+    total = art0 + art_rows.size  # + surplus + artificial
 
     body = np.zeros((nrows, total))
     for t, (j, sign) in enumerate(split):
         body[:, t] = sign * G[:, j]
     body[:, n_struct:art0] = -np.eye(nrows)
-    rhs = np.array(h, dtype=float)
-    flip = rhs < 0.0
-    body[flip] *= -1.0
-    rhs[flip] *= -1.0
-    body[:, art0:] = np.eye(nrows)
+    body[slack_start] *= -1.0
+    rhs = np.abs(rhs)
+    body[art_rows, art0 + np.arange(art_rows.size)] = 1.0
 
     tableau = np.zeros((nrows + 1, total + 1))
     tableau[:nrows, :total] = body
     tableau[:nrows, -1] = rhs
-    basis = [art0 + i for i in range(nrows)]
+    basis = [n_struct + i for i in range(nrows)]
+    for a, i in enumerate(art_rows):
+        basis[i] = art0 + a
     # phase-1 reduced costs: artificial costs 1, priced out against the basis
     # (each artificial column prices to exactly zero)
     tableau[-1, art0:total] = 1.0
-    tableau[-1] -= tableau[:nrows].sum(axis=0)
+    tableau[-1] -= tableau[art_rows].sum(axis=0)
 
-    cap = 50 * (total + nrows)
-    status = _iterate(tableau, basis, total, tol, cap)
+    cap = 50 * (n_struct + 3 * nrows)
+    status, pivots = _iterate(tableau, basis, total, tol, cap)
     if status == "unbounded":  # impossible for a sum of nonnegative variables
         raise CyclingGuardExceeded("phase 1 reported unbounded: numerical breakdown")
     if -tableau[-1, -1] > tol:
-        return None
+        return None, pivots
 
     # drive any leftover zero-valued artificials out of the basis
     drop_rows = []
@@ -191,6 +216,7 @@ def phase_one(G, h, nonneg=None, tol: float = PIVOT_TOL) -> FeasibleBasis | None
             if candidates.size:
                 col = int(candidates[np.argmax(np.abs(tableau[i, candidates]))])
                 _pivot(tableau, basis, i, col)
+                pivots += 1
             else:
                 drop_rows.append(i)  # redundant constraint row
     if drop_rows:
@@ -198,7 +224,7 @@ def phase_one(G, h, nonneg=None, tol: float = PIVOT_TOL) -> FeasibleBasis | None
         basis = [b for i, b in enumerate(basis) if i not in set(drop_rows)]
 
     tableau = np.delete(tableau, np.s_[art0:total], axis=1)
-    return FeasibleBasis(tableau, tuple(basis), tuple(split), cap)
+    return FeasibleBasis(tableau, tuple(basis), tuple(split), cap, pivots), pivots
 
 
 def phase_two(start: FeasibleBasis, c, tol: float = PIVOT_TOL) -> LpSolution:
@@ -217,9 +243,9 @@ def phase_two(start: FeasibleBasis, c, tol: float = PIVOT_TOL) -> LpSolution:
         if cb != 0.0:
             tableau[-1] -= cb * tableau[i]
 
-    status = _iterate(tableau, basis, ncols, tol, start.cap)
+    status, pivots = _iterate(tableau, basis, ncols, tol, start.cap)
     if status == "unbounded":
-        return LpSolution("unbounded", None, None)
+        return LpSolution("unbounded", None, None, pivots)
 
     values = np.zeros(ncols)
     for i in range(nrows):
@@ -227,12 +253,13 @@ def phase_two(start: FeasibleBasis, c, tol: float = PIVOT_TOL) -> LpSolution:
     x = np.zeros(len(c))
     for t, (j, sign) in enumerate(start.split):
         x[j] += sign * values[t]
-    return LpSolution("optimal", float(c @ x), x)
+    return LpSolution("optimal", float(c @ x), x, pivots)
 
 
 def solve_lp(model: LinearProgram, tol: float = PIVOT_TOL) -> LpSolution:
     """Solve the model; an Optimal solution is a vertex of the standard form."""
-    start = phase_one(model.G, model.h, model.nonneg, tol)
+    start, pivots = _phase_one(model.G, model.h, model.nonneg, tol)
     if start is None:
-        return LpSolution("infeasible", None, None)
-    return phase_two(start, model.c, tol)
+        return LpSolution("infeasible", None, None, pivots)
+    solution = phase_two(start, model.c, tol)
+    return replace(solution, pivots=pivots + solution.pivots)

@@ -75,14 +75,27 @@ def classify_equality_system(C, d, tol: float = EQUALITY_TOL) -> EqualityClass:
     return EqualityClass("infinite")
 
 
-def _drop_redundant_rows(C, d, tol):
-    # Keep rows of [C | d] that enlarge the row space of the rows kept so far.
-    aug = np.hstack([C, d[:, None]])
+def _independent_rows(rows, tol) -> list[int]:
+    """Indices of the rows that enlarge the span of the rows kept before them.
+
+    One Gram-Schmidt pass in row order, with one reorthogonalisation: row i
+    is kept when its residual against the kept rows has a norm above tol
+    times the largest row norm among rows 0..i, and the normalised residual
+    joins the orthonormal basis of the kept rows. Zero rows are never kept.
+    """
+    basis = np.empty_like(rows)  # orthonormal rows spanning the rows kept so far
     keep: list[int] = []
-    for i in range(aug.shape[0]):
-        if matrix_rank(aug[keep + [i]], tol) > len(keep):
+    scale = 0.0
+    for i, row in enumerate(rows):
+        scale = max(scale, float(np.linalg.norm(row)))
+        kept = basis[: len(keep)]
+        residual = row - (kept @ row) @ kept
+        residual -= (kept @ residual) @ kept
+        norm = float(np.linalg.norm(residual))
+        if norm > tol * scale:
+            basis[len(keep)] = residual / norm
             keep.append(i)
-    return C[keep], d[keep]
+    return keep
 
 
 def build_transform(spec: ProblemSpec, tol: float = EQUALITY_TOL) -> TransformedProblem:
@@ -110,7 +123,8 @@ def build_transform(spec: ProblemSpec, tol: float = EQUALITY_TOL) -> Transformed
             "build_transform needs an equality system with infinitely many "
             f"solutions, got {classification.kind!r}"
         )
-    C_kept, d_kept = _drop_redundant_rows(spec.C, spec.d, tol)
+    keep = _independent_rows(np.hstack([spec.C, spec.d[:, None]]), tol)
+    C_kept, d_kept = spec.C[keep], spec.d[keep]
     gram = C_kept @ spec.sigma @ C_kept.T
     try:
         chol = np.linalg.cholesky(gram)

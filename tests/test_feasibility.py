@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import lingauss.simplex
 from lingauss.errors import DegenerateRegion
 from lingauss.feasibility import FeasibilityResult, find_feasible_point, max_slack_model
 from lingauss.transform import build_transform
@@ -239,6 +240,49 @@ def test_point_mass_among_redundant_rows():
     np.testing.assert_allclose(result.point, [1.0, -2.0], atol=1e-9)
 
 
+def test_rotated_box_around_the_origin_takes_few_pivots():
+    # 50-D box [-lo, hi] in rotated coordinates, each row scaled: the origin
+    # satisfies all 100 rows, so phase 1 starts feasible (480 pivots when every
+    # row carried an artificial column)
+    rng = np.random.default_rng(103)
+    n = 50
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q *= np.sign(np.diag(r))
+    H = np.vstack([q, -q]) * rng.uniform(0.5, 2.0, 2 * n)[:, None]
+    k = rng.uniform(1.0, 2.0, 2 * n) * np.linalg.norm(H, axis=1)
+    result = find_feasible_point(H, k)
+    assert result.kind == "full_dimensional"
+    assert result.chebyshev_radius == pytest.approx(reference_radius(H, k), abs=1e-9)
+    assert 0 < result.lp_pivots <= 40
+
+
+SQUARE = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+
+
+@pytest.mark.parametrize(
+    "H, k, kind",
+    [
+        ([[1.0], [-1.0]], [-1.0, 0.0], "infeasible"),
+        ([[0.0], [1.0]], [-1.0, 0.5], "infeasible"),  # decided before any LP
+        (SQUARE, [-2.0, 2.0, 1.0, -1.0], "point_mass"),
+        ([[1e3], [-1e3]], [0.0, -5e-7], "infeasible"),  # the range probe's phase 1 finds it empty
+        (SQUARE, [-1.0, 3.0, 2.0, 3.0], "full_dimensional"),
+    ],
+)
+def test_lp_pivots_counts_every_pivot(monkeypatch, H, k, kind):
+    made = []
+    pivot = lingauss.simplex._pivot
+
+    def counted(*args):
+        made.append(args[2:])
+        return pivot(*args)
+
+    monkeypatch.setattr(lingauss.simplex, "_pivot", counted)
+    result = find_feasible_point(np.array(H), np.array(k))
+    assert result.kind == kind
+    assert result.lp_pivots == len(made)
+
+
 def test_rejects_empty_or_mismatched_input():
     with pytest.raises(ValueError):
         find_feasible_point(np.zeros((0, 2)), np.zeros(0))
@@ -249,3 +293,4 @@ def test_rejects_empty_or_mismatched_input():
 def test_result_dataclass_defaults():
     result = FeasibilityResult("infeasible")
     assert result.point is None and result.chebyshev_radius is None
+    assert result.lp_pivots == 0

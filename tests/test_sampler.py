@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from lingauss.feasibility import find_feasible_point
 from lingauss.problem import ProblemSpec
 from lingauss.sampler import sample_constrained
+from lingauss.transform import build_transform
 
 from conftest import random_spd
 
@@ -115,6 +117,16 @@ def test_inequality_point_mass():
     outcome = sample_constrained(spec, 10, np.random.default_rng(9))
     assert outcome.status == "point_mass"
     np.testing.assert_allclose(outcome.point, [0.7], atol=1e-8)
+
+
+def test_report_counts_lp_pivots(pentagon_both, pentagon_equality):
+    outcome = sample_constrained(pentagon_both, 10, np.random.default_rng(10))
+    transformed = build_transform(pentagon_both)
+    expected = find_feasible_point(transformed.H, transformed.k).lp_pivots
+    assert expected > 0
+    assert outcome.report.lp_pivots == expected
+    direct = sample_constrained(pentagon_equality, 10, np.random.default_rng(10))
+    assert direct.report.lp_pivots == 0  # no inequality, no LP
 
 
 def test_burn_in_and_thin_change_output_but_not_count(pentagon_both):

@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from lingauss.simplex import LinearProgram, LpSolution, phase_one, phase_two, solve_lp
+from lingauss.errors import CyclingGuardExceeded
+from lingauss.simplex import (
+    PIVOT_TOL,
+    FeasibleBasis,
+    LinearProgram,
+    LpSolution,
+    _iterate,
+    _pivot,
+    phase_one,
+    phase_two,
+    solve_lp,
+)
 
 
 def scipy_status(result):
@@ -35,6 +46,51 @@ def certify_unbounded(c, G, h, nonneg):
         method="highs",
     )
     return ray.status == 0
+
+
+def all_artificial_phase_one(G, h, nonneg, tol=PIVOT_TOL):
+    """Reference phase 1 that gives every row an artificial column, as the
+    solver did before it started from the origin's slack basis."""
+    nrows, nv = G.shape
+    split = [(j, s) for j in range(nv) for s in ((1.0,) if nonneg[j] else (1.0, -1.0))]
+    n_struct = len(split)
+    total = n_struct + 2 * nrows
+    art0 = n_struct + nrows
+    body = np.zeros((nrows, total))
+    for t, (j, sign) in enumerate(split):
+        body[:, t] = sign * G[:, j]
+    body[:, n_struct:art0] = -np.eye(nrows)
+    rhs = np.array(h, dtype=float)
+    flip = rhs < 0.0
+    body[flip] *= -1.0
+    rhs[flip] *= -1.0
+    body[:, art0:] = np.eye(nrows)
+    tableau = np.zeros((nrows + 1, total + 1))
+    tableau[:nrows, :total] = body
+    tableau[:nrows, -1] = rhs
+    basis = [art0 + i for i in range(nrows)]
+    tableau[-1, art0:total] = 1.0
+    tableau[-1] -= tableau[:nrows].sum(axis=0)
+    cap = 50 * (total + nrows)
+    status, pivots = _iterate(tableau, basis, total, tol, cap)
+    if status == "unbounded":
+        raise CyclingGuardExceeded("phase 1 reported unbounded")
+    if -tableau[-1, -1] > tol:
+        return None
+    drop_rows = []
+    for i in range(nrows):
+        if basis[i] >= art0:
+            candidates = np.flatnonzero(np.abs(tableau[i, :art0]) > tol)
+            if candidates.size:
+                col = int(candidates[np.argmax(np.abs(tableau[i, candidates]))])
+                _pivot(tableau, basis, i, col)
+                pivots += 1
+            else:
+                drop_rows.append(i)
+    tableau = np.delete(tableau, drop_rows, axis=0)
+    basis = [b for i, b in enumerate(basis) if i not in set(drop_rows)]
+    tableau = np.delete(tableau, np.s_[art0:total], axis=1)
+    return FeasibleBasis(tableau, tuple(basis), tuple(split), cap, pivots)
 
 
 def test_known_optimum():
@@ -179,6 +235,92 @@ def test_shared_phase_one_matches_separate_solves_bit_for_bit():
         if start is not None:
             assert np.array_equal(start.tableau, tableau)  # phase 2 works on a copy
     assert statuses == {"optimal", "unbounded", "infeasible"}
+
+
+def test_phase_one_at_the_origin_makes_no_pivot():
+    rng = np.random.default_rng(89)
+    for trial in range(20):
+        m = int(rng.integers(1, 12))
+        n = int(rng.integers(1, 8))
+        G = rng.normal(size=(m, n))
+        h = -np.abs(rng.normal(size=m))
+        h[rng.random(m) < 0.3] = 0.0
+        h[rng.random(m) < 0.3] = -0.0
+        nonneg = rng.random(n) < 0.5
+        start = phase_one(G, h, nonneg)
+        n_struct = n + int(np.count_nonzero(~nonneg))
+        assert start.pivots == 0
+        assert start.basis == tuple(n_struct + i for i in range(m))  # the surplus columns
+        np.testing.assert_array_equal(start.tableau[:m, -1], np.abs(h))
+        assert solve_lp(LinearProgram(c=np.zeros(n), G=G, h=h, nonneg=nonneg)).pivots == 0
+
+
+def test_slack_start_matches_all_artificial_phase_one():
+    rng = np.random.default_rng(97)
+    statuses = set()
+    pivots = {"slack start": 0, "all artificial": 0}
+    for trial in range(200):
+        m = int(rng.integers(1, 10))
+        n = int(rng.integers(1, 8))
+        G = rng.normal(size=(m, n))
+        h = rng.normal(size=m)
+        signs = trial % 4
+        if signs == 1:  # the origin satisfies every row
+            h = -np.abs(h)
+            h[rng.random(m) < 0.2] = 0.0
+        elif signs == 2:  # the origin violates every row
+            h = np.abs(h) + 0.1
+        elif signs == 3 and m > 1:  # a duplicate row leaves a redundant one
+            G[1] = G[0]
+            h[1] = h[0]
+        nonneg = rng.random(n) < 0.5
+        c = rng.normal(size=n)
+        mine = solve_lp(LinearProgram(c=c, G=G, h=h, nonneg=nonneg))
+        start = all_artificial_phase_one(G, h, nonneg)
+        statuses.add(mine.status)
+        if start is None:
+            assert mine.status == "infeasible"
+            continue
+        ref = phase_two(start, c)
+        assert mine.status == ref.status
+        if ref.status == "optimal":
+            tol = 1e-9 * (1 + abs(ref.objective))
+            assert mine.objective == pytest.approx(ref.objective, abs=tol)
+        pivots["slack start"] += mine.pivots
+        pivots["all artificial"] += start.pivots + ref.pivots
+        scipy_ref = linprog(
+            c,
+            A_ub=-G,
+            b_ub=-h,
+            bounds=[(0, None) if f else (None, None) for f in nonneg],
+            method="highs",
+        )
+        if mine.status == scipy_status(scipy_ref):
+            if mine.status == "optimal":
+                assert mine.objective == pytest.approx(
+                    scipy_ref.fun, abs=1e-6 * (1 + abs(scipy_ref.fun))
+                )
+        else:  # HiGHS's presolve may call an unbounded program infeasible
+            assert mine.status == "unbounded"
+            assert certify_feasible(G, h, nonneg) and certify_unbounded(c, G, h, nonneg)
+    assert statuses == {"optimal", "unbounded", "infeasible"}
+    assert pivots["slack start"] < pivots["all artificial"]
+
+
+def test_pivot_counts_add_up():
+    rng = np.random.default_rng(101)
+    G = rng.normal(size=(8, 4))
+    h = G @ (3.0 * rng.normal(size=4)) - 0.1  # nonempty; the origin violates rows
+    assert (h > 0.0).any()
+    c = G.T @ np.ones(8)  # bounded below on {G x >= h}
+    start = phase_one(G, h)
+    second = phase_two(start, c)
+    whole = solve_lp(LinearProgram(c=c, G=G, h=h))
+    assert whole.status == "optimal"
+    assert start.pivots > 0
+    assert whole.pivots == start.pivots + second.pivots
+    infeasible = solve_lp(LinearProgram(c=[0.0], G=[[1.0], [-1.0]], h=[1.0, 0.0]))
+    assert infeasible.status == "infeasible" and infeasible.pivots >= 1
 
 
 def test_shape_validation():

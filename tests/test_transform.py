@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from lingauss.errors import SingularEqualityGram
+from lingauss.linalg import matrix_rank
 from lingauss.problem import ProblemSpec
 from lingauss.transform import (
+    EQUALITY_TOL,
     TransformedProblem,
+    _independent_rows,
     build_transform,
     classify_equality_system,
     map_latent,
@@ -123,6 +126,40 @@ def test_redundant_equality_rows_are_dropped():
     np.testing.assert_allclose(a.F, b.F, atol=1e-10)
     np.testing.assert_allclose(a.g, b.g, atol=1e-10)
     assert b.E.shape == (n, 2)  # one column per kept row
+
+
+def svd_greedy_rows(rows, tol):
+    """Reference: keep row i when it raises the numerical rank of the kept rows,
+    one SVD per row."""
+    keep = []
+    for i in range(rows.shape[0]):
+        if matrix_rank(rows[keep + [i]], tol) > len(keep):
+            keep.append(i)
+    return keep
+
+
+def test_independent_rows_match_svd_greedy():
+    rng = np.random.default_rng(107)
+    dropped = 0
+    for trial in range(200):
+        width = int(rng.integers(2, 12))
+        free = int(rng.integers(1, width + 2))
+        base = rng.normal(size=(free, width)) * rng.uniform(0.1, 10.0, (free, 1))
+        planted = int(rng.integers(0, 6))
+        weights = rng.normal(size=(planted, free))
+        weights[rng.random(weights.shape) < 0.4] = 0.0  # sparse combinations
+        rows = np.vstack([base, weights @ base])
+        if trial % 10 == 0:
+            rows = np.vstack([rows, np.zeros(width), rows[0]])  # a zero row, a duplicate
+        rows = rows[rng.permutation(rows.shape[0])]
+        keep = _independent_rows(rows, EQUALITY_TOL)
+        assert keep == svd_greedy_rows(rows, EQUALITY_TOL)
+        dropped += rows.shape[0] - len(keep)
+    assert dropped > 200
+    # the threshold scales with the largest row so far, not with the row itself:
+    # a row 1e-10 times smaller than an earlier one adds no numerical rank
+    rows = np.array([[1e4, 0.0, 0.0], [0.0, 1e-6, 0.0], [0.0, 0.0, 1.0]])
+    assert _independent_rows(rows, EQUALITY_TOL) == svd_greedy_rows(rows, EQUALITY_TOL) == [0, 2]
 
 
 def test_inconsistent_system_rejected_by_build():
