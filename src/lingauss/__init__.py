@@ -7,7 +7,7 @@ of each proposal ellipse, so every chain step yields a sample. Infeasible and
 point-mass constraint systems are detected and reported instead of sampled.
 """
 
-from .elliptical_slice import ArcSet, active_arcs, run_chain
+from .elliptical_slice import run_chain
 from .errors import (
     CyclingGuardExceeded,
     DegenerateRegion,
@@ -20,9 +20,9 @@ from .errors import (
     ProblemFormatError,
     SingularEqualityGram,
 )
-from .feasibility import FeasibilityResult, find_feasible_point, max_slack_model
+from .feasibility import FeasibilityResult, find_feasible_point
 from .fixtures import pentagon_problem, pentagon_transform, write_pentagon_files
-from .linalg import CovarianceFactor, factor_covariance, matrix_rank, sample_mvn_zero
+from .linalg import CovarianceFactor, factor_covariance, matrix_rank
 from .oracles import (
     RejectionReport,
     ValidationTransform,
@@ -32,7 +32,7 @@ from .oracles import (
 )
 from .problem import ProblemSpec, load_problem, problem_from_dict, problem_to_dict, save_problem
 from .sampler import RunReport, SamplingOutcome, sample_constrained
-from .simplex import LinearProgram, LpSolution, solve_lp
+from .simplex import LpSolution
 from .stats import ComparisonReport, SampleStats, compare_stats, sample_stats
 from .transform import (
     EqualityClass,
@@ -45,7 +45,6 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcSet",
     "ComparisonReport",
     "CovarianceFactor",
     "CyclingGuardExceeded",
@@ -55,7 +54,6 @@ __all__ = [
     "EqualityClass",
     "FeasibilityResult",
     "LinGaussError",
-    "LinearProgram",
     "LpSolution",
     "NotPSD",
     "NotSymmetric",
@@ -69,7 +67,6 @@ __all__ = [
     "SingularEqualityGram",
     "TransformedProblem",
     "ValidationTransform",
-    "active_arcs",
     "build_transform",
     "classify_equality_system",
     "compare_stats",
@@ -79,7 +76,6 @@ __all__ = [
     "load_problem",
     "map_latent",
     "matrix_rank",
-    "max_slack_model",
     "pentagon_plane_coords",
     "pentagon_problem",
     "pentagon_transform",
@@ -88,9 +84,7 @@ __all__ = [
     "rejection_sample",
     "run_chain",
     "sample_constrained",
-    "sample_mvn_zero",
     "sample_stats",
     "save_problem",
-    "solve_lp",
     "write_pentagon_files",
 ]

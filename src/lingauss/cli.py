@@ -101,9 +101,14 @@ def _cmd_sample(args):
         print(f"wrote {args.n} identical rows to {args.out}")
         return EXIT_OK
     if report.chain_steps:
+        kernel = (
+            f"alternating full and {report.long_directions}-direction long steps"
+            if report.long_directions
+            else "full steps only"
+        )
         print(
             f"chain steps: {report.chain_steps} across {report.chains} chain(s) "
-            f"(burn-in {args.burn_in}, thin {args.thin})"
+            f"(burn-in {args.burn_in}, thin {args.thin}), {kernel}"
         )
     _write_csv(args.out, outcome.samples)
     _print_stats(sample_stats(outcome.samples, independent=report.chain_steps == 0))
@@ -114,6 +119,7 @@ def _cmd_sample(args):
 def _cmd_check(args):
     spec = load_problem(args.problem)
     print(f"dimension: {spec.n}, inequalities: {spec.m}, equalities: {spec.p}")
+    classification = None
     if spec.p:
         classification = classify_equality_system(spec.C, spec.d)
         print(f"equality system: {classification.kind}")
@@ -134,7 +140,7 @@ def _cmd_check(args):
         kind = "unconstrained normal" if spec.p == 0 else "normal restricted to a plane"
         print(f"feasible: {kind}, direct sampling applies")
         return EXIT_OK
-    transformed = build_transform(spec)
+    transformed = build_transform(spec, equality=classification)
     result = find_feasible_point(transformed.H, transformed.k)
     if result.kind == "infeasible":
         print(

@@ -10,7 +10,8 @@ whole circle when k_i >= r_i, impossible when k_i <= -r_i, and otherwise the
 closed arc phi_i +/- arccos(-k_i / r_i). The feasible set is the intersection
 of these arcs; theta is drawn uniformly from it, so no proposal is ever
 rejected and theta = 0 (staying put) is always available as a member of the
-set. One nu and one theta draw per step, nothing else touches the generator.
+set. One nu and one theta draw per step, nothing else touches the generator
+(a long step, below, draws z in place of nu).
 
 Angles live in [-pi, pi). Per step, the radii, the active rows, the phases,
 the half-widths and the shift that moves each arc's start into [-pi, pi) are
@@ -19,6 +20,33 @@ are split in two, and a sweep over the sorted endpoints, held as plain
 floats, keeps the angles covered by every active arc. A chain's output is a
 deterministic function of its seed: the tests compare it bit for bit with a
 per-arc reference implementation.
+
+Thin regions. In whitened coordinates u = L^-1 y the prior is N(0, I), and
+a region that is thin in a few directions and long in the others leaves
+each prior-shaped ellipse a tiny feasible share, so the plain chain creeps
+along the long directions. `long_directions` reads that shape once, from
+the Dikin ellipsoid {u : u' G'G u <= 1} at the LP start point y0, where
+row i of G is the whitened row (H L)_i divided by its slack (H y0 + k)_i.
+An eigenvector of G'G whose semi-axis 1 / sqrt(lambda) is at least THIN
+prior standard deviations is *long*; Q holds them as orthonormal columns.
+Since lambda_max <= trace(G'G) = sum_i |G_i|^2, a trace of at most
+1 / THIN^2 proves that no direction is thin, and no eigendecomposition
+runs. When some but not all directions are thin, run_chain alternates:
+
+* even steps (0, 2, ...): the full-ellipse step above, unchanged;
+* odd steps: a long step. With a = Q' u = M y (M = Q' L^-1) the state is
+  y = P a + rest (P = L Q). The prior makes a ~ N(0, I_b) independent of
+  the rest of u, so the target's conditional law of a is N(0, I_b) on the
+  region's slice. One elliptical slice step in a-space (draw z ~ N(0, I_b),
+  then theta uniform on the arcs of H P a, H P z and H y - H P a + k) moves
+  to y + P (a (cos theta - 1) + z sin theta). It leaves that conditional
+  invariant, so it is an exact, rejection-free Gibbs update of the target.
+
+The full step is what mixes the thin directions; the long step moves the
+long ones at the scale of the prior instead of the region's thickness. Draw
+order on a long step: one standard_normal(b), then one uniform. A singular
+sigma (rank below its dimension) has no whitening, so it keeps the plain
+chain, as do regions with no thin or no long direction.
 """
 
 from __future__ import annotations
@@ -32,6 +60,7 @@ from .linalg import CovarianceFactor
 from .transform import TransformedProblem
 
 SLACK_TOL = 1e-9
+THIN = 0.05  # semi-axis, in prior standard deviations, below which a direction is thin
 _PI = np.pi
 _TWO_PI = 2.0 * np.pi
 _FULL_CIRCLE = [[-_PI, _PI]]
@@ -128,17 +157,66 @@ def active_arcs(y, nu, H, k) -> ArcSet:
     return ArcSet(np.asarray(_feasible_segments(along_y, along_nu, k)))
 
 
+def long_directions(H, k, factor: CovarianceFactor, y0):
+    """(P, M) for the long axes of the Dikin ellipsoid at y0, or None.
+
+    P = L Q maps long-direction coordinates into the latent space and
+    M = Q' L^-1 reads them off a latent state, with Q the orthonormal long
+    eigenvectors of G'G in whitened coordinates (see the module docstring).
+    None means the plain chain: sigma is singular, no direction is thin, or
+    every direction is.
+    """
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    root = factor.factor
+    if factor.rank < factor.dimension:
+        return None
+    slack = H @ np.asarray(y0, dtype=float) + np.asarray(k, dtype=float)
+    if not (slack > 0.0).all():
+        rows = H.any(axis=1)  # a zero row with k_i = 0 bounds nothing
+        H, slack = H[rows], slack[rows]
+        if not (slack > 0.0).all():  # only a strictly interior y0 has a Dikin ellipsoid
+            return None
+    G = (H @ root) / slack[:, None]
+    if not np.vdot(G, G) > 1.0 / THIN**2:  # lambda_max <= trace(G'G)
+        return None
+    eigenvalues, eigenvectors = np.linalg.eigh(G.T @ G)
+    long = eigenvalues * THIN**2 <= 1.0  # semi-axis 1 / sqrt(lambda) >= THIN
+    count = int(np.count_nonzero(long))
+    if count == 0 or count == factor.dimension:
+        return None
+    Q = eigenvectors[:, long]
+    return root @ Q, np.linalg.solve(root.T, Q).T
+
+
+def _draw_angle(segments, uniform):
+    """Theta uniform on the union of the segments."""
+    # np.add.reduce sums in numpy's pairwise order, as ArcSet.total_measure does
+    total = float(np.add.reduce([end - start for start, end in segments]))
+    return _angle_at(segments, uniform(0.0, total))
+
+
+def _check_state(slack):
+    worst = float(np.minimum.reduce(slack))
+    if not worst >= -SLACK_TOL:  # also catches a NaN state
+        raise NumericalBreakdown(
+            f"chain state violates a constraint by {-worst:.3e}; the state is corrupted"
+        )
+
+
 def run_chain(
     transformed: TransformedProblem,
     factor: CovarianceFactor,
     y0,
     n_steps: int,
     rng: np.random.Generator,
+    long=None,
 ) -> np.ndarray:
     """The n_steps states after y0 (y0 itself excluded), one per row.
 
-    Each step draws nu = L w with w ~ N(0, I) and then one theta uniform on
-    the feasible arcs, in that order, so a seed fixes the whole chain.
+    Each full step draws nu = L w with w ~ N(0, I) and then one theta
+    uniform on the feasible arcs, in that order, so a seed fixes the whole
+    chain. Given long = (P, M) from long_directions, the odd steps are long
+    steps instead; long=None runs full steps only.
     """
     y = np.asarray(y0, dtype=float)
     if n_steps < 1:
@@ -147,23 +225,28 @@ def run_chain(
     has_rows = H.shape[0] > 0
     root, dimension = factor.factor, factor.dimension
     standard_normal, uniform = rng.standard_normal, rng.uniform
+    if long is not None:
+        P, M = long
+        HP, width = H @ P, P.shape[1]
     out = np.empty((n_steps, y.size))
     for i in range(n_steps):
-        nu = root @ standard_normal(dimension)
-        if has_rows:
-            along_y = H @ y
-            worst = float(np.minimum.reduce(along_y + k))
-            if not worst >= -SLACK_TOL:  # also catches a NaN state
-                raise NumericalBreakdown(
-                    f"chain state violates a constraint by {-worst:.3e}; "
-                    "the state is corrupted"
-                )
-            segments = _feasible_segments(along_y, H @ nu, k)
+        if long is not None and i % 2:
+            z = standard_normal(width)
+            slack = H @ y + k
+            _check_state(slack)
+            a = M @ y
+            along_a = HP @ a
+            theta = _draw_angle(_feasible_segments(along_a, HP @ z, slack - along_a), uniform)
+            y = y + P @ (a * (np.cos(theta) - 1.0) + z * np.sin(theta))
         else:
-            segments = _FULL_CIRCLE
-        # np.add.reduce sums in numpy's pairwise order, as ArcSet.total_measure does
-        total = float(np.add.reduce([end - start for start, end in segments]))
-        theta = _angle_at(segments, uniform(0.0, total))
-        y = y * np.cos(theta) + nu * np.sin(theta)
+            nu = root @ standard_normal(dimension)
+            if has_rows:
+                along_y = H @ y
+                _check_state(along_y + k)
+                segments = _feasible_segments(along_y, H @ nu, k)
+            else:
+                segments = _FULL_CIRCLE
+            theta = _draw_angle(segments, uniform)
+            y = y * np.cos(theta) + nu * np.sin(theta)
         out[i] = y
     return out

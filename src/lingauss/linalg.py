@@ -1,4 +1,4 @@
-"""Dense linear-algebra primitives and zero-mean Gaussian draws.
+"""Dense linear-algebra primitives: the covariance factor and numerical rank.
 
 Everything downstream funnels its covariance handling through
 :func:`factor_covariance`, so symmetry/positive-semidefiniteness policy
@@ -61,11 +61,6 @@ def factor_covariance(sigma, tol: float = DEFAULT_TOL) -> CovarianceFactor:
     eigvals = np.clip(eigvals, 0.0, None)
     rank = int(np.count_nonzero(eigvals > atol))
     return CovarianceFactor(n, eigvecs * np.sqrt(eigvals), rank)
-
-
-def sample_mvn_zero(factor: CovarianceFactor, rng: np.random.Generator) -> np.ndarray:
-    """One draw from N(0, sigma) as L @ w with w ~ N(0, I)."""
-    return factor.factor @ rng.standard_normal(factor.dimension)
 
 
 def matrix_rank(matrix, tol: float = DEFAULT_TOL) -> int:

@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .elliptical_slice import run_chain
+from .elliptical_slice import long_directions, run_chain
 from .feasibility import find_feasible_point
 from .linalg import factor_covariance
 from .problem import ProblemSpec
@@ -36,7 +36,8 @@ class RunReport:
 
     chain_steps == 0 marks a direct (iid) recipe; stats consumers use that to
     skip the autocorrelation correction. lp_pivots sums the simplex pivots
-    of the call's feasibility programs.
+    of the call's feasibility programs. long_directions is the number of
+    long directions the chain's odd steps move along (0: full steps only).
     """
 
     recipe: str
@@ -47,6 +48,7 @@ class RunReport:
     chain_steps: int = 0
     seconds: float = 0.0
     lp_pivots: int = 0
+    long_directions: int = 0
 
 
 @dataclass
@@ -111,6 +113,7 @@ def sample_constrained(
         report.seconds = time.perf_counter() - started
         return SamplingOutcome(status=status, report=report, **fields)
 
+    classification = None
     if p > 0:
         classification = classify_equality_system(spec.C, spec.d)
         report.equality = classification.kind
@@ -125,7 +128,7 @@ def sample_constrained(
                 )
             return done("point_mass", point=x)
 
-    transformed = build_transform(spec)
+    transformed = build_transform(spec, equality=classification)
     factor = factor_covariance(spec.sigma)
     generators = _generators(rng, chains)
 
@@ -148,12 +151,15 @@ def sample_constrained(
         return done("point_mass", point=map_latent(transformed, feasibility.point))
 
     report.chains = chains
+    long = long_directions(transformed.H, transformed.k, factor, feasibility.point)
+    if long is not None:
+        report.long_directions = long[0].shape[1]
     parts = []
     for generator, count in zip(generators, _split_counts(n_samples, chains)):
         if count == 0:
             continue
         steps = burn_in + count * thin
-        latent = run_chain(transformed, factor, feasibility.point, steps, generator)
+        latent = run_chain(transformed, factor, feasibility.point, steps, generator, long)
         parts.append(latent[burn_in::thin])
         report.chain_steps += steps
     samples = map_latent(transformed, np.vstack(parts))

@@ -98,9 +98,14 @@ def _independent_rows(rows, tol) -> list[int]:
     return keep
 
 
-def build_transform(spec: ProblemSpec, tol: float = EQUALITY_TOL) -> TransformedProblem:
+def build_transform(
+    spec: ProblemSpec, tol: float = EQUALITY_TOL, *, equality: EqualityClass | None = None
+) -> TransformedProblem:
     """Build the latent map for a problem whose equality system (if any) has
     infinitely many solutions.
+
+    equality is the classification of (C, d) when the caller has already
+    made it (with the same tol); without it the system is classified here.
 
     Redundant equality rows are dropped before forming the Gram matrix
     C sigma C.T; if the Gram matrix is still singular, the covariance carries
@@ -117,11 +122,12 @@ def build_transform(spec: ProblemSpec, tol: float = EQUALITY_TOL) -> Transformed
             H=spec.A.copy(),
             k=spec.A @ spec.mu + spec.b,
         )
-    classification = classify_equality_system(spec.C, spec.d, tol)
-    if classification.kind != "infinite":
+    if equality is None:
+        equality = classify_equality_system(spec.C, spec.d, tol)
+    if equality.kind != "infinite":
         raise ValueError(
             "build_transform needs an equality system with infinitely many "
-            f"solutions, got {classification.kind!r}"
+            f"solutions, got {equality.kind!r}"
         )
     keep = _independent_rows(np.hstack([spec.C, spec.d[:, None]]), tol)
     C_kept, d_kept = spec.C[keep], spec.d[keep]

@@ -84,7 +84,9 @@ def test_sample_writes_csv(problem_dir, tmp_path, capsys):
     assert len(lines) == 501
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     assert parsed.shape == (500, 4)
-    assert "recipe: equality-and-inequality" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "recipe: equality-and-inequality" in printed
+    assert "(burn-in 0, thin 1), full steps only" in printed
 
 
 def test_sample_seed_reproducibility(problem_dir, tmp_path, capsys):
@@ -103,7 +105,7 @@ def test_sample_seed_reproducibility(problem_dir, tmp_path, capsys):
     second = tmp_path / "b.csv"
     assert main(args + ["--out", str(first)]) == 0
     assert main(args + ["--out", str(second)]) == 0
-    capsys.readouterr()
+    assert "alternating full and 2-direction long steps" in capsys.readouterr().out
     assert first.read_bytes() == second.read_bytes()
 
 

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from lingauss.elliptical_slice import (
     SLACK_TOL,
+    THIN,
     ArcSet,
     _angle_at,
     _intersect,
     active_arcs,
+    long_directions,
     run_chain,
 )
 from lingauss.errors import EmptyArcSet, NumericalBreakdown
@@ -14,6 +18,7 @@ from lingauss.feasibility import find_feasible_point
 from lingauss.fixtures import pentagon_problem
 from lingauss.linalg import factor_covariance
 from lingauss.problem import ProblemSpec
+from lingauss.stats import sample_stats
 from lingauss.transform import build_transform
 
 from conftest import random_spd
@@ -401,3 +406,183 @@ def test_sweep_matches_reference_on_abutting_pieces():
         expected = np.asarray(_reference_intersect(pieces, needed, stats)).reshape(-1, 2)
         assert np.array_equal(np.asarray(_intersect(events, needed)).reshape(-1, 2), expected)
     assert stats["merges"] > 0
+
+
+# Long steps along the Dikin ellipsoid's long axes
+
+
+def slab(sigma=None, seed=41):
+    """A rotated 3-D region: |w1| <= 1e-3, -1 <= w2 <= 2, w3 free, w = R' x.
+
+    Its four rows are scaled by random positive factors. Returns the problem
+    and the rotation R, whose columns are the directions of w.
+    """
+    rng = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    r1, r2 = rotation[:, 0], rotation[:, 1]
+    scales = np.exp(rng.uniform(-2.0, 2.0, 4))
+    A = np.vstack([r1, -r1, r2, -r2]) * scales[:, None]
+    b = np.array([1e-3, 1e-3, 1.0, 2.0]) * scales
+    sigma = np.eye(3) if sigma is None else sigma(rotation)
+    return ProblemSpec(mu=np.zeros(3), sigma=sigma, A=A, b=b), rotation
+
+
+def chain_setup(spec):
+    transformed = build_transform(spec)
+    factor = factor_covariance(spec.sigma)
+    y0 = find_feasible_point(transformed.H, transformed.k).point
+    return transformed, factor, y0, long_directions(transformed.H, transformed.k, factor, y0)
+
+
+def long_count(spec):
+    return 0 if (long := chain_setup(spec)[3]) is None else long[0].shape[1]
+
+
+def normal_pdf(t):
+    return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+
+
+def truncated_normal_moments(low, high):
+    """Mean and variance of N(0, 1) restricted to [low, high]."""
+    mass = 0.5 * (math.erf(high / math.sqrt(2.0)) - math.erf(low / math.sqrt(2.0)))
+    mean = (normal_pdf(low) - normal_pdf(high)) / mass
+    return mean, 1.0 + (low * normal_pdf(low) - high * normal_pdf(high)) / mass - mean**2
+
+
+def test_long_directions_span_the_long_axes_of_the_slab():
+    spec, rotation = slab()
+    transformed, factor, y0, long = chain_setup(spec)
+    P, M = long
+    assert P.shape == (3, 2) and M.shape == (2, 3)
+    np.testing.assert_allclose(M @ P, np.eye(2), atol=1e-12)
+    # Sigma = I: the long directions are w2 and w3, orthogonal to the thin w1
+    np.testing.assert_allclose(rotation[:, 0] @ P, 0.0, atol=1e-9)
+    np.testing.assert_allclose(np.linalg.svd(rotation[:, 1:].T @ P)[1], 1.0, atol=1e-9)
+
+
+def test_long_directions_are_whitened_orthonormal():
+    # with a correlated sigma, Q = L^-1 P is orthonormal and M reads it off: M sigma M' = I
+    spec, _ = slab(sigma=lambda rotation: random_spd(np.random.default_rng(43), 3))
+    P, M = chain_setup(spec)[3]
+    np.testing.assert_allclose(M @ spec.sigma @ M.T, np.eye(2), atol=1e-10)
+    np.testing.assert_allclose(M @ P, np.eye(2), atol=1e-10)
+
+
+def test_long_chain_matches_truncated_normal_moments_and_beats_the_plain_chain():
+    spec, rotation = slab()
+    transformed, factor, y0, long = chain_setup(spec)
+    steps = 20_000
+    chain = run_chain(transformed, factor, y0, steps, np.random.default_rng(47), long)
+    plain = run_chain(transformed, factor, y0, steps, np.random.default_rng(47))
+    w = chain @ rotation
+    stats = sample_stats(w)
+    expected = [
+        truncated_normal_moments(-1e-3, 1e-3),
+        truncated_normal_moments(-1.0, 2.0),
+        (0.0, 1.0),
+    ]
+    centered = (w - stats.mean) ** 2
+    var_se = centered.std(axis=0, ddof=1) / np.sqrt(stats.ess)
+    for i, (mean, var) in enumerate(expected):
+        assert abs(stats.mean[i] - mean) <= 4.0 * stats.mean_se[i], (i, stats.mean[i], mean)
+        variance = stats.covariance[i, i]
+        assert abs(variance - var) <= 4.0 * var_se[i], (i, variance, var)
+    assert stats.ess.min() >= 5.0 * sample_stats(plain @ rotation).ess.min()
+
+
+@pytest.mark.parametrize(
+    "make, expected", [(lambda: slab()[0], 2), (rotated_box, 0)], ids=["slab", "rotated_box"]
+)
+def test_long_direction_count_is_invariant_to_row_transformations(make, expected):
+    spec = make()
+    rng = np.random.default_rng(53)
+    m = spec.m
+    assert long_count(spec) == expected
+    variants = {
+        "scale 1e-6": np.full(m, 1e-6),
+        "scale 1e6": np.full(m, 1e6),
+        "scale random": np.exp(rng.uniform(-6.0, 6.0, m) * np.log(10.0)),
+    }
+    for name, scales in variants.items():
+        scaled = ProblemSpec(spec.mu, spec.sigma, A=spec.A * scales[:, None], b=spec.b * scales)
+        assert long_count(scaled) == expected, name
+    permuted = rng.permutation(m)
+    duplicated = np.concatenate([np.arange(m), rng.choice(m, size=m // 2, replace=False)])
+    for rows in (permuted, duplicated):
+        chosen = ProblemSpec(spec.mu, spec.sigma, A=spec.A[rows], b=spec.b[rows])
+        assert long_count(chosen) == expected
+    # a zero row with zero offset holds everywhere, with zero slack at y0
+    A, b = np.vstack([spec.A, np.zeros(spec.n)]), np.append(spec.b, 0.0)
+    assert long_count(ProblemSpec(spec.mu, spec.sigma, A=A, b=b)) == expected
+
+
+def test_no_thin_direction_skips_the_eigendecomposition(monkeypatch):
+    spec = rotated_box()
+    transformed = build_transform(spec)
+    factor = factor_covariance(spec.sigma)
+    y0 = find_feasible_point(transformed.H, transformed.k).point
+    G = transformed.H / (transformed.H @ y0 + transformed.k)[:, None]  # sigma = I
+    assert np.sum(G * G) <= 1.0 / THIN**2  # the trace bound holds on the box
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran although the trace proves no direction thin")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    assert long_directions(transformed.H, transformed.k, factor, y0) is None
+
+
+def test_every_direction_thin_keeps_the_plain_chain():
+    # a cube of half-width 1e-3: every semi-axis is far below THIN
+    A = np.vstack([np.eye(3), -np.eye(3)])
+    spec = ProblemSpec(mu=np.zeros(3), sigma=np.eye(3), A=A, b=np.full(6, 1e-3))
+    assert chain_setup(spec)[3] is None
+
+
+def test_singular_sigma_keeps_the_plain_chain():
+    # sigma of rank 2 carries no whitening, even though the slab stays thin
+    spec, _ = slab(sigma=lambda rotation: rotation @ np.diag([1.0, 1.0, 0.0]) @ rotation.T)
+    transformed, factor, y0, long = chain_setup(spec)
+    assert factor.rank == 2
+    assert long is None
+
+
+class _FaultyUniform:
+    """A generator whose first uniform draw returns `value` instead."""
+
+    def __init__(self, seed, value):
+        self._rng = np.random.default_rng(seed)
+        self._value = value
+        self.standard_normal = self._rng.standard_normal
+
+    def uniform(self, low, high):
+        value, self._value = self._value, None
+        return self._rng.uniform(low, high) if value is None else value
+
+
+@pytest.mark.parametrize("value", [-1e3, -np.inf], ids=["violating", "nan"])
+def test_corrupted_state_raises_on_a_long_step(value):
+    # u far below the arcs puts step 0 off them (-inf: at a NaN angle), so
+    # the state that step 1, a long step, starts from is corrupted
+    spec, _ = slab()
+    transformed, factor, y0, long = chain_setup(spec)
+    with np.errstate(invalid="ignore"):  # cos and sin of an infinite angle
+        with pytest.raises(NumericalBreakdown, match="corrupted"):
+            run_chain(transformed, factor, y0, 2, _FaultyUniform(59, value), long)
+        # the same first step passes with one step only: nothing checks its output
+        single = run_chain(transformed, factor, y0, 1, _FaultyUniform(59, value), long)
+        assert single.shape == (1, 3)
+
+
+def test_long_chain_even_steps_use_the_full_step_draws():
+    # step 0 is a full step: it takes the same draws and lands where the plain chain does
+    spec, _ = slab()
+    transformed, factor, y0, long = chain_setup(spec)
+    first = run_chain(transformed, factor, y0, 1, np.random.default_rng(61), long)
+    assert np.array_equal(first, run_chain(transformed, factor, y0, 1, np.random.default_rng(61)))
+    chain = run_chain(transformed, factor, y0, 400, np.random.default_rng(61), long)
+    assert (chain @ transformed.H.T + transformed.k).min() >= -SLACK_TOL
+    # the long steps move only along the columns of P
+    step = chain[1::2] - chain[0:-1:2]
+    P = long[0]
+    residual = step - step @ np.linalg.pinv(P).T @ P.T
+    assert np.abs(residual).max() <= 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lingauss.errors import NotPSD, NotSymmetric
-from lingauss.linalg import factor_covariance, matrix_rank, sample_mvn_zero
+from lingauss.linalg import factor_covariance, matrix_rank
 
 from conftest import random_spd
 
@@ -61,23 +61,6 @@ def test_non_square_rejected():
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         factor_covariance(np.array([[1.0, np.nan], [np.nan, 1.0]]))
-
-
-def test_sample_mvn_zero_moments():
-    rng = np.random.default_rng(23)
-    sigma = random_spd(rng, 3)
-    factor = factor_covariance(sigma)
-    draws = np.array([sample_mvn_zero(factor, rng) for _ in range(40_000)])
-    np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=4 * np.sqrt(sigma.max() / 40_000) * 3)
-    np.testing.assert_allclose(np.cov(draws.T), sigma, rtol=0.1, atol=0.1 * sigma.max())
-
-
-def test_sample_mvn_zero_is_seed_deterministic():
-    sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
-    factor = factor_covariance(sigma)
-    a = sample_mvn_zero(factor, np.random.default_rng(5))
-    b = sample_mvn_zero(factor, np.random.default_rng(5))
-    np.testing.assert_array_equal(a, b)
 
 
 def test_matrix_rank_on_constructed_matrices():

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+import lingauss.transform
+from lingauss.fixtures import pentagon_problem
+from lingauss.elliptical_slice import run_chain
 from lingauss.feasibility import find_feasible_point
+from lingauss.linalg import factor_covariance
 from lingauss.problem import ProblemSpec
 from lingauss.sampler import sample_constrained
-from lingauss.transform import build_transform
+from lingauss.transform import build_transform, map_latent
 
 from conftest import random_spd
+from test_elliptical_slice import rotated_box, slab
 
 
 def test_unconstrained_recipe():
@@ -175,3 +180,50 @@ def test_argument_validation(pentagon_both):
 def test_seconds_are_recorded(pentagon_both):
     outcome = sample_constrained(pentagon_both, 100, np.random.default_rng(12))
     assert outcome.report.seconds > 0.0
+
+
+def plain_chain_samples(spec, n, seed):
+    """The samples of the full-step chain alone, as sample_constrained draws them."""
+    transformed = build_transform(spec)
+    factor = factor_covariance(spec.sigma)
+    y0 = find_feasible_point(transformed.H, transformed.k).point
+    latent = run_chain(transformed, factor, y0, n, np.random.default_rng(seed))
+    return map_latent(transformed, latent)
+
+
+def test_report_counts_long_directions(pentagon_inequality, pentagon_both, pentagon_equality):
+    assert sample_constrained(pentagon_inequality, 10, 1).report.long_directions == 2
+    assert sample_constrained(pentagon_both, 10, 1).report.long_directions == 0
+    assert sample_constrained(pentagon_equality, 10, 1).report.long_directions == 0
+    assert sample_constrained(slab()[0], 10, 1).report.long_directions == 2
+
+
+@pytest.mark.parametrize(
+    "make", [rotated_box, lambda: pentagon_problem("both")], ids=["box", "pentagon_both"]
+)
+def test_regions_without_thin_directions_keep_the_plain_chain(make):
+    spec = make()
+    outcome = sample_constrained(spec, 2_000, 67)
+    assert outcome.report.long_directions == 0
+    assert np.array_equal(outcome.samples, plain_chain_samples(spec, 2_000, 67))
+
+
+def test_singular_sigma_samples_with_the_plain_chain():
+    spec, _ = slab(sigma=lambda rotation: rotation @ np.diag([1.0, 1.0, 0.0]) @ rotation.T)
+    outcome = sample_constrained(spec, 500, 71)
+    assert outcome.report.long_directions == 0
+    assert np.array_equal(outcome.samples, plain_chain_samples(spec, 500, 71))
+
+
+def test_equality_system_is_classified_once(pentagon_both, monkeypatch):
+    calls = []
+    classify = lingauss.transform.classify_equality_system
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr("lingauss.transform.classify_equality_system", counted)
+    monkeypatch.setattr("lingauss.sampler.classify_equality_system", counted)
+    sample_constrained(pentagon_both, 10, 1)
+    assert len(calls) == 1

@@ -179,6 +179,36 @@ def test_unique_system_rejected_by_build():
         build_transform(spec)
 
 
+def test_given_classification_builds_the_same_transform():
+    rng = np.random.default_rng(73)
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        p = int(rng.integers(1, n))
+        m = int(rng.integers(0, 5))
+        C = rng.normal(size=(p, n))
+        if p > 1 and rng.random() < 0.5:  # a redundant row
+            C = np.vstack([C, C[0] + C[-1]])
+        d = -C @ rng.normal(size=n)
+        spec = ProblemSpec(
+            mu=rng.normal(size=n),
+            sigma=random_spd(rng, n),
+            A=rng.normal(size=(m, n)) if m else None,
+            b=rng.normal(size=m) if m else None,
+            C=C,
+            d=d,
+        )
+        alone = build_transform(spec)
+        given = build_transform(spec, equality=classify_equality_system(spec.C, spec.d))
+        for name in ("E", "F", "g", "H", "k"):
+            assert np.array_equal(getattr(alone, name), getattr(given, name)), name
+
+
+def test_given_non_infinite_classification_rejected():
+    spec = ProblemSpec(mu=np.zeros(2), sigma=np.eye(2), C=np.eye(2), d=[-1.0, -1.0])
+    with pytest.raises(ValueError, match="unique"):
+        build_transform(spec, equality=classify_equality_system(spec.C, spec.d))
+
+
 def test_singular_gram_raises():
     # sigma annihilates the constraint direction: C sigma C^T = 0
     spec = ProblemSpec(
