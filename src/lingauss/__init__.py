@@ -21,15 +21,9 @@ from .errors import (
     SingularEqualityGram,
 )
 from .feasibility import FeasibilityResult, find_feasible_point
-from .fixtures import pentagon_problem, pentagon_transform, write_pentagon_files
+from .fixtures import pentagon_problem, write_pentagon_files
 from .linalg import CovarianceFactor, factor_covariance, matrix_rank
-from .oracles import (
-    RejectionReport,
-    ValidationTransform,
-    conditional_direct_sample,
-    pentagon_plane_coords,
-    rejection_sample,
-)
+from .oracles import RejectionReport, conditional_direct_sample, rejection_sample
 from .problem import ProblemSpec, load_problem, problem_from_dict, problem_to_dict, save_problem
 from .sampler import RunReport, SamplingOutcome, sample_constrained
 from .simplex import LpSolution
@@ -66,7 +60,6 @@ __all__ = [
     "SamplingOutcome",
     "SingularEqualityGram",
     "TransformedProblem",
-    "ValidationTransform",
     "build_transform",
     "classify_equality_system",
     "compare_stats",
@@ -76,9 +69,7 @@ __all__ = [
     "load_problem",
     "map_latent",
     "matrix_rank",
-    "pentagon_plane_coords",
     "pentagon_problem",
-    "pentagon_transform",
     "problem_from_dict",
     "problem_to_dict",
     "rejection_sample",

@@ -3,7 +3,8 @@
 Subcommands:
 
 * sample   -- draw from a problem file, write CSV, print run summary
-* check    -- classify a problem's constraint system without sampling
+* check    -- classify a problem's constraint system without sampling (the same
+              plan `sample` runs before its first draw, so the exit codes match)
 * compare  -- run the sampler and a reference oracle, test moment agreement
 * fixtures -- write the built-in validation problem files
 
@@ -30,13 +31,11 @@ from .errors import (
     ProblemFormatError,
     SingularEqualityGram,
 )
-from .feasibility import find_feasible_point
 from .fixtures import write_pentagon_files
 from .oracles import conditional_direct_sample, rejection_sample
 from .problem import load_problem
-from .sampler import POINT_TOL, sample_constrained
+from .sampler import plan, sample_constrained
 from .stats import compare_stats, sample_stats
-from .transform import build_transform, classify_equality_system, map_latent
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -119,40 +118,21 @@ def _cmd_sample(args):
 def _cmd_check(args):
     spec = load_problem(args.problem)
     print(f"dimension: {spec.n}, inequalities: {spec.m}, equalities: {spec.p}")
-    classification = None
-    if spec.p:
-        classification = classify_equality_system(spec.C, spec.d)
-        print(f"equality system: {classification.kind}")
-        if classification.kind == "no_solution":
-            print("infeasible: equality system C x + d = 0 has no solution", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        if classification.kind == "unique":
-            x = classification.x
-            if spec.m and float((spec.A @ x + spec.b).min()) < -POINT_TOL:
-                print(
-                    "infeasible: the unique equality solution violates the inequalities",
-                    file=sys.stderr,
-                )
-                return EXIT_INFEASIBLE
-            print(f"point mass at {_format_point(x)}")
-            return EXIT_OK
-    if spec.m == 0:
+    planned = plan(spec)
+    report = planned.report
+    if report.equality:
+        print(f"equality system: {report.equality}")
+    if planned.status == "impossible":
+        print(f"infeasible: {planned.reason}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    if planned.status == "point_mass":
+        print(f"point mass at {_format_point(planned.point)}")
+    elif spec.m == 0:
         kind = "unconstrained normal" if spec.p == 0 else "normal restricted to a plane"
         print(f"feasible: {kind}, direct sampling applies")
-        return EXIT_OK
-    transformed = build_transform(spec, equality=classification)
-    result = find_feasible_point(transformed.H, transformed.k)
-    if result.kind == "infeasible":
-        print(
-            "infeasible: no point satisfies the inequalities (negative maximum slack)",
-            file=sys.stderr,
-        )
-        return EXIT_INFEASIBLE
-    if result.kind == "point_mass":
-        print(f"point mass at {_format_point(map_latent(transformed, result.point))}")
-        return EXIT_OK
-    print(f"feasible: full-dimensional, interior slack radius {result.chebyshev_radius:.6g}")
-    print(f"latent start point: {_format_point(result.point)}")
+    else:
+        print(f"feasible: full-dimensional, interior slack radius {report.chebyshev_radius:.6g}")
+        print(f"latent start point: {_format_point(planned.start)}")
     return EXIT_OK
 
 

@@ -31,7 +31,9 @@ An eigenvector of G'G whose semi-axis 1 / sqrt(lambda) is at least THIN
 prior standard deviations is *long*; Q holds them as orthonormal columns.
 Since lambda_max <= trace(G'G) = sum_i |G_i|^2, a trace of at most
 1 / THIN^2 proves that no direction is thin, and no eigendecomposition
-runs. When some but not all directions are thin, run_chain alternates:
+runs. With equality rows, x = F y + g discards the whitened directions in
+the null space of F L, so the eigenvectors come from its complement. When
+some but not all directions are thin, run_chain alternates:
 
 * even steps (0, 2, ...): the full-ellipse step above, unchanged;
 * odd steps: a long step. With a = Q' u = M y (M = Q' L^-1) the state is
@@ -157,20 +159,22 @@ def active_arcs(y, nu, H, k) -> ArcSet:
     return ArcSet(np.asarray(_feasible_segments(along_y, along_nu, k)))
 
 
-def long_directions(H, k, factor: CovarianceFactor, y0):
+def long_directions(transformed: TransformedProblem, factor: CovarianceFactor, y0):
     """(P, M) for the long axes of the Dikin ellipsoid at y0, or None.
 
     P = L Q maps long-direction coordinates into the latent space and
     M = Q' L^-1 reads them off a latent state, with Q the orthonormal long
     eigenvectors of G'G in whitened coordinates (see the module docstring).
+    With equality rows, the map x = F y + g discards the whitened directions
+    in the null space of F L, so Q is taken from its orthogonal complement.
     None means the plain chain: sigma is singular, no direction is thin, or
-    every direction is.
+    every direction that moves x is.
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
+    H = transformed.H
     root = factor.factor
     if factor.rank < factor.dimension:
         return None
-    slack = H @ np.asarray(y0, dtype=float) + np.asarray(k, dtype=float)
+    slack = H @ np.asarray(y0, dtype=float) + transformed.k
     if not (slack > 0.0).all():
         rows = H.any(axis=1)  # a zero row with k_i = 0 bounds nothing
         H, slack = H[rows], slack[rows]
@@ -179,12 +183,18 @@ def long_directions(H, k, factor: CovarianceFactor, y0):
     G = (H @ root) / slack[:, None]
     if not np.vdot(G, G) > 1.0 / THIN**2:  # lambda_max <= trace(G'G)
         return None
-    eigenvalues, eigenvectors = np.linalg.eigh(G.T @ G)
+    dikin, basis = G.T @ G, None
+    # F is a projector, so its rank is its trace: n less the kept equality rows
+    moving = int(round(np.trace(transformed.F)))
+    if moving < factor.dimension:
+        basis = np.linalg.svd(transformed.F @ root)[2][:moving].T  # row space of F L
+        dikin = basis.T @ dikin @ basis
+    eigenvalues, eigenvectors = np.linalg.eigh(dikin)
     long = eigenvalues * THIN**2 <= 1.0  # semi-axis 1 / sqrt(lambda) >= THIN
     count = int(np.count_nonzero(long))
-    if count == 0 or count == factor.dimension:
+    if count == 0 or count == moving:
         return None
-    Q = eigenvectors[:, long]
+    Q = eigenvectors[:, long] if basis is None else basis @ eigenvectors[:, long]
     return root @ Q, np.linalg.solve(root.T, Q).T
 
 

@@ -10,7 +10,9 @@ Two linear programs, plus a range probe when the region is flat:
    means the region is nonempty with an empty interior, and s* > 0 is the
    radius of the largest inscribed ball. Rows of H that are exactly zero
    are decided first: 0 + k_i >= 0 either fails outright or holds for
-   every y, and then the row is dropped.
+   every y, and then the row is dropped. The remaining rows are scaled to
+   unit norm before the program is posed, so FEAS_TOL bounds a distance in
+   y and no verdict depends on how the rows were scaled.
 2. Where is a good start point?  For a full-dimensional region, trade
    slack against distance from the origin (_pull_in).
 3. If the interior is empty, is the region a single point?  Probe the range
@@ -131,6 +133,8 @@ def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
         if (k[zero] < 0.0).any():
             return FeasibilityResult("infeasible")
         H, k = H[~zero], k[~zero]
+    norms = np.linalg.norm(H, axis=1)
+    H, k = H / norms[:, None], k / norms
 
     slack = solve_lp(max_slack_model(H, k), tol)
     if slack.status != "optimal":  # feasible and capped by construction

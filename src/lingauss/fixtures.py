@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .oracles import ValidationTransform
 from .problem import ProblemSpec, save_problem
 
 PENTAGON_MU = np.array([0.284, 0.964, 0.940, 0.664])
@@ -86,11 +85,6 @@ def pentagon_problem(constraints: str = "both") -> ProblemSpec:
         C=PENTAGON_C.copy() if use_eq else None,
         d=PENTAGON_D.copy() if use_eq else None,
     )
-
-
-def pentagon_transform() -> ValidationTransform:
-    """Coordinate change whose first two output axes parameterize the plane."""
-    return ValidationTransform(T=PLANE_T.copy(), offset=PLANE_OFFSET.copy())
 
 
 def write_pentagon_files(out_dir) -> list[Path]:

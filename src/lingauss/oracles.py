@@ -10,10 +10,6 @@ Two independent routes to the same distributions:
   basis of ker C, conditional moments from the precision restricted to the
   plane). Deliberately built without the projection pipeline in
   :mod:`lingauss.transform`, so agreement between the two is meaningful.
-
-Also here: :class:`ValidationTransform`, an affine change of coordinates that
-maps a constraint plane onto the first coordinates so plane-restricted
-samples can be inspected in 2-D.
 """
 
 from __future__ import annotations
@@ -38,19 +34,6 @@ class RejectionReport:
     accepted: int
     acceptance_rate: float
     samples: np.ndarray  # shape (accepted, n)
-
-
-@dataclass(frozen=True)
-class ValidationTransform:
-    """Affine coordinate change v = T x + offset used by the validation study.
-
-    For the built-in 4-D problem the last two rows of T repeat the equality
-    matrix, so plane-restricted samples land at v3 = v4 = 0 and the first two
-    coordinates parameterize the plane.
-    """
-
-    T: np.ndarray
-    offset: np.ndarray
 
 
 def rejection_sample(
@@ -143,9 +126,3 @@ def conditional_direct_sample(
         samples = samples[np.all(samples @ np.asarray(A, float).T + b >= 0.0, axis=1)]
     accepted = samples.shape[0]
     return RejectionReport(n_draws, accepted, accepted / n_draws, samples)
-
-
-def pentagon_plane_coords(x, vt: ValidationTransform) -> tuple[float, float]:
-    """First two coordinates of v = T x + offset: the in-plane position of x."""
-    v = vt.T @ np.asarray(x, dtype=float) + vt.offset
-    return float(v[0]), float(v[1])

@@ -10,7 +10,9 @@ Recipes:
 
 Degenerate cases short-circuit: an inconsistent equality system or an empty
 inequality region yields an `impossible` outcome with the reason; a system
-pinned to a single point yields `point_mass` with that point.
+pinned to a single point yields `point_mass` with that point. `plan` makes
+that verdict, and everything else that precedes the first draw, for both
+`sample_constrained` and the CLI's `check`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .elliptical_slice import long_directions, run_chain
 from .feasibility import find_feasible_point
 from .linalg import factor_covariance
 from .problem import ProblemSpec
-from .transform import build_transform, classify_equality_system, map_latent
+from .transform import TransformedProblem, build_transform, classify_equality_system, map_latent
 
 POINT_TOL = 1e-8
 
@@ -75,6 +77,64 @@ def _split_counts(n_samples, chains):
     return [base + (1 if i < extra else 0) for i in range(chains)]
 
 
+@dataclass
+class Plan:
+    """A run up to its first draw: the verdict with its reason or point, and
+    for sampling the latent map and (with inequality rows) the LP start."""
+
+    status: Literal["impossible", "point_mass", "samples"]
+    report: RunReport
+    reason: str | None = None
+    point: np.ndarray | None = None
+    transformed: TransformedProblem | None = None
+    start: np.ndarray | None = None
+
+
+def plan(spec: ProblemSpec) -> Plan:
+    """Everything before the first draw; `sample_constrained` and the CLI's
+    `check` both run it, so they reach the same verdict.
+
+    The recipe, the equality classification, the latent map (so a singular
+    C sigma C.T raises SingularEqualityGram for every recipe) and, with
+    inequality rows, the LP classification of the region, where a flat
+    region raises DegenerateRegion.
+    """
+    if spec.p:
+        recipe = "equality-and-inequality" if spec.m else "equality-only"
+    else:
+        recipe = "inequality-only" if spec.m else "unconstrained"
+    report = RunReport(recipe=recipe)
+
+    def impossible(reason):
+        return Plan("impossible", report, reason=reason)
+
+    classification = None
+    if spec.p:
+        classification = classify_equality_system(spec.C, spec.d)
+        report.equality = classification.kind
+        if classification.kind == "no_solution":
+            return impossible("equality system C x + d = 0 has no solution")
+        if classification.kind == "unique":
+            x = classification.x
+            # a row is violated beyond POINT_TOL of its own norm
+            if (spec.A @ x + spec.b < -POINT_TOL * np.linalg.norm(spec.A, axis=1)).any():
+                return impossible("the unique equality solution violates the inequalities")
+            return Plan("point_mass", report, point=x)
+
+    transformed = build_transform(spec, equality=classification)
+    if spec.m == 0:
+        return Plan("samples", report, transformed=transformed)
+    feasibility = find_feasible_point(transformed.H, transformed.k)
+    report.feasibility = feasibility.kind
+    report.chebyshev_radius = feasibility.chebyshev_radius
+    report.lp_pivots = feasibility.lp_pivots
+    if feasibility.kind == "infeasible":
+        return impossible("no point satisfies the inequalities (negative maximum slack)")
+    if feasibility.kind == "point_mass":
+        return Plan("point_mass", report, point=map_latent(transformed, feasibility.point))
+    return Plan("samples", report, transformed=transformed, start=feasibility.point)
+
+
 def sample_constrained(
     spec: ProblemSpec,
     n_samples: int,
@@ -97,61 +157,26 @@ def sample_constrained(
     if burn_in < 0 or thin < 1 or chains < 1:
         raise ValueError("burn_in >= 0, thin >= 1, chains >= 1 required")
     started = time.perf_counter()
-    n, m, p = spec.n, spec.m, spec.p
-    recipe = (
-        "unconstrained"
-        if m == 0 and p == 0
-        else "equality-only"
-        if m == 0
-        else "inequality-only"
-        if p == 0
-        else "equality-and-inequality"
-    )
-    report = RunReport(recipe=recipe)
+    generators = _generators(rng, chains)
+    planned = plan(spec)
+    report = planned.report
 
     def done(status, **fields):
         report.seconds = time.perf_counter() - started
         return SamplingOutcome(status=status, report=report, **fields)
 
-    classification = None
-    if p > 0:
-        classification = classify_equality_system(spec.C, spec.d)
-        report.equality = classification.kind
-        if classification.kind == "no_solution":
-            return done("impossible", reason="equality system C x + d = 0 has no solution")
-        if classification.kind == "unique":
-            x = classification.x
-            if m and float((spec.A @ x + spec.b).min()) < -POINT_TOL:
-                return done(
-                    "impossible",
-                    reason="the unique equality solution violates the inequalities",
-                )
-            return done("point_mass", point=x)
-
-    transformed = build_transform(spec, equality=classification)
+    if planned.status != "samples":
+        return done(planned.status, reason=planned.reason, point=planned.point)
+    transformed = planned.transformed
     factor = factor_covariance(spec.sigma)
-    generators = _generators(rng, chains)
-
-    if m == 0:
+    if spec.m == 0:
         # independent draws: y ~ N(0, sigma) mapped through x = F y + g
-        white = generators[0].standard_normal((n_samples, n))
+        white = generators[0].standard_normal((n_samples, spec.n))
         samples = map_latent(transformed, white @ factor.factor.T)
         return done("samples", samples=samples)
 
-    feasibility = find_feasible_point(transformed.H, transformed.k)
-    report.feasibility = feasibility.kind
-    report.chebyshev_radius = feasibility.chebyshev_radius
-    report.lp_pivots = feasibility.lp_pivots
-    if feasibility.kind == "infeasible":
-        return done(
-            "impossible",
-            reason="no point satisfies the inequalities (negative maximum slack)",
-        )
-    if feasibility.kind == "point_mass":
-        return done("point_mass", point=map_latent(transformed, feasibility.point))
-
     report.chains = chains
-    long = long_directions(transformed.H, transformed.k, factor, feasibility.point)
+    long = long_directions(transformed, factor, planned.start)
     if long is not None:
         report.long_directions = long[0].shape[1]
     parts = []
@@ -159,7 +184,7 @@ def sample_constrained(
         if count == 0:
             continue
         steps = burn_in + count * thin
-        latent = run_chain(transformed, factor, feasibility.point, steps, generator, long)
+        latent = run_chain(transformed, factor, planned.start, steps, generator, long)
         parts.append(latent[burn_in::thin])
         report.chain_steps += steps
     samples = map_latent(transformed, np.vstack(parts))

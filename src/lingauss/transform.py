@@ -40,23 +40,27 @@ class EqualityClass:
 
 @dataclass(frozen=True)
 class TransformedProblem:
-    """Latent reformulation: sample y ~ N(0, sigma) s.t. H y + k >= 0, emit F y + g.
+    """Latent reformulation: sample y ~ N(0, sigma) s.t. H y + k >= 0, emit F y + g."""
 
-    E has one column per retained (non-redundant) equality row, so it is an
-    (n, 0) array when the problem has no equality constraints.
-    """
-
-    E: np.ndarray
     F: np.ndarray
     g: np.ndarray
     H: np.ndarray
     k: np.ndarray
 
 
+def _unit_rows(rows):
+    """rows with each nonzero row scaled to unit norm: an equation's scale
+    carries no information, so no rank decision may depend on it."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    norms[norms == 0.0] = 1.0
+    return rows / norms[:, None]
+
+
 def classify_equality_system(C, d, tol: float = EQUALITY_TOL) -> EqualityClass:
     """Classify C x + d = 0 by comparing ranks of C and [C | -d].
 
-    With p = 0 rows every x qualifies, which counts as "infinite".
+    Each equation [C_i | d_i] is first scaled to unit norm. With p = 0 rows
+    every x qualifies, which counts as "infinite".
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
     d = np.asarray(d, dtype=float).reshape(-1)
@@ -65,12 +69,13 @@ def classify_equality_system(C, d, tol: float = EQUALITY_TOL) -> EqualityClass:
         raise ValueError(f"C has {p} rows but d has {d.size} entries")
     if p == 0:
         return EqualityClass("infinite")
-    rank_c = matrix_rank(C, tol)
-    rank_aug = matrix_rank(np.hstack([C, -d[:, None]]), tol)
+    augmented = _unit_rows(np.hstack([C, -d[:, None]]))  # [C | -d], scaled
+    rank_c = matrix_rank(augmented[:, :n], tol)
+    rank_aug = matrix_rank(augmented, tol)
     if rank_c < rank_aug:
         return EqualityClass("no_solution")
     if rank_c == n:
-        x, *_ = np.linalg.lstsq(C, -d, rcond=None)
+        x, *_ = np.linalg.lstsq(augmented[:, :n], augmented[:, n], rcond=None)
         return EqualityClass("unique", x)
     return EqualityClass("infinite")
 
@@ -110,13 +115,12 @@ def build_transform(
     Redundant equality rows are dropped before forming the Gram matrix
     C sigma C.T; if the Gram matrix is still singular, the covariance carries
     no mass across some constraint direction and SingularEqualityGram is
-    raised. E is computed through a factorization-based solve, never an
-    explicit inverse.
+    raised. Redundancy is judged on the equations scaled to unit norm; E is
+    computed through a factorization-based solve, never an explicit inverse.
     """
     n = spec.n
     if spec.p == 0:
         return TransformedProblem(
-            E=np.zeros((n, 0)),
             F=np.eye(n),
             g=spec.mu.copy(),
             H=spec.A.copy(),
@@ -129,7 +133,7 @@ def build_transform(
             "build_transform needs an equality system with infinitely many "
             f"solutions, got {equality.kind!r}"
         )
-    keep = _independent_rows(np.hstack([spec.C, spec.d[:, None]]), tol)
+    keep = _independent_rows(_unit_rows(np.hstack([spec.C, spec.d[:, None]])), tol)
     C_kept, d_kept = spec.C[keep], spec.d[keep]
     gram = C_kept @ spec.sigma @ C_kept.T
     try:
@@ -144,7 +148,7 @@ def build_transform(
     g = F @ spec.mu - E @ d_kept
     H = spec.A @ F
     k = spec.A @ g + spec.b
-    return TransformedProblem(E=E, F=F, g=g, H=H, k=k)
+    return TransformedProblem(F=F, g=g, H=H, k=k)
 
 
 def map_latent(transformed: TransformedProblem, y) -> np.ndarray:

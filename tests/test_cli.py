@@ -126,13 +126,9 @@ def test_sample_point_mass_rows(tmp_path, capsys):
     assert "point mass" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("violation, expected", [(2e-8, 2), (5e-9, 0)])
-def test_check_and_sample_agree_on_unique_point_tolerance(
-    tmp_path, capsys, violation, expected
-):
-    # x = (1, 2) is pinned by the equalities and misses x_1 >= 1 + violation
-    path = write_spec(
-        tmp_path / "pinned.json",
+def pinned(violation):
+    """x = (1, 2) pinned by the equalities; it misses x_1 >= 1 + violation."""
+    return dict(
         mu=[0.0, 0.0],
         sigma=np.eye(2),
         A=[[1.0, 0.0]],
@@ -140,11 +136,49 @@ def test_check_and_sample_agree_on_unique_point_tolerance(
         C=np.eye(2),
         d=[-1.0, -2.0],
     )
+
+
+AGREEMENT_CASES = {
+    "pentagon_inequality": (None, 0),
+    "pentagon_equality": (None, 0),
+    "pentagon_combined": (None, 0),
+    # sigma carries no mass across the equality's direction
+    "singular_gram": (dict(mu=[0.0, 0.0], sigma=np.diag([1.0, 0.0]), C=[[0.0, 1.0]], d=[-0.5]), 3),
+    # x >= 1 and x <= 0 with both rows scaled by 1e-10
+    "scaled_infeasible": (
+        dict(mu=[0.0], sigma=[[1.0]], A=[[1e-10], [-1e-10]], b=[-1e-10, 0.0]),
+        2,
+    ),
+    # x1 = 0 on 0 <= x2 <= 5
+    "flat": (
+        dict(
+            mu=[0.0, 0.0],
+            sigma=np.eye(2),
+            A=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+            b=[0.0, 0.0, 0.0, 5.0],
+        ),
+        3,
+    ),
+    "unique_point_violated": (pinned(2e-8), 2),
+    "unique_point_within_tolerance": (pinned(5e-9), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(AGREEMENT_CASES))
+def test_check_and_sample_agree(problem_dir, tmp_path, capsys, name):
+    arrays, expected = AGREEMENT_CASES[name]
+    if arrays is None:
+        path = str(problem_dir / f"{name}.json")
+    else:
+        path = write_spec(tmp_path / f"{name}.json", **arrays)
     assert main(["check", "--problem", path]) == expected
+    check_err = capsys.readouterr().err
     out = str(tmp_path / "draws.csv")
     assert main(["sample", "--problem", path, "--n", "3", "--seed", "1", "--out", out]) == expected
-    if expected:
-        assert capsys.readouterr().err.count("unique equality solution violates") == 2
+    sample_err = capsys.readouterr().err
+    if expected == 2:  # the same verdict in the same words
+        assert check_err.startswith("infeasible: ")
+        assert check_err == sample_err
 
 
 def test_sample_infeasible_exits_2(tmp_path, capsys):

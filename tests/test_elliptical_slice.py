@@ -19,7 +19,7 @@ from lingauss.fixtures import pentagon_problem
 from lingauss.linalg import factor_covariance
 from lingauss.problem import ProblemSpec
 from lingauss.stats import sample_stats
-from lingauss.transform import build_transform
+from lingauss.transform import build_transform, map_latent
 
 from conftest import random_spd
 
@@ -411,11 +411,12 @@ def test_sweep_matches_reference_on_abutting_pieces():
 # Long steps along the Dikin ellipsoid's long axes
 
 
-def slab(sigma=None, seed=41):
+def slab(sigma=None, seed=41, plane=False):
     """A rotated 3-D region: |w1| <= 1e-3, -1 <= w2 <= 2, w3 free, w = R' x.
 
-    Its four rows are scaled by random positive factors. Returns the problem
-    and the rotation R, whose columns are the directions of w.
+    Its four rows are scaled by random positive factors. With plane, the
+    equality w3 = 0.1 pins the free direction. Returns the problem and the
+    rotation R, whose columns are the directions of w.
     """
     rng = np.random.default_rng(seed)
     rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
@@ -424,14 +425,15 @@ def slab(sigma=None, seed=41):
     A = np.vstack([r1, -r1, r2, -r2]) * scales[:, None]
     b = np.array([1e-3, 1e-3, 1.0, 2.0]) * scales
     sigma = np.eye(3) if sigma is None else sigma(rotation)
-    return ProblemSpec(mu=np.zeros(3), sigma=sigma, A=A, b=b), rotation
+    C, d = (rotation[:, 2:].T, [-0.1]) if plane else (None, None)
+    return ProblemSpec(mu=np.zeros(3), sigma=sigma, A=A, b=b, C=C, d=d), rotation
 
 
 def chain_setup(spec):
     transformed = build_transform(spec)
     factor = factor_covariance(spec.sigma)
     y0 = find_feasible_point(transformed.H, transformed.k).point
-    return transformed, factor, y0, long_directions(transformed.H, transformed.k, factor, y0)
+    return transformed, factor, y0, long_directions(transformed, factor, y0)
 
 
 def long_count(spec):
@@ -469,25 +471,31 @@ def test_long_directions_are_whitened_orthonormal():
 
 
 def test_long_chain_matches_truncated_normal_moments_and_beats_the_plain_chain():
-    spec, rotation = slab()
-    transformed, factor, y0, long = chain_setup(spec)
-    steps = 20_000
-    chain = run_chain(transformed, factor, y0, steps, np.random.default_rng(47), long)
-    plain = run_chain(transformed, factor, y0, steps, np.random.default_rng(47))
-    w = chain @ rotation
-    stats = sample_stats(w)
     expected = [
         truncated_normal_moments(-1e-3, 1e-3),
         truncated_normal_moments(-1.0, 2.0),
         (0.0, 1.0),
     ]
-    centered = (w - stats.mean) ** 2
-    var_se = centered.std(axis=0, ddof=1) / np.sqrt(stats.ess)
-    for i, (mean, var) in enumerate(expected):
-        assert abs(stats.mean[i] - mean) <= 4.0 * stats.mean_se[i], (i, stats.mean[i], mean)
-        variance = stats.covariance[i, i]
-        assert abs(variance - var) <= 4.0 * var_se[i], (i, variance, var)
-    assert stats.ess.min() >= 5.0 * sample_stats(plain @ rotation).ess.min()
+    # on the plane w3 = 0.1, w3 is fixed and w1, w2 keep their laws (sigma = I)
+    for plane, free in ((False, 3), (True, 2)):
+        spec, rotation = slab(plane=plane)
+        transformed, factor, y0, long = chain_setup(spec)
+        assert long[0].shape[1] == free - 1
+        steps = 20_000
+        chain = run_chain(transformed, factor, y0, steps, np.random.default_rng(47), long)
+        plain = run_chain(transformed, factor, y0, steps, np.random.default_rng(47))
+        if plane:
+            chain, plain = map_latent(transformed, chain), map_latent(transformed, plain)
+            np.testing.assert_allclose(chain @ rotation[:, 2], 0.1, atol=1e-12)
+        w = chain @ rotation[:, :free]
+        stats = sample_stats(w)
+        centered = (w - stats.mean) ** 2
+        var_se = centered.std(axis=0, ddof=1) / np.sqrt(stats.ess)
+        for i, (mean, var) in enumerate(expected[:free]):
+            assert abs(stats.mean[i] - mean) <= 4.0 * stats.mean_se[i], (i, stats.mean[i], mean)
+            variance = stats.covariance[i, i]
+            assert abs(variance - var) <= 4.0 * var_se[i], (i, variance, var)
+        assert stats.ess.min() >= 5.0 * sample_stats(plain @ rotation[:, :free]).ess.min()
 
 
 @pytest.mark.parametrize(
@@ -528,7 +536,7 @@ def test_no_thin_direction_skips_the_eigendecomposition(monkeypatch):
         raise AssertionError("eigh ran although the trace proves no direction thin")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    assert long_directions(transformed.H, transformed.k, factor, y0) is None
+    assert long_directions(transformed, factor, y0) is None
 
 
 def test_every_direction_thin_keeps_the_plain_chain():

@@ -222,10 +222,11 @@ def test_all_zero_rows_leave_the_whole_space():
 
 
 def test_slack_within_tolerance_but_violation_above_it_is_infeasible():
-    # y >= 0 and 1e3 y <= -5e-7: the normalized slack optimum -2.5e-10 is
-    # within tolerance of zero, but no y comes within 5e-7 of both rows, so
-    # the range probe's phase 1 finds the region empty
-    result = find_feasible_point(np.array([[1e3], [-1e3]]), np.array([0.0, -5e-7]))
+    # y >= 0 and 1e3 y <= -1.5e-6, a gap of 1.5e-9 in y: the slack optimum
+    # -7.5e-10 of the rows scaled to unit norm is within tolerance of zero,
+    # but no y comes within 1.5e-9 of both rows, so the range probe's
+    # phase 1 finds the region empty
+    result = find_feasible_point(np.array([[1e3], [-1e3]]), np.array([0.0, -1.5e-6]))
     assert result.kind == "infeasible"
 
 
@@ -265,7 +266,7 @@ SQUARE = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
         ([[1.0], [-1.0]], [-1.0, 0.0], "infeasible"),
         ([[0.0], [1.0]], [-1.0, 0.5], "infeasible"),  # decided before any LP
         (SQUARE, [-2.0, 2.0, 1.0, -1.0], "point_mass"),
-        ([[1e3], [-1e3]], [0.0, -5e-7], "infeasible"),  # the range probe's phase 1 finds it empty
+        ([[1e3], [-1e3]], [0.0, -1.5e-6], "infeasible"),  # the range probe's phase 1 finds none
         (SQUARE, [-1.0, 3.0, 2.0, 3.0], "full_dimensional"),
     ],
 )

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,14 @@ from lingauss.fixtures import (
     PENTAGON_B,
     PENTAGON_C,
     PENTAGON_D,
+    PLANE_OFFSET,
     PLANE_T,
     pentagon_problem,
-    pentagon_transform,
     write_pentagon_files,
 )
 from lingauss.problem import load_problem
+
+from conftest import pentagon_transform
 
 
 def test_variant_shapes():
@@ -61,3 +65,6 @@ def test_written_files_round_trip(tmp_path):
     np.testing.assert_array_equal(combined.C, PENTAGON_C)
     inequality = load_problem(tmp_path / "pentagon_inequality.json")
     assert inequality.p == 0
+    plane = json.loads((tmp_path / "pentagon_transform.json").read_text())
+    np.testing.assert_array_equal(plane["T"], PLANE_T)
+    np.testing.assert_array_equal(plane["offset"], PLANE_OFFSET)

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from lingauss.fixtures import pentagon_transform
-from lingauss.oracles import (
-    conditional_direct_sample,
-    pentagon_plane_coords,
-    rejection_sample,
-)
+from lingauss.oracles import conditional_direct_sample, rejection_sample
 from lingauss.problem import ProblemSpec
 
-from conftest import random_spd
+from conftest import pentagon_plane_coords, pentagon_transform, random_spd
 
 
 def conditional_moments(mu, sigma, C, d):

@@ -1,0 +1,51 @@
+import lingauss
+
+PUBLIC_NAMES = [
+    "ComparisonReport",
+    "CovarianceFactor",
+    "CyclingGuardExceeded",
+    "DegenerateRegion",
+    "DegenerateSamples",
+    "EmptyArcSet",
+    "EqualityClass",
+    "FeasibilityResult",
+    "LinGaussError",
+    "LpSolution",
+    "NotPSD",
+    "NotSymmetric",
+    "NumericalBreakdown",
+    "ProblemFormatError",
+    "ProblemSpec",
+    "RejectionReport",
+    "RunReport",
+    "SampleStats",
+    "SamplingOutcome",
+    "SingularEqualityGram",
+    "TransformedProblem",
+    "build_transform",
+    "classify_equality_system",
+    "compare_stats",
+    "conditional_direct_sample",
+    "factor_covariance",
+    "find_feasible_point",
+    "load_problem",
+    "map_latent",
+    "matrix_rank",
+    "pentagon_problem",
+    "problem_from_dict",
+    "problem_to_dict",
+    "rejection_sample",
+    "run_chain",
+    "sample_constrained",
+    "sample_stats",
+    "save_problem",
+    "write_pentagon_files",
+]
+
+
+def test_public_surface_is_pinned():
+    # adding or removing a public name has to show up as a diff here
+    assert len(PUBLIC_NAMES) == 39
+    assert sorted(lingauss.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(lingauss, name) is not None, name

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import lingauss.transform
-from lingauss.fixtures import pentagon_problem
 from lingauss.elliptical_slice import run_chain
+from lingauss.errors import DegenerateRegion
+from lingauss.fixtures import pentagon_problem
 from lingauss.feasibility import find_feasible_point
 from lingauss.linalg import factor_covariance
 from lingauss.problem import ProblemSpec
@@ -196,6 +197,8 @@ def test_report_counts_long_directions(pentagon_inequality, pentagon_both, penta
     assert sample_constrained(pentagon_both, 10, 1).report.long_directions == 0
     assert sample_constrained(pentagon_equality, 10, 1).report.long_directions == 0
     assert sample_constrained(slab()[0], 10, 1).report.long_directions == 2
+    # on the plane w3 = 0.1 only w2 is long: the map onto the plane discards w3
+    assert sample_constrained(slab(plane=True)[0], 10, 1).report.long_directions == 1
 
 
 @pytest.mark.parametrize(
@@ -227,3 +230,103 @@ def test_equality_system_is_classified_once(pentagon_both, monkeypatch):
     monkeypatch.setattr("lingauss.sampler.classify_equality_system", counted)
     sample_constrained(pentagon_both, 10, 1)
     assert len(calls) == 1
+
+
+# Verdicts do not depend on how the rows of either block are written
+
+VERDICT_SYSTEMS = {
+    "full_dimensional": (
+        dict(
+            mu=[0.3, -0.2, 0.1],
+            sigma=np.eye(3),
+            A=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+            b=[1.0, 1.0, 0.0],
+            C=[[1.0, 1.0, 1.0]],
+            d=[-0.5],
+        ),
+        "samples",
+    ),
+    "infeasible": (  # x1 >= 1 and x1 <= 0
+        dict(
+            mu=[0.0, 0.0],
+            sigma=np.eye(2),
+            A=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+            b=[-1.0, 0.0, 2.0],
+        ),
+        "impossible",
+    ),
+    "point_mass": (  # x = (1, -2) pinned by two opposite pairs, plus a slack row
+        dict(
+            mu=[0.0, 0.0],
+            sigma=np.eye(2),
+            A=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]],
+            b=[-1.0, 1.0, 2.0, -2.0, 5.0],
+        ),
+        "point_mass",
+    ),
+    "flat": (  # x1 = 0, 0 <= x2 <= 5
+        dict(
+            mu=[0.0, 0.0],
+            sigma=np.eye(2),
+            A=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+            b=[0.0, 0.0, 0.0, 5.0],
+        ),
+        "degenerate",
+    ),
+    "unique_violating": (  # the equalities pin x = (1, 2), which misses x1 >= 1.5
+        dict(
+            mu=[0.0, 0.0],
+            sigma=np.eye(2),
+            A=[[1.0, 0.0], [0.0, 1.0]],
+            b=[-1.5, 0.0],
+            C=[[1.0, 1.0], [1.0, -1.0]],
+            d=[-3.0, 1.0],
+        ),
+        "impossible",
+    ),
+}
+
+
+# each maps a block's row count and a generator to (row index, positive row scale)
+ROW_TRANSFORMATIONS = {
+    "scale 1e-10": lambda count, rng: (np.arange(count), np.full(count, 1e-10)),
+    "scale 1e10": lambda count, rng: (np.arange(count), np.full(count, 1e10)),
+    "scale random": lambda count, rng: (np.arange(count), 10.0 ** rng.uniform(-6.0, 6.0, count)),
+    "permute": lambda count, rng: (rng.permutation(count), np.ones(count)),
+    "duplicate": lambda count, rng: (
+        np.concatenate([np.arange(count), rng.integers(0, count, count)]),
+        np.ones(2 * count),
+    ),
+}
+
+
+def transform_rows(arrays, transformation, rng):
+    """arrays with the rows of both constraint blocks picked and scaled."""
+    changed = dict(arrays)
+    for left, right in (("A", "b"), ("C", "d")):
+        if arrays.get(left) is not None:
+            index, scale = transformation(len(arrays[right]), rng)
+            changed[left] = np.asarray(arrays[left])[index] * scale[:, None]
+            changed[right] = np.asarray(arrays[right])[index] * scale
+    return changed
+
+
+def verdict(spec):
+    try:
+        outcome = sample_constrained(spec, 20, 3)
+    except DegenerateRegion:
+        return "degenerate", None
+    return outcome.status, outcome.point
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_SYSTEMS))
+def test_verdicts_are_invariant_to_row_scaling_permutation_and_duplication(name):
+    arrays, expected = VERDICT_SYSTEMS[name]
+    status, point = verdict(ProblemSpec(**arrays))
+    assert status == expected
+    rng = np.random.default_rng(79)
+    for label, transformation in ROW_TRANSFORMATIONS.items():
+        got, got_point = verdict(ProblemSpec(**transform_rows(arrays, transformation, rng)))
+        assert got == expected, label
+        if point is not None:
+            np.testing.assert_allclose(got_point, point, atol=1e-8, err_msg=label)

@@ -21,7 +21,7 @@ def brute_force_transform(mu, sigma, C, d):
     E = sigma @ C.T @ np.linalg.inv(C @ sigma @ C.T)
     F = np.eye(len(mu)) - E @ C
     g = F @ mu - E @ d
-    return E, F, g
+    return F, g
 
 
 def test_classify_no_solution():
@@ -48,6 +48,33 @@ def test_classify_empty_system_is_infinite():
     assert classify_equality_system(np.zeros((0, 3)), np.zeros(0)).kind == "infinite"
 
 
+def test_classification_ignores_row_scale():
+    # x = (1, 2) twice over; rows 1e12 apart in scale still pin one point
+    C = np.array([[1.0, 1.0], [1.0, -1.0]])
+    d = np.array([-3.0, 1.0])
+    scales = np.array([1e-6, 1e6])
+    result = classify_equality_system(C * scales[:, None], d * scales)
+    assert result.kind == "unique"
+    np.testing.assert_allclose(result.x, [1.0, 2.0], atol=1e-12)
+    inconsistent = scales * np.array([-3.0, 2.0])  # x1 + x2 = 3 and x1 + x2 = -2
+    result = classify_equality_system(C[[0, 0]] * scales[:, None], inconsistent)
+    assert result.kind == "no_solution"
+
+
+def test_row_scale_does_not_make_an_equality_redundant():
+    rng = np.random.default_rng(59)
+    n = 4
+    sigma = random_spd(rng, n)
+    C = rng.normal(size=(2, n))
+    d = -C @ rng.normal(size=n)
+    mu = rng.normal(size=n)
+    scales = np.array([1e6, 1e-6])
+    scaled = build_transform(ProblemSpec(mu=mu, sigma=sigma, C=C * scales[:, None], d=d * scales))
+    F, g = brute_force_transform(mu, sigma, C, d)
+    np.testing.assert_allclose(scaled.F, F, atol=1e-8)
+    np.testing.assert_allclose(scaled.g, g, atol=1e-8)
+
+
 def test_transform_matches_brute_force():
     rng = np.random.default_rng(41)
     for _ in range(30):
@@ -60,8 +87,7 @@ def test_transform_matches_brute_force():
         d = -C @ x_star  # consistent by construction
         spec = ProblemSpec(mu=mu, sigma=sigma, C=C, d=d)
         transformed = build_transform(spec)
-        E, F, g = brute_force_transform(mu, sigma, C, d)
-        np.testing.assert_allclose(transformed.E, E, atol=1e-8)
+        F, g = brute_force_transform(mu, sigma, C, d)
         np.testing.assert_allclose(transformed.F, F, atol=1e-8)
         np.testing.assert_allclose(transformed.g, g, atol=1e-8)
 
@@ -87,7 +113,6 @@ def test_no_equalities_shortcut():
     t = build_transform(spec)
     np.testing.assert_array_equal(t.F, np.eye(2))
     np.testing.assert_array_equal(t.g, spec.mu)
-    assert t.E.shape == (2, 0)
     np.testing.assert_array_equal(t.H, spec.A)
     np.testing.assert_allclose(t.k, spec.A @ spec.mu + spec.b)
 
@@ -125,7 +150,9 @@ def test_redundant_equality_rows_are_dropped():
     b = build_transform(spec_dup)
     np.testing.assert_allclose(a.F, b.F, atol=1e-10)
     np.testing.assert_allclose(a.g, b.g, atol=1e-10)
-    assert b.E.shape == (n, 2)  # one column per kept row
+    F, g = brute_force_transform(np.zeros(n), sigma, C, d)  # the two kept rows
+    np.testing.assert_allclose(b.F, F, atol=1e-8)
+    np.testing.assert_allclose(b.g, g, atol=1e-8)
 
 
 def svd_greedy_rows(rows, tol):
@@ -199,7 +226,7 @@ def test_given_classification_builds_the_same_transform():
         )
         alone = build_transform(spec)
         given = build_transform(spec, equality=classify_equality_system(spec.C, spec.d))
-        for name in ("E", "F", "g", "H", "k"):
+        for name in ("F", "g", "H", "k"):
             assert np.array_equal(getattr(alone, name), getattr(given, name)), name
 
 
@@ -223,7 +250,6 @@ def test_singular_gram_raises():
 
 def test_map_latent_single_and_batch():
     t = TransformedProblem(
-        E=np.zeros((2, 0)),
         F=np.array([[1.0, 0.0], [0.0, 2.0]]),
         g=np.array([1.0, -1.0]),
         H=np.zeros((0, 2)),
