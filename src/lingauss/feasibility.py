@@ -30,6 +30,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DegenerateRegion, NumericalBreakdown
+from .linalg import unit_rows
 from .simplex import LinearProgram, _phase_one, phase_two, solve_lp
 
 FEAS_TOL = 1e-9
@@ -133,8 +134,7 @@ def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
         if (k[zero] < 0.0).any():
             return FeasibilityResult("infeasible")
         H, k = H[~zero], k[~zero]
-    norms = np.linalg.norm(H, axis=1)
-    H, k = H / norms[:, None], k / norms
+    H, k = unit_rows(H, k)
 
     slack = solve_lp(max_slack_model(H, k), tol)
     if slack.status != "optimal":  # feasible and capped by construction

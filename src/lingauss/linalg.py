@@ -1,4 +1,5 @@
-"""Dense linear-algebra primitives: the covariance factor and numerical rank.
+"""Dense linear-algebra primitives: the covariance factor, numerical rank and
+unit rows.
 
 Everything downstream funnels its covariance handling through
 :func:`factor_covariance`, so symmetry/positive-semidefiniteness policy
@@ -72,3 +73,11 @@ def matrix_rank(matrix, tol: float = DEFAULT_TOL) -> int:
     if singular_values[0] == 0.0:
         return 0
     return int(np.count_nonzero(singular_values > tol * singular_values[0]))
+
+
+def unit_rows(rows, rhs):
+    """(rows, rhs) with each equation divided by the norm of its row, so that
+    a residual measures a distance; zero rows are left as they are."""
+    norms = np.linalg.norm(rows, axis=1)
+    norms[norms == 0.0] = 1.0
+    return rows / norms[:, None], rhs / norms

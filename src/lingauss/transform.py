@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import SingularEqualityGram
-from .linalg import matrix_rank
+from .linalg import unit_rows
 from .problem import ProblemSpec
 
 EQUALITY_TOL = 1e-8
@@ -48,18 +48,14 @@ class TransformedProblem:
     k: np.ndarray
 
 
-def _unit_rows(rows):
-    """rows with each nonzero row scaled to unit norm: an equation's scale
-    carries no information, so no rank decision may depend on it."""
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    norms[norms == 0.0] = 1.0
-    return rows / norms[:, None]
-
-
 def classify_equality_system(C, d, tol: float = EQUALITY_TOL) -> EqualityClass:
-    """Classify C x + d = 0 by comparing ranks of C and [C | -d].
+    """Classify C x + d = 0 from the rank of C and a least-squares residual.
 
-    Each equation [C_i | d_i] is first scaled to unit norm. With p = 0 rows
+    A zero row of C is inconsistent unless its d_i is 0, and is dropped then.
+    The other equations are scaled to unit rows, so a residual is the
+    distance from x to a hyperplane: the system is consistent when the
+    least-squares x (on the numerical rank of C) lies within tol times
+    max(1, largest hyperplane offset) of every hyperplane. With p = 0 rows
     every x qualifies, which counts as "infinite".
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -67,15 +63,16 @@ def classify_equality_system(C, d, tol: float = EQUALITY_TOL) -> EqualityClass:
     p, n = C.shape
     if p != d.size:
         raise ValueError(f"C has {p} rows but d has {d.size} entries")
-    if p == 0:
+    zero = ~C.any(axis=1)
+    if (d[zero] != 0.0).any():
+        return EqualityClass("no_solution")
+    if zero.all():
         return EqualityClass("infinite")
-    augmented = _unit_rows(np.hstack([C, -d[:, None]]))  # [C | -d], scaled
-    rank_c = matrix_rank(augmented[:, :n], tol)
-    rank_aug = matrix_rank(augmented, tol)
-    if rank_c < rank_aug:
+    C, d = unit_rows(C[~zero], d[~zero])
+    x, _, rank_c, _ = np.linalg.lstsq(C, -d, rcond=tol)
+    if np.abs(C @ x + d).max() > tol * max(1.0, float(np.abs(d).max())):
         return EqualityClass("no_solution")
     if rank_c == n:
-        x, *_ = np.linalg.lstsq(augmented[:, :n], augmented[:, n], rcond=None)
         return EqualityClass("unique", x)
     return EqualityClass("infinite")
 
@@ -115,8 +112,9 @@ def build_transform(
     Redundant equality rows are dropped before forming the Gram matrix
     C sigma C.T; if the Gram matrix is still singular, the covariance carries
     no mass across some constraint direction and SingularEqualityGram is
-    raised. Redundancy is judged on the equations scaled to unit norm; E is
-    computed through a factorization-based solve, never an explicit inverse.
+    raised. The system is consistent, so redundancy is judged on the rows of C
+    alone, each scaled to unit norm. E is computed through a
+    factorization-based solve, never an explicit inverse.
     """
     n = spec.n
     if spec.p == 0:
@@ -133,7 +131,7 @@ def build_transform(
             "build_transform needs an equality system with infinitely many "
             f"solutions, got {equality.kind!r}"
         )
-    keep = _independent_rows(_unit_rows(np.hstack([spec.C, spec.d[:, None]])), tol)
+    keep = _independent_rows(unit_rows(spec.C, spec.d)[0], tol)
     C_kept, d_kept = spec.C[keep], spec.d[keep]
     gram = C_kept @ spec.sigma @ C_kept.T
     try:

@@ -179,6 +179,8 @@ def test_check_and_sample_agree(problem_dir, tmp_path, capsys, name):
     if expected == 2:  # the same verdict in the same words
         assert check_err.startswith("infeasible: ")
         assert check_err == sample_err
+    if name == "unique_point_violated":  # decided by the unique-point check, not the LP
+        assert "unique equality solution violates" in check_err
 
 
 def test_sample_infeasible_exits_2(tmp_path, capsys):

@@ -246,6 +246,17 @@ VERDICT_SYSTEMS = {
         ),
         "samples",
     ),
+    "large_offset": (  # x1 = 3e8 beside x2 = x3, on x2 >= -1
+        dict(
+            mu=[0.0, 0.0, 0.0],
+            sigma=np.eye(3),
+            A=[[0.0, 1.0, 0.0]],
+            b=[1.0],
+            C=[[1.0, 0.0, 0.0], [0.0, 1.0, -1.0]],
+            d=[-3e8, 0.0],
+        ),
+        "samples",
+    ),
     "infeasible": (  # x1 >= 1 and x1 <= 0
         dict(
             mu=[0.0, 0.0],

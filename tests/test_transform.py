@@ -59,6 +59,28 @@ def test_classification_ignores_row_scale():
     inconsistent = scales * np.array([-3.0, 2.0])  # x1 + x2 = 3 and x1 + x2 = -2
     result = classify_equality_system(C[[0, 0]] * scales[:, None], inconsistent)
     assert result.kind == "no_solution"
+    # x1 = 3e8 beside x2 = x3: a large offset makes no row look dependent
+    C = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, -1.0]])
+    assert classify_equality_system(C, [-3e8, 0.0]).kind == "infinite"
+    C = np.array([[1.0, 0.0], [1.0, 1e-3]])  # x1 = 3e8 and x2 = 0
+    result = classify_equality_system(C, [-3e8, -3e8])
+    assert result.kind == "unique"
+    np.testing.assert_allclose(result.x, [3e8, 0.0], atol=1e-3)
+
+
+def test_classification_ignores_translation():
+    # x -> x + t maps C x + d = 0 to C x + (d - C t) = 0: the same kind of set.
+    # The tolerance grows with the offset, so the parallel planes lie 45 apart.
+    rng = np.random.default_rng(61)
+    systems = {
+        "infinite": (rng.normal(size=(2, 4)), np.zeros(2)),
+        "unique": (rng.normal(size=(3, 3)), np.zeros(3)),
+        "no_solution": (np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0]]), np.array([0.0, 100.0])),
+    }
+    for kind, (C, d) in systems.items():
+        for size in (1e-3, 1.0, 1e4, 1e8):
+            t = size * rng.normal(size=C.shape[1])
+            assert classify_equality_system(C, d - C @ t).kind == kind, (kind, size)
 
 
 def test_row_scale_does_not_make_an_equality_redundant():
@@ -73,6 +95,11 @@ def test_row_scale_does_not_make_an_equality_redundant():
     F, g = brute_force_transform(mu, sigma, C, d)
     np.testing.assert_allclose(scaled.F, F, atol=1e-8)
     np.testing.assert_allclose(scaled.g, g, atol=1e-8)
+    # x1 = 3e8 and x1 + 1e-3 x2 = 3e8 are two equations: x2 = 0 is the second
+    C = np.array([[1.0, 0.0, 0.0], [1.0, 1e-3, 0.0]])
+    t = build_transform(ProblemSpec(mu=np.zeros(3), sigma=np.eye(3), C=C, d=[-3e8, -3e8]))
+    np.testing.assert_allclose(t.g, [3e8, 0.0, 0.0], atol=1e-3)
+    np.testing.assert_allclose(t.F, np.diag([0.0, 0.0, 1.0]), atol=1e-8)
 
 
 def test_transform_matches_brute_force():
