@@ -22,7 +22,7 @@ from .errors import (
 )
 from .feasibility import FeasibilityResult, find_feasible_point
 from .fixtures import pentagon_problem, write_pentagon_files
-from .linalg import CovarianceFactor, factor_covariance, matrix_rank
+from .linalg import CovarianceFactor, factor_covariance
 from .oracles import RejectionReport, conditional_direct_sample, rejection_sample
 from .problem import ProblemSpec, load_problem, problem_from_dict, problem_to_dict, save_problem
 from .sampler import RunReport, SamplingOutcome, sample_constrained
@@ -68,7 +68,6 @@ __all__ = [
     "find_feasible_point",
     "load_problem",
     "map_latent",
-    "matrix_rank",
     "pentagon_problem",
     "problem_from_dict",
     "problem_to_dict",

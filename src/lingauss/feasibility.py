@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateRegion, NumericalBreakdown
 from .linalg import unit_rows
-from .simplex import LinearProgram, _phase_one, phase_two, solve_lp
+from .simplex import LinearProgram, phase_one, phase_two, solve_lp
 
 FEAS_TOL = 1e-9
 
@@ -152,7 +152,7 @@ def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
         )
 
     # empty interior: point mass or flat region?
-    start, start_pivots = _phase_one(H, -k, None, tol)
+    start, start_pivots = phase_one(H, -k, None, tol)
     pivots += start_pivots
     if start is None:  # |s*| <= tol, yet phase 1 leaves a violation above tol
         return FeasibilityResult("infeasible", lp_pivots=pivots)

@@ -1,5 +1,4 @@
-"""Dense linear-algebra primitives: the covariance factor, numerical rank and
-unit rows.
+"""Dense linear-algebra primitives: the covariance factor and unit rows.
 
 Everything downstream funnels its covariance handling through
 :func:`factor_covariance`, so symmetry/positive-semidefiniteness policy
@@ -62,17 +61,6 @@ def factor_covariance(sigma, tol: float = DEFAULT_TOL) -> CovarianceFactor:
     eigvals = np.clip(eigvals, 0.0, None)
     rank = int(np.count_nonzero(eigvals > atol))
     return CovarianceFactor(n, eigvecs * np.sqrt(eigvals), rank)
-
-
-def matrix_rank(matrix, tol: float = DEFAULT_TOL) -> int:
-    """Numerical rank: singular values above tol * (largest singular value)."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.size == 0:
-        return 0
-    singular_values = np.linalg.svd(matrix, compute_uv=False)
-    if singular_values[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(singular_values > tol * singular_values[0]))
 
 
 def unit_rows(rows, rhs):

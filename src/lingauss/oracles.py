@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularEqualityGram
-from .linalg import factor_covariance
 from .problem import ProblemSpec
 from .transform import classify_equality_system
 
@@ -51,7 +50,7 @@ def rejection_sample(
         raise ValueError("rejection sampling cannot hit equality constraints")
     if proposals < 1:
         raise ValueError("proposals must be positive")
-    factor = factor_covariance(spec.sigma).factor
+    factor = spec.factor.factor
     kept = []
     remaining = proposals
     while remaining:

@@ -12,13 +12,13 @@ arrays so shapes stay well-defined everywhere downstream.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ProblemFormatError
-from .linalg import factor_covariance
+from .linalg import CovarianceFactor, factor_covariance
 
 
 @dataclass
@@ -28,7 +28,8 @@ class ProblemSpec:
     A/b and C/d must be supplied together or not at all; `None` blocks are
     normalized to empty (0, n) / (0,) arrays. Construction validates shapes,
     finiteness, and that sigma is symmetric positive semidefinite (raising
-    NotSymmetric / NotPSD otherwise).
+    NotSymmetric / NotPSD otherwise). The factor that check computes is kept
+    as `factor`, so sigma is factored once per spec.
     """
 
     mu: np.ndarray
@@ -37,6 +38,7 @@ class ProblemSpec:
     b: np.ndarray | None = None
     C: np.ndarray | None = None
     d: np.ndarray | None = None
+    factor: CovarianceFactor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float).reshape(-1)
@@ -48,7 +50,7 @@ class ProblemSpec:
         self.sigma = np.asarray(self.sigma, dtype=float)
         if self.sigma.shape != (n, n):
             raise ValueError(f"sigma must have shape {(n, n)}, got {self.sigma.shape}")
-        factor_covariance(self.sigma)  # symmetry / PSD gate
+        self.factor = factor_covariance(self.sigma)  # symmetry / PSD gate
         self.A, self.b = _constraint_block("A", self.A, "b", self.b, n)
         self.C, self.d = _constraint_block("C", self.C, "d", self.d, n)
 

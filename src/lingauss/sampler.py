@@ -25,7 +25,6 @@ import numpy as np
 
 from .elliptical_slice import long_directions, run_chain
 from .feasibility import find_feasible_point
-from .linalg import factor_covariance
 from .problem import ProblemSpec
 from .transform import TransformedProblem, build_transform, classify_equality_system, map_latent
 
@@ -97,7 +96,9 @@ def plan(spec: ProblemSpec) -> Plan:
     The recipe, the equality classification, the latent map (so a singular
     C sigma C.T raises SingularEqualityGram for every recipe) and, with
     inequality rows, the LP classification of the region, where a flat
-    region raises DegenerateRegion.
+    region raises DegenerateRegion. With a singular sigma the LPs run on
+    range(sigma), where the latent prior has its mass, through an
+    orthonormal basis of it, and the start point lies there too.
     """
     if spec.p:
         recipe = "equality-and-inequality" if spec.m else "equality-only"
@@ -124,15 +125,21 @@ def plan(spec: ProblemSpec) -> Plan:
     transformed = build_transform(spec, equality=classification)
     if spec.m == 0:
         return Plan("samples", report, transformed=transformed)
-    feasibility = find_feasible_point(transformed.H, transformed.k)
+    H, support = transformed.H, None
+    if spec.factor.rank < spec.n:  # the latent prior lives on range(sigma)
+        support = spec.factor.factor[:, spec.n - spec.factor.rank :]
+        support = support / np.linalg.norm(support, axis=0)
+        H = H @ support
+    feasibility = find_feasible_point(H, transformed.k)
     report.feasibility = feasibility.kind
     report.chebyshev_radius = feasibility.chebyshev_radius
     report.lp_pivots = feasibility.lp_pivots
     if feasibility.kind == "infeasible":
         return impossible("no point satisfies the inequalities (negative maximum slack)")
+    start = feasibility.point if support is None else support @ feasibility.point
     if feasibility.kind == "point_mass":
-        return Plan("point_mass", report, point=map_latent(transformed, feasibility.point))
-    return Plan("samples", report, transformed=transformed, start=feasibility.point)
+        return Plan("point_mass", report, point=map_latent(transformed, start))
+    return Plan("samples", report, transformed=transformed, start=start)
 
 
 def sample_constrained(
@@ -168,7 +175,7 @@ def sample_constrained(
     if planned.status != "samples":
         return done(planned.status, reason=planned.reason, point=planned.point)
     transformed = planned.transformed
-    factor = factor_covariance(spec.sigma)
+    factor = spec.factor
     if spec.m == 0:
         # independent draws: y ~ N(0, sigma) mapped through x = F y + g
         white = generators[0].standard_normal((n_samples, spec.n))

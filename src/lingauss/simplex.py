@@ -138,19 +138,20 @@ class FeasibleBasis:
     It depends only on (G, h, nonneg), so one phase 1 serves any number of
     objectives over the same region: phase_two copies the tableau and prices
     one cost vector. The tableau holds the constraint rows (redundant rows
-    removed) and a cost row, without the artificial columns. pivots counts
-    the pivots phase 1 made, the drive-out of artificials included.
+    removed) and a cost row, without the artificial columns.
     """
 
     tableau: np.ndarray
     basis: tuple[int, ...]
     split: tuple[tuple[int, float], ...]  # column t is sign * (original variable j)
     cap: int
-    pivots: int
 
 
-def phase_one(G, h, nonneg=None, tol: float = PIVOT_TOL) -> FeasibleBasis | None:
-    """A feasible basis of {G x >= h; x_j >= 0 where nonneg[j]}, or None if empty.
+def phase_one(
+    G, h, nonneg=None, tol: float = PIVOT_TOL
+) -> tuple[FeasibleBasis | None, int]:
+    """A feasible basis of {G x >= h; x_j >= 0 where nonneg[j]}, or None if
+    empty, with the number of pivots phase 1 made either way.
 
     The start basis is the origin's: each row with h_i <= 0, which x = 0
     satisfies, is negated so that its surplus column is +e_i and starts
@@ -161,11 +162,6 @@ def phase_one(G, h, nonneg=None, tol: float = PIVOT_TOL) -> FeasibleBasis | None
     G and h must already have consistent shapes (LinearProgram checks them);
     nonneg=None marks every variable free.
     """
-    return _phase_one(G, h, nonneg, tol)[0]
-
-
-def _phase_one(G, h, nonneg, tol) -> tuple[FeasibleBasis | None, int]:
-    """phase_one's basis together with its pivot count, which an empty region keeps."""
     nrows, nv = G.shape
     if nonneg is None:
         nonneg = np.zeros(nv, dtype=bool)
@@ -224,7 +220,7 @@ def _phase_one(G, h, nonneg, tol) -> tuple[FeasibleBasis | None, int]:
         basis = [b for i, b in enumerate(basis) if i not in set(drop_rows)]
 
     tableau = np.delete(tableau, np.s_[art0:total], axis=1)
-    return FeasibleBasis(tableau, tuple(basis), tuple(split), cap, pivots), pivots
+    return FeasibleBasis(tableau, tuple(basis), tuple(split), cap), pivots
 
 
 def phase_two(start: FeasibleBasis, c, tol: float = PIVOT_TOL) -> LpSolution:
@@ -258,7 +254,7 @@ def phase_two(start: FeasibleBasis, c, tol: float = PIVOT_TOL) -> LpSolution:
 
 def solve_lp(model: LinearProgram, tol: float = PIVOT_TOL) -> LpSolution:
     """Solve the model; an Optimal solution is a vertex of the standard form."""
-    start, pivots = _phase_one(model.G, model.h, model.nonneg, tol)
+    start, pivots = phase_one(model.G, model.h, model.nonneg, tol)
     if start is None:
         return LpSolution("infeasible", None, None, pivots)
     solution = phase_two(start, model.c, tol)

@@ -1,15 +1,19 @@
 """Latent-variable reformulation of the constrained problem.
 
-Equality constraints are eliminated by conditioning: with
+Equality constraints are eliminated by conditioning. One SVD of the unit
+rows of C classifies C x + d = 0 and, when its solutions form a plane,
+rewrites it as V x + c = 0 with orthonormal rows V (r of them, r the
+numerical rank of C). Conditioning on that system,
 
-    E = sigma @ C.T @ (C @ sigma @ C.T)^-1
-    F = I - E @ C
-    g = F @ mu - E @ d
+    E = sigma @ V.T @ (V @ sigma @ V.T)^-1
+    F = I - E @ V
+    g = F @ mu - E @ c
 
-a latent draw y ~ N(0, sigma) maps to x = F @ y + g, which lands exactly on
-the plane C x + d = 0 and has the right conditional law there. The
-inequalities become H y + k >= 0 with H = A F and k = A g + b. Without
-equalities the map degenerates to F = I, g = mu.
+a latent draw y ~ N(0, sigma) maps to x = F y + g, which lands exactly on
+the plane and has the right conditional law there. The map is the paper's,
+with V in place of C: both span the same rows. The inequalities become
+H y + k >= 0 with H = A F and k = A g + b. Without equalities the map
+degenerates to F = I, g = mu.
 """
 
 from __future__ import annotations
@@ -32,10 +36,14 @@ class EqualityClass:
 
     kind: "no_solution" (inconsistent), "unique" (x holds the single
     solution), or "infinite" (a positive-dimensional solution plane).
+    For "infinite", rows @ x + offsets = 0 is the same plane, written with
+    orthonormal rows, one per unit of the numerical rank of C.
     """
 
     kind: Literal["no_solution", "unique", "infinite"]
     x: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    offsets: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -49,14 +57,15 @@ class TransformedProblem:
 
 
 def classify_equality_system(C, d, tol: float = EQUALITY_TOL) -> EqualityClass:
-    """Classify C x + d = 0 from the rank of C and a least-squares residual.
+    """Classify C x + d = 0 from one SVD of its unit rows.
 
     A zero row of C is inconsistent unless its d_i is 0, and is dropped then.
     The other equations are scaled to unit rows, so a residual is the
-    distance from x to a hyperplane: the system is consistent when the
-    least-squares x (on the numerical rank of C) lies within tol times
-    max(1, largest hyperplane offset) of every hyperplane. With p = 0 rows
-    every x qualifies, which counts as "infinite".
+    distance from x to a hyperplane. The rank r counts the singular values
+    above tol times the largest; the least-squares x on those r is the
+    solution when it lies within tol times max(1, largest hyperplane offset)
+    of every hyperplane. With p = 0 rows every x qualifies, which counts as
+    "infinite".
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
     d = np.asarray(d, dtype=float).reshape(-1)
@@ -67,37 +76,17 @@ def classify_equality_system(C, d, tol: float = EQUALITY_TOL) -> EqualityClass:
     if (d[zero] != 0.0).any():
         return EqualityClass("no_solution")
     if zero.all():
-        return EqualityClass("infinite")
+        return EqualityClass("infinite", rows=np.zeros((0, n)), offsets=np.zeros(0))
     C, d = unit_rows(C[~zero], d[~zero])
-    x, _, rank_c, _ = np.linalg.lstsq(C, -d, rcond=tol)
+    U, s, Vt = np.linalg.svd(C, full_matrices=False)
+    r = int(np.count_nonzero(s > tol * s[0]))
+    offsets = U[:, :r].T @ d / s[:r]
+    x = -Vt[:r].T @ offsets
     if np.abs(C @ x + d).max() > tol * max(1.0, float(np.abs(d).max())):
         return EqualityClass("no_solution")
-    if rank_c == n:
+    if r == n:
         return EqualityClass("unique", x)
-    return EqualityClass("infinite")
-
-
-def _independent_rows(rows, tol) -> list[int]:
-    """Indices of the rows that enlarge the span of the rows kept before them.
-
-    One Gram-Schmidt pass in row order, with one reorthogonalisation: row i
-    is kept when its residual against the kept rows has a norm above tol
-    times the largest row norm among rows 0..i, and the normalised residual
-    joins the orthonormal basis of the kept rows. Zero rows are never kept.
-    """
-    basis = np.empty_like(rows)  # orthonormal rows spanning the rows kept so far
-    keep: list[int] = []
-    scale = 0.0
-    for i, row in enumerate(rows):
-        scale = max(scale, float(np.linalg.norm(row)))
-        kept = basis[: len(keep)]
-        residual = row - (kept @ row) @ kept
-        residual -= (kept @ residual) @ kept
-        norm = float(np.linalg.norm(residual))
-        if norm > tol * scale:
-            basis[len(keep)] = residual / norm
-            keep.append(i)
-    return keep
+    return EqualityClass("infinite", rows=Vt[:r], offsets=offsets)
 
 
 def build_transform(
@@ -109,12 +98,11 @@ def build_transform(
     equality is the classification of (C, d) when the caller has already
     made it (with the same tol); without it the system is classified here.
 
-    Redundant equality rows are dropped before forming the Gram matrix
-    C sigma C.T; if the Gram matrix is still singular, the covariance carries
-    no mass across some constraint direction and SingularEqualityGram is
-    raised. The system is consistent, so redundancy is judged on the rows of C
-    alone, each scaled to unit norm. E is computed through a
-    factorization-based solve, never an explicit inverse.
+    The map conditions on the classification's orthonormal rows, which
+    already leave out redundant equations. If their Gram matrix
+    V sigma V.T is singular, the covariance carries no mass across some
+    constraint direction and SingularEqualityGram is raised. E is computed
+    through a factorization-based solve, never an explicit inverse.
     """
     n = spec.n
     if spec.p == 0:
@@ -131,19 +119,17 @@ def build_transform(
             "build_transform needs an equality system with infinitely many "
             f"solutions, got {equality.kind!r}"
         )
-    keep = _independent_rows(unit_rows(spec.C, spec.d)[0], tol)
-    C_kept, d_kept = spec.C[keep], spec.d[keep]
-    gram = C_kept @ spec.sigma @ C_kept.T
+    V = equality.rows
+    rhs = V @ spec.sigma  # (r, n); E = (gram^-1 @ rhs).T
     try:
-        chol = np.linalg.cholesky(gram)
+        chol = np.linalg.cholesky(rhs @ V.T)
     except np.linalg.LinAlgError as exc:
         raise SingularEqualityGram(
             "C sigma C.T is singular after dropping redundant equality rows"
         ) from exc
-    rhs = C_kept @ spec.sigma  # (p', n); E = (gram^-1 @ rhs).T
     E = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs)).T
-    F = np.eye(n) - E @ C_kept
-    g = F @ spec.mu - E @ d_kept
+    F = np.eye(n) - E @ V
+    g = F @ spec.mu - E @ equality.offsets
     H = spec.A @ F
     k = spec.A @ g + spec.b
     return TransformedProblem(F=F, g=g, H=H, k=k)

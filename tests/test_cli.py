@@ -159,6 +159,11 @@ AGREEMENT_CASES = {
         ),
         3,
     ),
+    # sigma pins x2 = 0, so x2 >= 1 has no prior mass
+    "outside_sigma_range": (
+        dict(mu=[0.0, 0.0], sigma=np.diag([1.0, 0.0]), A=[[0.0, 1.0]], b=[-1.0]),
+        2,
+    ),
     "unique_point_violated": (pinned(2e-8), 2),
     "unique_point_within_tolerance": (pinned(5e-9), 0),
 }

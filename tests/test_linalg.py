@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lingauss.errors import NotPSD, NotSymmetric
-from lingauss.linalg import factor_covariance, matrix_rank
+from lingauss.linalg import factor_covariance
 
 from conftest import random_spd
 
@@ -61,12 +61,3 @@ def test_non_square_rejected():
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         factor_covariance(np.array([[1.0, np.nan], [np.nan, 1.0]]))
-
-
-def test_matrix_rank_on_constructed_matrices():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        rows, cols = rng.integers(1, 7, size=2)
-        r = int(rng.integers(0, min(rows, cols) + 1))
-        mat = rng.normal(size=(rows, r)) @ rng.normal(size=(r, cols)) if r else np.zeros((rows, cols))
-        assert matrix_rank(mat) == r

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from lingauss.elliptical_slice import run_chain
 from lingauss.errors import DegenerateRegion
 from lingauss.fixtures import pentagon_problem
 from lingauss.feasibility import find_feasible_point
-from lingauss.linalg import factor_covariance
+from lingauss.oracles import rejection_sample
 from lingauss.problem import ProblemSpec
-from lingauss.sampler import sample_constrained
+from lingauss.sampler import plan, sample_constrained
 from lingauss.transform import build_transform, map_latent
 
 from conftest import random_spd
@@ -184,11 +186,9 @@ def test_seconds_are_recorded(pentagon_both):
 
 
 def plain_chain_samples(spec, n, seed):
-    """The samples of the full-step chain alone, as sample_constrained draws them."""
+    """The samples of the full-step chain alone, from the start point of plan."""
     transformed = build_transform(spec)
-    factor = factor_covariance(spec.sigma)
-    y0 = find_feasible_point(transformed.H, transformed.k).point
-    latent = run_chain(transformed, factor, y0, n, np.random.default_rng(seed))
+    latent = run_chain(transformed, spec.factor, plan(spec).start, n, np.random.default_rng(seed))
     return map_latent(transformed, latent)
 
 
@@ -216,6 +216,35 @@ def test_singular_sigma_samples_with_the_plain_chain():
     outcome = sample_constrained(spec, 500, 71)
     assert outcome.report.long_directions == 0
     assert np.array_equal(outcome.samples, plain_chain_samples(spec, 500, 71))
+
+
+def test_singular_sigma_chain_stays_on_the_support_of_the_prior():
+    # sigma = diag(1, 0) pins x2 = 0; the rows leave 0.5 <= x1 <= 2/3 there
+    spec = ProblemSpec(
+        mu=np.zeros(2),
+        sigma=np.diag([1.0, 0.0]),
+        A=[[1.0, 0.0], [-0.3, 1.0], [-3.0, -1.0]],
+        b=[-0.5, 1.0, 2.0],
+    )
+    outcome = sample_constrained(spec, 3_000, 1)
+    assert outcome.status == "samples"
+    assert np.abs(outcome.samples[:, 1]).max() <= 1e-12
+    assert (outcome.samples[:, 0] >= 0.5).all() and (outcome.samples[:, 0] <= 2 / 3).all()
+
+
+def test_sigma_is_factored_once_per_spec(pentagon_both, pentagon_equality, monkeypatch):
+    box = rotated_box()
+    specs = [pentagon_both, pentagon_equality, box, ProblemSpec(mu=[0.0], sigma=[[1.0]])]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("factor_covariance called on an existing spec")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lingauss") and hasattr(module, "factor_covariance"):
+            monkeypatch.setattr(module, "factor_covariance", refused)
+    for spec in specs:
+        assert sample_constrained(spec, 10, 1).status == "samples"
+    assert rejection_sample(box, 10, np.random.default_rng(1)).proposals == 10
 
 
 def test_equality_system_is_classified_once(pentagon_both, monkeypatch):

@@ -50,7 +50,8 @@ def certify_unbounded(c, G, h, nonneg):
 
 def all_artificial_phase_one(G, h, nonneg, tol=PIVOT_TOL):
     """Reference phase 1 that gives every row an artificial column, as the
-    solver did before it started from the origin's slack basis."""
+    solver did before it started from the origin's slack basis; returns the
+    basis (None if empty) and the pivot count, as phase_one does."""
     nrows, nv = G.shape
     split = [(j, s) for j in range(nv) for s in ((1.0,) if nonneg[j] else (1.0, -1.0))]
     n_struct = len(split)
@@ -76,7 +77,7 @@ def all_artificial_phase_one(G, h, nonneg, tol=PIVOT_TOL):
     if status == "unbounded":
         raise CyclingGuardExceeded("phase 1 reported unbounded")
     if -tableau[-1, -1] > tol:
-        return None
+        return None, pivots
     drop_rows = []
     for i in range(nrows):
         if basis[i] >= art0:
@@ -90,7 +91,7 @@ def all_artificial_phase_one(G, h, nonneg, tol=PIVOT_TOL):
     tableau = np.delete(tableau, drop_rows, axis=0)
     basis = [b for i, b in enumerate(basis) if i not in set(drop_rows)]
     tableau = np.delete(tableau, np.s_[art0:total], axis=1)
-    return FeasibleBasis(tableau, tuple(basis), tuple(split), cap, pivots)
+    return FeasibleBasis(tableau, tuple(basis), tuple(split), cap), pivots
 
 
 def test_known_optimum():
@@ -217,7 +218,7 @@ def test_shared_phase_one_matches_separate_solves_bit_for_bit():
             h[1] = h[0]
         costs = [rng.normal(size=n) for _ in range(3)]
         costs += [sign * np.eye(n)[i] for i in range(n) for sign in (1.0, -1.0)]
-        start = phase_one(G, h, nonneg)
+        start, _ = phase_one(G, h, nonneg)
         if start is not None:
             tableau = start.tableau.copy()
         for c in costs:
@@ -247,9 +248,9 @@ def test_phase_one_at_the_origin_makes_no_pivot():
         h[rng.random(m) < 0.3] = 0.0
         h[rng.random(m) < 0.3] = -0.0
         nonneg = rng.random(n) < 0.5
-        start = phase_one(G, h, nonneg)
+        start, pivots = phase_one(G, h, nonneg)
         n_struct = n + int(np.count_nonzero(~nonneg))
-        assert start.pivots == 0
+        assert pivots == 0
         assert start.basis == tuple(n_struct + i for i in range(m))  # the surplus columns
         np.testing.assert_array_equal(start.tableau[:m, -1], np.abs(h))
         assert solve_lp(LinearProgram(c=np.zeros(n), G=G, h=h, nonneg=nonneg)).pivots == 0
@@ -276,7 +277,7 @@ def test_slack_start_matches_all_artificial_phase_one():
         nonneg = rng.random(n) < 0.5
         c = rng.normal(size=n)
         mine = solve_lp(LinearProgram(c=c, G=G, h=h, nonneg=nonneg))
-        start = all_artificial_phase_one(G, h, nonneg)
+        start, start_pivots = all_artificial_phase_one(G, h, nonneg)
         statuses.add(mine.status)
         if start is None:
             assert mine.status == "infeasible"
@@ -287,7 +288,7 @@ def test_slack_start_matches_all_artificial_phase_one():
             tol = 1e-9 * (1 + abs(ref.objective))
             assert mine.objective == pytest.approx(ref.objective, abs=tol)
         pivots["slack start"] += mine.pivots
-        pivots["all artificial"] += start.pivots + ref.pivots
+        pivots["all artificial"] += start_pivots + ref.pivots
         scipy_ref = linprog(
             c,
             A_ub=-G,
@@ -313,12 +314,12 @@ def test_pivot_counts_add_up():
     h = G @ (3.0 * rng.normal(size=4)) - 0.1  # nonempty; the origin violates rows
     assert (h > 0.0).any()
     c = G.T @ np.ones(8)  # bounded below on {G x >= h}
-    start = phase_one(G, h)
+    start, start_pivots = phase_one(G, h)
     second = phase_two(start, c)
     whole = solve_lp(LinearProgram(c=c, G=G, h=h))
     assert whole.status == "optimal"
-    assert start.pivots > 0
-    assert whole.pivots == start.pivots + second.pivots
+    assert start_pivots > 0
+    assert whole.pivots == start_pivots + second.pivots
     infeasible = solve_lp(LinearProgram(c=[0.0], G=[[1.0], [-1.0]], h=[1.0, 0.0]))
     assert infeasible.status == "infeasible" and infeasible.pivots >= 1
 

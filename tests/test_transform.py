@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from lingauss.errors import SingularEqualityGram
-from lingauss.linalg import matrix_rank
 from lingauss.problem import ProblemSpec
 from lingauss.transform import (
     EQUALITY_TOL,
     TransformedProblem,
-    _independent_rows,
     build_transform,
     classify_equality_system,
     map_latent,
@@ -182,22 +180,13 @@ def test_redundant_equality_rows_are_dropped():
     np.testing.assert_allclose(b.g, g, atol=1e-8)
 
 
-def svd_greedy_rows(rows, tol):
-    """Reference: keep row i when it raises the numerical rank of the kept rows,
-    one SVD per row."""
-    keep = []
-    for i in range(rows.shape[0]):
-        if matrix_rank(rows[keep + [i]], tol) > len(keep):
-            keep.append(i)
-    return keep
-
-
-def test_independent_rows_match_svd_greedy():
+def test_shuffled_redundant_systems_match_brute_force_on_independent_rows():
+    # planted combinations, zero rows and duplicates, shuffled among the rows
     rng = np.random.default_rng(107)
     dropped = 0
     for trial in range(200):
         width = int(rng.integers(2, 12))
-        free = int(rng.integers(1, width + 2))
+        free = int(rng.integers(1, width))
         base = rng.normal(size=(free, width)) * rng.uniform(0.1, 10.0, (free, 1))
         planted = int(rng.integers(0, 6))
         weights = rng.normal(size=(planted, free))
@@ -206,14 +195,32 @@ def test_independent_rows_match_svd_greedy():
         if trial % 10 == 0:
             rows = np.vstack([rows, np.zeros(width), rows[0]])  # a zero row, a duplicate
         rows = rows[rng.permutation(rows.shape[0])]
-        keep = _independent_rows(rows, EQUALITY_TOL)
-        assert keep == svd_greedy_rows(rows, EQUALITY_TOL)
-        dropped += rows.shape[0] - len(keep)
+        x_star = rng.normal(size=width)
+        mu = rng.normal(size=width)
+        sigma = random_spd(rng, width)
+        equality = classify_equality_system(rows, -rows @ x_star)
+        assert equality.rows.shape[0] == free
+        spec = ProblemSpec(mu=mu, sigma=sigma, C=rows, d=-rows @ x_star)
+        t = build_transform(spec, equality=equality)
+        F, g = brute_force_transform(mu, sigma, base, -base @ x_star)
+        np.testing.assert_allclose(t.F, F, atol=1e-8)
+        np.testing.assert_allclose(t.g, g, atol=1e-8)
+        dropped += rows.shape[0] - free
     assert dropped > 200
-    # the threshold scales with the largest row so far, not with the row itself:
-    # a row 1e-10 times smaller than an earlier one adds no numerical rank
-    rows = np.array([[1e4, 0.0, 0.0], [0.0, 1e-6, 0.0], [0.0, 0.0, 1.0]])
-    assert _independent_rows(rows, EQUALITY_TOL) == svd_greedy_rows(rows, EQUALITY_TOL) == [0, 2]
+
+
+@pytest.mark.parametrize("eps", [1.2e-8, 5e-8, 1e-6, 1e-4])
+def test_near_parallel_rows_give_a_projector(eps):
+    # two unit rows eps apart: rank 1 below 2e-8 (s2 / s1 = tan(eps / 2)), else 2
+    C = np.array([[1.0, 0.0, 0.0], [np.cos(eps), np.sin(eps), 0.0]])
+    d = -C @ np.array([0.0, 1.25e-8, 0.0])
+    spec = ProblemSpec(mu=np.ones(3), sigma=np.eye(3), C=C, d=d)
+    rank = classify_equality_system(C, d).rows.shape[0]
+    assert rank == (1 if eps < 2e-8 else 2)
+    F = build_transform(spec).F
+    assert np.abs(F @ F - F).max() <= 1e-12
+    assert abs(np.trace(F) - (3 - rank)) <= 1e-12
+    np.testing.assert_allclose(C @ F, 0.0, atol=2 * EQUALITY_TOL)
 
 
 def test_inconsistent_system_rejected_by_build():
