@@ -23,7 +23,9 @@ class CovarianceFactor:
 
     L is the Cholesky factor when sigma is positive definite, otherwise an
     eigendecomposition-based square root with tiny negative eigenvalues
-    clamped to zero. `rank` counts the eigenvalues that survive the clamp.
+    clamped to zero. `rank` counts the eigenvalues above tol times
+    max|sigma|, relative to the scale of sigma alone, as the equality Gram
+    test in `transform` is.
     """
 
     dimension: int
@@ -36,7 +38,8 @@ def factor_covariance(sigma, tol: float = DEFAULT_TOL) -> CovarianceFactor:
 
     The tolerance is scaled by (1 + max|sigma|). Asymmetry beyond it raises
     NotSymmetric; an eigenvalue below its negative raises NotPSD; eigenvalues
-    in [-tol, 0] are treated as exact zeros.
+    in [-tol, 0] are treated as exact zeros. A positive definite sigma has
+    rank n; otherwise the rank counts eigenvalues above tol * max|sigma|.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
@@ -59,7 +62,7 @@ def factor_covariance(sigma, tol: float = DEFAULT_TOL) -> CovarianceFactor:
     if lowest < -atol:
         raise NotPSD(f"eigenvalue {lowest:.3e} below -{atol:.3e}")
     eigvals = np.clip(eigvals, 0.0, None)
-    rank = int(np.count_nonzero(eigvals > atol))
+    rank = int(np.count_nonzero(eigvals > tol * float(np.abs(sym).max())))
     return CovarianceFactor(n, eigvecs * np.sqrt(eigvals), rank)
 
 

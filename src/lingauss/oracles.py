@@ -83,10 +83,12 @@ def conditional_direct_sample(
     """Exact draws of x ~ N(mu, sigma) conditioned on C x + d = 0.
 
     Writes x = x0 + U t with U an orthonormal basis of ker C; t is normal
-    with precision U' sigma^-1 U and mean solving that precision against
-    U' sigma^-1 (mu - x0). With an (A, b) inequality_filter the draws are
-    additionally accept-reject filtered on the plane, so the report's
-    accepted count can be below n_draws.
+    with precision U' sigma^+ U and mean solving that precision against
+    U' sigma^+ (mu - x0), sigma^+ the pseudo-inverse from an eigendecomposition.
+    A singular sigma keeps x - mu in range(sigma), so the eigenvectors of its
+    null space join C as further equations first. With an (A, b)
+    inequality_filter the draws are additionally accept-reject filtered on
+    the plane, so the report's accepted count can be below n_draws.
     """
     if spec.p == 0:
         raise ValueError("conditional sampling needs at least one equality constraint")
@@ -97,16 +99,18 @@ def conditional_direct_sample(
         raise ValueError(
             f"equality system must have infinitely many solutions, got {classification.kind!r}"
         )
-    x0, basis = _plane_parameterization(spec.C, spec.d)
-    try:
-        chol_sigma = np.linalg.cholesky(spec.sigma)
-    except np.linalg.LinAlgError as exc:
-        raise SingularEqualityGram(
-            "sigma must be positive definite for the conditional sampler"
-        ) from exc
+    C, d = spec.C, spec.d
+    eigvals, eigvecs = np.linalg.eigh(spec.sigma)
+    kept = eigvals > _RANK_TOL * eigvals[-1]
+    null = eigvecs[:, ~kept]
+    if null.size:  # x - mu stays in range(sigma)
+        C = np.vstack([C, null.T])
+        d = np.concatenate([d, -null.T @ spec.mu])
+    x0, basis = _plane_parameterization(C, d)
+    root = eigvecs[:, kept] / np.sqrt(eigvals[kept])  # root @ root.T = sigma^+
 
     def precision_apply(rhs):
-        return np.linalg.solve(chol_sigma.T, np.linalg.solve(chol_sigma, rhs))
+        return root @ (root.T @ rhs)
 
     precision = basis.T @ precision_apply(basis)
     try:

@@ -2,17 +2,24 @@
 
 Recipes:
 
-* no constraints            -> direct draws from N(mu, sigma)
-* equality only             -> direct latent draws mapped onto the plane
+* no constraints            -> direct draws x = g + B u, u ~ N(0, I_k)
+* equality only               (g = mu and B B' = sigma without equalities)
 * inequality (with or
   without equality rows)    -> latent slice-sampling chain started at an
                                interior point found by linear programming
 
+A direct draw takes k = rank(sigma) - r standard normals, r the number of
+independent equality rows: the dimension of the plane that the law covers.
+B holds the first k left singular vectors of F L scaled by their singular
+values (L L' = sigma), so B B' = F sigma F' and one affine map places the
+draws on the plane.
+
 Degenerate cases short-circuit: an inconsistent equality system or an empty
 inequality region yields an `impossible` outcome with the reason; a system
-pinned to a single point yields `point_mass` with that point. `plan` makes
-that verdict, and everything else that precedes the first draw, for both
-`sample_constrained` and the CLI's `check`.
+pinned to a single point, by the equalities or by k = 0, yields `point_mass`
+with that point. `plan` makes that verdict, and everything else that
+precedes the first draw, for both `sample_constrained` and the CLI's
+`check`.
 """
 
 from __future__ import annotations
@@ -79,7 +86,9 @@ def _split_counts(n_samples, chains):
 @dataclass
 class Plan:
     """A run up to its first draw: the verdict with its reason or point, and
-    for sampling the latent map and (with inequality rows) the LP start."""
+    for sampling the latent map with either (direct recipes) the dimension
+    k = rank(sigma) - r of the plane the law covers or (with inequality
+    rows) the LP start."""
 
     status: Literal["impossible", "point_mass", "samples"]
     report: RunReport
@@ -87,6 +96,7 @@ class Plan:
     point: np.ndarray | None = None
     transformed: TransformedProblem | None = None
     start: np.ndarray | None = None
+    dimension: int | None = None
 
 
 def plan(spec: ProblemSpec) -> Plan:
@@ -96,9 +106,12 @@ def plan(spec: ProblemSpec) -> Plan:
     The recipe, the equality classification, the latent map (so a singular
     C sigma C.T raises SingularEqualityGram for every recipe) and, with
     inequality rows, the LP classification of the region, where a flat
-    region raises DegenerateRegion. With a singular sigma the LPs run on
-    range(sigma), where the latent prior has its mass, through an
-    orthonormal basis of it, and the start point lies there too.
+    region raises DegenerateRegion. When k = rank(sigma) - r is 0 the law
+    is a point mass at g; the inequalities are tested there by the same
+    check as a unique equality solution, and no LP runs. With a singular
+    sigma the LPs run on range(sigma), where the latent prior has its
+    mass, through an orthonormal basis of it, and the start point lies
+    there too.
     """
     if spec.p:
         recipe = "equality-and-inequality" if spec.m else "equality-only"
@@ -109,22 +122,30 @@ def plan(spec: ProblemSpec) -> Plan:
     def impossible(reason):
         return Plan("impossible", report, reason=reason)
 
-    classification = None
+    classification, point = None, None
     if spec.p:
         classification = classify_equality_system(spec.C, spec.d)
         report.equality = classification.kind
         if classification.kind == "no_solution":
             return impossible("equality system C x + d = 0 has no solution")
         if classification.kind == "unique":
-            x = classification.x
-            # a row is violated beyond POINT_TOL of its own norm
-            if (spec.A @ x + spec.b < -POINT_TOL * np.linalg.norm(spec.A, axis=1)).any():
-                return impossible("the unique equality solution violates the inequalities")
-            return Plan("point_mass", report, point=x)
+            point = classification.x
+            violated = "the unique equality solution violates the inequalities"
+    if point is None:
+        transformed = build_transform(spec, equality=classification)
+        rows = 0 if classification is None else classification.rows.shape[0]
+        dimension = spec.factor.rank - rows
+        if dimension == 0:  # sigma leaves no freedom on the plane
+            point = transformed.g
+            violated = "the single point the law reaches violates the inequalities"
+    if point is not None:
+        # a row is violated beyond POINT_TOL of its own norm
+        if (spec.A @ point + spec.b < -POINT_TOL * np.linalg.norm(spec.A, axis=1)).any():
+            return impossible(violated)
+        return Plan("point_mass", report, point=point)
 
-    transformed = build_transform(spec, equality=classification)
     if spec.m == 0:
-        return Plan("samples", report, transformed=transformed)
+        return Plan("samples", report, transformed=transformed, dimension=dimension)
     H, support = transformed.H, None
     if spec.factor.rank < spec.n:  # the latent prior lives on range(sigma)
         support = spec.factor.factor[:, spec.n - spec.factor.rank :]
@@ -135,7 +156,12 @@ def plan(spec: ProblemSpec) -> Plan:
     report.chebyshev_radius = feasibility.chebyshev_radius
     report.lp_pivots = feasibility.lp_pivots
     if feasibility.kind == "infeasible":
-        return impossible("no point satisfies the inequalities (negative maximum slack)")
+        # An LP proves emptiness only by pivoting an artificial variable out,
+        # so no pivot means a row of H that is zero where the law has mass
+        # decided it: 0 + k_i < 0.
+        if feasibility.lp_pivots:
+            return impossible("no point satisfies the inequalities (negative maximum slack)")
+        return impossible("an inequality fails wherever the law has mass: its row vanishes there")
     start = feasibility.point if support is None else support @ feasibility.point
     if feasibility.kind == "point_mass":
         return Plan("point_mass", report, point=map_latent(transformed, start))
@@ -177,9 +203,12 @@ def sample_constrained(
     transformed = planned.transformed
     factor = spec.factor
     if spec.m == 0:
-        # independent draws: y ~ N(0, sigma) mapped through x = F y + g
-        white = generators[0].standard_normal((n_samples, spec.n))
-        samples = map_latent(transformed, white @ factor.factor.T)
+        # independent draws x = g + B u, u ~ N(0, I_k), with B B' = F sigma F'
+        k = planned.dimension
+        left, singular, _ = np.linalg.svd(transformed.F @ factor.factor)
+        B = left[:, :k] * singular[:k]
+        samples = generators[0].standard_normal((n_samples, k)) @ B.T
+        samples += transformed.g
         return done("samples", samples=samples)
 
     report.chains = chains

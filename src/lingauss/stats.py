@@ -66,7 +66,10 @@ def sample_stats(samples, independent: bool = False) -> SampleStats:
 
     Set independent=True for sources known to be iid (direct draws, the
     rejection and conditional reference samplers); the ESS is then the
-    sample count itself.
+    sample count itself. The mean is row 0 plus the mean of the rows minus
+    row 0, so its error is relative to the spread of the samples even far
+    from the origin; the covariance takes a second pass over the centered
+    rows. All-identical rows raise DegenerateSamples.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -76,10 +79,16 @@ def sample_stats(samples, independent: bool = False) -> SampleStats:
     n, dim = samples.shape
     if n < 2:
         raise ValueError("need at least two samples for moment estimates")
-    if np.all(samples == samples[0]):
+    # rows 0 and 1 differ on almost every input, so the full scan is rare
+    if np.array_equal(samples[1], samples[0]) and np.all(samples == samples[0]):
         raise DegenerateSamples("all samples are identical; report a point mass instead")
-    mean = samples.mean(axis=0)
-    centered = samples - mean
+    # Column sums as one BLAS product, taken after shifting by row 0 so that
+    # their rounding error scales with the spread of the samples, not with
+    # their offset from the origin.
+    centered = samples - samples[0]
+    shift = np.ones(n) @ centered / n
+    mean = samples[0] + shift
+    centered -= shift
     covariance = centered.T @ centered / (n - 1)
     covariance = 0.5 * (covariance + covariance.T)
     if independent:

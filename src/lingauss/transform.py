@@ -13,7 +13,8 @@ a latent draw y ~ N(0, sigma) maps to x = F y + g, which lands exactly on
 the plane and has the right conditional law there. The map is the paper's,
 with V in place of C: both span the same rows. The inequalities become
 H y + k >= 0 with H = A F and k = A g + b. Without equalities the map
-degenerates to F = I, g = mu.
+degenerates to F = I, g = mu. The chain recipes sample y; the direct
+recipes draw in the plane's own k coordinates instead (see `sampler`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import SingularEqualityGram
-from .linalg import unit_rows
+from .linalg import DEFAULT_TOL, unit_rows
 from .problem import ProblemSpec
 
 EQUALITY_TOL = 1e-8
@@ -99,10 +100,16 @@ def build_transform(
     made it (with the same tol); without it the system is classified here.
 
     The map conditions on the classification's orthonormal rows, which
-    already leave out redundant equations. If their Gram matrix
-    V sigma V.T is singular, the covariance carries no mass across some
-    constraint direction and SingularEqualityGram is raised. E is computed
-    through a factorization-based solve, never an explicit inverse.
+    already leave out redundant equations. Their Gram matrix V sigma V.T is
+    tested on the rank(sigma) directions that the covariance factor counts,
+    (V L_rank)(V L_rank).T: if its smallest eigenvalue is at most
+    linalg.DEFAULT_TOL times max|sigma|, the covariance carries no mass
+    across some constraint direction and SingularEqualityGram is raised.
+    That floor is tested, not the bare Cholesky, because roundoff can leave
+    a singular Gram a Cholesky factor; and on the counted directions, so
+    that the plane's dimension k = rank(sigma) - r cannot come out wrong or
+    negative. E is computed through a factorization-based solve, never an
+    explicit inverse.
     """
     n = spec.n
     if spec.p == 0:
@@ -121,7 +128,13 @@ def build_transform(
         )
     V = equality.rows
     rhs = V @ spec.sigma  # (r, n); E = (gram^-1 @ rhs).T
+    counted = V @ spec.factor.factor[:, n - spec.factor.rank :]
+    floor = DEFAULT_TOL * np.abs(spec.sigma).max() * np.eye(V.shape[0])
     try:
+        # the shifted Gram has a Cholesky factor iff its smallest eigenvalue
+        # exceeds the floor; the second factorisation fails when negative
+        # eigenvalues of sigma, within the PSD tolerance, outweigh it
+        np.linalg.cholesky(counted @ counted.T - floor)
         chol = np.linalg.cholesky(rhs @ V.T)
     except np.linalg.LinAlgError as exc:
         raise SingularEqualityGram(

@@ -138,6 +138,16 @@ def pinned(violation):
     )
 
 
+def sigma_pinned(**inequalities):
+    return dict(mu=[0.0, 2.0], sigma=np.diag([1.0, 0.0]), C=[[1.0, 0.0]], d=[-0.5], **inequalities)
+
+
+def rotated_singular_gram():
+    rotation, _ = np.linalg.qr(np.random.default_rng(102).normal(size=(3, 3)))
+    sigma = rotation @ np.diag([1.0, 1.0, 0.0]) @ rotation.T
+    return dict(mu=np.zeros(3), sigma=0.5 * (sigma + sigma.T), C=[rotation[:, 2]], d=[-0.5])
+
+
 AGREEMENT_CASES = {
     "pentagon_inequality": (None, 0),
     "pentagon_equality": (None, 0),
@@ -166,6 +176,20 @@ AGREEMENT_CASES = {
     ),
     "unique_point_violated": (pinned(2e-8), 2),
     "unique_point_within_tolerance": (pinned(5e-9), 0),
+    # rank(sigma) = 1 = r: x1 = 0.5 from the equality, x2 = 2 from sigma
+    "sigma_point_mass": (sigma_pinned(), 0),
+    "sigma_point_mass_inside": (sigma_pinned(A=[[0.0, 1.0]], b=[-1.0]), 0),
+    "sigma_point_mass_violated": (sigma_pinned(A=[[0.0, 1.0]], b=[-3.0]), 2),
+    # sigma = Q diag(1, 1, 0) Q' and the row Q[:, 2]': a Gram of 1e-17, not 0
+    "rotated_singular_gram": (rotated_singular_gram(), 3),
+}
+
+# what decided each infeasible verdict, as both commands word it
+REASONS = {
+    "scaled_infeasible": "negative maximum slack",
+    "outside_sigma_range": "its row vanishes there",
+    "unique_point_violated": "unique equality solution violates",
+    "sigma_point_mass_violated": "single point the law reaches violates",
 }
 
 
@@ -184,8 +208,7 @@ def test_check_and_sample_agree(problem_dir, tmp_path, capsys, name):
     if expected == 2:  # the same verdict in the same words
         assert check_err.startswith("infeasible: ")
         assert check_err == sample_err
-    if name == "unique_point_violated":  # decided by the unique-point check, not the LP
-        assert "unique equality solution violates" in check_err
+        assert REASONS[name] in check_err
 
 
 def test_sample_infeasible_exits_2(tmp_path, capsys):

@@ -33,6 +33,11 @@ def test_rank_deficient_psd_factor():
     np.testing.assert_allclose(result.factor @ result.factor.T, sigma, atol=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_rank_is_relative_to_the_scale_of_sigma(scale):
+    assert factor_covariance(scale * np.diag([1.0, 2.0, 0.0])).rank == 2
+
+
 def test_marginally_indefinite_is_clamped():
     rng = np.random.default_rng(11)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)))

@@ -8,9 +8,10 @@ from lingauss.elliptical_slice import run_chain
 from lingauss.errors import DegenerateRegion
 from lingauss.fixtures import pentagon_problem
 from lingauss.feasibility import find_feasible_point
-from lingauss.oracles import rejection_sample
+from lingauss.oracles import conditional_direct_sample, rejection_sample
 from lingauss.problem import ProblemSpec
 from lingauss.sampler import plan, sample_constrained
+from lingauss.stats import compare_stats, sample_stats
 from lingauss.transform import build_transform, map_latent
 
 from conftest import random_spd
@@ -169,6 +170,89 @@ def test_direct_recipes_ignore_burn_in(pentagon_equality):
     np.testing.assert_array_equal(a.samples, b.samples)
 
 
+def singular_plane():
+    """n = 4, rank(sigma) = 3 and one equality row: the law covers a plane of
+    dimension k = 2, below n - r = 3."""
+    rng = np.random.default_rng(83)
+    rotation, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    sigma = rotation @ np.diag([2.0, 1.0, 0.5, 0.0]) @ rotation.T
+    return ProblemSpec(
+        mu=rng.normal(size=4), sigma=0.5 * (sigma + sigma.T), C=[rng.normal(size=4)], d=[0.7]
+    )
+
+
+def singular_unconstrained():
+    rng = np.random.default_rng(89)
+    root = rng.normal(size=(3, 2))
+    return ProblemSpec(mu=[1.0, -1.0, 0.5], sigma=root @ root.T)
+
+
+DIRECT_PROBLEMS = {
+    "pentagon_equality": (lambda: pentagon_problem("equality"), 2),
+    "singular_unconstrained": (singular_unconstrained, 2),
+    "tiny_singular_unconstrained": (
+        lambda: ProblemSpec(mu=[1.0, 2.0, 3.0], sigma=1e-12 * np.diag([1.0, 2.0, 0.0])),
+        2,
+    ),
+    "singular_plane": (singular_plane, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(DIRECT_PROBLEMS))
+def test_direct_draws_take_k_normals_each(name):
+    make, k = DIRECT_PROBLEMS[name]
+    spec = make()
+    generator, reference = np.random.default_rng(97), np.random.default_rng(97)
+    outcome = sample_constrained(spec, 1_000, generator)
+    assert outcome.samples.shape == (1_000, spec.n)
+    reference.standard_normal((1_000, k))
+    assert generator.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize("name", list(DIRECT_PROBLEMS))
+def test_direct_draws_lie_on_the_plane_and_on_the_range_of_sigma(name):
+    spec = DIRECT_PROBLEMS[name][0]()
+    samples = sample_constrained(spec, 20_000, 101).samples
+    scale = max(1.0, float(np.abs(samples).max()))
+    if spec.p:
+        residual = (samples @ spec.C.T + spec.d) / np.linalg.norm(spec.C, axis=1)
+        assert np.abs(residual).max() <= 1e-10 * scale
+    eigvals, eigvecs = np.linalg.eigh(spec.sigma)
+    null = eigvecs[:, eigvals <= 1e-10 * eigvals[-1]]
+    assert np.abs((samples - spec.mu) @ null).max(initial=0.0) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("name", ["pentagon_equality", "singular_plane"])
+def test_direct_draws_match_the_conditional_oracle(name):
+    spec = DIRECT_PROBLEMS[name][0]()
+    outcome = sample_constrained(spec, 200_000, 103)
+    oracle = conditional_direct_sample(spec, 200_000, np.random.default_rng(107))
+    report = compare_stats(
+        sample_stats(outcome.samples, independent=True),
+        sample_stats(oracle.samples, independent=True),
+        sigma_level=4.0,
+    )
+    assert report.all_passed, report.to_text()
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [np.diag([1.0, 0.0]), np.zeros((2, 2))],
+    ids=["equality_takes_the_last_dimension", "zero_sigma"],
+)
+def test_no_dimension_left_is_a_point_mass(sigma):
+    if sigma.any():  # x2 = 2 from sigma, x1 = 0.5 from the equality
+        spec = ProblemSpec(mu=[0.0, 2.0], sigma=sigma, C=[[1.0, 0.0]], d=[-0.5])
+    else:
+        spec = ProblemSpec(mu=[0.5, 2.0], sigma=sigma)
+    planned = plan(spec)
+    assert planned.status == "point_mass"
+    np.testing.assert_allclose(planned.point, [0.5, 2.0], atol=1e-12)
+    outcome = sample_constrained(spec, 10, 1)
+    assert outcome.status == "point_mass"
+    np.testing.assert_array_equal(outcome.point, planned.point)
+
+
 def test_argument_validation(pentagon_both):
     with pytest.raises(ValueError):
         sample_constrained(pentagon_both, 0, np.random.default_rng(0))
@@ -312,6 +396,17 @@ VERDICT_SYSTEMS = {
             b=[0.0, 0.0, 0.0, 5.0],
         ),
         "degenerate",
+    ),
+    "sigma_point_mass": (  # sigma pins x2 = 2 and the equality x1 = 0.5: rank(sigma) = r
+        dict(
+            mu=[0.0, 2.0],
+            sigma=np.diag([1.0, 0.0]),
+            A=[[0.0, 1.0]],
+            b=[-1.0],
+            C=[[1.0, 0.0]],
+            d=[-0.5],
+        ),
+        "point_mass",
     ),
     "unique_violating": (  # the equalities pin x = (1, 2), which misses x1 >= 1.5
         dict(

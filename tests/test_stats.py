@@ -65,6 +65,29 @@ def test_constant_samples_raise():
         sample_stats(np.ones((100, 2)))
 
 
+def test_equal_first_rows_do_not_raise():
+    samples = np.ones((100, 2))
+    samples[57, 1] = 2.0
+    stats = sample_stats(samples, independent=True)
+    np.testing.assert_allclose(stats.mean, [1.0, 1.01], rtol=1e-15)
+
+
+@pytest.mark.parametrize("independent", [True, False])
+def test_moments_far_from_the_origin(independent):
+    # np.mean of the offset input itself is off by about 1e-6 here, so the
+    # references take the offset out first; y - offset is exact in floats
+    rng = np.random.default_rng(11)
+    offset = 1e8
+    y = rng.normal(size=(200_000, 3)) @ rng.normal(size=(3, 3)) + offset
+    shifted = y - offset
+    stats = sample_stats(y, independent=independent)
+    reference = np.cov(shifted.T)
+    spread = np.sqrt(np.diag(reference).max())
+    atol = 1e-12 * spread + np.spacing(offset)
+    np.testing.assert_allclose(stats.mean, offset + np.mean(shifted, axis=0), rtol=0, atol=atol)
+    np.testing.assert_allclose(stats.covariance, reference, rtol=0, atol=1e-12 * spread**2)
+
+
 def test_too_few_samples_raise():
     with pytest.raises(ValueError):
         sample_stats(np.ones((1, 2)))

@@ -282,6 +282,57 @@ def test_singular_gram_raises():
         build_transform(spec)
 
 
+def rotated_singular_sigma(seed):
+    """sigma = Q diag(1, 1, 0) Q' for a random rotation Q, and the unit row
+    Q[:, 2]', the one direction sigma carries no mass across."""
+    rotation, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    sigma = rotation @ np.diag([1.0, 1.0, 0.0]) @ rotation.T
+    return 0.5 * (sigma + sigma.T), rotation[:, 2]
+
+
+@pytest.mark.parametrize("seed, rank", [(102, 3), (106, 2)])
+def test_rotated_singular_gram_raises(seed, rank):
+    # roundoff leaves the Gram near 1e-17, where its Cholesky factor survives,
+    # and on the first seed leaves sigma a Cholesky factor too
+    sigma, row = rotated_singular_sigma(seed)
+    spec = ProblemSpec(mu=np.zeros(3), sigma=sigma, C=[row], d=[-0.5])
+    assert spec.factor.rank == rank
+    with pytest.raises(SingularEqualityGram):
+        build_transform(spec)
+
+
+def test_gram_is_tested_on_the_directions_the_rank_of_sigma_counts():
+    # rank(sigma) counts 2 of diag(1, 1, 5e-11, 0). The row meets the counted
+    # x2 with weight 6e-11 and the uncounted x3 with 5e-11: a Gram of 1.1e-10
+    # in all, 6e-11 on the counted part. Passing it would leave x2 a
+    # conditional variance of 0.45 that k = rank - r = 1 has no room for.
+    row = np.array([0.0, np.sqrt(6e-11), 1.0, 0.0])
+    spec = ProblemSpec(
+        mu=np.zeros(4), sigma=np.diag([1.0, 1.0, 5e-11, 0.0]), C=[row], d=[-1e-6]
+    )
+    assert spec.factor.rank == 2
+    with pytest.raises(SingularEqualityGram):
+        build_transform(spec)
+
+
+def test_gram_made_indefinite_by_a_tolerated_negative_eigenvalue_raises():
+    # the counted directions give the Gram 1e-11; sigma's -5e-11, which the
+    # PSD tolerance lets through, makes V sigma V.T negative
+    spec = ProblemSpec(
+        mu=np.zeros(3), sigma=np.diag([1e-3, -5e-11, 1e-3]), C=[[0.0, 1.0, 1e-4]], d=[0.0]
+    )
+    with pytest.raises(SingularEqualityGram):
+        build_transform(spec)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_gram_test_is_relative_to_the_scale_of_sigma(scale):
+    _, row = rotated_singular_sigma(102)
+    spec = ProblemSpec(mu=np.zeros(3), sigma=scale * np.eye(3), C=[row], d=[-0.5])
+    transformed = build_transform(spec)
+    np.testing.assert_allclose(row @ transformed.g, 0.5, rtol=1e-12)
+
+
 def test_map_latent_single_and_batch():
     t = TransformedProblem(
         F=np.array([[1.0, 0.0], [0.0, 2.0]]),
