@@ -36,10 +36,12 @@ class CovarianceFactor:
 def factor_covariance(sigma, tol: float = DEFAULT_TOL) -> CovarianceFactor:
     """Validate sigma and return a sampling factor for N(0, sigma).
 
-    The tolerance is scaled by (1 + max|sigma|). Asymmetry beyond it raises
-    NotSymmetric; an eigenvalue below its negative raises NotPSD; eigenvalues
-    in [-tol, 0] are treated as exact zeros. A positive definite sigma has
-    rank n; otherwise the rank counts eigenvalues above tol * max|sigma|.
+    The tolerance is tol * max|sigma|, relative to the scale of sigma alone,
+    as the rank rule is, so no verdict changes when sigma is rescaled.
+    Asymmetry beyond it raises NotSymmetric; an eigenvalue below its
+    negative raises NotPSD; eigenvalues between its negative and 0 are
+    treated as exact zeros. A positive definite sigma has rank n; otherwise
+    the rank counts eigenvalues above tol * max|sigma|.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
@@ -47,7 +49,7 @@ def factor_covariance(sigma, tol: float = DEFAULT_TOL) -> CovarianceFactor:
     if sigma.size and not np.all(np.isfinite(sigma)):
         raise ValueError("covariance entries must be finite")
     n = sigma.shape[0]
-    atol = tol * (1.0 + (float(np.abs(sigma).max()) if sigma.size else 0.0))
+    atol = tol * float(np.abs(sigma).max(initial=0.0))
     if sigma.size:
         asym = float(np.abs(sigma - sigma.T).max())
         if asym > atol:

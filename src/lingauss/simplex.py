@@ -18,8 +18,16 @@ the objective stops improving for STALL_LIMIT consecutive pivots, after
 which Bland's rule takes over to rule out cycling; a hard iteration cap
 backstops both phases.
 
-The problems fed to this solver are tiny (tens of variables), so the code
-favours clarity over sparse-matrix tricks.
+The tableau is dense but stores only the nonbasic columns and the
+right-hand side: a basic column is a unit vector and needs no storage. With
+one basic variable per row, a phase-2 tableau has as many columns as there
+are structural ones, and a phase-1 tableau one more per artificial, so a
+pivot no longer sweeps a surplus column for every row. Each column keeps a
+label, its index in the standard form (structural, then surplus, then
+artificial columns), and a pivot swaps the labels of the entering and the
+leaving variable. Every tie, of the entering column, in the ratio test and
+in the drive-out of zero artificials, breaks by label, so the pivots and
+the bits are those of a tableau that stores every column in label order.
 """
 
 from __future__ import annotations
@@ -78,56 +86,77 @@ class LpSolution:
     pivots: int = 0
 
 
-def _pivot(tableau, basis, row, col):
-    tableau[row] /= tableau[row, col]
-    multipliers = tableau[:, col].copy()
-    multipliers[row] = 0.0
-    tableau -= np.outer(multipliers, tableau[row])
-    # scrub roundoff so the pivot column is an exact unit vector
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    basis[row] = col
+def _first_label(labels, slots):
+    """The slot among slots whose label is lowest."""
+    return slots[labels[slots].argmin()]
 
 
-def _iterate(tableau, basis, ncols, tol, cap):
-    """Pivot until the reduced costs are nonnegative. Mutates tableau/basis.
+def _pivot(tableau, columns, basis, row, slot):
+    """Pivot the variable in `slot` into the basis at `row`. Mutates all three.
 
-    Returns ("optimal" or "unbounded", pivots made); raises
-    CyclingGuardExceeded at the cap.
+    The leaving variable takes the freed slot. Its column was the unit vector
+    of `row`, so after the pivot it holds 1/p in `row` and -a_i * (1/p) in
+    every other row i, where p is the pivot and a the entering column: the
+    arithmetic that a tableau storing every column does on it.
     """
-    nrows = len(basis)
+    pivot = tableau[row, slot]
+    pivot_row = tableau[row]
+    pivot_row /= pivot
+    multipliers = tableau[:, slot].copy()
+    multipliers[row] = 0.0
+    tableau -= multipliers[:, None] * pivot_row
+    multipliers *= -1.0 / pivot
+    multipliers[row] = 1.0 / pivot
+    tableau[:, slot] = multipliers
+    columns[slot], basis[row] = basis[row], columns[slot]
+
+
+def _iterate(tableau, columns, basis, tol, cap):
+    """Pivot until the reduced costs are nonnegative. Mutates all three.
+
+    Ties break by label, never by slot, so the pivots are those of a tableau
+    that stores every column in label order. Returns ("optimal" or
+    "unbounded", pivots made); raises CyclingGuardExceeded at the cap.
+    """
+    reduced = tableau[-1, :-1]  # views: the pivots update them in place
+    rhs = tableau[:-1, -1]
     bland = False
     stalled = 0
     best = -tableau[-1, -1]
-    for pivots in range(cap):
-        reduced = tableau[-1, :ncols]
-        if bland:
-            negatives = np.flatnonzero(reduced < -tol)
-            if negatives.size == 0:
-                return "optimal", pivots
-            col = int(negatives[0])
-        else:
-            col = int(np.argmin(reduced))
-            if reduced[col] >= -tol:
-                return "optimal", pivots
-        pivot_col = tableau[:nrows, col]
-        eligible = pivot_col > tol
-        if not eligible.any():
-            return "unbounded", pivots
-        ratios = np.full(nrows, np.inf)
-        ratios[eligible] = tableau[:nrows, -1][eligible] / pivot_col[eligible]
-        least = ratios.min()
-        ties = np.flatnonzero(ratios == least)
-        row = int(ties[np.argmin(np.asarray(basis)[ties])])  # Bland-safe tie-break
-        _pivot(tableau, basis, row, col)
-        objective = -tableau[-1, -1]
-        if objective < best - tol:
-            best = objective
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= STALL_LIMIT:
-                bland = True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for pivots in range(cap):
+            if bland:
+                negatives = (reduced < -tol).nonzero()[0]
+                if negatives.size == 0:
+                    return "optimal", pivots
+                slot = _first_label(columns, negatives)
+            else:
+                slot = reduced.argmin()
+                least = reduced[slot]
+                if least >= -tol:
+                    return "optimal", pivots
+                ties = (reduced == least).nonzero()[0]
+                if ties.size > 1:
+                    slot = _first_label(columns, ties)
+            column = tableau[:-1, slot]
+            ratios = rhs / column
+            ratios[column <= tol] = np.inf  # only rows with a positive entry bound the step
+            row = ratios.argmin()
+            least = ratios[row]
+            if least == np.inf:
+                return "unbounded", pivots
+            ties = (ratios == least).nonzero()[0]
+            if ties.size > 1:
+                row = _first_label(basis, ties)  # Bland-safe tie-break
+            _pivot(tableau, columns, basis, row, slot)
+            objective = -tableau[-1, -1]
+            if objective < best - tol:
+                best = objective
+                stalled = 0
+            else:
+                stalled += 1
+                if stalled >= STALL_LIMIT:
+                    bland = True
     raise CyclingGuardExceeded(f"simplex did not converge within {cap} pivots")
 
 
@@ -137,13 +166,19 @@ class FeasibleBasis:
 
     It depends only on (G, h, nonneg), so one phase 1 serves any number of
     objectives over the same region: phase_two copies the tableau and prices
-    one cost vector. The tableau holds the constraint rows (redundant rows
-    removed) and a cost row, without the artificial columns.
+    one cost vector. Columns are labelled in the standard form's order:
+    structural columns first, then one surplus column per row of G. The
+    tableau stores only the nonbasic columns, in the slots whose labels
+    `columns` lists, and the right-hand side last: a basic column is a unit
+    vector and needs no storage. It has one row per row of G, whose basic
+    labels `basis` lists, and a cost row. No artificial column is left.
+    Treat the arrays as read-only.
     """
 
     tableau: np.ndarray
-    basis: tuple[int, ...]
-    split: tuple[tuple[int, float], ...]  # column t is sign * (original variable j)
+    basis: np.ndarray
+    columns: np.ndarray
+    split: tuple[np.ndarray, np.ndarray]  # structural column t is signs[t] * x[variables[t]]
     cap: int
 
 
@@ -157,7 +192,9 @@ def phase_one(
     satisfies, is negated so that its surplus column is +e_i and starts
     basic at value -h_i >= 0. Only the rows with h_i > 0 get an artificial
     column, and the phase-1 cost sums those artificials alone, so a region
-    that contains the origin is feasible at once, with no pivot.
+    that contains the origin is feasible at once, with no pivot. The
+    tableau starts with the structural columns and the surplus columns of
+    the artificial rows as its nonbasic columns.
 
     G and h must already have consistent shapes (LinearProgram checks them);
     nonneg=None marks every variable free.
@@ -166,89 +203,76 @@ def phase_one(
     if nonneg is None:
         nonneg = np.zeros(nv, dtype=bool)
 
-    split: list[tuple[int, float]] = []
-    for j in range(nv):
-        split.append((j, 1.0))
-        if not nonneg[j]:
-            split.append((j, -1.0))
-    n_struct = len(split)
+    variables = np.repeat(np.arange(nv), np.where(nonneg, 1, 2))
+    signs = np.ones(variables.size)
+    signs[1:][variables[1:] == variables[:-1]] = -1.0  # the negative part of a free variable
+    n_struct = variables.size
     rhs = np.array(h, dtype=float)
     slack_start = rhs <= 0.0  # rows the origin satisfies, -0.0 included
     art_rows = np.flatnonzero(~slack_start)
     art0 = n_struct + nrows
-    total = art0 + art_rows.size  # + surplus + artificial
 
-    body = np.zeros((nrows, total))
-    for t, (j, sign) in enumerate(split):
-        body[:, t] = sign * G[:, j]
-    body[:, n_struct:art0] = -np.eye(nrows)
+    tableau = np.zeros((nrows + 1, n_struct + art_rows.size + 1))
+    body = G[:, variables] * signs
     body[slack_start] *= -1.0
-    rhs = np.abs(rhs)
-    body[art_rows, art0 + np.arange(art_rows.size)] = 1.0
-
-    tableau = np.zeros((nrows + 1, total + 1))
-    tableau[:nrows, :total] = body
-    tableau[:nrows, -1] = rhs
-    basis = [n_struct + i for i in range(nrows)]
-    for a, i in enumerate(art_rows):
-        basis[i] = art0 + a
+    tableau[:nrows, :n_struct] = body
+    tableau[art_rows, n_struct + np.arange(art_rows.size)] = -1.0
+    tableau[:nrows, -1] = np.abs(rhs)
+    columns = np.concatenate([np.arange(n_struct), n_struct + art_rows])
+    basis = n_struct + np.arange(nrows)
+    basis[art_rows] = art0 + np.arange(art_rows.size)
     # phase-1 reduced costs: artificial costs 1, priced out against the basis
-    # (each artificial column prices to exactly zero)
-    tableau[-1, art0:total] = 1.0
     tableau[-1] -= tableau[art_rows].sum(axis=0)
 
     cap = 50 * (n_struct + 3 * nrows)
-    status, pivots = _iterate(tableau, basis, total, tol, cap)
+    status, pivots = _iterate(tableau, columns, basis, tol, cap)
     if status == "unbounded":  # impossible for a sum of nonnegative variables
         raise CyclingGuardExceeded("phase 1 reported unbounded: numerical breakdown")
     if -tableau[-1, -1] > tol:
         return None, pivots
 
-    # drive any leftover zero-valued artificials out of the basis
-    drop_rows = []
-    for i in range(nrows):
-        if basis[i] >= art0:
-            candidates = np.flatnonzero(np.abs(tableau[i, :art0]) > tol)
-            if candidates.size:
-                col = int(candidates[np.argmax(np.abs(tableau[i, candidates]))])
-                _pivot(tableau, basis, i, col)
-                pivots += 1
-            else:
-                drop_rows.append(i)  # redundant constraint row
-    if drop_rows:
-        tableau = np.delete(tableau, drop_rows, axis=0)
-        basis = [b for i, b in enumerate(basis) if i not in set(drop_rows)]
-
-    tableau = np.delete(tableau, np.s_[art0:total], axis=1)
-    return FeasibleBasis(tableau, tuple(basis), tuple(split), cap), pivots
+    # drive any leftover zero-valued artificials out of the basis. The row's
+    # own surplus column, the negative of its artificial, holds about -1
+    # there, so a pivot always exists and no row is ever redundant.
+    for i in (basis >= art0).nonzero()[0]:
+        sizes = np.where(columns < art0, np.abs(tableau[i, :-1]), 0.0)
+        largest = sizes.max()
+        if not largest > tol:
+            raise CyclingGuardExceeded("phase 1 left an artificial it cannot pivot out")
+        slot = _first_label(columns, (sizes == largest).nonzero()[0])
+        _pivot(tableau, columns, basis, i, slot)
+        pivots += 1
+    real = columns < art0
+    tableau = tableau[:, np.append(real, True)]
+    return FeasibleBasis(tableau, basis, columns[real], (variables, signs), cap), pivots
 
 
 def phase_two(start: FeasibleBasis, c, tol: float = PIVOT_TOL) -> LpSolution:
     """Minimize c @ x from the phase-1 basis; start itself is left unchanged."""
+    c = np.asarray(c, dtype=float)
     tableau = start.tableau.copy()
-    basis = list(start.basis)
-    nrows = len(basis)
-    ncols = tableau.shape[1] - 1
-    cost = np.zeros(ncols)
-    for t, (j, sign) in enumerate(start.split):
-        cost[t] = sign * c[j]
-    tableau[-1, :] = 0.0
-    tableau[-1, :ncols] = cost
-    for i in range(nrows):
-        cb = cost[basis[i]]
-        if cb != 0.0:
-            tableau[-1] -= cb * tableau[i]
+    basis = start.basis.copy()
+    columns = start.columns.copy()
+    variables, signs = start.split
+    cost = np.zeros(basis.size + columns.size)  # by label; only structural columns cost
+    cost[: variables.size] = signs * c[variables]
+    basic_cost = cost[basis]
+    priced = basic_cost.nonzero()[0]
+    tableau[-1, :-1] = cost[columns]
+    tableau[-1, -1] = 0.0
+    # reduced costs: subtract the priced rows one after another, in row order
+    tableau[-1] = np.subtract.reduce(
+        np.concatenate((tableau[-1:], basic_cost[priced, None] * tableau[priced])), axis=0
+    )
 
-    status, pivots = _iterate(tableau, basis, ncols, tol, start.cap)
+    status, pivots = _iterate(tableau, columns, basis, tol, start.cap)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, pivots)
 
-    values = np.zeros(ncols)
-    for i in range(nrows):
-        values[basis[i]] = tableau[i, -1]
-    x = np.zeros(len(c))
-    for t, (j, sign) in enumerate(start.split):
-        x[j] += sign * values[t]
+    values = np.zeros(cost.size)
+    values[basis] = tableau[:-1, -1]
+    x = np.zeros(c.size)
+    np.add.at(x, variables, signs * values[: variables.size])
     return LpSolution("optimal", float(c @ x), x, pivots)
 
 

@@ -132,8 +132,9 @@ def build_transform(
     floor = DEFAULT_TOL * np.abs(spec.sigma).max() * np.eye(V.shape[0])
     try:
         # the shifted Gram has a Cholesky factor iff its smallest eigenvalue
-        # exceeds the floor; the second factorisation fails when negative
-        # eigenvalues of sigma, within the PSD tolerance, outweigh it
+        # exceeds the floor. The PSD tolerance bounds the negative eigenvalues
+        # of sigma by the same floor, so past it V sigma V.T is positive
+        # definite too, and its factorisation can fail only by roundoff
         np.linalg.cholesky(counted @ counted.T - floor)
         chol = np.linalg.cholesky(rhs @ V.T)
     except np.linalg.LinAlgError as exc:

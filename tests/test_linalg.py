@@ -58,6 +58,16 @@ def test_indefinite_raises():
         factor_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_validation_is_relative_to_the_scale_of_sigma(scale):
+    with pytest.raises(NotPSD):  # an eigenvalue of -50 times the largest
+        factor_covariance(scale * np.diag([1.0, -50.0]))
+    with pytest.raises(NotSymmetric):  # an asymmetry of 50 times the diagonal
+        factor_covariance(scale * np.array([[1.0, 50.0], [0.0, 1.0]]))
+    result = factor_covariance(scale * np.diag([1.0, -1e-14]))  # roundoff, clamped
+    assert result.rank == 1
+
+
 def test_non_square_rejected():
     with pytest.raises(ValueError):
         factor_covariance(np.ones((2, 3)))

@@ -465,3 +465,27 @@ def test_verdicts_are_invariant_to_row_scaling_permutation_and_duplication(name)
         assert got == expected, label
         if point is not None:
             np.testing.assert_allclose(got_point, point, atol=1e-8, err_msg=label)
+
+
+# ... and neither does the law of the samples. A permutation moves the LP
+# start point by roundoff, which a chain amplifies until its path is another
+# one, so the chains are compared in law, each with a seed of its own.
+
+IN_LAW_SYSTEMS = {
+    "pentagon_inequality": (lambda: pentagon_problem("inequality"), 20_000),
+    "rotated_box": (lambda: rotated_box(n=10), 15_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IN_LAW_SYSTEMS))
+def test_sample_law_is_invariant_to_row_scaling_permutation_and_duplication(name):
+    make, steps = IN_LAW_SYSTEMS[name]
+    spec = make()
+    arrays = dict(mu=spec.mu, sigma=spec.sigma, A=spec.A, b=spec.b)
+    reference = sample_stats(sample_constrained(spec, steps, 5).samples)
+    rng = np.random.default_rng(113)
+    for seed, label in enumerate(("scale random", "permute", "duplicate"), start=6):
+        changed = ProblemSpec(**transform_rows(arrays, ROW_TRANSFORMATIONS[label], rng))
+        stats = sample_stats(sample_constrained(changed, steps, seed).samples)
+        report = compare_stats(reference, stats, sigma_level=4.0)
+        assert report.all_passed, f"{label}\n{report.to_text()}"

@@ -1,19 +1,183 @@
+import sys
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import lingauss.simplex
 from lingauss.errors import CyclingGuardExceeded
 from lingauss.simplex import (
     PIVOT_TOL,
-    FeasibleBasis,
     LinearProgram,
     LpSolution,
-    _iterate,
-    _pivot,
     phase_one,
     phase_two,
     solve_lp,
 )
+
+# A frozen reference: the simplex kernel as it was when the tableau stored
+# every column in label order (structural, surplus, artificial), basic ones
+# included. The package's kernel stores only the nonbasic columns and must
+# make the same pivots and give the same bits.
+
+STALL_LIMIT = 100
+
+
+@dataclass(frozen=True)
+class FullBasis:
+    """The phase-1 basis of the reference: a tableau with every column."""
+
+    tableau: np.ndarray
+    basis: tuple[int, ...]
+    split: tuple[tuple[int, float], ...]  # column t is sign * (original variable j)
+    cap: int
+
+
+def reference_pivot(tableau, basis, row, col):
+    tableau[row] /= tableau[row, col]
+    multipliers = tableau[:, col].copy()
+    multipliers[row] = 0.0
+    tableau -= np.outer(multipliers, tableau[row])
+    # scrub roundoff so the pivot column is an exact unit vector
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+    basis[row] = col
+
+
+def reference_iterate(tableau, basis, ncols, tol, cap):
+    """Pivot until the reduced costs are nonnegative. Mutates tableau/basis.
+
+    Returns ("optimal" or "unbounded", pivots made); raises
+    CyclingGuardExceeded at the cap.
+    """
+    nrows = len(basis)
+    bland = False
+    stalled = 0
+    best = -tableau[-1, -1]
+    for pivots in range(cap):
+        reduced = tableau[-1, :ncols]
+        if bland:
+            negatives = np.flatnonzero(reduced < -tol)
+            if negatives.size == 0:
+                return "optimal", pivots
+            col = int(negatives[0])
+        else:
+            col = int(np.argmin(reduced))
+            if reduced[col] >= -tol:
+                return "optimal", pivots
+        pivot_col = tableau[:nrows, col]
+        eligible = pivot_col > tol
+        if not eligible.any():
+            return "unbounded", pivots
+        ratios = np.full(nrows, np.inf)
+        ratios[eligible] = tableau[:nrows, -1][eligible] / pivot_col[eligible]
+        least = ratios.min()
+        ties = np.flatnonzero(ratios == least)
+        row = int(ties[np.argmin(np.asarray(basis)[ties])])  # Bland-safe tie-break
+        reference_pivot(tableau, basis, row, col)
+        objective = -tableau[-1, -1]
+        if objective < best - tol:
+            best = objective
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= STALL_LIMIT:
+                bland = True
+    raise CyclingGuardExceeded(f"simplex did not converge within {cap} pivots")
+
+
+def reference_phase_one(G, h, nonneg=None, tol=PIVOT_TOL):
+    """A feasible basis of {G x >= h; x_j >= 0 where nonneg[j]}, or None if
+    empty, with the number of pivots phase 1 made either way."""
+    nrows, nv = G.shape
+    if nonneg is None:
+        nonneg = np.zeros(nv, dtype=bool)
+
+    split: list[tuple[int, float]] = []
+    for j in range(nv):
+        split.append((j, 1.0))
+        if not nonneg[j]:
+            split.append((j, -1.0))
+    n_struct = len(split)
+    rhs = np.array(h, dtype=float)
+    slack_start = rhs <= 0.0  # rows the origin satisfies, -0.0 included
+    art_rows = np.flatnonzero(~slack_start)
+    art0 = n_struct + nrows
+    total = art0 + art_rows.size  # + surplus + artificial
+
+    body = np.zeros((nrows, total))
+    for t, (j, sign) in enumerate(split):
+        body[:, t] = sign * G[:, j]
+    body[:, n_struct:art0] = -np.eye(nrows)
+    body[slack_start] *= -1.0
+    rhs = np.abs(rhs)
+    body[art_rows, art0 + np.arange(art_rows.size)] = 1.0
+
+    tableau = np.zeros((nrows + 1, total + 1))
+    tableau[:nrows, :total] = body
+    tableau[:nrows, -1] = rhs
+    basis = [n_struct + i for i in range(nrows)]
+    for a, i in enumerate(art_rows):
+        basis[i] = art0 + a
+    # phase-1 reduced costs: artificial costs 1, priced out against the basis
+    # (each artificial column prices to exactly zero)
+    tableau[-1, art0:total] = 1.0
+    tableau[-1] -= tableau[art_rows].sum(axis=0)
+
+    cap = 50 * (n_struct + 3 * nrows)
+    status, pivots = reference_iterate(tableau, basis, total, tol, cap)
+    if status == "unbounded":  # impossible for a sum of nonnegative variables
+        raise CyclingGuardExceeded("phase 1 reported unbounded: numerical breakdown")
+    if -tableau[-1, -1] > tol:
+        return None, pivots
+
+    # drive any leftover zero-valued artificials out of the basis
+    drop_rows = []
+    for i in range(nrows):
+        if basis[i] >= art0:
+            candidates = np.flatnonzero(np.abs(tableau[i, :art0]) > tol)
+            if candidates.size:
+                col = int(candidates[np.argmax(np.abs(tableau[i, candidates]))])
+                reference_pivot(tableau, basis, i, col)
+                pivots += 1
+            else:
+                drop_rows.append(i)  # redundant constraint row
+    if drop_rows:
+        tableau = np.delete(tableau, drop_rows, axis=0)
+        basis = [b for i, b in enumerate(basis) if i not in set(drop_rows)]
+
+    tableau = np.delete(tableau, np.s_[art0:total], axis=1)
+    return FullBasis(tableau, tuple(basis), tuple(split), cap), pivots
+
+
+def reference_phase_two(start, c, tol=PIVOT_TOL):
+    """Minimize c @ x from the phase-1 basis; start itself is left unchanged."""
+    tableau = start.tableau.copy()
+    basis = list(start.basis)
+    nrows = len(basis)
+    ncols = tableau.shape[1] - 1
+    cost = np.zeros(ncols)
+    for t, (j, sign) in enumerate(start.split):
+        cost[t] = sign * c[j]
+    tableau[-1, :] = 0.0
+    tableau[-1, :ncols] = cost
+    for i in range(nrows):
+        cb = cost[basis[i]]
+        if cb != 0.0:
+            tableau[-1] -= cb * tableau[i]
+
+    status, pivots = reference_iterate(tableau, basis, ncols, tol, start.cap)
+    if status == "unbounded":
+        return LpSolution("unbounded", None, None, pivots)
+
+    values = np.zeros(ncols)
+    for i in range(nrows):
+        values[basis[i]] = tableau[i, -1]
+    x = np.zeros(len(c))
+    for t, (j, sign) in enumerate(start.split):
+        x[j] += sign * values[t]
+    return LpSolution("optimal", float(c @ x), x, pivots)
 
 
 def scipy_status(result):
@@ -73,7 +237,7 @@ def all_artificial_phase_one(G, h, nonneg, tol=PIVOT_TOL):
     tableau[-1, art0:total] = 1.0
     tableau[-1] -= tableau[:nrows].sum(axis=0)
     cap = 50 * (total + nrows)
-    status, pivots = _iterate(tableau, basis, total, tol, cap)
+    status, pivots = reference_iterate(tableau, basis, total, tol, cap)
     if status == "unbounded":
         raise CyclingGuardExceeded("phase 1 reported unbounded")
     if -tableau[-1, -1] > tol:
@@ -84,14 +248,14 @@ def all_artificial_phase_one(G, h, nonneg, tol=PIVOT_TOL):
             candidates = np.flatnonzero(np.abs(tableau[i, :art0]) > tol)
             if candidates.size:
                 col = int(candidates[np.argmax(np.abs(tableau[i, candidates]))])
-                _pivot(tableau, basis, i, col)
+                reference_pivot(tableau, basis, i, col)
                 pivots += 1
             else:
                 drop_rows.append(i)
     tableau = np.delete(tableau, drop_rows, axis=0)
     basis = [b for i, b in enumerate(basis) if i not in set(drop_rows)]
     tableau = np.delete(tableau, np.s_[art0:total], axis=1)
-    return FeasibleBasis(tableau, tuple(basis), tuple(split), cap), pivots
+    return FullBasis(tableau, tuple(basis), tuple(split), cap), pivots
 
 
 def test_known_optimum():
@@ -213,7 +377,7 @@ def test_shared_phase_one_matches_separate_solves_bit_for_bit():
         G = rng.normal(size=(m, n))
         h = rng.normal(size=m)
         nonneg = rng.random(n) < 0.5
-        if trial % 5 == 0 and m > 1:  # a duplicate row leaves a redundant one
+        if trial % 5 == 0 and m > 1:  # a duplicate row makes a degenerate vertex
             G[1] = G[0]
             h[1] = h[0]
         costs = [rng.normal(size=n) for _ in range(3)]
@@ -251,7 +415,7 @@ def test_phase_one_at_the_origin_makes_no_pivot():
         start, pivots = phase_one(G, h, nonneg)
         n_struct = n + int(np.count_nonzero(~nonneg))
         assert pivots == 0
-        assert start.basis == tuple(n_struct + i for i in range(m))  # the surplus columns
+        assert tuple(start.basis) == tuple(n_struct + i for i in range(m))  # the surplus columns
         np.testing.assert_array_equal(start.tableau[:m, -1], np.abs(h))
         assert solve_lp(LinearProgram(c=np.zeros(n), G=G, h=h, nonneg=nonneg)).pivots == 0
 
@@ -271,7 +435,7 @@ def test_slack_start_matches_all_artificial_phase_one():
             h[rng.random(m) < 0.2] = 0.0
         elif signs == 2:  # the origin violates every row
             h = np.abs(h) + 0.1
-        elif signs == 3 and m > 1:  # a duplicate row leaves a redundant one
+        elif signs == 3 and m > 1:  # a duplicate row makes a degenerate vertex
             G[1] = G[0]
             h[1] = h[0]
         nonneg = rng.random(n) < 0.5
@@ -282,7 +446,7 @@ def test_slack_start_matches_all_artificial_phase_one():
         if start is None:
             assert mine.status == "infeasible"
             continue
-        ref = phase_two(start, c)
+        ref = reference_phase_two(start, c)
         assert mine.status == ref.status
         if ref.status == "optimal":
             tol = 1e-9 * (1 + abs(ref.objective))
@@ -338,3 +502,143 @@ def test_solution_structure():
     assert isinstance(solution, LpSolution)
     assert solution.x.shape == (1,)
     assert solution.objective == pytest.approx(2.0, abs=1e-9)
+
+
+def random_region(rng, trial):
+    """(G, h, nonneg) of one of the families the kernel comparison covers."""
+    m = int(rng.integers(1, 12))
+    n = int(rng.integers(1, 8))
+    G = rng.normal(size=(m, n))
+    h = rng.normal(size=m)
+    nonneg = rng.random(n) < 0.5
+    family = trial % 6
+    if family == 1:  # the origin satisfies every row
+        h = -np.abs(h)
+        h[rng.random(m) < 0.3] = 0.0
+    elif family == 2:  # the origin violates every row
+        h = np.abs(h) + 0.1
+    elif family == 3 and m > 1:  # duplicate violated rows
+        h[0] = abs(h[0]) + 0.1
+        G[1:3] = G[0]
+        h[1:3] = h[0]
+    elif family == 4:  # signed zeros
+        G[rng.random((m, n)) < 0.3] = -0.0
+        h[rng.random(m) < 0.4] = -0.0
+    elif family == 5:  # pinned coordinates: x_j >= a_j and -x_j >= -a_j, a_j > 0
+        a = rng.uniform(0.5, 2.0, n)
+        G = np.vstack([np.eye(n), -np.eye(n), G])
+        h = np.concatenate([a, -a, G[2 * n :] @ a - np.abs(h)])
+    if trial % 2:  # coarse entries make exact ties in reduced costs and ratios
+        G = np.round(G, (trial // 2) % 2)
+    return G, h, nonneg
+
+
+def assert_same_solution(mine, ref):
+    assert mine.status == ref.status
+    assert mine.objective == ref.objective
+    assert mine.pivots == ref.pivots
+    assert (mine.x is None) == (ref.x is None)
+    if ref.x is not None:
+        assert np.array_equal(mine.x, ref.x)
+
+
+def test_kernel_matches_the_full_tableau_reference(monkeypatch):
+    # Each region is solved with the default stall limit and again with a
+    # limit of 1, so that Bland's rule takes over after the first pivot that
+    # does not improve the objective; both kernels read their own limit.
+    # Each kernel's tableau is recorded before and after every _iterate
+    # call: the stored entries must equal the reference's of the same labels.
+    module = sys.modules[__name__]
+    full, condensed = [], []
+
+    def full_iterate(tableau, basis, ncols, tol, cap, unspied=reference_iterate):
+        before = tableau.copy()
+        status, pivots = unspied(tableau, basis, ncols, tol, cap)
+        full.append((before, tableau.copy(), pivots))
+        return status, pivots
+
+    def condensed_iterate(tableau, columns, basis, tol, cap, unspied=lingauss.simplex._iterate):
+        before = (tableau.copy(), columns.copy())
+        status, pivots = unspied(tableau, columns, basis, tol, cap)
+        condensed.append((before, (tableau.copy(), columns.copy())))
+        return status, pivots
+
+    def assert_same_tableaus():
+        assert len(full) == len(condensed) == 1
+        for reference, (tableau, columns) in zip(full[0][:2], condensed[0]):
+            assert np.array_equal(reference[:, columns], tableau[:, :-1])
+            assert np.array_equal(reference[:, -1], tableau[:, -1])
+        full.clear()
+        condensed.clear()
+
+    monkeypatch.setattr(module, "reference_iterate", full_iterate)
+    monkeypatch.setattr(lingauss.simplex, "_iterate", condensed_iterate)
+    rng = np.random.default_rng(107)
+    seen = {"optimal": 0, "unbounded": 0, "infeasible": 0, "driven out": 0, "bland differs": 0}
+    for trial in range(320):
+        G, h, nonneg = random_region(rng, trial)
+        n = G.shape[1]
+        costs = [rng.normal(size=n), np.round(rng.normal(size=n))]
+        costs += [sign * np.eye(n)[i] for i in range(n) for sign in (1.0, -1.0)]
+        pivots_by_limit = []
+        for limit in (100, 1):
+            monkeypatch.setattr(lingauss.simplex, "STALL_LIMIT", limit)
+            monkeypatch.setattr(module, "STALL_LIMIT", limit)
+            ref_start, ref_pivots = reference_phase_one(G, h, nonneg)
+            seen["driven out"] += ref_pivots > full[0][2]
+            start, pivots = phase_one(G, h, nonneg)
+            assert_same_tableaus()
+            assert pivots == ref_pivots
+            assert (start is None) == (ref_start is None)
+            made = [pivots]
+            if start is None:
+                seen["infeasible"] += 1
+            else:
+                assert tuple(start.basis) == ref_start.basis
+                for c in costs:
+                    mine = phase_two(start, c)
+                    assert_same_solution(mine, reference_phase_two(ref_start, c))
+                    assert_same_tableaus()
+                    seen[mine.status] += 1
+                    made.append(mine.pivots)
+                    whole = solve_lp(LinearProgram(c=c, G=G, h=h, nonneg=nonneg))
+                    assert_same_solution(whole, replace(mine, pivots=pivots + mine.pivots))
+                    condensed.clear()
+            pivots_by_limit.append(made)
+        seen["bland differs"] += pivots_by_limit[0] != pivots_by_limit[1]
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_phase_one_stores_only_nonbasic_columns(monkeypatch):
+    widths = []
+    iterate = lingauss.simplex._iterate
+
+    def spied(tableau, *args):
+        widths.append(tableau.shape[1])
+        return iterate(tableau, *args)
+
+    monkeypatch.setattr(lingauss.simplex, "_iterate", spied)
+    rng = np.random.default_rng(109)
+    for trial in range(60):
+        m = int(rng.integers(1, 12))
+        n = int(rng.integers(1, 8))
+        G = rng.normal(size=(m, n))
+        h = rng.normal(size=m)
+        if trial % 3 == 0:  # the origin satisfies every row
+            h = -np.abs(h)
+        elif trial % 3 == 1 and m > 1:  # a duplicate violated row
+            h[0] = abs(h[0]) + 0.1
+            G[1], h[1] = G[0], h[0]
+        nonneg = rng.random(n) < 0.5
+        n_struct = n + int(np.count_nonzero(~nonneg))
+        violated = int(np.count_nonzero(h > 0.0))
+        widths.clear()
+        start, _ = phase_one(G, h, nonneg)
+        assert widths == [n_struct + violated + 1]  # before the artificials are dropped
+        if start is None:
+            continue
+        nonbasic, basic = set(start.columns.tolist()), set(start.basis.tolist())
+        assert len(basic) == m  # a surplus column keeps every row independent
+        assert not nonbasic & basic
+        assert nonbasic | basic == set(range(n_struct + m))  # every label once, no artificial
+        assert start.tableau.shape == (m + 1, n_struct + 1)

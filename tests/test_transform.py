@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lingauss.errors import SingularEqualityGram
+from lingauss.errors import NotPSD, SingularEqualityGram
 from lingauss.problem import ProblemSpec
 from lingauss.transform import (
     EQUALITY_TOL,
@@ -316,13 +316,17 @@ def test_gram_is_tested_on_the_directions_the_rank_of_sigma_counts():
 
 
 def test_gram_made_indefinite_by_a_tolerated_negative_eigenvalue_raises():
-    # the counted directions give the Gram 1e-11; sigma's -5e-11, which the
-    # PSD tolerance lets through, makes V sigma V.T negative
+    # the counted directions give the Gram 2.5e-11; sigma's -9e-11, which the
+    # PSD tolerance of 1e-10 max|sigma| lets through, makes V sigma V.T
+    # negative. The floor refuses the Gram first: a tolerated eigenvalue is
+    # never below -1e-10 max|sigma|, so it cannot outweigh a Gram above it.
     spec = ProblemSpec(
-        mu=np.zeros(3), sigma=np.diag([1e-3, -5e-11, 1e-3]), C=[[0.0, 1.0, 1e-4]], d=[0.0]
+        mu=np.zeros(3), sigma=np.diag([1.0, -9e-11, 1.0]), C=[[0.0, 1.0, 5e-6]], d=[0.0]
     )
     with pytest.raises(SingularEqualityGram):
         build_transform(spec)
+    with pytest.raises(NotPSD):  # -5e-11 is 5e-8 times max|sigma| here
+        ProblemSpec(mu=np.zeros(3), sigma=np.diag([1e-3, -5e-11, 1e-3]))
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e12])
