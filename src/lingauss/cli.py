@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -47,12 +48,14 @@ EXIT_DISAGREE = 4
 _ORACLE_SEED_OFFSET = 1_000_003
 
 
-def _write_csv(path, samples):
-    dim = samples.shape[1]
+def _csv_line(row):
+    return ",".join(f"{value:.17g}" for value in row) + "\n"
+
+
+def _write_csv(path, dim, lines):
     with open(path, "w", newline="\n") as handle:
         handle.write(",".join(f"x{i + 1}" for i in range(dim)) + "\n")
-        for row in samples:
-            handle.write(",".join(f"{value:.17g}" for value in row) + "\n")
+        handle.writelines(lines)
 
 
 def _print_stats(stats):
@@ -95,8 +98,7 @@ def _cmd_sample(args):
         print(f"interior slack radius: {report.chebyshev_radius:.6g}")
     if outcome.status == "point_mass":
         print(f"point mass at {_format_point(outcome.point)}")
-        rows = np.tile(outcome.point, (args.n, 1))
-        _write_csv(args.out, rows)
+        _write_csv(args.out, outcome.point.size, repeat(_csv_line(outcome.point), args.n))
         print(f"wrote {args.n} identical rows to {args.out}")
         return EXIT_OK
     if report.chain_steps:
@@ -109,7 +111,7 @@ def _cmd_sample(args):
             f"chain steps: {report.chain_steps} across {report.chains} chain(s) "
             f"(burn-in {args.burn_in}, thin {args.thin}), {kernel}"
         )
-    _write_csv(args.out, outcome.samples)
+    _write_csv(args.out, outcome.samples.shape[1], map(_csv_line, outcome.samples))
     _print_stats(sample_stats(outcome.samples, independent=report.chain_steps == 0))
     print(f"wrote {outcome.samples.shape[0]} rows to {args.out} in {report.seconds:.2f}s")
     return EXIT_OK

@@ -226,11 +226,35 @@ def run_chain(
     Each full step draws nu = L w with w ~ N(0, I) and then one theta
     uniform on the feasible arcs, in that order, so a seed fixes the whole
     chain. Given long = (P, M) from long_directions, the odd steps are long
-    steps instead; long=None runs full steps only.
+    steps instead; long=None runs full steps only. This is fill_chain with
+    no burn-in and thin 1 over a new (n_steps, n) array; `sample_constrained`
+    calls fill_chain on the rows of its output instead.
     """
-    y = np.asarray(y0, dtype=float)
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
+    out = np.empty((n_steps, np.size(y0)))
+    fill_chain(transformed, factor, y0, out, rng, long)
+    return out
+
+
+def fill_chain(
+    transformed: TransformedProblem,
+    factor: CovarianceFactor,
+    y0,
+    rows: np.ndarray,
+    rng: np.random.Generator,
+    long=None,
+    burn_in: int = 0,
+    thin: int = 1,
+) -> None:
+    """Run burn_in + len(rows) * thin steps from y0 (see run_chain) and write
+    the states after steps burn_in, burn_in + thin, ... into rows, in order.
+
+    These are the states run_chain(..., burn_in + len(rows) * thin, ...)
+    returns at rows burn_in::thin, bit for bit, and the generator is left in
+    the same state; no other state is stored.
+    """
+    y = np.asarray(y0, dtype=float)
     H, k = transformed.H, transformed.k
     has_rows = H.shape[0] > 0
     root, dimension = factor.factor, factor.dimension
@@ -238,8 +262,9 @@ def run_chain(
     if long is not None:
         P, M = long
         HP, width = H @ P, P.shape[1]
-    out = np.empty((n_steps, y.size))
-    for i in range(n_steps):
+    kept = 0
+    keep = burn_in  # the step whose state goes into rows[kept]
+    for i in range(burn_in + len(rows) * thin):
         if long is not None and i % 2:
             z = standard_normal(width)
             slack = H @ y + k
@@ -258,5 +283,7 @@ def run_chain(
                 segments = _FULL_CIRCLE
             theta = _draw_angle(segments, uniform)
             y = y * np.cos(theta) + nu * np.sin(theta)
-        out[i] = y
-    return out
+        if i == keep:
+            rows[kept] = y
+            kept += 1
+            keep += thin

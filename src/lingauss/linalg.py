@@ -1,4 +1,5 @@
-"""Dense linear-algebra primitives: the covariance factor and unit rows.
+"""Dense linear-algebra primitives: the covariance factor, unit rows and
+the row blocks that bound the temporaries of a pass over many samples.
 
 Everything downstream funnels its covariance handling through
 :func:`factor_covariance`, so symmetry/positive-semidefiniteness policy
@@ -15,6 +16,10 @@ import numpy as np
 from .errors import NotPSD, NotSymmetric
 
 DEFAULT_TOL = 1e-10
+# Elements per row block (256 KB of doubles). Sized in elements, not rows, so
+# that a narrow input, such as 200k samples of 4 coordinates, takes a few
+# dozen blocks rather than thousands.
+BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -74,3 +79,16 @@ def unit_rows(rows, rhs):
     norms = np.linalg.norm(rows, axis=1)
     norms[norms == 0.0] = 1.0
     return rows / norms[:, None], rhs / norms
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices over `rows` rows of `width` elements each, of at
+    most about BLOCK_ELEMENTS elements a block.
+
+    The blocks are as equal as the row count allows, the first the longest,
+    so none is a short remainder: a BLAS product of one or a few rows can
+    round differently from the product over many rows that it replaces.
+    """
+    count = min(max(1, -(-rows * width // BLOCK_ELEMENTS)), max(rows, 1))
+    edges = [-(-rows * i // count) for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]

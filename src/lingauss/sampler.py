@@ -30,10 +30,17 @@ from typing import Literal
 
 import numpy as np
 
-from .elliptical_slice import long_directions, run_chain
+from .elliptical_slice import fill_chain, long_directions
 from .feasibility import find_feasible_point
+from .linalg import row_blocks
 from .problem import ProblemSpec
-from .transform import TransformedProblem, build_transform, classify_equality_system, map_latent
+from .transform import (
+    TransformedProblem,
+    build_transform,
+    classify_equality_system,
+    map_latent,
+    map_latent_rows,
+)
 
 POINT_TOL = 1e-8
 
@@ -43,9 +50,11 @@ class RunReport:
     """What actually ran: recipe, classifications, and chain bookkeeping.
 
     chain_steps == 0 marks a direct (iid) recipe; stats consumers use that to
-    skip the autocorrelation correction. lp_pivots sums the simplex pivots
-    of the call's feasibility programs. long_directions is the number of
-    long directions the chain's odd steps move along (0: full steps only).
+    skip the autocorrelation correction. chains counts the chains that ran:
+    with fewer samples than chains asked for, one per sample. lp_pivots
+    sums the simplex pivots of the call's feasibility programs.
+    long_directions is the number of long directions the chain's odd steps
+    move along (0: full steps only).
     """
 
     recipe: str
@@ -184,6 +193,11 @@ def sample_constrained(
     back, all started from the same LP interior point). burn_in and thin
     apply per chain and only to chain recipes -- direct recipes produce
     independent draws, so there is nothing to warm up or decorrelate.
+
+    The samples are written once, into the (n_samples, n) array returned:
+    the chains fill consecutive row blocks with their kept states, the
+    direct draws are mapped block by block, and the latent map runs in
+    place, so a call holds no other array that grows with n_samples.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
@@ -202,26 +216,35 @@ def sample_constrained(
         return done(planned.status, reason=planned.reason, point=planned.point)
     transformed = planned.transformed
     factor = spec.factor
+    samples = np.empty((n_samples, spec.n))
     if spec.m == 0:
-        # independent draws x = g + B u, u ~ N(0, I_k), with B B' = F sigma F'
+        # independent draws x = g + B u, u ~ N(0, I_k), with B B' = F sigma F',
+        # u drawn block by block into one buffer: the same draws in the same
+        # order as one (n_samples, k) array
         k = planned.dimension
         left, singular, _ = np.linalg.svd(transformed.F @ factor.factor)
         B = left[:, :k] * singular[:k]
-        samples = generators[0].standard_normal((n_samples, k)) @ B.T
+        blocks = row_blocks(n_samples, spec.n)
+        draws = np.empty((blocks[0].stop, k))
+        for block in blocks:
+            u = draws[: block.stop - block.start]
+            generators[0].standard_normal(out=u)
+            np.matmul(u, B.T, out=samples[block])
         samples += transformed.g
         return done("samples", samples=samples)
 
-    report.chains = chains
     long = long_directions(transformed, factor, planned.start)
     if long is not None:
         report.long_directions = long[0].shape[1]
-    parts = []
-    for generator, count in zip(generators, _split_counts(n_samples, chains)):
-        if count == 0:
-            continue
-        steps = burn_in + count * thin
-        latent = run_chain(transformed, factor, planned.start, steps, generator, long)
-        parts.append(latent[burn_in::thin])
-        report.chain_steps += steps
-    samples = map_latent(transformed, np.vstack(parts))
+    # chain i fills the next count_i rows; only the chains with a row run
+    counts = _split_counts(n_samples, min(chains, n_samples))
+    report.chains = len(counts)
+    end = 0
+    for generator, count in zip(generators, counts):
+        start, end = end, end + count
+        fill_chain(
+            transformed, factor, planned.start, samples[start:end], generator, long, burn_in, thin
+        )
+        report.chain_steps += burn_in + count * thin
+    map_latent_rows(transformed, samples)
     return done("samples", samples=samples)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSamples
+from .linalg import row_blocks
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,12 @@ def _geyer_ess(centered: np.ndarray) -> float:
         return float(n)
     nfft = 1 << (2 * n - 1).bit_length()
     spectrum = np.fft.rfft(centered, nfft)
-    autocov = np.fft.irfft(spectrum * np.conj(spectrum), nfft)[:n] / n
+    # the power spectrum real**2 + imag**2, written over the spectrum itself
+    power = spectrum.real
+    power **= 2
+    power += spectrum.imag**2
+    spectrum.imag = 0.0
+    autocov = np.fft.irfft(spectrum, nfft)[:n] / n
     if autocov[0] <= 0.0:
         return float(n)
     rho = autocov / autocov[0]
@@ -69,7 +75,9 @@ def sample_stats(samples, independent: bool = False) -> SampleStats:
     sample count itself. The mean is row 0 plus the mean of the rows minus
     row 0, so its error is relative to the spread of the samples even far
     from the origin; the covariance takes a second pass over the centered
-    rows. All-identical rows raise DegenerateSamples.
+    rows. Both passes center one row block at a time in a reused buffer,
+    and each ESS series is built from its own column, so no temporary is
+    the size of the input. All-identical rows raise DegenerateSamples.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -79,17 +87,37 @@ def sample_stats(samples, independent: bool = False) -> SampleStats:
     n, dim = samples.shape
     if n < 2:
         raise ValueError("need at least two samples for moment estimates")
+    first = samples[0]
+    blocks = row_blocks(n, dim)
     # rows 0 and 1 differ on almost every input, so the full scan is rare
-    if np.array_equal(samples[1], samples[0]) and np.all(samples == samples[0]):
+    if np.array_equal(samples[1], first) and all(
+        (samples[block] == first).all() for block in blocks
+    ):
         raise DegenerateSamples("all samples are identical; report a point mass instead")
-    # Column sums as one BLAS product, taken after shifting by row 0 so that
+    # Column sums as BLAS products, taken after shifting by row 0 so that
     # their rounding error scales with the spread of the samples, not with
-    # their offset from the origin.
-    centered = samples - samples[0]
-    shift = np.ones(n) @ centered / n
-    mean = samples[0] + shift
-    centered -= shift
-    covariance = centered.T @ centered / (n - 1)
+    # their offset from the origin. Row 0 and the shift are repeated down a
+    # block, so each subtraction runs as one contiguous loop rather than
+    # dim elements at a time.
+    size = blocks[0].stop
+    buffer = np.empty((size, dim))
+    firsts = np.tile(first, (size, 1))
+    ones = np.ones(size)
+    total = np.zeros(dim)
+    for block in blocks:
+        count = block.stop - block.start
+        rows = np.subtract(samples[block], firsts[:count], out=buffer[:count])
+        total += ones[:count] @ rows
+    shift = total / n
+    mean = first + shift
+    shifts = np.tile(shift, (size, 1))
+    covariance = np.zeros((dim, dim))
+    for block in blocks:
+        count = block.stop - block.start
+        rows = np.subtract(samples[block], firsts[:count], out=buffer[:count])
+        rows -= shifts[:count]
+        covariance += rows.T @ rows
+    covariance /= n - 1
     covariance = 0.5 * (covariance + covariance.T)
     if independent:
         ess = np.full(dim, float(n))
@@ -99,9 +127,11 @@ def sample_stats(samples, independent: bool = False) -> SampleStats:
         # so take the more pessimistic of the two series per coordinate.
         ess = np.empty(dim)
         for j in range(dim):
-            series = np.ascontiguousarray(centered[:, j])
+            series = samples[:, j] - first[j]
+            series -= shift[j]
             squared = series**2
-            ess[j] = min(_geyer_ess(series), _geyer_ess(squared - squared.mean()))
+            squared -= squared.mean()
+            ess[j] = min(_geyer_ess(series), _geyer_ess(squared))
     mean_se = np.sqrt(np.diag(covariance) / ess)
     return SampleStats(n=n, mean=mean, covariance=covariance, mean_se=mean_se, ess=ess)
 

@@ -25,7 +25,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import SingularEqualityGram
-from .linalg import DEFAULT_TOL, unit_rows
+from .linalg import DEFAULT_TOL, row_blocks, unit_rows
 from .problem import ProblemSpec
 
 EQUALITY_TOL = 1e-8
@@ -150,8 +150,29 @@ def build_transform(
 
 
 def map_latent(transformed: TransformedProblem, y) -> np.ndarray:
-    """x = F y + g. A 2-D input is treated as one latent vector per row."""
+    """x = F y + g. A 2-D input is treated as one latent vector per row.
+
+    The result is a new array and y is left as it is; `sample_constrained`
+    maps its output in place with map_latent_rows instead, bit for bit the
+    same rows.
+    """
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         return transformed.F @ y + transformed.g
     return y @ transformed.F.T + transformed.g
+
+
+def map_latent_rows(transformed: TransformedProblem, rows: np.ndarray) -> None:
+    """Overwrite each row y of the 2-D float array rows with F y + g.
+
+    With equality rows the product runs over row blocks (linalg.row_blocks),
+    so no temporary grows with the row count. Without them F is the
+    identity, whose product returns each row as it is (signed zeros aside),
+    so the map is just the shift by g. F is a projector, so its trace is n
+    less the kept equality rows, and tells the two cases apart exactly.
+    """
+    F = transformed.F
+    if round(float(np.trace(F))) < F.shape[0]:
+        for block in row_blocks(*rows.shape):
+            rows[block] = rows[block] @ F.T
+    rows += transformed.g

@@ -6,7 +6,8 @@ import pytest
 from lingauss.cli import main
 from lingauss.errors import NumericalBreakdown
 from lingauss.fixtures import write_pentagon_files
-from lingauss.problem import ProblemSpec, save_problem
+from lingauss.problem import ProblemSpec, load_problem, save_problem
+from lingauss.sampler import plan
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +125,17 @@ def test_sample_point_mass_rows(tmp_path, capsys):
     assert len(lines) == 6
     assert lines[1] == lines[5]
     assert "point mass" in capsys.readouterr().out
+    # the same bytes as writing the rows of np.tile(point, (5, 1)) one by one
+    point = plan(load_problem(path)).point
+    rows = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in np.tile(point, (5, 1)))
+    assert out.read_bytes() == ("x1,x2\n" + rows).encode()
+
+
+def test_sample_reports_the_chains_that_ran(problem_dir, tmp_path, capsys):
+    args = ["sample", "--problem", str(problem_dir / "pentagon_inequality.json"), "--n", "3"]
+    code = main(args + ["--seed", "5", "--chains", "4", "--out", str(tmp_path / "three.csv")])
+    assert code == 0
+    assert "chain steps: 3 across 3 chain(s)" in capsys.readouterr().out
 
 
 def pinned(violation):
@@ -256,7 +268,7 @@ def test_numerical_breakdown_exits_3(problem_dir, tmp_path, monkeypatch, capsys)
     def broken_chain(*args, **kwargs):
         raise NumericalBreakdown("chain state violates a constraint; the state is corrupted")
 
-    monkeypatch.setattr("lingauss.sampler.run_chain", broken_chain)
+    monkeypatch.setattr("lingauss.sampler.fill_chain", broken_chain)
     code = main(
         [
             "sample",

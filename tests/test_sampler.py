@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lingauss.transform
-from lingauss.elliptical_slice import run_chain
+from lingauss.elliptical_slice import long_directions, run_chain
 from lingauss.errors import DegenerateRegion
 from lingauss.fixtures import pentagon_problem
 from lingauss.feasibility import find_feasible_point
@@ -152,6 +152,10 @@ def test_multiple_chains_split_counts_and_need_integer_seed(pentagon_both):
     outcome = sample_constrained(pentagon_both, 401, 123, chains=4)
     assert outcome.samples.shape == (401, 4)
     assert outcome.report.chains == 4
+    assert outcome.report.chain_steps == 401
+    # only the chains with a sample to draw run, and the report counts those
+    outcome = sample_constrained(pentagon_problem("inequality"), 2, 5, chains=4)
+    assert (outcome.report.chains, outcome.report.chain_steps) == (2, 2)
     with pytest.raises(ValueError):
         sample_constrained(pentagon_both, 100, np.random.default_rng(0), chains=2)
 
@@ -489,3 +493,66 @@ def test_sample_law_is_invariant_to_row_scaling_permutation_and_duplication(name
         stats = sample_stats(sample_constrained(changed, steps, seed).samples)
         report = compare_stats(reference, stats, sigma_level=4.0)
         assert report.all_passed, f"{label}\n{report.to_text()}"
+
+
+# A frozen reference for the outputs: whole chains stacked and mapped at
+# once, and direct draws as one (n_samples, k) product. sample_constrained
+# writes every sample into one array instead, and must return the same bits.
+
+
+def stacked_samples(spec, n_samples, seed, burn_in=0, thin=1, chains=1):
+    planned = plan(spec)
+    transformed = planned.transformed
+    if spec.m == 0:
+        k = planned.dimension
+        left, singular, _ = np.linalg.svd(transformed.F @ spec.factor.factor)
+        B = left[:, :k] * singular[:k]
+        return np.random.default_rng(seed).standard_normal((n_samples, k)) @ B.T + transformed.g
+    long = long_directions(transformed, spec.factor, planned.start)
+    base, extra = divmod(n_samples, chains)
+    parts = []
+    for i in range(chains):
+        count = base + (1 if i < extra else 0)
+        if count:
+            steps = burn_in + count * thin
+            generator = np.random.default_rng(seed + i)
+            latent = run_chain(transformed, spec.factor, planned.start, steps, generator, long)
+            parts.append(latent[burn_in::thin])
+    return map_latent(transformed, np.vstack(parts))
+
+
+def singular_sigma_region():
+    rng = np.random.default_rng(137)
+    rotation, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    sigma = rotation @ np.diag([2.0, 1.0, 0.5, 0.0]) @ rotation.T
+    box = np.vstack([np.eye(4), -np.eye(4)])
+    return ProblemSpec(mu=np.zeros(4), sigma=0.5 * (sigma + sigma.T), A=box, b=np.ones(8))
+
+
+STACKED_CASES = {
+    "pentagon_inequality": (lambda: pentagon_problem("inequality"), 3_000, {}),
+    "pentagon_both": (
+        lambda: pentagon_problem("both"),
+        100,
+        dict(chains=3, burn_in=7, thin=3),
+    ),
+    "pentagon_both_many_blocks": (lambda: pentagon_problem("both"), 10_001, {}),
+    "rotated_box": (rotated_box, 2_001, {}),
+    "equality_only": (lambda: pentagon_problem("equality"), 20_001, {}),
+    "one_draw": (lambda: pentagon_problem("equality"), 1, {}),
+    "unconstrained": (singular_unconstrained, 5_000, {}),
+    "singular_sigma": (singular_sigma_region, 1_000, {}),
+    "fewer_samples_than_chains": (
+        lambda: pentagon_problem("both"),
+        2,
+        dict(chains=4, burn_in=3, thin=2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(STACKED_CASES))
+def test_samples_equal_the_stacked_assembly(name):
+    make, n_samples, kwargs = STACKED_CASES[name]
+    spec = make()
+    outcome = sample_constrained(spec, n_samples, 31, **kwargs)
+    assert np.array_equal(outcome.samples, stacked_samples(spec, n_samples, 31, **kwargs))

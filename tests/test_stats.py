@@ -65,6 +65,21 @@ def test_constant_samples_raise():
         sample_stats(np.ones((100, 2)))
 
 
+def test_identical_rows_are_scanned_to_the_last():
+    # 30k rows of 3 coordinates span several row blocks
+    samples = np.ones((30_000, 3))
+    samples[-1, 2] = 1.5
+    stats = sample_stats(samples, independent=True)
+    assert stats.covariance[2, 2] > 0.0
+    series = np.full(70_000, 2.0)
+    series[-1] = 3.0
+    assert sample_stats(series).ess.shape == (1,)
+    with pytest.raises(DegenerateSamples):
+        sample_stats(np.full(70_000, 2.0))
+    with pytest.raises(DegenerateSamples):
+        sample_stats(np.full((30_000, 3), -4.0))
+
+
 def test_equal_first_rows_do_not_raise():
     samples = np.ones((100, 2))
     samples[57, 1] = 2.0
