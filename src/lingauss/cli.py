@@ -107,9 +107,10 @@ def _cmd_sample(args):
             if report.long_directions
             else "full steps only"
         )
+        step_us = 1e6 * report.chain_seconds / report.chain_steps
         print(
             f"chain steps: {report.chain_steps} across {report.chains} chain(s) "
-            f"(burn-in {args.burn_in}, thin {args.thin}), {kernel}"
+            f"at {step_us:.1f} us/step (burn-in {args.burn_in}, thin {args.thin}), {kernel}"
         )
     _write_csv(args.out, outcome.samples.shape[1], map(_csv_line, outcome.samples))
     _print_stats(sample_stats(outcome.samples, independent=report.chain_steps == 0))

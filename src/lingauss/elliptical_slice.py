@@ -13,13 +13,18 @@ rejected and theta = 0 (staying put) is always available as a member of the
 set. One nu and one theta draw per step, nothing else touches the generator
 (a long step, below, draws z in place of nu).
 
-Angles live in [-pi, pi). Per step, the radii, the active rows, the phases,
-the half-widths and the shift that moves each arc's start into [-pi, pi) are
-whole-array operations. The arcs that then end beyond pi cross the seam and
-are split in two, and a sweep over the sorted endpoints, held as plain
-floats, keeps the angles covered by every active arc. A chain's output is a
-deterministic function of its seed: the tests compare it bit for bit with a
-per-arc reference implementation.
+Angles live in [-pi, pi). Per step, the radii, the phases and the
+half-widths are whole-array operations, on the active rows gathered once by
+index. One scalar loop over those rows then moves each arc into [-pi, pi),
+adding 2 pi to both ends exactly when its start lies below -pi, and splits
+the arcs that then end beyond pi at the seam. The starts and the ends, held
+as plain floats, are sorted as two lists and merged in one sweep, opens
+before closes at ties, which keeps the angles covered by every active arc;
+the seam pieces enter as one start at -pi and one end at pi, each weighted
+by the number of split arcs. theta is then total measure times one random()
+draw, walked across the pieces. A chain's output is a deterministic function
+of its seed: the tests compare it bit for bit with a per-arc reference
+implementation.
 
 Thin regions. In whitened coordinates u = L^-1 y the prior is N(0, I), and
 a region that is thin in a few directions and long in the others leaves
@@ -46,13 +51,14 @@ some but not all directions are thin, run_chain alternates:
 
 The full step is what mixes the thin directions; the long step moves the
 long ones at the scale of the prior instead of the region's thickness. Draw
-order on a long step: one standard_normal(b), then one uniform. A singular
+order on a long step: one standard_normal(b), then one random. A singular
 sigma (rank below its dimension) has no whitening, so it keeps the plain
 chain, as do regions with no thin or no long direction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +72,7 @@ THIN = 0.05  # semi-axis, in prior standard deviations, below which a direction 
 _PI = np.pi
 _TWO_PI = 2.0 * np.pi
 _FULL_CIRCLE = [[-_PI, _PI]]
+_MEASURE_ZERO = "constraint arcs intersect in a set of measure zero"
 
 
 @dataclass(frozen=True)
@@ -79,62 +86,90 @@ class ArcSet:
         return float(np.sum(self.intervals[:, 1] - self.intervals[:, 0]))
 
 
-def _intersect(events, needed):
-    """Sweep-line intersection of `needed` arc families given as endpoint events.
+def _append(segments, start, end):
+    """Add [start, end] to the segments, merged into the last one if it ends at start."""
+    if segments and segments[-1][1] == start:
+        segments[-1][1] = end
+    else:
+        segments.append([start, end])
 
-    An event is (angle, -w) where w pieces open and (angle, +w) where w
-    close, so sorting the tuples puts opens before closes at ties. Returns
-    the angles covered by `needed` pieces at once as [start, end] pairs.
+
+def _intersect(starts, ends, crossing, needed):
+    """Sweep-line intersection of `needed` arc families given as endpoints.
+
+    Single pieces open at `starts` and close at `ends`; `crossing` pieces
+    more open at -pi and close at pi, one for each arc split at the seam.
+    The two lists are sorted in place and merged in one walk that takes
+    opens before closes at ties. Returns the angles covered by `needed` pieces at once as
+    [start, end] pairs; pieces that touch are merged.
     """
-    events.sort()
+    starts.sort()
+    ends.sort()
+    starts.append(math.inf)  # opens after every close: the walk needs no bound
+    if crossing:
+        ends.append(_PI)  # the seam pieces close last
     segments = []
-    cover = 0
+    cover = crossing  # the seam pieces open first
     previous = -_PI
-    for angle, step in events:
+    i = 0
+    for angle in ends:
+        opening = starts[i]
+        while opening <= angle:
+            if cover == needed and opening > previous:
+                _append(segments, previous, opening)
+            cover += 1
+            previous = opening
+            i += 1
+            opening = starts[i]
         if cover == needed and angle > previous:
-            if segments and segments[-1][1] == previous:
-                segments[-1][1] = angle  # merge abutting pieces
-            else:
-                segments.append([previous, angle])
-        cover -= step
+            _append(segments, previous, angle)
+        cover -= 1
         previous = angle
     return segments
 
 
-def _feasible_segments(along_y, along_nu, k):
-    """Sorted, disjoint [start, end] pairs of the angles every constraint allows."""
+def _feasible_segments(along_y, along_nu, k, neg_k):
+    """Sorted, disjoint [start, end] pairs of the angles every constraint allows.
+
+    neg_k is -k, which a chain negates once per call, not once per step. A
+    row whose arc is NaN allows no angle: EmptyArcSet, as for an empty set.
+    """
     radius = np.hypot(along_y, along_nu)
-    active = ~(k >= radius)  # k >= radius: the whole circle satisfies row i
-    needed = np.count_nonzero(active)
+    active = (~(k >= radius)).nonzero()[0]  # k >= radius: the whole circle satisfies row i
+    needed = active.size
     if not needed:
         return _FULL_CIRCLE
-    neg_k, radius = -k[active], radius[active]
+    neg_k, radius = neg_k[active], radius[active]
     if np.count_nonzero(neg_k >= radius):  # k <= -radius
         raise EmptyArcSet("a constraint excludes the entire ellipse")
     phase = np.arctan2(along_nu[active], along_y[active])
     # -radius < k < radius on active rows, so the ratio lies in [-1, 1]
     half_width = np.arccos(neg_k / radius)
-    start = phase - half_width
-    end = phase + half_width
-    shift = np.floor((start + _PI) / _TWO_PI) * _TWO_PI
-    start = start - shift
-    end = end - shift
-    # [s, e] is one piece unless e > pi. Then it crosses the seam and becomes
-    # [s, pi] and [-pi, e - 2 pi]; the seam endpoints of all crossing arcs
-    # coincide, so each side is one event weighted by their count
-    events = []
+    # s = phase - half_width lies in [-2 pi, pi), so moving [s, e] into
+    # [-pi, pi) adds 2 pi to both ends exactly when s < -pi. Then [s, e] is
+    # one piece unless e > pi: it crosses the seam and becomes [s, pi] and
+    # [-pi, e - 2 pi]. The seam endpoints of all crossing arcs coincide, so
+    # _intersect takes them as one start and one end weighted by their count
+    starts, ends = [], []
     crossing = 0
-    for s, e in zip(start.tolist(), end.tolist()):
-        if e > _PI:
-            e -= _TWO_PI
+    low, high, turn = -_PI, _PI, _TWO_PI
+    for s, e in zip((phase - half_width).tolist(), (phase + half_width).tolist()):
+        if s >= low:
+            pass
+        elif s < low:
+            s += turn
+            e += turn
+        else:  # NaN: a row with no arc leaves no angle to draw
+            raise EmptyArcSet(_MEASURE_ZERO)
+        if e > high:
+            e -= turn
             crossing += 1
-        events += ((s, -1), (e, 1))
-    if crossing:
-        events += ((-_PI, -crossing), (_PI, crossing))
-    segments = _intersect(events, needed)
+        starts.append(s)
+        ends.append(e)
+    segments = _intersect(starts, ends, crossing, needed)
     # every kept piece has end > start, so a nonempty list has positive measure
     if not segments:
-        raise EmptyArcSet("constraint arcs intersect in a set of measure zero")
+        raise EmptyArcSet(_MEASURE_ZERO)
     return segments
 
 
@@ -156,7 +191,7 @@ def active_arcs(y, nu, H, k) -> ArcSet:
     k = np.asarray(k, dtype=float).reshape(-1)
     along_y = H @ np.asarray(y, float)
     along_nu = H @ np.asarray(nu, float)
-    return ArcSet(np.asarray(_feasible_segments(along_y, along_nu, k)))
+    return ArcSet(np.asarray(_feasible_segments(along_y, along_nu, k, -k)))
 
 
 def long_directions(transformed: TransformedProblem, factor: CovarianceFactor, y0):
@@ -198,11 +233,16 @@ def long_directions(transformed: TransformedProblem, factor: CovarianceFactor, y
     return root @ Q, np.linalg.solve(root.T, Q).T
 
 
-def _draw_angle(segments, uniform):
-    """Theta uniform on the union of the segments."""
-    # np.add.reduce sums in numpy's pairwise order, as ArcSet.total_measure does
-    total = float(np.add.reduce([end - start for start, end in segments]))
-    return _angle_at(segments, uniform(0.0, total))
+def _draw_angle(segments, random):
+    """Theta uniform on the union of the segments, from one random() in [0, 1)."""
+    if len(segments) == 1:
+        start, end = segments[0]
+        total = end - start
+    else:
+        # np.add.reduce sums in numpy's pairwise order, as ArcSet.total_measure does
+        total = float(np.add.reduce([end - start for start, end in segments]))
+    # Generator.uniform(0.0, total) is 0.0 + total * random(), the same bits
+    return _angle_at(segments, total * random())
 
 
 def _check_state(slack):
@@ -223,12 +263,13 @@ def run_chain(
 ) -> np.ndarray:
     """The n_steps states after y0 (y0 itself excluded), one per row.
 
-    Each full step draws nu = L w with w ~ N(0, I) and then one theta
-    uniform on the feasible arcs, in that order, so a seed fixes the whole
-    chain. Given long = (P, M) from long_directions, the odd steps are long
-    steps instead; long=None runs full steps only. This is fill_chain with
-    no burn-in and thin 1 over a new (n_steps, n) array; `sample_constrained`
-    calls fill_chain on the rows of its output instead.
+    Each full step draws nu = L w with w ~ N(0, I) and then one random()
+    that places theta uniformly on the feasible arcs, in that order, so a
+    seed fixes the whole chain. Given long = (P, M) from long_directions,
+    the odd steps are long steps instead; long=None runs full steps only.
+    This is fill_chain with no burn-in and thin 1 over a new (n_steps, n)
+    array; `sample_constrained` calls fill_chain on the rows of its output
+    instead.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
@@ -256,9 +297,10 @@ def fill_chain(
     """
     y = np.asarray(y0, dtype=float)
     H, k = transformed.H, transformed.k
+    neg_k = -k
     has_rows = H.shape[0] > 0
     root, dimension = factor.factor, factor.dimension
-    standard_normal, uniform = rng.standard_normal, rng.uniform
+    standard_normal, random = rng.standard_normal, rng.random
     if long is not None:
         P, M = long
         HP, width = H @ P, P.shape[1]
@@ -271,17 +313,18 @@ def fill_chain(
             _check_state(slack)
             a = M @ y
             along_a = HP @ a
-            theta = _draw_angle(_feasible_segments(along_a, HP @ z, slack - along_a), uniform)
+            offset = slack - along_a
+            theta = _draw_angle(_feasible_segments(along_a, HP @ z, offset, -offset), random)
             y = y + P @ (a * (np.cos(theta) - 1.0) + z * np.sin(theta))
         else:
             nu = root @ standard_normal(dimension)
             if has_rows:
                 along_y = H @ y
                 _check_state(along_y + k)
-                segments = _feasible_segments(along_y, H @ nu, k)
+                segments = _feasible_segments(along_y, H @ nu, k, neg_k)
             else:
                 segments = _FULL_CIRCLE
-            theta = _draw_angle(segments, uniform)
+            theta = _draw_angle(segments, random)
             y = y * np.cos(theta) + nu * np.sin(theta)
         if i == keep:
             rows[kept] = y

@@ -54,7 +54,9 @@ class RunReport:
     with fewer samples than chains asked for, one per sample. lp_pivots
     sums the simplex pivots of the call's feasibility programs.
     long_directions is the number of long directions the chain's odd steps
-    move along (0: full steps only).
+    move along (0: full steps only). chain_seconds is the time spent in
+    fill_chain, summed over the chains, so chain_seconds / chain_steps is
+    the cost of one chain step.
     """
 
     recipe: str
@@ -63,6 +65,7 @@ class RunReport:
     chebyshev_radius: float | None = None
     chains: int = 1
     chain_steps: int = 0
+    chain_seconds: float = 0.0
     seconds: float = 0.0
     lp_pivots: int = 0
     long_directions: int = 0
@@ -242,9 +245,11 @@ def sample_constrained(
     end = 0
     for generator, count in zip(generators, counts):
         start, end = end, end + count
+        began = time.perf_counter()
         fill_chain(
             transformed, factor, planned.start, samples[start:end], generator, long, burn_in, thin
         )
+        report.chain_seconds += time.perf_counter() - began
         report.chain_steps += burn_in + count * thin
     map_latent_rows(transformed, samples)
     return done("samples", samples=samples)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,16 @@ def test_sample_reports_the_chains_that_ran(problem_dir, tmp_path, capsys):
     code = main(args + ["--seed", "5", "--chains", "4", "--out", str(tmp_path / "three.csv")])
     assert code == 0
     assert "chain steps: 3 across 3 chain(s)" in capsys.readouterr().out
+
+
+def test_sample_prints_the_cost_of_a_chain_step(problem_dir, tmp_path, capsys):
+    problem = str(problem_dir / "pentagon_inequality.json")
+    args = ["sample", "--problem", problem, "--n", "200", "--seed", "5"]
+    assert main(args + ["--out", str(tmp_path / "draws.csv")]) == 0
+    out = capsys.readouterr().out
+    match = re.search(r"chain steps: 200 across 1 chain\(s\) at ([0-9.]+) us/step", out)
+    assert match is not None, out
+    assert float(match.group(1)) > 0.0
 
 
 def pinned(violation):

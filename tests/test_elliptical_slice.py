@@ -8,8 +8,11 @@ from lingauss.elliptical_slice import (
     THIN,
     ArcSet,
     _angle_at,
+    _check_state,
+    _feasible_segments,
     _intersect,
     active_arcs,
+    fill_chain,
     long_directions,
     run_chain,
 )
@@ -107,6 +110,107 @@ def _reference_chain(transformed, factor, y0, n_steps, rng, stats=None):
         y = y * np.cos(theta) + nu * np.sin(theta)
         out[i] = y
     return out
+
+
+# Frozen: the sweep, the draw and the chain loop as they stood before the
+# sweep merged sorted start and end lists, verbatim in arithmetic and draw
+# order apart from the names and the `stats` counters (_angle_at and
+# _check_state did not change). The arc code and the chains must reproduce
+# them bit for bit.
+
+
+def _frozen_intersect(events, needed, stats=None):
+    events.sort()
+    segments = []
+    cover = 0
+    previous = -np.pi
+    for angle, step in events:
+        if cover == needed and angle > previous:
+            if segments and segments[-1][1] == previous:
+                segments[-1][1] = angle  # merge abutting pieces
+                if stats is not None:
+                    stats["merges"] += 1
+            else:
+                segments.append([previous, angle])
+        cover -= step
+        previous = angle
+    return segments
+
+
+def _frozen_feasible_segments(along_y, along_nu, k, stats=None):
+    radius = np.hypot(along_y, along_nu)
+    active = ~(k >= radius)  # k >= radius: the whole circle satisfies row i
+    needed = np.count_nonzero(active)
+    if not needed:
+        return [[-np.pi, np.pi]]
+    neg_k, radius = -k[active], radius[active]
+    if np.count_nonzero(neg_k >= radius):  # k <= -radius
+        raise EmptyArcSet("a constraint excludes the entire ellipse")
+    phase = np.arctan2(along_nu[active], along_y[active])
+    half_width = np.arccos(neg_k / radius)
+    start = phase - half_width
+    end = phase + half_width
+    shift = np.floor((start + np.pi) / (2.0 * np.pi)) * (2.0 * np.pi)
+    start = start - shift
+    end = end - shift
+    events = []
+    crossing = 0
+    for s, e in zip(start.tolist(), end.tolist()):
+        if e > np.pi:
+            e -= 2.0 * np.pi
+            crossing += 1
+        events += ((s, -1), (e, 1))
+    if crossing:
+        events += ((-np.pi, -crossing), (np.pi, crossing))
+        if stats is not None:
+            stats["crossing"] += 1
+    segments = _frozen_intersect(events, needed, stats)
+    if not segments:
+        raise EmptyArcSet("constraint arcs intersect in a set of measure zero")
+    return segments
+
+
+def _frozen_draw_angle(segments, uniform):
+    total = float(np.add.reduce([end - start for start, end in segments]))
+    return _angle_at(segments, uniform(0.0, total))
+
+
+def _frozen_fill_chain(transformed, factor, y0, rows, rng, long=None, burn_in=0, thin=1):
+    y = np.asarray(y0, dtype=float)
+    H, k = transformed.H, transformed.k
+    has_rows = H.shape[0] > 0
+    root, dimension = factor.factor, factor.dimension
+    standard_normal, uniform = rng.standard_normal, rng.uniform
+    if long is not None:
+        P, M = long
+        HP, width = H @ P, P.shape[1]
+    kept = 0
+    keep = burn_in
+    for i in range(burn_in + len(rows) * thin):
+        if long is not None and i % 2:
+            z = standard_normal(width)
+            slack = H @ y + k
+            _check_state(slack)
+            a = M @ y
+            along_a = HP @ a
+            theta = _frozen_draw_angle(
+                _frozen_feasible_segments(along_a, HP @ z, slack - along_a), uniform
+            )
+            y = y + P @ (a * (np.cos(theta) - 1.0) + z * np.sin(theta))
+        else:
+            nu = root @ standard_normal(dimension)
+            if has_rows:
+                along_y = H @ y
+                _check_state(along_y + k)
+                segments = _frozen_feasible_segments(along_y, H @ nu, k)
+            else:
+                segments = [[-np.pi, np.pi]]
+            theta = _frozen_draw_angle(segments, uniform)
+            y = y * np.cos(theta) + nu * np.sin(theta)
+        if i == keep:
+            rows[kept] = y
+            kept += 1
+            keep += thin
 
 
 def member(intervals, theta):
@@ -384,28 +488,132 @@ def test_active_arcs_match_reference_on_criterion_8_instances():
 def test_sweep_matches_reference_on_abutting_pieces():
     # Arcs computed from finite projections never abut exactly, so the merge
     # is exercised here on endpoints drawn from a coarse grid, where shared
-    # endpoints are common; split rows are given as the weighted seam events
-    # that _feasible_segments produces.
+    # endpoints are common; split rows are given as _feasible_segments gives
+    # them to the sweep: a start, an end and one more seam crossing.
     grid = np.linspace(-np.pi, np.pi, 9)[1:-1]
     rng = np.random.default_rng(31)
     stats = {"merges": 0}
     for _ in range(2_000):
         needed = int(rng.integers(1, 5))
-        pieces, events, crossing = [], [], 0
+        pieces, starts, ends, crossing = [], [], [], 0
         for _ in range(needed):
             a, b = np.sort(rng.choice(grid, size=2))
             if rng.random() < 0.5:  # one piece [a, b], a point when a == b
                 pieces.append((a, b))
-                events += [(a, -1), (b, 1)]
+                starts.append(float(a))
+                ends.append(float(b))
             else:  # a seam-crossing arc [-pi, a] and [b, pi], abutting when a == b
                 pieces += [(-np.pi, a), (b, np.pi)]
-                events += [(b, -1), (a, 1)]
+                starts.append(float(b))
+                ends.append(float(a))
                 crossing += 1
-        if crossing:
-            events += [(-np.pi, -crossing), (np.pi, crossing)]
         expected = np.asarray(_reference_intersect(pieces, needed, stats)).reshape(-1, 2)
-        assert np.array_equal(np.asarray(_intersect(events, needed)).reshape(-1, 2), expected)
+        segments = _intersect(starts, ends, crossing, needed)
+        assert np.array_equal(np.asarray(segments).reshape(-1, 2), expected)
     assert stats["merges"] > 0
+
+
+# Exact directions: arctan2 of these is 0, +-pi/4, +-pi/2, +-3pi/4 or +-pi,
+# signed zeros included, and k = c * radius with c a power of two makes the
+# ratio -k / radius exactly -c, so endpoints coincide and meet the seam
+_GRID_DIRECTIONS = [
+    (y, nu) for y in (1.0, 0.0, -0.0, -1.0) for nu in (1.0, 0.0, -0.0, -1.0) if y or nu
+]
+_GRID_RATIOS = (0.0, -0.0, 0.5, -0.5, 0.25, -0.25, 2.0, -2.0)
+# Endpoints of the sweep family: multiples of pi / 4, with both zeros
+_GRID_ANGLES = [np.pi * i / 4 for i in range(-4, 5)] + [-0.0]
+
+
+def _arc_instance(family, rng):
+    """(along_y, along_nu, k) for one instance of the family."""
+    m = int(rng.integers(1, 121)) if rng.random() < 0.03 else int(rng.integers(1, 9))
+    if family == "grid":
+        rows = rng.integers(len(_GRID_DIRECTIONS), size=m)
+        scale = rng.choice([0.5, 1.0, 2.0], size=m)
+        along_y, along_nu = (np.array(_GRID_DIRECTIONS)[rows] * scale[:, None]).T.copy()
+        return along_y, along_nu, rng.choice(_GRID_RATIOS, size=m) * np.hypot(along_y, along_nu)
+    along_y, along_nu = rng.normal(size=(2, m))
+    if family == "long_step":  # offsets slack - along_a, as a long step passes them
+        return along_y, along_nu, rng.uniform(0.0, 1.0, m) - along_y
+    if rng.random() < 0.5:  # theta = 0 feasible, as on every chain step
+        k = rng.uniform(0.01, 1.0, m) - along_y
+    else:
+        k = rng.normal(size=m)
+    if family == "signed_zero":
+        for values in (along_y, along_nu, k):
+            values[rng.random(m) < 0.3] = rng.choice([0.0, -0.0])
+    if family == "nan":
+        (along_y, along_nu, k)[rng.integers(3)][rng.integers(m, size=2)] = np.nan
+    return along_y, along_nu, k
+
+
+def _sweep_instance(rng):
+    """The frozen sweep's events and the new sweep's lists for grid endpoints.
+
+    Finite projections never give pieces that touch, so the sweep is fed
+    directly: a row is one piece [a, b], or an arc split at the seam, whose
+    pieces [-pi, a] and [b, pi] touch when a == b.
+    """
+    needed = int(rng.integers(1, 6))
+    events, starts, ends, crossing = [], [], [], 0
+    for _ in range(needed):
+        a, b = sorted(rng.choice(len(_GRID_ANGLES), size=2).tolist(), key=_GRID_ANGLES.__getitem__)
+        a, b = _GRID_ANGLES[a], _GRID_ANGLES[b]
+        if rng.random() < 0.5 and -np.pi < a and b < np.pi:
+            a, b = b, a  # start b, end a: the arc crosses the seam
+            crossing += 1
+        events += ((a, -1), (b, 1))
+        starts.append(a)
+        ends.append(b)
+    if crossing:
+        events += ((-np.pi, -crossing), (np.pi, crossing))
+    return events, (starts, ends, crossing, needed), needed
+
+
+def _outcome(find_segments, *args):
+    """Segments as int64 bits (so -0.0 counts), or the exception's type and text."""
+    try:
+        segments = find_segments(*args)
+    except EmptyArcSet as error:
+        return type(error), str(error)
+    return np.asarray(segments, dtype=float).reshape(-1, 2).view(np.int64)
+
+
+def test_feasible_segments_match_the_frozen_sweep():
+    rng = np.random.default_rng(211)
+    stats = {"merges": 0, "crossing": 0}
+    several, raised = 0, set()
+    families = ["random", "grid", "signed_zero", "nan", "long_step", "sweep"]
+    for index in range(21_000):
+        family = families[index % len(families)]
+        if family == "sweep":
+            events, args, needed = _sweep_instance(rng)
+            expected = _outcome(_frozen_intersect, events, needed, stats)
+            got = _outcome(_intersect, *args)
+        else:
+            along_y, along_nu, k = _arc_instance(family, rng)
+            with np.errstate(invalid="ignore"):
+                expected = _outcome(_frozen_feasible_segments, along_y, along_nu, k, stats)
+                got = _outcome(_feasible_segments, along_y, along_nu, k, -k)
+        if isinstance(expected, tuple):
+            raised.add(expected)
+        elif family == "nan":
+            # the frozen sweep sorts NaN endpoints among the others and can
+            # return pieces; a row with a NaN arc now leaves no angle to draw
+            assert got == (EmptyArcSet, "constraint arcs intersect in a set of measure zero")
+            continue
+        else:
+            several += expected.shape[0] > 1
+        assert isinstance(got, tuple) == isinstance(expected, tuple), (family, index)
+        if isinstance(got, tuple):
+            assert got == expected, (family, index)
+        else:
+            assert got.shape == expected.shape and np.array_equal(got, expected), (family, index)
+    assert stats["merges"] > 0 and stats["crossing"] > 0 and several > 0, (stats, several)
+    assert {message for _, message in raised} == {
+        "a constraint excludes the entire ellipse",
+        "constraint arcs intersect in a set of measure zero",
+    }
 
 
 # Long steps along the Dikin ellipsoid's long axes
@@ -554,30 +762,31 @@ def test_singular_sigma_keeps_the_plain_chain():
     assert long is None
 
 
-class _FaultyUniform:
-    """A generator whose first uniform draw returns `value` instead."""
+class _FaultyRandom:
+    """A generator whose first random() draw returns `value` instead."""
 
     def __init__(self, seed, value):
         self._rng = np.random.default_rng(seed)
         self._value = value
         self.standard_normal = self._rng.standard_normal
 
-    def uniform(self, low, high):
+    def random(self):
         value, self._value = self._value, None
-        return self._rng.uniform(low, high) if value is None else value
+        return self._rng.random() if value is None else value
 
 
 @pytest.mark.parametrize("value", [-1e3, -np.inf], ids=["violating", "nan"])
 def test_corrupted_state_raises_on_a_long_step(value):
-    # u far below the arcs puts step 0 off them (-inf: at a NaN angle), so
-    # the state that step 1, a long step, starts from is corrupted
+    # a draw far below [0, 1) puts step 0's angle a thousand total measures
+    # off the arcs (-inf: at a NaN angle), so the state that step 1, a long
+    # step, starts from is corrupted
     spec, _ = slab()
     transformed, factor, y0, long = chain_setup(spec)
     with np.errstate(invalid="ignore"):  # cos and sin of an infinite angle
         with pytest.raises(NumericalBreakdown, match="corrupted"):
-            run_chain(transformed, factor, y0, 2, _FaultyUniform(59, value), long)
+            run_chain(transformed, factor, y0, 2, _FaultyRandom(59, value), long)
         # the same first step passes with one step only: nothing checks its output
-        single = run_chain(transformed, factor, y0, 1, _FaultyUniform(59, value), long)
+        single = run_chain(transformed, factor, y0, 1, _FaultyRandom(59, value), long)
         assert single.shape == (1, 3)
 
 
@@ -594,3 +803,22 @@ def test_long_chain_even_steps_use_the_full_step_draws():
     P = long[0]
     residual = step - step @ np.linalg.pinv(P).T @ P.T
     assert np.abs(residual).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: slab()[0], lambda: pentagon_problem("inequality")], ids=["slab", "pentagon"]
+)
+def test_long_chain_matches_the_frozen_loop_bit_for_bit(make):
+    transformed, factor, y0, long = chain_setup(make())
+    assert long is not None
+    steps = 2_000
+    expected = np.empty((steps, y0.size))
+    _frozen_fill_chain(transformed, factor, y0, expected, np.random.default_rng(67), long)
+    chain = run_chain(transformed, factor, y0, steps, np.random.default_rng(67), long)
+    assert np.array_equal(chain, expected)
+    # with a burn-in and thinning, over 3 * 700 + 101 steps
+    expected = np.empty((700, y0.size))
+    _frozen_fill_chain(transformed, factor, y0, expected, np.random.default_rng(71), long, 101, 3)
+    rows = np.empty_like(expected)
+    fill_chain(transformed, factor, y0, rows, np.random.default_rng(71), long, burn_in=101, thin=3)
+    assert np.array_equal(rows, expected)

@@ -1,8 +1,10 @@
 import sys
+import time
 
 import numpy as np
 import pytest
 
+import lingauss.sampler
 import lingauss.transform
 from lingauss.elliptical_slice import long_directions, run_chain
 from lingauss.errors import DegenerateRegion
@@ -271,6 +273,23 @@ def test_argument_validation(pentagon_both):
 def test_seconds_are_recorded(pentagon_both):
     outcome = sample_constrained(pentagon_both, 100, np.random.default_rng(12))
     assert outcome.report.seconds > 0.0
+
+
+def test_chain_seconds_sum_the_time_in_fill_chain(pentagon_both, pentagon_equality, monkeypatch):
+    outcome = sample_constrained(pentagon_both, 100, np.random.default_rng(12))
+    assert 0.0 < outcome.report.chain_seconds <= outcome.report.seconds
+    direct = sample_constrained(pentagon_equality, 100, np.random.default_rng(12))
+    assert direct.report.chain_seconds == 0.0  # no chain ran
+    # each chain's call is timed and the times add up
+    real = lingauss.sampler.fill_chain
+
+    def slow_fill_chain(*args):
+        real(*args)
+        time.sleep(0.02)
+
+    monkeypatch.setattr(lingauss.sampler, "fill_chain", slow_fill_chain)
+    report = sample_constrained(pentagon_both, 30, 12, chains=3).report
+    assert 0.06 <= report.chain_seconds <= report.seconds
 
 
 def plain_chain_samples(spec, n, seed):
