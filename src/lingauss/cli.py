@@ -75,6 +75,11 @@ def _format_point(point):
     return "[" + ", ".join(f"{value:.10g}" for value in point) + "]"
 
 
+def _print_lps(spec, report):
+    if spec.m:
+        print(f"linear programs: {report.lp_solves} ({report.lp_pivots} pivots)")
+
+
 def _cmd_sample(args):
     spec = load_problem(args.problem)
     outcome = sample_constrained(
@@ -96,6 +101,8 @@ def _cmd_sample(args):
         print(f"inequality region: {report.feasibility}")
     if report.chebyshev_radius is not None:
         print(f"interior slack radius: {report.chebyshev_radius:.6g}")
+    _print_lps(spec, report)
+    print(f"set-up: {1e3 * report.plan_seconds:.2f} ms")
     if outcome.status == "point_mass":
         print(f"point mass at {_format_point(outcome.point)}")
         _write_csv(args.out, outcome.point.size, repeat(_csv_line(outcome.point), args.n))
@@ -125,6 +132,7 @@ def _cmd_check(args):
     report = planned.report
     if report.equality:
         print(f"equality system: {report.equality}")
+    _print_lps(spec, report)
     if planned.status == "impossible":
         print(f"infeasible: {planned.reason}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -1,6 +1,8 @@
 """Feasibility classification of {y : H y + k >= 0} and chain start points.
 
-Two linear programs, plus a range probe when the region is flat:
+One linear program gives the verdict, a second places the start point of a
+full-dimensional region, and a range probe settles an empty interior that
+the first program's multipliers leave open:
 
 1. Is the region nonempty, and does it have an interior?  Maximize a slack
    s (capped at 1) subject to H y + k >= s * rownorm(H), a Chebyshev-ball
@@ -15,11 +17,21 @@ Two linear programs, plus a range probe when the region is flat:
    y and no verdict depends on how the rows were scaled.
 2. Where is a good start point?  For a full-dimensional region, trade
    slack against distance from the origin (_pull_in).
-3. If the interior is empty, is the region a single point?  Probe the range
-   of every coordinate with a pair of LPs; all ranges at zero means a point
-   mass, anything wider (or unbounded) is a flat region the sampler cannot
+3. If the interior is empty, is the region a single point?  The slack
+   program's optimal multipliers usually say so at no further cost. They
+   satisfy H' lambda = 0 and sum(lambda) = 1, so every feasible y has
+   sum_i lambda_i slack_i(y) = s*, and each row with lambda_i > 0 is tight
+   to within |s*| / lambda_i (the implicit equalities of Goldman & Tucker).
+   When those rows span R^n well enough that no two feasible points lie
+   more than FEAS_TOL apart, the region is the point mass at the slack
+   optimum, and no further LP runs. Otherwise (a flat region, or a corner
+   whose multipliers vanish on a tight row) probe the range of every
+   coordinate with a pair of LPs: all ranges at zero means a point mass,
+   anything wider (or unbounded) is a flat region the sampler cannot
    honestly represent, reported as DegenerateRegion. The 2n range programs
-   share one region, so they share one phase 1 and differ only in phase 2.
+   share one phase 1 and differ only in phase 2. When s* < 0 that phase 1
+   also runs before a point mass is reported, since it decides whether any
+   point is feasible at all.
 """
 
 from __future__ import annotations
@@ -45,12 +57,15 @@ class FeasibilityResult:
     the slack program, capped at 1; the returned point is strictly interior
     but may hold less slack than the optimum when the optimum face is remote).
     lp_pivots sums the simplex pivots of every program the classification ran.
+    lp_solves counts those programs: each whole solve, each phase 1 run on
+    its own and each phase 2 priced on a shared phase 1.
     """
 
     kind: Literal["infeasible", "point_mass", "full_dimensional"]
     point: np.ndarray | None = None
     chebyshev_radius: float | None = None
     lp_pivots: int = 0
+    lp_solves: int = 0
 
 
 def max_slack_model(H, k) -> LinearProgram:
@@ -115,6 +130,28 @@ def _coordinate_range(start, n, i, tol):
     return bounds[0], bounds[1], pivots
 
 
+def _pins_a_point(H, multipliers, slack, tol) -> bool:
+    """Whether the slack program's multipliers prove the region a point.
+
+    H has unit rows and multipliers are the slack program's, its cap row
+    last. Let T be the rows with a multiplier lambda_i above tol. Every
+    feasible y keeps row i of T within |s*| / lambda_i of tight, so any two
+    feasible points lie within sqrt(|T|) |s*| / (min_T lambda * sigma_min(H_T))
+    of each other, which must be at most tol. s* is known to no better than
+    one rounding, so |s*| counts as at least machine epsilon: a row set
+    that pins the point only through an exact zero is not trusted at any
+    conditioning.
+    """
+    weights = multipliers[:-1]
+    tight = weights > tol
+    count = np.count_nonzero(tight)
+    if count < H.shape[1]:
+        return False
+    smallest = np.linalg.svd(H[tight], compute_uv=False)[-1]
+    spread = np.sqrt(count) * max(abs(slack), np.finfo(float).eps)
+    return bool(spread <= tol * weights[tight].min() * smallest)
+
+
 def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
     """Classify {y : H y + k >= 0} and return a start point when one exists.
 
@@ -140,25 +177,36 @@ def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
     if slack.status != "optimal":  # feasible and capped by construction
         raise NumericalBreakdown(f"slack program ended {slack.status}; expected optimal")
     radius = -slack.objective
-    pivots = slack.pivots
+    pivots, solves = slack.pivots, 1
     if radius < -tol:
-        return FeasibilityResult("infeasible", lp_pivots=pivots)
+        return FeasibilityResult("infeasible", lp_pivots=pivots, lp_solves=solves)
     if radius > tol:
         point, pull_pivots = _pull_in(H, k, radius, tol)
         if point is None:  # roundoff starved the follow-up program; keep the vertex
             point = slack.x[:n]
         return FeasibilityResult(
-            "full_dimensional", point, float(radius), lp_pivots=pivots + pull_pivots
+            "full_dimensional",
+            point,
+            float(radius),
+            lp_pivots=pivots + pull_pivots,
+            lp_solves=solves + 1,
         )
 
     # empty interior: point mass or flat region?
+    pinned = _pins_a_point(H, slack.multipliers, radius, tol)
+    if pinned and radius >= 0.0:  # the slack optimum meets every row
+        return FeasibilityResult("point_mass", slack.x[:n], lp_pivots=pivots, lp_solves=solves)
     start, start_pivots = phase_one(H, -k, None, tol)
     pivots += start_pivots
+    solves += 1
     if start is None:  # |s*| <= tol, yet phase 1 leaves a violation above tol
-        return FeasibilityResult("infeasible", lp_pivots=pivots)
+        return FeasibilityResult("infeasible", lp_pivots=pivots, lp_solves=solves)
+    if pinned:  # phase 1 has shown that some point is feasible
+        return FeasibilityResult("point_mass", slack.x[:n], lp_pivots=pivots, lp_solves=solves)
     for i in range(n):
         low, high, range_pivots = _coordinate_range(start, n, i, tol)
         pivots += range_pivots
+        solves += 2
         if low is None or high is None:
             raise DegenerateRegion(
                 f"feasible region has empty interior yet coordinate {i + 1} is unbounded"
@@ -168,4 +216,4 @@ def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
                 "feasible region has empty interior but positive extent "
                 f"{high - low:.3e} along coordinate {i + 1}"
             )
-    return FeasibilityResult("point_mass", slack.x[:n], lp_pivots=pivots)
+    return FeasibilityResult("point_mass", slack.x[:n], lp_pivots=pivots, lp_solves=solves)

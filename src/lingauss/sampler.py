@@ -24,6 +24,7 @@ precedes the first draw, for both `sample_constrained` and the CLI's
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from typing import Literal
@@ -56,7 +57,9 @@ class RunReport:
     long_directions is the number of long directions the chain's odd steps
     move along (0: full steps only). chain_seconds is the time spent in
     fill_chain, summed over the chains, so chain_seconds / chain_steps is
-    the cost of one chain step.
+    the cost of one chain step. lp_solves counts the feasibility linear
+    programs (see FeasibilityResult.lp_solves), and plan_seconds is the
+    time spent in `plan`: everything before the first draw.
     """
 
     recipe: str
@@ -69,6 +72,8 @@ class RunReport:
     seconds: float = 0.0
     lp_pivots: int = 0
     long_directions: int = 0
+    lp_solves: int = 0
+    plan_seconds: float = 0.0
 
 
 @dataclass
@@ -80,14 +85,26 @@ class SamplingOutcome:
     samples: np.ndarray | None = None
 
 
-def _generators(rng, chains):
-    if chains == 1:
-        if isinstance(rng, np.random.Generator):
-            return [rng]
-        return [np.random.default_rng(int(rng))]
+def _check_rng(rng, chains):
+    """Raise ValueError unless rng can seed `chains` chains: a Generator for
+    one chain, or a nonnegative integer seed for any number."""
     if isinstance(rng, np.random.Generator):
-        raise ValueError("chains > 1 needs an integer seed so chain i can use seed + i")
-    return [np.random.default_rng(int(rng) + i) for i in range(chains)]
+        if chains > 1:
+            raise ValueError("chains > 1 needs an integer seed so chain i can use seed + i")
+        return
+    try:
+        seed = operator.index(rng)
+    except TypeError:
+        raise ValueError(f"seed must be an integer or a numpy Generator, got {rng!r}") from None
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
+def _generators(rng, count):
+    """The generators of the first `count` chains, chain i seeded with seed + i."""
+    if isinstance(rng, np.random.Generator):
+        return [rng]
+    return [np.random.default_rng(operator.index(rng) + i) for i in range(count)]
 
 
 def _split_counts(n_samples, chains):
@@ -125,14 +142,19 @@ def plan(spec: ProblemSpec) -> Plan:
     mass, through an orthonormal basis of it, and the start point lies
     there too.
     """
+    started = time.perf_counter()
     if spec.p:
         recipe = "equality-and-inequality" if spec.m else "equality-only"
     else:
         recipe = "inequality-only" if spec.m else "unconstrained"
     report = RunReport(recipe=recipe)
 
+    def decided(status, **fields):
+        report.plan_seconds = time.perf_counter() - started
+        return Plan(status, report, **fields)
+
     def impossible(reason):
-        return Plan("impossible", report, reason=reason)
+        return decided("impossible", reason=reason)
 
     classification, point = None, None
     if spec.p:
@@ -154,10 +176,10 @@ def plan(spec: ProblemSpec) -> Plan:
         # a row is violated beyond POINT_TOL of its own norm
         if (spec.A @ point + spec.b < -POINT_TOL * np.linalg.norm(spec.A, axis=1)).any():
             return impossible(violated)
-        return Plan("point_mass", report, point=point)
+        return decided("point_mass", point=point)
 
     if spec.m == 0:
-        return Plan("samples", report, transformed=transformed, dimension=dimension)
+        return decided("samples", transformed=transformed, dimension=dimension)
     H, support = transformed.H, None
     if spec.factor.rank < spec.n:  # the latent prior lives on range(sigma)
         support = spec.factor.factor[:, spec.n - spec.factor.rank :]
@@ -167,6 +189,7 @@ def plan(spec: ProblemSpec) -> Plan:
     report.feasibility = feasibility.kind
     report.chebyshev_radius = feasibility.chebyshev_radius
     report.lp_pivots = feasibility.lp_pivots
+    report.lp_solves = feasibility.lp_solves
     if feasibility.kind == "infeasible":
         # An LP proves emptiness only by pivoting an artificial variable out,
         # so no pivot means a row of H that is zero where the law has mass
@@ -176,8 +199,8 @@ def plan(spec: ProblemSpec) -> Plan:
         return impossible("an inequality fails wherever the law has mass: its row vanishes there")
     start = feasibility.point if support is None else support @ feasibility.point
     if feasibility.kind == "point_mass":
-        return Plan("point_mass", report, point=map_latent(transformed, start))
-    return Plan("samples", report, transformed=transformed, start=start)
+        return decided("point_mass", point=map_latent(transformed, start))
+    return decided("samples", transformed=transformed, start=start)
 
 
 def sample_constrained(
@@ -191,9 +214,10 @@ def sample_constrained(
 ) -> SamplingOutcome:
     """Draw n_samples from N(mu, sigma) restricted to the problem's constraints.
 
-    rng is an integer seed or a numpy Generator (chains > 1 requires the
-    integer form; chain i is seeded with seed + i and chains run back to
-    back, all started from the same LP interior point). burn_in and thin
+    rng is a nonnegative integer seed or a numpy Generator (chains > 1
+    requires the integer form; chain i is seeded with seed + i and chains
+    run back to back, all started from the same LP interior point). A bad
+    rng raises ValueError before any LP runs. burn_in and thin
     apply per chain and only to chain recipes -- direct recipes produce
     independent draws, so there is nothing to warm up or decorrelate.
 
@@ -206,8 +230,8 @@ def sample_constrained(
         raise ValueError("n_samples must be positive")
     if burn_in < 0 or thin < 1 or chains < 1:
         raise ValueError("burn_in >= 0, thin >= 1, chains >= 1 required")
+    _check_rng(rng, chains)
     started = time.perf_counter()
-    generators = _generators(rng, chains)
     planned = plan(spec)
     report = planned.report
 
@@ -228,10 +252,11 @@ def sample_constrained(
         left, singular, _ = np.linalg.svd(transformed.F @ factor.factor)
         B = left[:, :k] * singular[:k]
         blocks = row_blocks(n_samples, spec.n)
+        (generator,) = _generators(rng, 1)
         draws = np.empty((blocks[0].stop, k))
         for block in blocks:
             u = draws[: block.stop - block.start]
-            generators[0].standard_normal(out=u)
+            generator.standard_normal(out=u)
             np.matmul(u, B.T, out=samples[block])
         samples += transformed.g
         return done("samples", samples=samples)
@@ -243,7 +268,7 @@ def sample_constrained(
     counts = _split_counts(n_samples, min(chains, n_samples))
     report.chains = len(counts)
     end = 0
-    for generator, count in zip(generators, counts):
+    for generator, count in zip(_generators(rng, len(counts)), counts):
         start, end = end, end + count
         began = time.perf_counter()
         fill_chain(

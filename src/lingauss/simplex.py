@@ -78,12 +78,19 @@ class LinearProgram:
 @dataclass(frozen=True)
 class LpSolution:
     """pivots counts the simplex pivots that reached this result: phase 1 and
-    phase 2 for solve_lp, phase 2 alone for phase_two."""
+    phase 2 for solve_lp, phase 2 alone for phase_two.
+
+    multipliers holds, for an optimal solution, one Lagrange multiplier per
+    row of G: the reduced cost of the row's surplus column in the final
+    tableau, 0 where that column is basic. They are nonnegative up to the
+    pivot tolerance, and c = G.T @ multipliers on the free variables.
+    """
 
     status: str  # "optimal" | "unbounded" | "infeasible"
     objective: float | None
     x: np.ndarray | None
     pivots: int = 0
+    multipliers: np.ndarray | None = None
 
 
 def _first_label(labels, slots):
@@ -273,7 +280,11 @@ def phase_two(start: FeasibleBasis, c, tol: float = PIVOT_TOL) -> LpSolution:
     values[basis] = tableau[:-1, -1]
     x = np.zeros(c.size)
     np.add.at(x, variables, signs * values[: variables.size])
-    return LpSolution("optimal", float(c @ x), x, pivots)
+    # reduced costs by label, 0 on the basic ones; the surplus column of row i
+    # (label n_struct + i) prices that row
+    reduced = np.zeros(cost.size)
+    reduced[columns] = tableau[-1, :-1]
+    return LpSolution("optimal", float(c @ x), x, pivots, reduced[variables.size :])
 
 
 def solve_lp(model: LinearProgram, tol: float = PIVOT_TOL) -> LpSolution:

@@ -39,6 +39,33 @@ def test_check_full_dimensional(problem_dir, capsys):
     assert "equality system: infinite" in out
 
 
+def test_check_reports_linear_programs(problem_dir, tmp_path, capsys):
+    assert main(["check", "--problem", str(problem_dir / "pentagon_inequality.json")]) == 0
+    assert re.search(r"^linear programs: 2 \(\d+ pivots\)$", capsys.readouterr().out, re.M)
+    path = write_spec(
+        tmp_path / "pinned.json",
+        mu=[0.0, 0.0],
+        sigma=np.eye(2),
+        A=[[1.0, 0.3], [-0.2, 1.0], [-0.8, -1.3]],
+        b=[0.0, 0.0, 0.0],  # three rows that positively span R^2 pin the origin
+    )
+    assert main(["check", "--problem", path]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^linear programs: 1 \(\d+ pivots\)$", out, re.M)
+    assert "point mass" in out
+    assert main(["check", "--problem", str(problem_dir / "pentagon_equality.json")]) == 0
+    assert "linear programs" not in capsys.readouterr().out  # no inequality, no LP
+
+
+def test_sample_reports_linear_programs_and_set_up_time(problem_dir, tmp_path, capsys):
+    problem = str(problem_dir / "pentagon_inequality.json")
+    out = str(tmp_path / "draws.csv")
+    assert main(["sample", "--problem", problem, "--n", "5", "--seed", "1", "--out", out]) == 0
+    printed = capsys.readouterr().out
+    assert re.search(r"^linear programs: 2 \(\d+ pivots\)$", printed, re.M)
+    assert re.search(r"^set-up: \d+\.\d\d ms$", printed, re.M)
+
+
 def test_check_infeasible_exits_2(tmp_path, capsys):
     path = write_spec(
         tmp_path / "empty.json",

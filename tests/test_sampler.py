@@ -273,6 +273,82 @@ def test_argument_validation(pentagon_both):
 def test_seconds_are_recorded(pentagon_both):
     outcome = sample_constrained(pentagon_both, 100, np.random.default_rng(12))
     assert outcome.report.seconds > 0.0
+    assert 0.0 < outcome.report.plan_seconds < outcome.report.seconds
+
+
+def test_plan_seconds_time_the_plan(pentagon_both, monkeypatch):
+    real = lingauss.sampler.find_feasible_point
+
+    def slow_find_feasible_point(*args):
+        time.sleep(0.02)
+        return real(*args)
+
+    monkeypatch.setattr(lingauss.sampler, "find_feasible_point", slow_find_feasible_point)
+    assert plan(pentagon_both).report.plan_seconds >= 0.02
+    report = sample_constrained(pentagon_both, 10, 1).report
+    assert 0.02 <= report.plan_seconds <= report.seconds
+
+
+def test_report_counts_lp_solves(pentagon_inequality, pentagon_both, pentagon_equality):
+    assert plan(pentagon_inequality).report.lp_solves == 2  # slack LP and _pull_in
+    assert sample_constrained(pentagon_both, 10, 1).report.lp_solves == 2
+    assert plan(pentagon_equality).report.lp_solves == 0  # no inequality, no LP
+    pinned = ProblemSpec(mu=[0.3], sigma=np.eye(1), A=[[1.0], [-1.0]], b=[-0.7, 0.7])
+    assert plan(pinned).report.lp_solves == 1  # the multipliers certify x = 0.7
+    empty = ProblemSpec(mu=[0.0], sigma=np.eye(1), A=[[1.0], [-1.0]], b=[-1.0, 0.0])
+    assert plan(empty).report.lp_solves == 1
+
+
+def count_generators(monkeypatch):
+    made = []
+    real = np.random.default_rng
+
+    def counted(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lingauss.sampler.np.random, "default_rng", counted)
+    return made
+
+
+PLANNED_WITHOUT_DRAWS = {
+    "impossible": ProblemSpec(mu=[0.0], sigma=np.eye(1), A=[[1.0], [-1.0]], b=[-1.0, 0.0]),
+    "point_mass": ProblemSpec(mu=[0.3], sigma=np.eye(1), A=[[1.0], [-1.0]], b=[-0.7, 0.7]),
+    "no_solution": ProblemSpec(mu=[0.0, 0.0], sigma=np.eye(2), C=[[1.0, 0.0]] * 2, d=[0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANNED_WITHOUT_DRAWS))
+def test_verdicts_without_draws_build_no_generator(monkeypatch, name):
+    made = count_generators(monkeypatch)
+    outcome = sample_constrained(PLANNED_WITHOUT_DRAWS[name], 10, 3, chains=4)
+    assert outcome.status != "samples"
+    assert made == []
+
+
+def test_only_the_chains_that_run_get_a_generator(
+    monkeypatch, pentagon_inequality, pentagon_equality
+):
+    made = count_generators(monkeypatch)
+    sample_constrained(pentagon_inequality, 2, 5, chains=4)
+    assert made == [(5,), (6,)]
+    made.clear()
+    sample_constrained(pentagon_equality, 10, 5, chains=4)  # direct draws use chain 0's
+    assert made == [(5,)]
+
+
+@pytest.mark.parametrize(
+    "rng, chains",
+    [(-1, 1), (-3, 2), (1.5, 1), ("7", 1), (None, 1), (np.random.default_rng(0), 2)],
+    ids=["negative", "negative_chains", "float", "string", "none", "generator_chains"],
+)
+def test_bad_seeds_raise_before_any_lp(monkeypatch, pentagon_both, rng, chains):
+    def no_plan(spec):
+        raise AssertionError("plan ran")
+
+    monkeypatch.setattr(lingauss.sampler, "plan", no_plan)
+    with pytest.raises(ValueError):
+        sample_constrained(pentagon_both, 10, rng, chains=chains)
 
 
 def test_chain_seconds_sum_the_time_in_fill_chain(pentagon_both, pentagon_equality, monkeypatch):
