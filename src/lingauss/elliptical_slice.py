@@ -10,8 +10,21 @@ whole circle when k_i >= r_i, impossible when k_i <= -r_i, and otherwise the
 closed arc phi_i +/- arccos(-k_i / r_i). The feasible set is the intersection
 of these arcs; theta is drawn uniformly from it, so no proposal is ever
 rejected and theta = 0 (staying put) is always available as a member of the
-set. One nu and one theta draw per step, nothing else touches the generator
+set. One nu and one uniform per step, nothing else touches the generator
 (a long step, below, draws z in place of nu).
+
+Draw order. None of a step's randomness depends on the state, so the steps
+run in blocks of 1, 2, 4, ... up to DRAW_BLOCK steps, the block sizes a
+function of the step index alone. A block draws the w of its full steps as
+one standard_normal((f, n)), the z of its long steps as one
+standard_normal((s - f, b)), then the uniforms of all its s steps as one
+random(s), and forms the proposals and their row products as matrix
+products: NU = W L', NU H' and Z (H P)'. Each step reads its row. Since a
+block's shapes do not depend on the chain's length, an n-step chain is bit
+for bit the first n steps of any longer chain with the same seed, and a
+one-step chain draws no more than one step needs. This order replaced one
+standard_normal(n) and one random() per step, which changed every chain
+path once, in its draws and in the rounding of the products.
 
 Angles live in [-pi, pi). Per step, the radii, the phases and the
 half-widths are whole-array operations, on the active rows gathered once by
@@ -21,10 +34,10 @@ the arcs that then end beyond pi at the seam. The starts and the ends, held
 as plain floats, are sorted as two lists and merged in one sweep, opens
 before closes at ties, which keeps the angles covered by every active arc;
 the seam pieces enter as one start at -pi and one end at pi, each weighted
-by the number of split arcs. theta is then total measure times one random()
-draw, walked across the pieces. A chain's output is a deterministic function
-of its seed: the tests compare it bit for bit with a per-arc reference
-implementation.
+by the number of split arcs. theta is then total measure (the widths summed
+as Python floats) times the step's uniform, walked across the pieces. A
+chain's output is a deterministic function of its seed: the tests compare
+it bit for bit with a per-arc reference implementation of the same draws.
 
 Thin regions. In whitened coordinates u = L^-1 y the prior is N(0, I), and
 a region that is thin in a few directions and long in the others leaves
@@ -50,8 +63,9 @@ some but not all directions are thin, run_chain alternates:
   invariant, so it is an exact, rejection-free Gibbs update of the target.
 
 The full step is what mixes the thin directions; the long step moves the
-long ones at the scale of the prior instead of the region's thickness. Draw
-order on a long step: one standard_normal(b), then one random. A singular
+long ones at the scale of the prior instead of the region's thickness. A
+long step's z comes from its block's standard_normal((s - f, b)), between
+the full steps' normals and the uniforms (see Draw order). A singular
 sigma (rank below its dimension) has no whitening, so it keeps the plain
 chain, as do regions with no thin or no long direction.
 """
@@ -64,15 +78,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyArcSet, NumericalBreakdown
-from .linalg import CovarianceFactor
+from .linalg import CovarianceFactor, doubling_blocks
 from .transform import TransformedProblem
 
 SLACK_TOL = 1e-9
 THIN = 0.05  # semi-axis, in prior standard deviations, below which a direction is thin
+DRAW_BLOCK = 32  # most steps whose randomness one block draws (see fill_chain)
 _PI = np.pi
 _TWO_PI = 2.0 * np.pi
 _FULL_CIRCLE = [[-_PI, _PI]]
 _MEASURE_ZERO = "constraint arcs intersect in a set of measure zero"
+_INFINITE_ANGLE = "the step's angle is infinite; the state is corrupted"
 
 
 @dataclass(frozen=True)
@@ -233,16 +249,12 @@ def long_directions(transformed: TransformedProblem, factor: CovarianceFactor, y
     return root @ Q, np.linalg.solve(root.T, Q).T
 
 
-def _draw_angle(segments, random):
-    """Theta uniform on the union of the segments, from one random() in [0, 1)."""
+def _draw_angle(segments, u):
+    """Theta uniform on the union of the segments, from u uniform on [0, 1)."""
     if len(segments) == 1:
         start, end = segments[0]
-        total = end - start
-    else:
-        # np.add.reduce sums in numpy's pairwise order, as ArcSet.total_measure does
-        total = float(np.add.reduce([end - start for start, end in segments]))
-    # Generator.uniform(0.0, total) is 0.0 + total * random(), the same bits
-    return _angle_at(segments, total * random())
+        return _angle_at(segments, (end - start) * u)
+    return _angle_at(segments, sum([end - start for start, end in segments]) * u)
 
 
 def _check_state(slack):
@@ -263,13 +275,14 @@ def run_chain(
 ) -> np.ndarray:
     """The n_steps states after y0 (y0 itself excluded), one per row.
 
-    Each full step draws nu = L w with w ~ N(0, I) and then one random()
-    that places theta uniformly on the feasible arcs, in that order, so a
-    seed fixes the whole chain. Given long = (P, M) from long_directions,
-    the odd steps are long steps instead; long=None runs full steps only.
-    This is fill_chain with no burn-in and thin 1 over a new (n_steps, n)
-    array; `sample_constrained` calls fill_chain on the rows of its output
-    instead.
+    Each full step moves along nu = L w with w ~ N(0, I) to an angle theta
+    placed uniformly on the feasible arcs by one uniform draw. The draws
+    come in blocks of steps (see fill_chain), so a seed fixes the whole
+    chain, and the n_steps states are the first n_steps of any longer
+    chain with the same seed. Given long = (P, M) from long_directions, the
+    odd steps are long steps instead; long=None runs full steps only. This
+    is fill_chain with no burn-in and thin 1 over a new (n_steps, n) array;
+    `sample_constrained` calls fill_chain on the rows of its output instead.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be positive")
@@ -291,42 +304,75 @@ def fill_chain(
     """Run burn_in + len(rows) * thin steps from y0 (see run_chain) and write
     the states after steps burn_in, burn_in + thin, ... into rows, in order.
 
-    These are the states run_chain(..., burn_in + len(rows) * thin, ...)
-    returns at rows burn_in::thin, bit for bit, and the generator is left in
+    The steps run in blocks of 1, 2, 4, ... up to DRAW_BLOCK steps
+    (linalg.doubling_blocks over the step index), and each block draws
+    its randomness at once, in this order: standard_normal((f, n)) for its
+    f full steps, standard_normal((s - f, b)) for its long steps (only when
+    long is given; b = P.shape[1]), then random(s) for the angles of all
+    its s steps. The full steps' proposals and their row products are two
+    matrix products, NU = W L' and NU H', and the long steps' row products
+    one, Z (H P)'. The last block is drawn whole, also where it runs past
+    the chain's end. A block's shapes depend on its position alone, so the
+    chain is bit for bit the first steps of any longer chain with the same
+    seed, burn-in and thinning, and a one-step chain draws one w and one
+    uniform. These are the states run_chain(..., burn_in + len(rows) *
+    thin, ...) returns at rows burn_in::thin, and the generator is left in
     the same state; no other state is stored.
     """
     y = np.asarray(y0, dtype=float)
     H, k = transformed.H, transformed.k
-    neg_k = -k
+    neg_k, H_t = -k, H.T
     has_rows = H.shape[0] > 0
-    root, dimension = factor.factor, factor.dimension
+    root_t, dimension = factor.factor.T, factor.dimension
     standard_normal, random = rng.standard_normal, rng.random
+    cos, sin = math.cos, math.sin
     if long is not None:
         P, M = long
-        HP, width = H @ P, P.shape[1]
+        HP = H @ P
+        HP_t, width = HP.T, P.shape[1]
     kept = 0
     keep = burn_in  # the step whose state goes into rows[kept]
-    for i in range(burn_in + len(rows) * thin):
-        if long is not None and i % 2:
-            z = standard_normal(width)
-            slack = H @ y + k
-            _check_state(slack)
-            a = M @ y
-            along_a = HP @ a
-            offset = slack - along_a
-            theta = _draw_angle(_feasible_segments(along_a, HP @ z, offset, -offset), random)
-            y = y + P @ (a * (np.cos(theta) - 1.0) + z * np.sin(theta))
-        else:
-            nu = root @ standard_normal(dimension)
-            if has_rows:
-                along_y = H @ y
-                _check_state(along_y + k)
-                segments = _feasible_segments(along_y, H @ nu, k, neg_k)
+    steps = burn_in + len(rows) * thin
+    for start, size in doubling_blocks(steps, DRAW_BLOCK):
+        # full steps are the even ones when long steps alternate with them
+        full = size if long is None else (size + 1 - start % 2) // 2
+        nus = standard_normal((full, dimension)) @ root_t
+        along_nus = nus @ H_t
+        if long is not None:
+            zs = standard_normal((size - full, width))
+            along_zs = zs @ HP_t
+        uniforms = random(size).tolist()
+        f = 0  # the next full step's row of the block
+        for i, u in zip(range(start, min(start + size, steps)), uniforms):
+            if long is not None and i % 2:
+                row = i // 2 - start // 2  # the long step's row of the block
+                slack = H @ y + k
+                _check_state(slack)
+                a = M @ y
+                along_a = HP @ a
+                offset = slack - along_a
+                segments = _feasible_segments(along_a, along_zs[row], offset, -offset)
+                theta = _draw_angle(segments, u)
+                try:
+                    turn, lift = cos(theta) - 1.0, sin(theta)
+                except ValueError:  # math's cos and sin reject an infinite angle
+                    raise NumericalBreakdown(_INFINITE_ANGLE) from None
+                y = y + P @ (a * turn + zs[row] * lift)
             else:
-                segments = _FULL_CIRCLE
-            theta = _draw_angle(segments, random)
-            y = y * np.cos(theta) + nu * np.sin(theta)
-        if i == keep:
-            rows[kept] = y
-            kept += 1
-            keep += thin
+                if has_rows:
+                    along_y = H @ y
+                    _check_state(along_y + k)
+                    segments = _feasible_segments(along_y, along_nus[f], k, neg_k)
+                else:
+                    segments = _FULL_CIRCLE
+                theta = _draw_angle(segments, u)
+                try:
+                    turn, lift = cos(theta), sin(theta)
+                except ValueError:
+                    raise NumericalBreakdown(_INFINITE_ANGLE) from None
+                y = y * turn + nus[f] * lift
+                f += 1
+            if i == keep:
+                rows[kept] = y
+                kept += 1
+                keep += thin

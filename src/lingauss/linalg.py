@@ -1,5 +1,6 @@
-"""Dense linear-algebra primitives: the covariance factor, unit rows and
-the row blocks that bound the temporaries of a pass over many samples.
+"""Dense linear-algebra primitives: the covariance factor, unit rows, the
+row blocks that bound the temporaries of a pass over many samples, and the
+doubling blocks whose shapes do not depend on the length of the pass.
 
 Everything downstream funnels its covariance handling through
 :func:`factor_covariance`, so symmetry/positive-semidefiniteness policy
@@ -92,3 +93,20 @@ def row_blocks(rows: int, width: int) -> list[slice]:
     count = min(max(1, -(-rows * width // BLOCK_ELEMENTS)), max(rows, 1))
     edges = [-(-rows * i // count) for i in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def doubling_blocks(count: int, cap: int):
+    """(start, size) of consecutive blocks of 1, 2, 4, ... items, then of
+    `cap` items each, until the blocks cover `count` items.
+
+    A block's start and size depend on its position alone, not on `count`,
+    so the blocks over n items are the first blocks over any larger count,
+    and the last one may run past `count`. A pass that gives each block a
+    product of its own shape rounds an item as any longer pass would.
+    """
+    start, size = 0, 1
+    while start < count:
+        size = min(size, cap)
+        yield start, size
+        start += size
+        size *= 2

@@ -224,7 +224,10 @@ def sample_constrained(
     The samples are written once, into the (n_samples, n) array returned:
     the chains fill consecutive row blocks with their kept states, the
     direct draws are mapped block by block, and the latent map runs in
-    place, so a call holds no other array that grows with n_samples.
+    place, so a call holds no other array that grows with n_samples. Each
+    chain's rows are mapped on their own, so with the same seed, burn-in
+    and thinning, chain i's samples are the first samples of chain i in
+    any call that gives it more.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
@@ -276,5 +279,5 @@ def sample_constrained(
         )
         report.chain_seconds += time.perf_counter() - began
         report.chain_steps += burn_in + count * thin
-    map_latent_rows(transformed, samples)
+        map_latent_rows(transformed, samples[start:end])
     return done("samples", samples=samples)

@@ -25,7 +25,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import SingularEqualityGram
-from .linalg import DEFAULT_TOL, row_blocks, unit_rows
+from .linalg import BLOCK_ELEMENTS, DEFAULT_TOL, doubling_blocks, unit_rows
 from .problem import ProblemSpec
 
 EQUALITY_TOL = 1e-8
@@ -153,8 +153,8 @@ def map_latent(transformed: TransformedProblem, y) -> np.ndarray:
     """x = F y + g. A 2-D input is treated as one latent vector per row.
 
     The result is a new array and y is left as it is; `sample_constrained`
-    maps its output in place with map_latent_rows instead, bit for bit the
-    same rows.
+    maps its output in place with map_latent_rows instead, the same rows up
+    to the rounding of the products.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
@@ -165,14 +165,26 @@ def map_latent(transformed: TransformedProblem, y) -> np.ndarray:
 def map_latent_rows(transformed: TransformedProblem, rows: np.ndarray) -> None:
     """Overwrite each row y of the 2-D float array rows with F y + g.
 
-    With equality rows the product runs over row blocks (linalg.row_blocks),
-    so no temporary grows with the row count. Without them F is the
-    identity, whose product returns each row as it is (signed zeros aside),
-    so the map is just the shift by g. F is a projector, so its trace is n
-    less the kept equality rows, and tells the two cases apart exactly.
+    With equality rows the product runs over blocks of 1, 2, 4, ... rows,
+    up to about BLOCK_ELEMENTS elements a block (linalg.doubling_blocks),
+    so no temporary grows with the row count. A BLAS product can round a
+    row differently with the number of rows it spans, so the last block is
+    padded to its full size: every block has the shape its position gives
+    it, and mapping the first rows of a longer array gives the same bits.
+    Without equality rows F is the identity, whose product returns each
+    row as it is (signed zeros aside), so the map is just the shift by g.
+    F is a projector, so its trace is n less the kept equality rows, and
+    tells the two cases apart exactly.
     """
     F = transformed.F
     if round(float(np.trace(F))) < F.shape[0]:
-        for block in row_blocks(*rows.shape):
-            rows[block] = rows[block] @ F.T
+        count, width = rows.shape
+        for start, size in doubling_blocks(count, max(1, BLOCK_ELEMENTS // width)):
+            block = rows[start : start + size]
+            if len(block) < size:
+                padded = np.zeros((size, width))
+                padded[: len(block)] = block
+                block[...] = (padded @ F.T)[: len(block)]
+            else:
+                block[...] = block @ F.T
     rows += transformed.g

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lingauss.elliptical_slice import (
+    DRAW_BLOCK,
     SLACK_TOL,
     THIN,
     ArcSet,
@@ -19,7 +20,7 @@ from lingauss.elliptical_slice import (
 from lingauss.errors import EmptyArcSet, NumericalBreakdown
 from lingauss.feasibility import find_feasible_point
 from lingauss.fixtures import pentagon_problem
-from lingauss.linalg import factor_covariance
+from lingauss.linalg import doubling_blocks, factor_covariance
 from lingauss.problem import ProblemSpec
 from lingauss.stats import sample_stats
 from lingauss.transform import build_transform, map_latent
@@ -93,30 +94,44 @@ def _reference_sample(intervals, u):
     return float(intervals[-1, 1])
 
 
+def _schedule(steps):
+    """(start, size) of the documented draw blocks: 1, 2, 4, ... steps, then
+    DRAW_BLOCK each, the last drawn whole even where it passes `steps`."""
+    blocks, start = [], 0
+    while start < steps:
+        size = min(2 ** len(blocks), DRAW_BLOCK)
+        blocks.append((start, size))
+        start += size
+    return blocks
+
+
 def _reference_chain(transformed, factor, y0, n_steps, rng, stats=None):
     H, k = transformed.H, transformed.k
     y = np.asarray(y0, dtype=float)
     out = np.empty((n_steps, y.size))
-    for i in range(n_steps):
-        nu = factor.factor @ rng.standard_normal(factor.dimension)
-        if H.shape[0]:
-            along_y = H @ y
-            assert float((along_y + k).min()) >= -SLACK_TOL
-            intervals = _reference_intervals(along_y, H @ nu, k, stats)
-        else:
-            intervals = np.array([[-np.pi, np.pi]])
-        total = float(np.sum(intervals[:, 1] - intervals[:, 0]))
-        theta = _reference_sample(intervals, rng.uniform(0.0, total))
-        y = y * np.cos(theta) + nu * np.sin(theta)
-        out[i] = y
+    for start, size in _schedule(n_steps):
+        nus = rng.standard_normal((size, factor.dimension)) @ factor.factor.T
+        along_nus = nus @ H.T
+        uniforms = rng.random(size)
+        for j in range(min(size, n_steps - start)):
+            if H.shape[0]:
+                along_y = H @ y
+                assert float((along_y + k).min()) >= -SLACK_TOL
+                intervals = _reference_intervals(along_y, along_nus[j], k, stats)
+            else:
+                intervals = np.array([[-np.pi, np.pi]])
+            total = sum((intervals[:, 1] - intervals[:, 0]).tolist())
+            theta = _reference_sample(intervals, total * uniforms[j])
+            y = y * math.cos(theta) + nus[j] * math.sin(theta)
+            out[start + j] = y
     return out
 
 
-# Frozen: the sweep, the draw and the chain loop as they stood before the
-# sweep merged sorted start and end lists, verbatim in arithmetic and draw
-# order apart from the names and the `stats` counters (_angle_at and
-# _check_state did not change). The arc code and the chains must reproduce
-# them bit for bit.
+# Frozen: the sweep as it stood before it merged sorted start and end
+# lists, verbatim in arithmetic apart from the names and the `stats`
+# counters (_angle_at and _check_state did not change), and the draw and
+# the chain loop as they stood when the draws moved into blocks. The arc
+# code and the chains must reproduce them bit for bit.
 
 
 def _frozen_intersect(events, needed, stats=None):
@@ -170,9 +185,9 @@ def _frozen_feasible_segments(along_y, along_nu, k, stats=None):
     return segments
 
 
-def _frozen_draw_angle(segments, uniform):
-    total = float(np.add.reduce([end - start for start, end in segments]))
-    return _angle_at(segments, uniform(0.0, total))
+def _frozen_draw_angle(segments, u):
+    total = sum([end - start for start, end in segments])
+    return _angle_at(segments, total * u)
 
 
 def _frozen_fill_chain(transformed, factor, y0, rows, rng, long=None, burn_in=0, thin=1):
@@ -180,37 +195,48 @@ def _frozen_fill_chain(transformed, factor, y0, rows, rng, long=None, burn_in=0,
     H, k = transformed.H, transformed.k
     has_rows = H.shape[0] > 0
     root, dimension = factor.factor, factor.dimension
-    standard_normal, uniform = rng.standard_normal, rng.uniform
     if long is not None:
         P, M = long
         HP, width = H @ P, P.shape[1]
     kept = 0
     keep = burn_in
-    for i in range(burn_in + len(rows) * thin):
-        if long is not None and i % 2:
-            z = standard_normal(width)
-            slack = H @ y + k
-            _check_state(slack)
-            a = M @ y
-            along_a = HP @ a
-            theta = _frozen_draw_angle(
-                _frozen_feasible_segments(along_a, HP @ z, slack - along_a), uniform
-            )
-            y = y + P @ (a * (np.cos(theta) - 1.0) + z * np.sin(theta))
-        else:
-            nu = root @ standard_normal(dimension)
-            if has_rows:
-                along_y = H @ y
-                _check_state(along_y + k)
-                segments = _frozen_feasible_segments(along_y, H @ nu, k)
+    steps = burn_in + len(rows) * thin
+    for start, size in _schedule(steps):
+        block = range(start, start + size)
+        full = [i for i in block if long is None or i % 2 == 0]
+        nus = rng.standard_normal((len(full), dimension)) @ root.T
+        along_nus = nus @ H.T
+        if long is not None:
+            zs = rng.standard_normal((size - len(full), width))
+            along_zs = zs @ HP.T
+        uniforms = rng.random(size).tolist()
+        full_row = long_row = 0
+        for i in block[: steps - start]:
+            u = uniforms[i - start]
+            if long is not None and i % 2:
+                slack = H @ y + k
+                _check_state(slack)
+                a = M @ y
+                along_a = HP @ a
+                theta = _frozen_draw_angle(
+                    _frozen_feasible_segments(along_a, along_zs[long_row], slack - along_a), u
+                )
+                y = y + P @ (a * (math.cos(theta) - 1.0) + zs[long_row] * math.sin(theta))
+                long_row += 1
             else:
-                segments = [[-np.pi, np.pi]]
-            theta = _frozen_draw_angle(segments, uniform)
-            y = y * np.cos(theta) + nu * np.sin(theta)
-        if i == keep:
-            rows[kept] = y
-            kept += 1
-            keep += thin
+                if has_rows:
+                    along_y = H @ y
+                    _check_state(along_y + k)
+                    segments = _frozen_feasible_segments(along_y, along_nus[full_row], k)
+                else:
+                    segments = [[-np.pi, np.pi]]
+                theta = _frozen_draw_angle(segments, u)
+                y = y * math.cos(theta) + nus[full_row] * math.sin(theta)
+                full_row += 1
+            if i == keep:
+                rows[kept] = y
+                kept += 1
+                keep += thin
 
 
 def member(intervals, theta):
@@ -763,31 +789,49 @@ def test_singular_sigma_keeps_the_plain_chain():
 
 
 class _FaultyRandom:
-    """A generator whose first random() draw returns `value` instead."""
+    """A generator whose first uniform of its `call`-th random(size) draw,
+    the angle of the first step of block `call`, is `value` instead."""
 
-    def __init__(self, seed, value):
+    def __init__(self, seed, value, call=0):
         self._rng = np.random.default_rng(seed)
-        self._value = value
+        self._value, self._call = value, call
         self.standard_normal = self._rng.standard_normal
 
-    def random(self):
-        value, self._value = self._value, None
-        return self._rng.random() if value is None else value
+    def random(self, size):
+        draws = self._rng.random(size)
+        if self._call == 0:
+            draws[0] = self._value
+        self._call -= 1
+        return draws
 
 
 @pytest.mark.parametrize("value", [-1e3, -np.inf], ids=["violating", "nan"])
 def test_corrupted_state_raises_on_a_long_step(value):
     # a draw far below [0, 1) puts step 0's angle a thousand total measures
-    # off the arcs (-inf: at a NaN angle), so the state that step 1, a long
-    # step, starts from is corrupted
+    # off the arcs, so the state that step 1, a long step, starts from is
+    # corrupted; -inf puts the angle at -inf, where cos and sin are undefined
     spec, _ = slab()
     transformed, factor, y0, long = chain_setup(spec)
-    with np.errstate(invalid="ignore"):  # cos and sin of an infinite angle
+    with pytest.raises(NumericalBreakdown, match="corrupted"):
+        run_chain(transformed, factor, y0, 2, _FaultyRandom(59, value), long)
+    if value == -np.inf:  # an infinite angle raises on the step that draws it
         with pytest.raises(NumericalBreakdown, match="corrupted"):
-            run_chain(transformed, factor, y0, 2, _FaultyRandom(59, value), long)
-        # the same first step passes with one step only: nothing checks its output
+            run_chain(transformed, factor, y0, 1, _FaultyRandom(59, value), long)
+    else:  # the same first step passes with one step only: nothing checks its output
         single = run_chain(transformed, factor, y0, 1, _FaultyRandom(59, value), long)
         assert single.shape == (1, 3)
+
+
+def test_an_infinite_angle_raises_on_a_long_step():
+    # step 1, a long step, opens block 1: its uniform is the first of call 1
+    spec, _ = slab()
+    transformed, factor, y0, long = chain_setup(spec)
+    with pytest.raises(NumericalBreakdown, match="corrupted"):
+        run_chain(transformed, factor, y0, 2, _FaultyRandom(59, -np.inf, call=1), long)
+    # so the angle raises, not a state check: no later step checks step 1's
+    # output, and a finite angle as far off passes
+    off = run_chain(transformed, factor, y0, 2, _FaultyRandom(59, -1e3, call=1), long)
+    assert off.shape == (2, 3)
 
 
 def test_long_chain_even_steps_use_the_full_step_draws():
@@ -822,3 +866,68 @@ def test_long_chain_matches_the_frozen_loop_bit_for_bit(make):
     rows = np.empty_like(expected)
     fill_chain(transformed, factor, y0, rows, np.random.default_rng(71), long, burn_in=101, thin=3)
     assert np.array_equal(rows, expected)
+
+
+# The block schedule: a chain is a prefix of any longer one with its seed,
+# and it draws exactly the documented blocks
+
+
+PREFIX_CHAINS = {
+    # name: (problem, whether the chain alternates long steps)
+    "rotated_box": (rotated_box, False),
+    "pentagon_both": (lambda: pentagon_problem("both"), False),
+    "slab": (lambda: slab()[0], True),
+    "pentagon": (lambda: pentagon_problem("inequality"), True),
+}
+PREFIX_LENGTHS = [1, 2, 3, 63, 64, 65, 127, 1000]
+
+
+@pytest.mark.parametrize("name", list(PREFIX_CHAINS))
+def test_a_shorter_chain_is_a_prefix_of_a_longer_one(name):
+    make, alternates = PREFIX_CHAINS[name]
+    transformed, factor, y0, long = chain_setup(make())
+    assert (long is not None) == alternates
+    full = run_chain(transformed, factor, y0, 2_000, np.random.default_rng(73), long)
+    for n in PREFIX_LENGTHS:
+        chain = run_chain(transformed, factor, y0, n, np.random.default_rng(73), long)
+        assert np.array_equal(chain, full[:n]), n
+    # with a burn-in and thinning, the kept states are a prefix too
+    rows = np.empty((2_000, y0.size))
+    fill_chain(transformed, factor, y0, rows, np.random.default_rng(79), long, 37, 3)
+    for n in PREFIX_LENGTHS:
+        part = np.empty((n, y0.size))
+        fill_chain(transformed, factor, y0, part, np.random.default_rng(79), long, 37, 3)
+        assert np.array_equal(part, rows[:n]), n
+
+
+def _draw_the_schedule(rng, steps, dimension, width=None):
+    """Draw what the documented blocks of a chain of `steps` steps draw."""
+    for start, size in _schedule(steps):
+        if width is None:
+            rng.standard_normal((size, dimension))
+        else:
+            full = sum(1 for i in range(start, start + size) if i % 2 == 0)
+            rng.standard_normal((full, dimension))
+            rng.standard_normal((size - full, width))
+        rng.random(size)
+
+
+@pytest.mark.parametrize("name", list(PREFIX_CHAINS))
+@pytest.mark.parametrize("rows, burn_in, thin", [(1, 0, 1), (64, 0, 1), (700, 101, 3)])
+def test_a_chain_draws_the_documented_blocks(name, rows, burn_in, thin):
+    transformed, factor, y0, long = chain_setup(PREFIX_CHAINS[name][0]())
+    generator, reference = np.random.default_rng(83), np.random.default_rng(83)
+    fill_chain(transformed, factor, y0, np.empty((rows, y0.size)), generator, long, burn_in, thin)
+    width = None if long is None else long[0].shape[1]
+    _draw_the_schedule(reference, burn_in + rows * thin, factor.dimension, width)
+    assert generator.bit_generator.state == reference.bit_generator.state
+
+
+def test_the_schedule_doubles_to_the_cap():
+    sizes = [size for _, size in _schedule(10 * DRAW_BLOCK)]
+    doubling = [2**i for i in range(DRAW_BLOCK.bit_length() - 1)]
+    assert sizes[: len(doubling)] == doubling
+    assert set(sizes[len(doubling) :]) == {DRAW_BLOCK}
+    assert [tuple(block) for block in doubling_blocks(10 * DRAW_BLOCK, DRAW_BLOCK)] == _schedule(
+        10 * DRAW_BLOCK
+    )

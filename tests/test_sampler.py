@@ -9,12 +9,13 @@ import lingauss.transform
 from lingauss.elliptical_slice import long_directions, run_chain
 from lingauss.errors import DegenerateRegion
 from lingauss.fixtures import pentagon_problem
+from lingauss.linalg import BLOCK_ELEMENTS
 from lingauss.feasibility import find_feasible_point
 from lingauss.oracles import conditional_direct_sample, rejection_sample
 from lingauss.problem import ProblemSpec
 from lingauss.sampler import plan, sample_constrained
 from lingauss.stats import compare_stats, sample_stats
-from lingauss.transform import build_transform, map_latent
+from lingauss.transform import build_transform
 
 from conftest import random_spd
 from test_elliptical_slice import rotated_box, slab
@@ -372,7 +373,7 @@ def plain_chain_samples(spec, n, seed):
     """The samples of the full-step chain alone, from the start point of plan."""
     transformed = build_transform(spec)
     latent = run_chain(transformed, spec.factor, plan(spec).start, n, np.random.default_rng(seed))
-    return map_latent(transformed, latent)
+    return mapped_in_blocks(transformed, latent)
 
 
 def test_report_counts_long_directions(pentagon_inequality, pentagon_both, pentagon_equality):
@@ -590,9 +591,29 @@ def test_sample_law_is_invariant_to_row_scaling_permutation_and_duplication(name
         assert report.all_passed, f"{label}\n{report.to_text()}"
 
 
-# A frozen reference for the outputs: whole chains stacked and mapped at
-# once, and direct draws as one (n_samples, k) product. sample_constrained
-# writes every sample into one array instead, and must return the same bits.
+# A frozen reference for the outputs: whole chains, each mapped on its own
+# in the blocks that keep a shorter chain a prefix of a longer one, then
+# stacked; and direct draws as one (n_samples, k) product.
+# sample_constrained writes every sample into one array instead, and must
+# return the same bits.
+
+
+def mapped_in_blocks(transformed, latent):
+    """F y + g for each row y of one chain, the rows taken in blocks of 1, 2,
+    4, ... rows up to BLOCK_ELEMENTS elements, the last padded with zero rows
+    to its full size."""
+    width = latent.shape[1]
+    cap = max(1, BLOCK_ELEMENTS // width)
+    mapped, start, size = [], 0, 1
+    while start < len(latent):
+        size = min(size, cap)
+        rows = latent[start : start + size]
+        block = np.zeros((size, width))
+        block[: len(rows)] = rows
+        mapped.append((block @ transformed.F.T)[: len(rows)] + transformed.g)
+        start += size
+        size *= 2
+    return np.vstack(mapped)
 
 
 def stacked_samples(spec, n_samples, seed, burn_in=0, thin=1, chains=1):
@@ -612,8 +633,8 @@ def stacked_samples(spec, n_samples, seed, burn_in=0, thin=1, chains=1):
             steps = burn_in + count * thin
             generator = np.random.default_rng(seed + i)
             latent = run_chain(transformed, spec.factor, planned.start, steps, generator, long)
-            parts.append(latent[burn_in::thin])
-    return map_latent(transformed, np.vstack(parts))
+            parts.append(mapped_in_blocks(transformed, latent[burn_in::thin]))
+    return np.vstack(parts)
 
 
 def singular_sigma_region():
@@ -651,3 +672,27 @@ def test_samples_equal_the_stacked_assembly(name):
     spec = make()
     outcome = sample_constrained(spec, n_samples, 31, **kwargs)
     assert np.array_equal(outcome.samples, stacked_samples(spec, n_samples, 31, **kwargs))
+
+
+def box_on_a_plane():
+    """The rotated 100-D box of 200 rows cut by one equality row: the latent
+    map multiplies every sample by a 100 x 100 projector."""
+    box = rotated_box(n=100)
+    C = np.random.default_rng(139).normal(size=(1, 100))
+    return ProblemSpec(mu=box.mu, sigma=box.sigma, A=box.A, b=box.b, C=C, d=[0.0])
+
+
+@pytest.mark.parametrize("chains", [1, 3])
+def test_fewer_samples_are_a_prefix_of_each_chain(chains):
+    # a BLAS product can round a row differently with the number of rows it
+    # spans; each chain's rows are mapped in blocks whose shapes depend only
+    # on the row's place in that chain, so chain i's first samples do not
+    # depend on how many the call asks for
+    spec = box_on_a_plane()
+    full = sample_constrained(spec, 2_000, 5, chains=chains).samples
+    starts = np.cumsum([0] + lingauss.sampler._split_counts(2_000, chains))
+    for m in (1, 5, 60, 700):
+        outcome = sample_constrained(spec, m, 5, chains=chains)
+        counts = lingauss.sampler._split_counts(m, outcome.report.chains)
+        for chain, rows in enumerate(np.split(outcome.samples, np.cumsum(counts)[:-1])):
+            assert np.array_equal(rows, full[starts[chain] : starts[chain] + len(rows)]), (m, chain)
