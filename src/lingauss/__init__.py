@@ -7,7 +7,6 @@ of each proposal ellipse, so every chain step yields a sample. Infeasible and
 point-mass constraint systems are detected and reported instead of sampled.
 """
 
-from .elliptical_slice import run_chain
 from .errors import (
     CyclingGuardExceeded,
     DegenerateRegion,
@@ -72,7 +71,6 @@ __all__ = [
     "problem_from_dict",
     "problem_to_dict",
     "rejection_sample",
-    "run_chain",
     "sample_constrained",
     "sample_stats",
     "save_problem",

@@ -1,11 +1,14 @@
-"""Rejection-free elliptical slice sampling of N(0, sigma) under H y + k >= 0.
+"""Rejection-free elliptical slice sampling of N(0, I_k) under G u + k >= 0.
 
-Each step draws an auxiliary direction nu ~ N(0, sigma) and walks the ellipse
-theta -> y cos(theta) + nu sin(theta). Constraint i restricts theta through
+The chain runs in the plane's own coordinates u (see `transform`): its
+prior is N(0, I_k), and `sample_constrained` maps each kept state to
+x = g + B u. Each step draws an auxiliary direction nu ~ N(0, I_k) and
+walks the ellipse theta -> u cos(theta) + nu sin(theta). Constraint i
+restricts theta through
 
-    h_i . (y cos + nu sin) + k_i = r_i cos(theta - phi_i) + k_i >= 0,
+    G_i . (u cos + nu sin) + k_i = r_i cos(theta - phi_i) + k_i >= 0,
 
-with r_i = hypot(h_i.y, h_i.nu) and phi_i = atan2(h_i.nu, h_i.y). That is the
+with r_i = hypot(G_i.u, G_i.nu) and phi_i = atan2(G_i.nu, G_i.u). That is the
 whole circle when k_i >= r_i, impossible when k_i <= -r_i, and otherwise the
 closed arc phi_i +/- arccos(-k_i / r_i). The feasible set is the intersection
 of these arcs; theta is drawn uniformly from it, so no proposal is ever
@@ -15,16 +18,14 @@ set. One nu and one uniform per step, nothing else touches the generator
 
 Draw order. None of a step's randomness depends on the state, so the steps
 run in blocks of 1, 2, 4, ... up to DRAW_BLOCK steps, the block sizes a
-function of the step index alone. A block draws the w of its full steps as
-one standard_normal((f, n)), the z of its long steps as one
+function of the step index alone. A block draws the nu of its full steps as
+one standard_normal((f, k)), the z of its long steps as one
 standard_normal((s - f, b)), then the uniforms of all its s steps as one
-random(s), and forms the proposals and their row products as matrix
-products: NU = W L', NU H' and Z (H P)'. Each step reads its row. Since a
-block's shapes do not depend on the chain's length, an n-step chain is bit
-for bit the first n steps of any longer chain with the same seed, and a
-one-step chain draws no more than one step needs. This order replaced one
-standard_normal(n) and one random() per step, which changed every chain
-path once, in its draws and in the rounding of the products.
+random(s), and forms the row products as matrix products: NU G' and
+Z (G Q)'. Each step reads its row. Since a block's shapes do not depend on
+the chain's length, an n-step chain is bit for bit the first n steps of
+any longer chain with the same seed, and a one-step chain draws no more
+than one step needs.
 
 Angles live in [-pi, pi). Per step, the radii, the phases and the
 half-widths are whole-array operations, on the active rows gathered once by
@@ -39,35 +40,31 @@ as Python floats) times the step's uniform, walked across the pieces. A
 chain's output is a deterministic function of its seed: the tests compare
 it bit for bit with a per-arc reference implementation of the same draws.
 
-Thin regions. In whitened coordinates u = L^-1 y the prior is N(0, I), and
-a region that is thin in a few directions and long in the others leaves
-each prior-shaped ellipse a tiny feasible share, so the plain chain creeps
-along the long directions. `long_directions` reads that shape once, from
-the Dikin ellipsoid {u : u' G'G u <= 1} at the LP start point y0, where
-row i of G is the whitened row (H L)_i divided by its slack (H y0 + k)_i.
-An eigenvector of G'G whose semi-axis 1 / sqrt(lambda) is at least THIN
-prior standard deviations is *long*; Q holds them as orthonormal columns.
-Since lambda_max <= trace(G'G) = sum_i |G_i|^2, a trace of at most
-1 / THIN^2 proves that no direction is thin, and no eigendecomposition
-runs. With equality rows, x = F y + g discards the whitened directions in
-the null space of F L, so the eigenvectors come from its complement. When
-some but not all directions are thin, run_chain alternates:
+Thin regions. A region that is thin in a few directions and long in the
+others leaves each prior-shaped ellipse a tiny feasible share, so the plain
+chain creeps along the long directions. `long_directions` reads that shape
+once, from the Dikin ellipsoid {u : u' D'D u <= 1} at the start point u0,
+where row i of D is G_i divided by its slack (G u0 + k)_i. An eigenvector
+of D'D whose semi-axis 1 / sqrt(lambda) is at least THIN prior standard
+deviations is *long*; Q holds them as orthonormal columns. Since
+lambda_max <= trace(D'D) = sum_i |D_i|^2, a trace of at most 1 / THIN^2
+proves that no direction is thin, and no eigendecomposition runs. When some
+but not all directions are thin, fill_chain alternates:
 
 * even steps (0, 2, ...): the full-ellipse step above, unchanged;
-* odd steps: a long step. With a = Q' u = M y (M = Q' L^-1) the state is
-  y = P a + rest (P = L Q). The prior makes a ~ N(0, I_b) independent of
-  the rest of u, so the target's conditional law of a is N(0, I_b) on the
-  region's slice. One elliptical slice step in a-space (draw z ~ N(0, I_b),
-  then theta uniform on the arcs of H P a, H P z and H y - H P a + k) moves
-  to y + P (a (cos theta - 1) + z sin theta). It leaves that conditional
+* odd steps: a long step. With a = Q' u the state is u = Q a + rest. The
+  prior makes a ~ N(0, I_b) independent of the rest, so the target's
+  conditional law of a is N(0, I_b) on the region's slice. One elliptical
+  slice step in a-space (draw z ~ N(0, I_b), then theta uniform on the arcs
+  of G Q a, G Q z and G u - G Q a + k) moves to
+  u + Q (a (cos theta - 1) + z sin theta). It leaves that conditional
   invariant, so it is an exact, rejection-free Gibbs update of the target.
 
 The full step is what mixes the thin directions; the long step moves the
 long ones at the scale of the prior instead of the region's thickness. A
 long step's z comes from its block's standard_normal((s - f, b)), between
-the full steps' normals and the uniforms (see Draw order). A singular
-sigma (rank below its dimension) has no whitening, so it keeps the plain
-chain, as do regions with no thin or no long direction.
+the full steps' normals and the uniforms (see Draw order). Regions with no
+thin or no long direction keep the plain chain.
 """
 
 from __future__ import annotations
@@ -78,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyArcSet, NumericalBreakdown
-from .linalg import CovarianceFactor, doubling_blocks
+from .linalg import doubling_blocks
 from .transform import TransformedProblem
 
 SLACK_TOL = 1e-9
@@ -200,7 +197,8 @@ def _angle_at(segments, u):
 
 
 def active_arcs(y, nu, H, k) -> ArcSet:
-    """Feasible ellipse angles for current point y and auxiliary draw nu."""
+    """Feasible ellipse angles for current point y and auxiliary draw nu
+    under H y + k >= 0."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
     if H.shape[0] == 0:
         return ArcSet(np.asarray(_FULL_CIRCLE))
@@ -210,43 +208,28 @@ def active_arcs(y, nu, H, k) -> ArcSet:
     return ArcSet(np.asarray(_feasible_segments(along_y, along_nu, k, -k)))
 
 
-def long_directions(transformed: TransformedProblem, factor: CovarianceFactor, y0):
-    """(P, M) for the long axes of the Dikin ellipsoid at y0, or None.
+def long_directions(transformed: TransformedProblem, u0):
+    """Q, the orthonormal long axes of the Dikin ellipsoid at u0 as columns,
+    or None.
 
-    P = L Q maps long-direction coordinates into the latent space and
-    M = Q' L^-1 reads them off a latent state, with Q the orthonormal long
-    eigenvectors of G'G in whitened coordinates (see the module docstring).
-    With equality rows, the map x = F y + g discards the whitened directions
-    in the null space of F L, so Q is taken from its orthogonal complement.
-    None means the plain chain: sigma is singular, no direction is thin, or
-    every direction that moves x is.
+    See the module docstring. None means the plain chain: u0 is not
+    strictly interior, no direction is thin, or every direction is.
     """
-    H = transformed.H
-    root = factor.factor
-    if factor.rank < factor.dimension:
-        return None
-    slack = H @ np.asarray(y0, dtype=float) + transformed.k
+    G = transformed.G
+    slack = G @ np.asarray(u0, dtype=float) + transformed.k
     if not (slack > 0.0).all():
-        rows = H.any(axis=1)  # a zero row with k_i = 0 bounds nothing
-        H, slack = H[rows], slack[rows]
-        if not (slack > 0.0).all():  # only a strictly interior y0 has a Dikin ellipsoid
+        rows = G.any(axis=1)  # a zero row with k_i = 0 bounds nothing
+        G, slack = G[rows], slack[rows]
+        if not (slack > 0.0).all():  # only a strictly interior u0 has a Dikin ellipsoid
             return None
-    G = (H @ root) / slack[:, None]
-    if not np.vdot(G, G) > 1.0 / THIN**2:  # lambda_max <= trace(G'G)
+    D = G / slack[:, None]
+    if not np.vdot(D, D) > 1.0 / THIN**2:  # lambda_max <= trace(D'D)
         return None
-    dikin, basis = G.T @ G, None
-    # F is a projector, so its rank is its trace: n less the kept equality rows
-    moving = int(round(np.trace(transformed.F)))
-    if moving < factor.dimension:
-        basis = np.linalg.svd(transformed.F @ root)[2][:moving].T  # row space of F L
-        dikin = basis.T @ dikin @ basis
-    eigenvalues, eigenvectors = np.linalg.eigh(dikin)
+    eigenvalues, eigenvectors = np.linalg.eigh(D.T @ D)
     long = eigenvalues * THIN**2 <= 1.0  # semi-axis 1 / sqrt(lambda) >= THIN
-    count = int(np.count_nonzero(long))
-    if count == 0 or count == moving:
+    if not 0 < np.count_nonzero(long) < long.size:
         return None
-    Q = eigenvectors[:, long] if basis is None else basis @ eigenvectors[:, long]
-    return root @ Q, np.linalg.solve(root.T, Q).T
+    return eigenvectors[:, long]
 
 
 def _draw_angle(segments, u):
@@ -265,114 +248,88 @@ def _check_state(slack):
         )
 
 
-def run_chain(
-    transformed: TransformedProblem,
-    factor: CovarianceFactor,
-    y0,
-    n_steps: int,
-    rng: np.random.Generator,
-    long=None,
-) -> np.ndarray:
-    """The n_steps states after y0 (y0 itself excluded), one per row.
-
-    Each full step moves along nu = L w with w ~ N(0, I) to an angle theta
-    placed uniformly on the feasible arcs by one uniform draw. The draws
-    come in blocks of steps (see fill_chain), so a seed fixes the whole
-    chain, and the n_steps states are the first n_steps of any longer
-    chain with the same seed. Given long = (P, M) from long_directions, the
-    odd steps are long steps instead; long=None runs full steps only. This
-    is fill_chain with no burn-in and thin 1 over a new (n_steps, n) array;
-    `sample_constrained` calls fill_chain on the rows of its output instead.
-    """
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    out = np.empty((n_steps, np.size(y0)))
-    fill_chain(transformed, factor, y0, out, rng, long)
-    return out
-
-
 def fill_chain(
     transformed: TransformedProblem,
-    factor: CovarianceFactor,
-    y0,
+    u0,
     rows: np.ndarray,
     rng: np.random.Generator,
     long=None,
     burn_in: int = 0,
     thin: int = 1,
 ) -> None:
-    """Run burn_in + len(rows) * thin steps from y0 (see run_chain) and write
-    the states after steps burn_in, burn_in + thin, ... into rows, in order.
+    """Run burn_in + len(rows) * thin steps from u0 and write the states
+    after steps burn_in, burn_in + thin, ... into the k-wide rows, in order
+    (u0 itself is not written).
 
-    The steps run in blocks of 1, 2, 4, ... up to DRAW_BLOCK steps
-    (linalg.doubling_blocks over the step index), and each block draws
-    its randomness at once, in this order: standard_normal((f, n)) for its
-    f full steps, standard_normal((s - f, b)) for its long steps (only when
-    long is given; b = P.shape[1]), then random(s) for the angles of all
-    its s steps. The full steps' proposals and their row products are two
-    matrix products, NU = W L' and NU H', and the long steps' row products
-    one, Z (H P)'. The last block is drawn whole, also where it runs past
-    the chain's end. A block's shapes depend on its position alone, so the
-    chain is bit for bit the first steps of any longer chain with the same
-    seed, burn-in and thinning, and a one-step chain draws one w and one
-    uniform. These are the states run_chain(..., burn_in + len(rows) *
-    thin, ...) returns at rows burn_in::thin, and the generator is left in
-    the same state; no other state is stored.
+    Each full step moves along nu ~ N(0, I_k) to an angle theta placed
+    uniformly on the feasible arcs by one uniform draw. Given long = Q from
+    long_directions, the odd steps are long steps instead; long=None runs
+    full steps only. The steps run in blocks of 1, 2, 4, ... up to
+    DRAW_BLOCK steps (linalg.doubling_blocks over the step index), and each
+    block draws its randomness at once, in this order: standard_normal((f,
+    k)) for its f full steps, standard_normal((s - f, b)) for its long steps
+    (only when long is given; b = Q.shape[1]), then random(s) for the
+    angles of all its s steps. The full steps' row products are one matrix
+    product, NU G', and the long steps' one, Z (G Q)'. The last block is
+    drawn whole, also where it runs past the chain's end. A block's shapes
+    depend on its position alone, so the chain is bit for bit the first
+    steps of any longer chain with the same seed, burn-in and thinning, and
+    a one-step chain draws one nu and one uniform. No other state is stored.
     """
-    y = np.asarray(y0, dtype=float)
-    H, k = transformed.H, transformed.k
-    neg_k, H_t = -k, H.T
-    has_rows = H.shape[0] > 0
-    root_t, dimension = factor.factor.T, factor.dimension
+    # a step's products use ndarray.dot: the same BLAS call as @ (the tests
+    # compare bits), without matmul's dispatch, about 0.5 us less a product
+    u = np.asarray(u0, dtype=float)
+    G, k = transformed.G, transformed.k
+    neg_k, G_t = -k, G.T
+    has_rows, dimension = G.shape[0] > 0, G.shape[1]
     standard_normal, random = rng.standard_normal, rng.random
     cos, sin = math.cos, math.sin
     if long is not None:
-        P, M = long
-        HP = H @ P
-        HP_t, width = HP.T, P.shape[1]
+        M, GQ = long.T, G @ long
+        GQ_t, width = GQ.T, long.shape[1]
     kept = 0
     keep = burn_in  # the step whose state goes into rows[kept]
     steps = burn_in + len(rows) * thin
     for start, size in doubling_blocks(steps, DRAW_BLOCK):
         # full steps are the even ones when long steps alternate with them
         full = size if long is None else (size + 1 - start % 2) // 2
-        nus = standard_normal((full, dimension)) @ root_t
-        along_nus = nus @ H_t
+        nus = standard_normal((full, dimension))
+        along_nus = nus @ G_t
         if long is not None:
             zs = standard_normal((size - full, width))
-            along_zs = zs @ HP_t
+            along_zs = zs @ GQ_t
         uniforms = random(size).tolist()
         f = 0  # the next full step's row of the block
-        for i, u in zip(range(start, min(start + size, steps)), uniforms):
+        for i, r in zip(range(start, min(start + size, steps)), uniforms):
             if long is not None and i % 2:
                 row = i // 2 - start // 2  # the long step's row of the block
-                slack = H @ y + k
+                slack = G.dot(u) + k
                 _check_state(slack)
-                a = M @ y
-                along_a = HP @ a
+                a = M.dot(u)
+                along_a = GQ.dot(a)
                 offset = slack - along_a
                 segments = _feasible_segments(along_a, along_zs[row], offset, -offset)
-                theta = _draw_angle(segments, u)
+                theta = _draw_angle(segments, r)
                 try:
                     turn, lift = cos(theta) - 1.0, sin(theta)
                 except ValueError:  # math's cos and sin reject an infinite angle
                     raise NumericalBreakdown(_INFINITE_ANGLE) from None
-                y = y + P @ (a * turn + zs[row] * lift)
+                u = u + long.dot(a * turn + zs[row] * lift)
             else:
                 if has_rows:
-                    along_y = H @ y
-                    _check_state(along_y + k)
-                    segments = _feasible_segments(along_y, along_nus[f], k, neg_k)
+                    along_u = G.dot(u)
+                    _check_state(along_u + k)
+                    segments = _feasible_segments(along_u, along_nus[f], k, neg_k)
                 else:
                     segments = _FULL_CIRCLE
-                theta = _draw_angle(segments, u)
+                theta = _draw_angle(segments, r)
                 try:
                     turn, lift = cos(theta), sin(theta)
                 except ValueError:
                     raise NumericalBreakdown(_INFINITE_ANGLE) from None
-                y = y * turn + nus[f] * lift
+                u = u * turn + nus[f] * lift
                 f += 1
             if i == keep:
-                rows[kept] = y
+                rows[kept] = u
                 kept += 1
                 keep += thin

@@ -2,17 +2,16 @@
 
 Recipes:
 
-* no constraints            -> direct draws x = g + B u, u ~ N(0, I_k)
-* equality only               (g = mu and B B' = sigma without equalities)
+* no constraints            -> direct draws u ~ N(0, I_k)
+* equality only
 * inequality (with or
-  without equality rows)    -> latent slice-sampling chain started at an
-                               interior point found by linear programming
+  without equality rows)    -> slice-sampling chain on u ~ N(0, I_k)
+                               s.t. G u + k >= 0, started at an interior
+                               point found by linear programming
 
-A direct draw takes k = rank(sigma) - r standard normals, r the number of
-independent equality rows: the dimension of the plane that the law covers.
-B holds the first k left singular vectors of F L scaled by their singular
-values (L L' = sigma), so B B' = F sigma F' and one affine map places the
-draws on the plane.
+Both recipes draw in the plane's own k = rank(sigma) - r coordinates, r the
+number of independent equality rows, and place every draw u on the plane
+by the one affine map x = g + B u of `transform` (B B' = F sigma F').
 
 Degenerate cases short-circuit: an inconsistent equality system or an empty
 inequality region yields an `impossible` outcome with the reason; a system
@@ -33,7 +32,6 @@ import numpy as np
 
 from .elliptical_slice import fill_chain, long_directions
 from .feasibility import find_feasible_point
-from .linalg import row_blocks
 from .problem import ProblemSpec
 from .transform import (
     TransformedProblem,
@@ -41,6 +39,7 @@ from .transform import (
     classify_equality_system,
     map_latent,
     map_latent_rows,
+    packed_latent,
 )
 
 POINT_TOL = 1e-8
@@ -115,9 +114,8 @@ def _split_counts(n_samples, chains):
 @dataclass
 class Plan:
     """A run up to its first draw: the verdict with its reason or point, and
-    for sampling the latent map with either (direct recipes) the dimension
-    k = rank(sigma) - r of the plane the law covers or (with inequality
-    rows) the LP start."""
+    for sampling the latent map and, with inequality rows, the chain's start
+    u0 in the plane's coordinates."""
 
     status: Literal["impossible", "point_mass", "samples"]
     report: RunReport
@@ -125,7 +123,6 @@ class Plan:
     point: np.ndarray | None = None
     transformed: TransformedProblem | None = None
     start: np.ndarray | None = None
-    dimension: int | None = None
 
 
 def plan(spec: ProblemSpec) -> Plan:
@@ -140,7 +137,9 @@ def plan(spec: ProblemSpec) -> Plan:
     check as a unique equality solution, and no LP runs. With a singular
     sigma the LPs run on range(sigma), where the latent prior has its
     mass, through an orthonormal basis of it, and the start point lies
-    there too.
+    there too. The LPs pose the region in y, H y + k >= 0; their start y0,
+    written y0 = L_rank w, becomes the chain's u0 = P' w, for which
+    B u0 = F y0.
     """
     started = time.perf_counter()
     if spec.p:
@@ -167,9 +166,7 @@ def plan(spec: ProblemSpec) -> Plan:
             violated = "the unique equality solution violates the inequalities"
     if point is None:
         transformed = build_transform(spec, equality=classification)
-        rows = 0 if classification is None else classification.rows.shape[0]
-        dimension = spec.factor.rank - rows
-        if dimension == 0:  # sigma leaves no freedom on the plane
+        if transformed.B.shape[1] == 0:  # sigma leaves no freedom on the plane
             point = transformed.g
             violated = "the single point the law reaches violates the inequalities"
     if point is not None:
@@ -179,11 +176,12 @@ def plan(spec: ProblemSpec) -> Plan:
         return decided("point_mass", point=point)
 
     if spec.m == 0:
-        return decided("samples", transformed=transformed, dimension=dimension)
+        return decided("samples", transformed=transformed)
     H, support = transformed.H, None
     if spec.factor.rank < spec.n:  # the latent prior lives on range(sigma)
         support = spec.factor.factor[:, spec.n - spec.factor.rank :]
-        support = support / np.linalg.norm(support, axis=0)
+        norms = np.linalg.norm(support, axis=0)
+        support = support / norms
         H = H @ support
     feasibility = find_feasible_point(H, transformed.k)
     report.feasibility = feasibility.kind
@@ -197,10 +195,14 @@ def plan(spec: ProblemSpec) -> Plan:
         if feasibility.lp_pivots:
             return impossible("no point satisfies the inequalities (negative maximum slack)")
         return impossible("an inequality fails wherever the law has mass: its row vanishes there")
-    start = feasibility.point if support is None else support @ feasibility.point
     if feasibility.kind == "point_mass":
-        return decided("point_mass", point=map_latent(transformed, start))
-    return decided("samples", transformed=transformed, start=start)
+        y0 = feasibility.point if support is None else support @ feasibility.point
+        return decided("point_mass", point=map_latent(transformed, y0))
+    if support is None:  # L_rank = L, square and invertible
+        w = np.linalg.solve(spec.factor.factor, feasibility.point)
+    else:
+        w = feasibility.point / norms
+    return decided("samples", transformed=transformed, start=transformed.P.T @ w)
 
 
 def sample_constrained(
@@ -222,12 +224,14 @@ def sample_constrained(
     independent draws, so there is nothing to warm up or decorrelate.
 
     The samples are written once, into the (n_samples, n) array returned:
-    the chains fill consecutive row blocks with their kept states, the
-    direct draws are mapped block by block, and the latent map runs in
-    place, so a call holds no other array that grows with n_samples. Each
-    chain's rows are mapped on their own, so with the same seed, burn-in
-    and thinning, chain i's samples are the first samples of chain i in
-    any call that gives it more.
+    the direct draws, and each chain's kept states in its block of rows,
+    are written as u at the head of that memory (transform.packed_latent),
+    and the map g + B u expands them in place, so a call holds no other
+    array that grows with n_samples. Each chain's rows are mapped on their
+    own, in blocks whose shapes depend only on a row's place, so with the
+    same seed, burn-in and thinning, chain i's samples are the first
+    samples of chain i in any call that gives it more; direct draws are
+    the first of any longer call's.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
@@ -245,28 +249,17 @@ def sample_constrained(
     if planned.status != "samples":
         return done(planned.status, reason=planned.reason, point=planned.point)
     transformed = planned.transformed
-    factor = spec.factor
     samples = np.empty((n_samples, spec.n))
+    k = transformed.B.shape[1]
     if spec.m == 0:
-        # independent draws x = g + B u, u ~ N(0, I_k), with B B' = F sigma F',
-        # u drawn block by block into one buffer: the same draws in the same
-        # order as one (n_samples, k) array
-        k = planned.dimension
-        left, singular, _ = np.linalg.svd(transformed.F @ factor.factor)
-        B = left[:, :k] * singular[:k]
-        blocks = row_blocks(n_samples, spec.n)
         (generator,) = _generators(rng, 1)
-        draws = np.empty((blocks[0].stop, k))
-        for block in blocks:
-            u = draws[: block.stop - block.start]
-            generator.standard_normal(out=u)
-            np.matmul(u, B.T, out=samples[block])
-        samples += transformed.g
+        generator.standard_normal(out=packed_latent(samples, k))
+        map_latent_rows(transformed, samples)
         return done("samples", samples=samples)
 
-    long = long_directions(transformed, factor, planned.start)
+    long = long_directions(transformed, planned.start)
     if long is not None:
-        report.long_directions = long[0].shape[1]
+        report.long_directions = long.shape[1]
     # chain i fills the next count_i rows; only the chains with a row run
     counts = _split_counts(n_samples, min(chains, n_samples))
     report.chains = len(counts)
@@ -274,9 +267,8 @@ def sample_constrained(
     for generator, count in zip(_generators(rng, len(counts)), counts):
         start, end = end, end + count
         began = time.perf_counter()
-        fill_chain(
-            transformed, factor, planned.start, samples[start:end], generator, long, burn_in, thin
-        )
+        latent = packed_latent(samples[start:end], k)
+        fill_chain(transformed, planned.start, latent, generator, long, burn_in, thin)
         report.chain_seconds += time.perf_counter() - began
         report.chain_steps += burn_in + count * thin
         map_latent_rows(transformed, samples[start:end])

@@ -12,9 +12,15 @@ numerical rank of C). Conditioning on that system,
 a latent draw y ~ N(0, sigma) maps to x = F y + g, which lands exactly on
 the plane and has the right conditional law there. The map is the paper's,
 with V in place of C: both span the same rows. The inequalities become
-H y + k >= 0 with H = A F and k = A g + b. Without equalities the map
-degenerates to F = I, g = mu. The chain recipes sample y; the direct
-recipes draw in the plane's own k coordinates instead (see `sampler`).
+H y + k >= 0 with H = A F and k = A g + b, the region the feasibility LPs
+classify. Without equalities the map degenerates to F = I, g = mu.
+
+Every draw is made in the plane's own coordinates instead: with L_rank the
+rank(sigma) columns of the covariance factor that carry its mass and P an
+orthonormal basis of the null space of V L_rank, B = L_rank P has
+B B' = F sigma F', so u ~ N(0, I_k), k = rank(sigma) - r, gives
+x = g + B u the law of F y + g. The inequalities read G u + k >= 0 with
+G = A B. Without equalities P = I and B = L_rank.
 """
 
 from __future__ import annotations
@@ -49,12 +55,19 @@ class EqualityClass:
 
 @dataclass(frozen=True)
 class TransformedProblem:
-    """Latent reformulation: sample y ~ N(0, sigma) s.t. H y + k >= 0, emit F y + g."""
+    """Latent reformulation: x = F y + g for y ~ N(0, sigma) s.t. H y + k >= 0,
+    drawn as x = g + B u for u ~ N(0, I_k) s.t. G u + k >= 0.
+
+    B = L_rank P (n x k), with P (rank(sigma) x k) orthonormal; G = A B.
+    """
 
     F: np.ndarray
     g: np.ndarray
     H: np.ndarray
     k: np.ndarray
+    B: np.ndarray
+    G: np.ndarray
+    P: np.ndarray
 
 
 def classify_equality_system(C, d, tol: float = EQUALITY_TOL) -> EqualityClass:
@@ -109,15 +122,20 @@ def build_transform(
     a singular Gram a Cholesky factor; and on the counted directions, so
     that the plane's dimension k = rank(sigma) - r cannot come out wrong or
     negative. E is computed through a factorization-based solve, never an
-    explicit inverse.
+    explicit inverse. The complete QR of (V L_rank).T gives P as the columns
+    after its first r, orthogonal to every row of V L_rank.
     """
     n = spec.n
+    root = spec.factor.factor[:, n - spec.factor.rank :]  # L_rank
     if spec.p == 0:
         return TransformedProblem(
             F=np.eye(n),
             g=spec.mu.copy(),
             H=spec.A.copy(),
             k=spec.A @ spec.mu + spec.b,
+            B=root,
+            G=spec.A @ root,
+            P=np.eye(spec.factor.rank),
         )
     if equality is None:
         equality = classify_equality_system(spec.C, spec.d, tol)
@@ -127,9 +145,10 @@ def build_transform(
             f"solutions, got {equality.kind!r}"
         )
     V = equality.rows
+    r = V.shape[0]
     rhs = V @ spec.sigma  # (r, n); E = (gram^-1 @ rhs).T
-    counted = V @ spec.factor.factor[:, n - spec.factor.rank :]
-    floor = DEFAULT_TOL * np.abs(spec.sigma).max() * np.eye(V.shape[0])
+    counted = V @ root
+    floor = DEFAULT_TOL * np.abs(spec.sigma).max() * np.eye(r)
     try:
         # the shifted Gram has a Cholesky factor iff its smallest eigenvalue
         # exceeds the floor. The PSD tolerance bounds the negative eigenvalues
@@ -144,47 +163,51 @@ def build_transform(
     E = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs)).T
     F = np.eye(n) - E @ V
     g = F @ spec.mu - E @ equality.offsets
-    H = spec.A @ F
-    k = spec.A @ g + spec.b
-    return TransformedProblem(F=F, g=g, H=H, k=k)
+    P = np.linalg.qr(counted.T, mode="complete")[0][:, r:]
+    B = root @ P
+    return TransformedProblem(
+        F=F, g=g, H=spec.A @ F, k=spec.A @ g + spec.b, B=B, G=spec.A @ B, P=P
+    )
 
 
 def map_latent(transformed: TransformedProblem, y) -> np.ndarray:
-    """x = F y + g. A 2-D input is treated as one latent vector per row.
-
-    The result is a new array and y is left as it is; `sample_constrained`
-    maps its output in place with map_latent_rows instead, the same rows up
-    to the rounding of the products.
-    """
+    """x = F y + g for a latent y of the LPs' coordinates. A 2-D input is
+    treated as one latent vector per row; the result is a new array."""
     y = np.asarray(y, dtype=float)
     if y.ndim == 1:
         return transformed.F @ y + transformed.g
     return y @ transformed.F.T + transformed.g
 
 
-def map_latent_rows(transformed: TransformedProblem, rows: np.ndarray) -> None:
-    """Overwrite each row y of the 2-D float array rows with F y + g.
+def packed_latent(rows: np.ndarray, k: int) -> np.ndarray:
+    """The (len(rows), k) array at the head of the memory of the C-contiguous
+    2-D array rows: where a draw writes u before map_latent_rows expands
+    each u in place into its row of x."""
+    return rows.reshape(-1)[: len(rows) * k].reshape(len(rows), k)
 
-    With equality rows the product runs over blocks of 1, 2, 4, ... rows,
-    up to about BLOCK_ELEMENTS elements a block (linalg.doubling_blocks),
-    so no temporary grows with the row count. A BLAS product can round a
-    row differently with the number of rows it spans, so the last block is
+
+def map_latent_rows(transformed: TransformedProblem, rows: np.ndarray) -> None:
+    """Overwrite the C-contiguous 2-D float array rows with g + B u, one row
+    for each row u of packed_latent(rows, k).
+
+    The product runs over blocks of 1, 2, 4, ... rows, up to about
+    BLOCK_ELEMENTS elements a block (linalg.doubling_blocks), so no
+    temporary grows with the row count. A BLAS product can round a row
+    differently with the number of rows it spans, so the last block is
     padded to its full size: every block has the shape its position gives
     it, and mapping the first rows of a longer array gives the same bits.
-    Without equality rows F is the identity, whose product returns each
-    row as it is (signed zeros aside), so the map is just the shift by g.
-    F is a projector, so its trace is n less the kept equality rows, and
-    tells the two cases apart exactly.
+    The blocks run from the last to the first: a block's rows of x start
+    past every earlier block's u and overwrite only u that later blocks
+    have already read.
     """
-    F = transformed.F
-    if round(float(np.trace(F))) < F.shape[0]:
-        count, width = rows.shape
-        for start, size in doubling_blocks(count, max(1, BLOCK_ELEMENTS // width)):
-            block = rows[start : start + size]
-            if len(block) < size:
-                padded = np.zeros((size, width))
-                padded[: len(block)] = block
-                block[...] = (padded @ F.T)[: len(block)]
-            else:
-                block[...] = block @ F.T
-    rows += transformed.g
+    B_t = transformed.B.T
+    k = B_t.shape[0]
+    count, width = rows.shape
+    latent = packed_latent(rows, k)
+    blocks = list(doubling_blocks(count, max(1, BLOCK_ELEMENTS // width)))
+    for start, size in reversed(blocks):
+        u = latent[start : start + size]
+        if len(u) < size:
+            u = np.zeros((size, k))
+            u[: count - start] = latent[start:]
+        np.add((u @ B_t)[: count - start], transformed.g, out=rows[start : start + size])

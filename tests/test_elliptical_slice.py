@@ -15,21 +15,21 @@ from lingauss.elliptical_slice import (
     active_arcs,
     fill_chain,
     long_directions,
-    run_chain,
 )
 from lingauss.errors import EmptyArcSet, NumericalBreakdown
-from lingauss.feasibility import find_feasible_point
 from lingauss.fixtures import pentagon_problem
-from lingauss.linalg import doubling_blocks, factor_covariance
+from lingauss.linalg import doubling_blocks
 from lingauss.problem import ProblemSpec
+from lingauss.sampler import plan
 from lingauss.stats import sample_stats
-from lingauss.transform import build_transform, map_latent
+from lingauss.transform import build_transform
 
 from conftest import random_spd
 
 
-# Reference: the per-arc slice step that run_chain replaced, kept verbatim in
-# arithmetic. run_chain must reproduce its output bit for bit.
+# Reference: the per-arc slice step that the chain replaced, kept verbatim in
+# arithmetic apart from running on u ~ N(0, I_k) under G u + k >= 0. The
+# chain must reproduce its output bit for bit.
 
 
 def _reference_wrap_arc(start, end):
@@ -105,12 +105,12 @@ def _schedule(steps):
     return blocks
 
 
-def _reference_chain(transformed, factor, y0, n_steps, rng, stats=None):
-    H, k = transformed.H, transformed.k
-    y = np.asarray(y0, dtype=float)
+def _reference_chain(transformed, u0, n_steps, rng, stats=None):
+    H, k = transformed.G, transformed.k
+    y = np.asarray(u0, dtype=float)
     out = np.empty((n_steps, y.size))
     for start, size in _schedule(n_steps):
-        nus = rng.standard_normal((size, factor.dimension)) @ factor.factor.T
+        nus = rng.standard_normal((size, y.size))
         along_nus = nus @ H.T
         uniforms = rng.random(size)
         for j in range(min(size, n_steps - start)):
@@ -130,8 +130,9 @@ def _reference_chain(transformed, factor, y0, n_steps, rng, stats=None):
 # Frozen: the sweep as it stood before it merged sorted start and end
 # lists, verbatim in arithmetic apart from the names and the `stats`
 # counters (_angle_at and _check_state did not change), and the draw and
-# the chain loop as they stood when the draws moved into blocks. The arc
-# code and the chains must reproduce them bit for bit.
+# the chain loop as they stood when the draws moved into blocks, run on
+# u ~ N(0, I_k) under G u + k >= 0, with long directions Q for P and Q'
+# for M. The arc code and the chains must reproduce them bit for bit.
 
 
 def _frozen_intersect(events, needed, stats=None):
@@ -190,13 +191,13 @@ def _frozen_draw_angle(segments, u):
     return _angle_at(segments, total * u)
 
 
-def _frozen_fill_chain(transformed, factor, y0, rows, rng, long=None, burn_in=0, thin=1):
-    y = np.asarray(y0, dtype=float)
-    H, k = transformed.H, transformed.k
+def _frozen_fill_chain(transformed, u0, rows, rng, long=None, burn_in=0, thin=1):
+    y = np.asarray(u0, dtype=float)
+    H, k = transformed.G, transformed.k
     has_rows = H.shape[0] > 0
-    root, dimension = factor.factor, factor.dimension
+    dimension = y.size
     if long is not None:
-        P, M = long
+        P, M = long, long.T
         HP, width = H @ P, P.shape[1]
     kept = 0
     keep = burn_in
@@ -204,7 +205,7 @@ def _frozen_fill_chain(transformed, factor, y0, rows, rng, long=None, burn_in=0,
     for start, size in _schedule(steps):
         block = range(start, start + size)
         full = [i for i in block if long is None or i % 2 == 0]
-        nus = rng.standard_normal((len(full), dimension)) @ root.T
+        nus = rng.standard_normal((len(full), dimension))
         along_nus = nus @ H.T
         if long is not None:
             zs = rng.standard_normal((size - len(full), width))
@@ -237,6 +238,13 @@ def _frozen_fill_chain(transformed, factor, y0, rows, rng, long=None, burn_in=0,
                 rows[kept] = y
                 kept += 1
                 keep += thin
+
+
+def chain_states(transformed, u0, n_steps, rng, long=None):
+    """The n_steps states after u0, one per row: fill_chain over a new array."""
+    rows = np.empty((n_steps, np.size(u0)))
+    fill_chain(transformed, u0, rows, rng, long)
+    return rows
 
 
 def member(intervals, theta):
@@ -346,10 +354,12 @@ def test_run_chain_stays_feasible_every_step():
         b=np.array([0.5, 0.5]),
     )
     transformed = build_transform(spec)
-    factor = factor_covariance(spec.sigma)
-    chain = run_chain(transformed, factor, np.zeros(2), 300, np.random.default_rng(11))
+    chain = chain_states(transformed, np.zeros(2), 300, np.random.default_rng(11))
     assert chain.shape == (300, 2)
-    assert (chain @ transformed.H.T + transformed.k).min() >= -1e-9
+    assert (chain @ transformed.G.T + transformed.k).min() >= -1e-9
+    # x = g + B u satisfies the inequalities with the same slack
+    x = chain @ transformed.B.T + transformed.g
+    assert (x @ spec.A.T + spec.b).min() >= -1e-9
 
 
 def test_corrupted_state_raises():
@@ -357,9 +367,8 @@ def test_corrupted_state_raises():
         mu=np.zeros(1), sigma=np.eye(1), A=np.array([[1.0]]), b=np.array([0.0])
     )
     transformed = build_transform(spec)
-    factor = factor_covariance(spec.sigma)
-    with pytest.raises(NumericalBreakdown, match="corrupted"):  # y0 violates y >= 0
-        run_chain(transformed, factor, np.array([-1.0]), 5, np.random.default_rng(0))
+    with pytest.raises(NumericalBreakdown, match="corrupted"):  # u0 violates u >= 0
+        chain_states(transformed, np.array([-1.0]), 5, np.random.default_rng(0))
 
 
 def test_nan_state_raises():
@@ -367,9 +376,8 @@ def test_nan_state_raises():
         mu=np.zeros(2), sigma=np.eye(2), A=np.array([[1.0, 0.0]]), b=np.array([1.0])
     )
     transformed = build_transform(spec)
-    factor = factor_covariance(spec.sigma)
     with pytest.raises(NumericalBreakdown, match="corrupted"):
-        run_chain(transformed, factor, np.array([np.nan, 0.0]), 5, np.random.default_rng(0))
+        chain_states(transformed, np.array([np.nan, 0.0]), 5, np.random.default_rng(0))
 
 
 def test_run_chain_shape_and_determinism():
@@ -380,22 +388,23 @@ def test_run_chain_shape_and_determinism():
         b=np.array([1.0]),
     )
     transformed = build_transform(spec)
-    factor = factor_covariance(spec.sigma)
-    y0 = np.array([0.0, 0.0])
-    a = run_chain(transformed, factor, y0, 50, np.random.default_rng(42))
-    b = run_chain(transformed, factor, y0, 50, np.random.default_rng(42))
+    u0 = np.array([0.0, 0.0])
+    a = chain_states(transformed, u0, 50, np.random.default_rng(42))
+    b = chain_states(transformed, u0, 50, np.random.default_rng(42))
     assert a.shape == (50, 2)
     np.testing.assert_array_equal(a, b)
-    with pytest.raises(ValueError):
-        run_chain(transformed, factor, y0, 0, np.random.default_rng(0))
+    # no rows to fill: no step runs and nothing is drawn
+    generator = np.random.default_rng(0)
+    before = generator.bit_generator.state
+    fill_chain(transformed, u0, np.empty((0, 2)), generator)
+    assert generator.bit_generator.state == before
 
 
 def test_half_normal_moments():
     # N(0,1) restricted to y >= 0: mean sqrt(2/pi), variance 1 - 2/pi
     spec = ProblemSpec(mu=np.zeros(1), sigma=np.eye(1), A=np.array([[1.0]]), b=np.array([0.0]))
     transformed = build_transform(spec)
-    factor = factor_covariance(spec.sigma)
-    chain = run_chain(transformed, factor, np.array([1.0]), 30_000, np.random.default_rng(5))
+    chain = chain_states(transformed, np.array([1.0]), 30_000, np.random.default_rng(5))
     draws = chain[:, 0]
     assert draws.min() >= -1e-9
     assert draws.mean() == pytest.approx(np.sqrt(2 / np.pi), abs=0.025)
@@ -410,8 +419,8 @@ def test_unconstrained_chain_is_standard_normal():
         mu=np.zeros(2), sigma=sigma, A=np.array([[1.0, 0.0]]), b=np.array([1e6])
     )
     transformed = build_transform(spec)
-    factor = factor_covariance(sigma)
-    chain = run_chain(transformed, factor, np.zeros(2), 40_000, np.random.default_rng(3))
+    chain = chain_states(transformed, np.zeros(2), 40_000, np.random.default_rng(3))
+    chain = chain @ transformed.B.T  # x = g + B u, g = mu = 0
     np.testing.assert_allclose(chain.mean(axis=0), 0.0, atol=4 * np.sqrt(sigma.max() / 4_000))
     np.testing.assert_allclose(np.cov(chain.T), sigma, rtol=0.15, atol=0.05 * sigma.max())
 
@@ -453,14 +462,11 @@ CHAIN_CASES = {
 def test_run_chain_matches_reference_bit_for_bit(case):
     make, steps, check = CHAIN_CASES[case]
     spec = make()
-    transformed = build_transform(spec)
-    factor = factor_covariance(spec.sigma)
-    y0 = find_feasible_point(transformed.H, transformed.k).point
+    planned = plan(spec)
+    transformed, u0 = planned.transformed, planned.start
     stats = {"active": 0, "crossing": 0}
-    expected = _reference_chain(
-        transformed, factor, y0, steps, np.random.default_rng(29), stats
-    )
-    chain = run_chain(transformed, factor, y0, steps, np.random.default_rng(29))
+    expected = _reference_chain(transformed, u0, steps, np.random.default_rng(29), stats)
+    chain = chain_states(transformed, u0, steps, np.random.default_rng(29))
     assert np.array_equal(chain, expected)
     if check is not None:
         assert check(stats, steps), stats
@@ -469,9 +475,8 @@ def test_run_chain_matches_reference_bit_for_bit(case):
 def test_no_rows_chain_matches_reference_bit_for_bit():
     spec = ProblemSpec(mu=np.zeros(3), sigma=random_spd(np.random.default_rng(5), 3))
     transformed = build_transform(spec)
-    factor = factor_covariance(spec.sigma)
-    expected = _reference_chain(transformed, factor, np.ones(3), 500, np.random.default_rng(3))
-    chain = run_chain(transformed, factor, np.ones(3), 500, np.random.default_rng(3))
+    expected = _reference_chain(transformed, np.ones(3), 500, np.random.default_rng(3))
+    chain = chain_states(transformed, np.ones(3), 500, np.random.default_rng(3))
     assert np.array_equal(chain, expected)
 
 
@@ -480,7 +485,7 @@ def test_many_segments_chain_matches_reference_bit_for_bit():
     # pairwise. The first nu is known from the seed, so the problem is built
     # around it: y0 orthogonal to nu and as long makes the first ellipse a
     # circle, which pokes out of all 16 sides of a polygon whose vertex
-    # points at y0, leaving 16 feasible pieces.
+    # points at y0, leaving 16 feasible pieces. With sigma = I, u = y.
     sides = 16
     for seed in range(20):
         nu = np.random.default_rng(seed).standard_normal(2)
@@ -490,11 +495,10 @@ def test_many_segments_chain_matches_reference_bit_for_bit():
         b = np.full(sides, np.hypot(*nu) / 1.01)
         spec = ProblemSpec(mu=np.zeros(2), sigma=np.eye(2), A=A, b=b)
         transformed = build_transform(spec)
-        factor = factor_covariance(spec.sigma)
         # one more when a segment straddles the seam at +-pi
-        assert len(active_arcs(y0, nu, transformed.H, transformed.k).intervals) >= sides
-        expected = _reference_chain(transformed, factor, y0, 3, np.random.default_rng(seed))
-        chain = run_chain(transformed, factor, y0, 3, np.random.default_rng(seed))
+        assert len(active_arcs(y0, nu, transformed.G, transformed.k).intervals) >= sides
+        expected = _reference_chain(transformed, y0, 3, np.random.default_rng(seed))
+        chain = chain_states(transformed, y0, 3, np.random.default_rng(seed))
         assert np.array_equal(chain, expected)
 
 
@@ -664,14 +668,14 @@ def slab(sigma=None, seed=41, plane=False):
 
 
 def chain_setup(spec):
-    transformed = build_transform(spec)
-    factor = factor_covariance(spec.sigma)
-    y0 = find_feasible_point(transformed.H, transformed.k).point
-    return transformed, factor, y0, long_directions(transformed, factor, y0)
+    """The latent map, the chain's start u0 and its long directions, from plan."""
+    planned = plan(spec)
+    transformed, u0 = planned.transformed, planned.start
+    return transformed, u0, long_directions(transformed, u0)
 
 
 def long_count(spec):
-    return 0 if (long := chain_setup(spec)[3]) is None else long[0].shape[1]
+    return 0 if (long := chain_setup(spec)[2]) is None else long.shape[1]
 
 
 def normal_pdf(t):
@@ -687,21 +691,23 @@ def truncated_normal_moments(low, high):
 
 def test_long_directions_span_the_long_axes_of_the_slab():
     spec, rotation = slab()
-    transformed, factor, y0, long = chain_setup(spec)
-    P, M = long
-    assert P.shape == (3, 2) and M.shape == (2, 3)
-    np.testing.assert_allclose(M @ P, np.eye(2), atol=1e-12)
-    # Sigma = I: the long directions are w2 and w3, orthogonal to the thin w1
+    transformed, u0, long = chain_setup(spec)
+    assert long.shape == (3, 2)
+    np.testing.assert_allclose(long.T @ long, np.eye(2), atol=1e-12)
+    # Sigma = I: the long directions of x, B Q, are w2 and w3, orthogonal to the thin w1
+    P = transformed.B @ long
     np.testing.assert_allclose(rotation[:, 0] @ P, 0.0, atol=1e-9)
     np.testing.assert_allclose(np.linalg.svd(rotation[:, 1:].T @ P)[1], 1.0, atol=1e-9)
 
 
 def test_long_directions_are_whitened_orthonormal():
-    # with a correlated sigma, Q = L^-1 P is orthonormal and M reads it off: M sigma M' = I
+    # with a correlated sigma, Q is orthonormal and its directions of x,
+    # P = B Q = L Q, are orthonormal under sigma^-1: P' sigma^-1 P = I
     spec, _ = slab(sigma=lambda rotation: random_spd(np.random.default_rng(43), 3))
-    P, M = chain_setup(spec)[3]
-    np.testing.assert_allclose(M @ spec.sigma @ M.T, np.eye(2), atol=1e-10)
-    np.testing.assert_allclose(M @ P, np.eye(2), atol=1e-10)
+    transformed, _, long = chain_setup(spec)
+    P = transformed.B @ long
+    np.testing.assert_allclose(P.T @ np.linalg.solve(spec.sigma, P), np.eye(2), atol=1e-10)
+    np.testing.assert_allclose(long.T @ long, np.eye(2), atol=1e-10)
 
 
 def test_long_chain_matches_truncated_normal_moments_and_beats_the_plain_chain():
@@ -713,13 +719,14 @@ def test_long_chain_matches_truncated_normal_moments_and_beats_the_plain_chain()
     # on the plane w3 = 0.1, w3 is fixed and w1, w2 keep their laws (sigma = I)
     for plane, free in ((False, 3), (True, 2)):
         spec, rotation = slab(plane=plane)
-        transformed, factor, y0, long = chain_setup(spec)
-        assert long[0].shape[1] == free - 1
+        transformed, u0, long = chain_setup(spec)
+        assert long.shape[1] == free - 1
         steps = 20_000
-        chain = run_chain(transformed, factor, y0, steps, np.random.default_rng(47), long)
-        plain = run_chain(transformed, factor, y0, steps, np.random.default_rng(47))
+        chain = chain_states(transformed, u0, steps, np.random.default_rng(47), long)
+        plain = chain_states(transformed, u0, steps, np.random.default_rng(47))
+        chain = chain @ transformed.B.T + transformed.g
+        plain = plain @ transformed.B.T + transformed.g
         if plane:
-            chain, plain = map_latent(transformed, chain), map_latent(transformed, plain)
             np.testing.assert_allclose(chain @ rotation[:, 2], 0.1, atol=1e-12)
         w = chain @ rotation[:, :free]
         stats = sample_stats(w)
@@ -760,32 +767,34 @@ def test_long_direction_count_is_invariant_to_row_transformations(make, expected
 
 def test_no_thin_direction_skips_the_eigendecomposition(monkeypatch):
     spec = rotated_box()
-    transformed = build_transform(spec)
-    factor = factor_covariance(spec.sigma)
-    y0 = find_feasible_point(transformed.H, transformed.k).point
-    G = transformed.H / (transformed.H @ y0 + transformed.k)[:, None]  # sigma = I
-    assert np.sum(G * G) <= 1.0 / THIN**2  # the trace bound holds on the box
+    planned = plan(spec)
+    transformed, u0 = planned.transformed, planned.start
+    D = transformed.G / (transformed.G @ u0 + transformed.k)[:, None]
+    assert np.sum(D * D) <= 1.0 / THIN**2  # the trace bound holds on the box
 
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh ran although the trace proves no direction thin")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    assert long_directions(transformed, factor, y0) is None
+    assert long_directions(transformed, u0) is None
 
 
 def test_every_direction_thin_keeps_the_plain_chain():
     # a cube of half-width 1e-3: every semi-axis is far below THIN
     A = np.vstack([np.eye(3), -np.eye(3)])
     spec = ProblemSpec(mu=np.zeros(3), sigma=np.eye(3), A=A, b=np.full(6, 1e-3))
-    assert chain_setup(spec)[3] is None
+    assert chain_setup(spec)[2] is None
 
 
-def test_singular_sigma_keeps_the_plain_chain():
-    # sigma of rank 2 carries no whitening, even though the slab stays thin
-    spec, _ = slab(sigma=lambda rotation: rotation @ np.diag([1.0, 1.0, 0.0]) @ rotation.T)
-    transformed, factor, y0, long = chain_setup(spec)
-    assert factor.rank == 2
-    assert long is None
+def test_singular_sigma_takes_long_steps():
+    # sigma of rank 2 leaves u two coordinates, w1 and w2 of x; the slab is
+    # thin in w1 and long in w2, so one of the two is long
+    spec, rotation = slab(sigma=lambda rotation: rotation @ np.diag([1.0, 1.0, 0.0]) @ rotation.T)
+    transformed, u0, long = chain_setup(spec)
+    assert spec.factor.rank == 2 and transformed.B.shape == (3, 2)
+    assert long.shape == (2, 1)
+    P = transformed.B @ long  # the long direction of x is w2
+    np.testing.assert_allclose(np.abs(rotation[:, 1] @ P), 1.0, atol=1e-9)
 
 
 class _FaultyRandom:
@@ -811,41 +820,40 @@ def test_corrupted_state_raises_on_a_long_step(value):
     # off the arcs, so the state that step 1, a long step, starts from is
     # corrupted; -inf puts the angle at -inf, where cos and sin are undefined
     spec, _ = slab()
-    transformed, factor, y0, long = chain_setup(spec)
+    transformed, u0, long = chain_setup(spec)
     with pytest.raises(NumericalBreakdown, match="corrupted"):
-        run_chain(transformed, factor, y0, 2, _FaultyRandom(59, value), long)
+        chain_states(transformed, u0, 2, _FaultyRandom(59, value), long)
     if value == -np.inf:  # an infinite angle raises on the step that draws it
         with pytest.raises(NumericalBreakdown, match="corrupted"):
-            run_chain(transformed, factor, y0, 1, _FaultyRandom(59, value), long)
+            chain_states(transformed, u0, 1, _FaultyRandom(59, value), long)
     else:  # the same first step passes with one step only: nothing checks its output
-        single = run_chain(transformed, factor, y0, 1, _FaultyRandom(59, value), long)
+        single = chain_states(transformed, u0, 1, _FaultyRandom(59, value), long)
         assert single.shape == (1, 3)
 
 
 def test_an_infinite_angle_raises_on_a_long_step():
     # step 1, a long step, opens block 1: its uniform is the first of call 1
     spec, _ = slab()
-    transformed, factor, y0, long = chain_setup(spec)
+    transformed, u0, long = chain_setup(spec)
     with pytest.raises(NumericalBreakdown, match="corrupted"):
-        run_chain(transformed, factor, y0, 2, _FaultyRandom(59, -np.inf, call=1), long)
+        chain_states(transformed, u0, 2, _FaultyRandom(59, -np.inf, call=1), long)
     # so the angle raises, not a state check: no later step checks step 1's
     # output, and a finite angle as far off passes
-    off = run_chain(transformed, factor, y0, 2, _FaultyRandom(59, -1e3, call=1), long)
+    off = chain_states(transformed, u0, 2, _FaultyRandom(59, -1e3, call=1), long)
     assert off.shape == (2, 3)
 
 
 def test_long_chain_even_steps_use_the_full_step_draws():
     # step 0 is a full step: it takes the same draws and lands where the plain chain does
     spec, _ = slab()
-    transformed, factor, y0, long = chain_setup(spec)
-    first = run_chain(transformed, factor, y0, 1, np.random.default_rng(61), long)
-    assert np.array_equal(first, run_chain(transformed, factor, y0, 1, np.random.default_rng(61)))
-    chain = run_chain(transformed, factor, y0, 400, np.random.default_rng(61), long)
-    assert (chain @ transformed.H.T + transformed.k).min() >= -SLACK_TOL
-    # the long steps move only along the columns of P
+    transformed, u0, long = chain_setup(spec)
+    first = chain_states(transformed, u0, 1, np.random.default_rng(61), long)
+    assert np.array_equal(first, chain_states(transformed, u0, 1, np.random.default_rng(61)))
+    chain = chain_states(transformed, u0, 400, np.random.default_rng(61), long)
+    assert (chain @ transformed.G.T + transformed.k).min() >= -SLACK_TOL
+    # the long steps move only along the columns of Q
     step = chain[1::2] - chain[0:-1:2]
-    P = long[0]
-    residual = step - step @ np.linalg.pinv(P).T @ P.T
+    residual = step - step @ long @ long.T
     assert np.abs(residual).max() <= 1e-12
 
 
@@ -853,18 +861,18 @@ def test_long_chain_even_steps_use_the_full_step_draws():
     "make", [lambda: slab()[0], lambda: pentagon_problem("inequality")], ids=["slab", "pentagon"]
 )
 def test_long_chain_matches_the_frozen_loop_bit_for_bit(make):
-    transformed, factor, y0, long = chain_setup(make())
+    transformed, u0, long = chain_setup(make())
     assert long is not None
     steps = 2_000
-    expected = np.empty((steps, y0.size))
-    _frozen_fill_chain(transformed, factor, y0, expected, np.random.default_rng(67), long)
-    chain = run_chain(transformed, factor, y0, steps, np.random.default_rng(67), long)
+    expected = np.empty((steps, u0.size))
+    _frozen_fill_chain(transformed, u0, expected, np.random.default_rng(67), long)
+    chain = chain_states(transformed, u0, steps, np.random.default_rng(67), long)
     assert np.array_equal(chain, expected)
     # with a burn-in and thinning, over 3 * 700 + 101 steps
-    expected = np.empty((700, y0.size))
-    _frozen_fill_chain(transformed, factor, y0, expected, np.random.default_rng(71), long, 101, 3)
+    expected = np.empty((700, u0.size))
+    _frozen_fill_chain(transformed, u0, expected, np.random.default_rng(71), long, 101, 3)
     rows = np.empty_like(expected)
-    fill_chain(transformed, factor, y0, rows, np.random.default_rng(71), long, burn_in=101, thin=3)
+    fill_chain(transformed, u0, rows, np.random.default_rng(71), long, burn_in=101, thin=3)
     assert np.array_equal(rows, expected)
 
 
@@ -885,18 +893,18 @@ PREFIX_LENGTHS = [1, 2, 3, 63, 64, 65, 127, 1000]
 @pytest.mark.parametrize("name", list(PREFIX_CHAINS))
 def test_a_shorter_chain_is_a_prefix_of_a_longer_one(name):
     make, alternates = PREFIX_CHAINS[name]
-    transformed, factor, y0, long = chain_setup(make())
+    transformed, u0, long = chain_setup(make())
     assert (long is not None) == alternates
-    full = run_chain(transformed, factor, y0, 2_000, np.random.default_rng(73), long)
+    full = chain_states(transformed, u0, 2_000, np.random.default_rng(73), long)
     for n in PREFIX_LENGTHS:
-        chain = run_chain(transformed, factor, y0, n, np.random.default_rng(73), long)
+        chain = chain_states(transformed, u0, n, np.random.default_rng(73), long)
         assert np.array_equal(chain, full[:n]), n
     # with a burn-in and thinning, the kept states are a prefix too
-    rows = np.empty((2_000, y0.size))
-    fill_chain(transformed, factor, y0, rows, np.random.default_rng(79), long, 37, 3)
+    rows = np.empty((2_000, u0.size))
+    fill_chain(transformed, u0, rows, np.random.default_rng(79), long, 37, 3)
     for n in PREFIX_LENGTHS:
-        part = np.empty((n, y0.size))
-        fill_chain(transformed, factor, y0, part, np.random.default_rng(79), long, 37, 3)
+        part = np.empty((n, u0.size))
+        fill_chain(transformed, u0, part, np.random.default_rng(79), long, 37, 3)
         assert np.array_equal(part, rows[:n]), n
 
 
@@ -915,11 +923,11 @@ def _draw_the_schedule(rng, steps, dimension, width=None):
 @pytest.mark.parametrize("name", list(PREFIX_CHAINS))
 @pytest.mark.parametrize("rows, burn_in, thin", [(1, 0, 1), (64, 0, 1), (700, 101, 3)])
 def test_a_chain_draws_the_documented_blocks(name, rows, burn_in, thin):
-    transformed, factor, y0, long = chain_setup(PREFIX_CHAINS[name][0]())
+    transformed, u0, long = chain_setup(PREFIX_CHAINS[name][0]())
     generator, reference = np.random.default_rng(83), np.random.default_rng(83)
-    fill_chain(transformed, factor, y0, np.empty((rows, y0.size)), generator, long, burn_in, thin)
-    width = None if long is None else long[0].shape[1]
-    _draw_the_schedule(reference, burn_in + rows * thin, factor.dimension, width)
+    fill_chain(transformed, u0, np.empty((rows, u0.size)), generator, long, burn_in, thin)
+    width = None if long is None else long.shape[1]
+    _draw_the_schedule(reference, burn_in + rows * thin, u0.size, width)
     assert generator.bit_generator.state == reference.bit_generator.state
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import lingauss.sampler
 import lingauss.transform
-from lingauss.elliptical_slice import long_directions, run_chain
+from lingauss.elliptical_slice import fill_chain, long_directions
 from lingauss.errors import DegenerateRegion
 from lingauss.fixtures import pentagon_problem
 from lingauss.linalg import BLOCK_ELEMENTS
@@ -371,9 +371,15 @@ def test_chain_seconds_sum_the_time_in_fill_chain(pentagon_both, pentagon_equali
 
 def plain_chain_samples(spec, n, seed):
     """The samples of the full-step chain alone, from the start point of plan."""
-    transformed = build_transform(spec)
-    latent = run_chain(transformed, spec.factor, plan(spec).start, n, np.random.default_rng(seed))
-    return mapped_in_blocks(transformed, latent)
+    planned = plan(spec)
+    latent = np.empty((n, planned.transformed.B.shape[1]))
+    fill_chain(planned.transformed, planned.start, latent, np.random.default_rng(seed))
+    return mapped_in_blocks(planned.transformed, latent)
+
+
+def singular_slab():
+    """The slab of rank-2 sigma: no variance along its free direction w3."""
+    return slab(sigma=lambda rotation: rotation @ np.diag([1.0, 1.0, 0.0]) @ rotation.T)[0]
 
 
 def test_report_counts_long_directions(pentagon_inequality, pentagon_both, pentagon_equality):
@@ -383,6 +389,18 @@ def test_report_counts_long_directions(pentagon_inequality, pentagon_both, penta
     assert sample_constrained(slab()[0], 10, 1).report.long_directions == 2
     # on the plane w3 = 0.1 only w2 is long: the map onto the plane discards w3
     assert sample_constrained(slab(plane=True)[0], 10, 1).report.long_directions == 1
+    # a singular sigma keeps only w1 and w2, of which w2 is long
+    spec = singular_slab()
+    outcome = sample_constrained(spec, 20_000, 1)
+    assert outcome.report.long_directions == 1
+    rejection = rejection_sample(spec, 5_000_000, np.random.default_rng(2))
+    assert rejection.accepted >= 2_000
+    report = compare_stats(
+        sample_stats(outcome.samples),
+        sample_stats(rejection.samples, independent=True),
+        sigma_level=4.0,
+    )
+    assert report.all_passed, report.to_text()
 
 
 @pytest.mark.parametrize(
@@ -395,11 +413,12 @@ def test_regions_without_thin_directions_keep_the_plain_chain(make):
     assert np.array_equal(outcome.samples, plain_chain_samples(spec, 2_000, 67))
 
 
-def test_singular_sigma_samples_with_the_plain_chain():
-    spec, _ = slab(sigma=lambda rotation: rotation @ np.diag([1.0, 1.0, 0.0]) @ rotation.T)
+def test_singular_sigma_samples_with_long_steps():
+    spec = singular_slab()
     outcome = sample_constrained(spec, 500, 71)
-    assert outcome.report.long_directions == 0
-    assert np.array_equal(outcome.samples, plain_chain_samples(spec, 500, 71))
+    assert outcome.report.long_directions == 1
+    assert np.array_equal(outcome.samples, stacked_samples(spec, 500, 71))
+    assert not np.array_equal(outcome.samples, plain_chain_samples(spec, 500, 71))
 
 
 def test_singular_sigma_chain_stays_on_the_support_of_the_prior():
@@ -591,26 +610,25 @@ def test_sample_law_is_invariant_to_row_scaling_permutation_and_duplication(name
         assert report.all_passed, f"{label}\n{report.to_text()}"
 
 
-# A frozen reference for the outputs: whole chains, each mapped on its own
-# in the blocks that keep a shorter chain a prefix of a longer one, then
-# stacked; and direct draws as one (n_samples, k) product.
-# sample_constrained writes every sample into one array instead, and must
-# return the same bits.
+# A frozen reference for the outputs: whole chains of u, each mapped on its
+# own in the blocks that keep a shorter chain a prefix of a longer one, then
+# stacked; and direct draws as one (n_samples, k) array of u, mapped in the
+# same blocks. sample_constrained writes every sample into one array
+# instead, and must return the same bits.
 
 
 def mapped_in_blocks(transformed, latent):
-    """F y + g for each row y of one chain, the rows taken in blocks of 1, 2,
-    4, ... rows up to BLOCK_ELEMENTS elements, the last padded with zero rows
-    to its full size."""
-    width = latent.shape[1]
-    cap = max(1, BLOCK_ELEMENTS // width)
+    """g + B u for each row u of one chain, the rows taken in blocks of 1, 2,
+    4, ... rows up to BLOCK_ELEMENTS elements of x, the last padded with zero
+    rows to its full size."""
+    cap = max(1, BLOCK_ELEMENTS // transformed.B.shape[0])
     mapped, start, size = [], 0, 1
     while start < len(latent):
         size = min(size, cap)
         rows = latent[start : start + size]
-        block = np.zeros((size, width))
+        block = np.zeros((size, latent.shape[1]))
         block[: len(rows)] = rows
-        mapped.append((block @ transformed.F.T)[: len(rows)] + transformed.g)
+        mapped.append((block @ transformed.B.T)[: len(rows)] + transformed.g)
         start += size
         size *= 2
     return np.vstack(mapped)
@@ -619,20 +637,19 @@ def mapped_in_blocks(transformed, latent):
 def stacked_samples(spec, n_samples, seed, burn_in=0, thin=1, chains=1):
     planned = plan(spec)
     transformed = planned.transformed
+    k = transformed.B.shape[1]
     if spec.m == 0:
-        k = planned.dimension
-        left, singular, _ = np.linalg.svd(transformed.F @ spec.factor.factor)
-        B = left[:, :k] * singular[:k]
-        return np.random.default_rng(seed).standard_normal((n_samples, k)) @ B.T + transformed.g
-    long = long_directions(transformed, spec.factor, planned.start)
+        draws = np.random.default_rng(seed).standard_normal((n_samples, k))
+        return mapped_in_blocks(transformed, draws)
+    long = long_directions(transformed, planned.start)
     base, extra = divmod(n_samples, chains)
     parts = []
     for i in range(chains):
         count = base + (1 if i < extra else 0)
         if count:
-            steps = burn_in + count * thin
+            latent = np.empty((burn_in + count * thin, k))
             generator = np.random.default_rng(seed + i)
-            latent = run_chain(transformed, spec.factor, planned.start, steps, generator, long)
+            fill_chain(transformed, planned.start, latent, generator, long)
             parts.append(mapped_in_blocks(transformed, latent[burn_in::thin]))
     return np.vstack(parts)
 
@@ -696,3 +713,52 @@ def test_fewer_samples_are_a_prefix_of_each_chain(chains):
         counts = lingauss.sampler._split_counts(m, outcome.report.chains)
         for chain, rows in enumerate(np.split(outcome.samples, np.cumsum(counts)[:-1])):
             assert np.array_equal(rows, full[starts[chain] : starts[chain] + len(rows)]), (m, chain)
+
+
+def normal_on_a_plane():
+    """A 100-D normal on a 98-D plane: direct draws of k = 98 normals each."""
+    rng = np.random.default_rng(149)
+    root = rng.normal(size=(100, 100))
+    return ProblemSpec(
+        mu=rng.normal(size=100),
+        sigma=root @ root.T / 100,
+        C=rng.normal(size=(2, 100)),
+        d=rng.normal(size=2),
+    )
+
+
+def test_fewer_direct_draws_are_a_prefix():
+    # the direct draws are mapped in the same position-shaped blocks as the
+    # chains' rows, so a shorter call returns the longer call's first rows
+    spec = normal_on_a_plane()
+    full = sample_constrained(spec, 2_000, 3).samples
+    for m in (1, 5, 60, 700):
+        assert np.array_equal(sample_constrained(spec, m, 3).samples, full[:m]), m
+
+
+# The region and radius that a caller reads off build_transform: the LPs pose
+# H y + k >= 0 in y, and the chain starts from a point strictly inside it
+
+REGION_CASES = {
+    "box": lambda: rotated_box(n=10),
+    "plane_cut_box": box_on_a_plane,
+    "pentagon_both": lambda: pentagon_problem("both"),
+    "singular_sigma": singular_slab,
+}
+
+
+@pytest.mark.parametrize("name", list(REGION_CASES))
+def test_report_radius_and_start_belong_to_the_latent_region(name):
+    spec = REGION_CASES[name]()
+    transformed = build_transform(spec)
+    region = find_feasible_point(transformed.H, transformed.k)
+    report = sample_constrained(spec, 10, 1).report
+    planned = plan(spec)
+    y0 = planned.transformed.B @ planned.start  # = F y0 of the LP start
+    if spec.factor.rank == spec.n:  # the same LP on the same rows
+        assert report.chebyshev_radius == region.chebyshev_radius
+        np.testing.assert_allclose(y0, transformed.F @ region.point, atol=1e-10)
+    else:  # the LPs run on range(sigma), which holds the slab's rows
+        assert report.chebyshev_radius == pytest.approx(region.chebyshev_radius, rel=1e-12)
+    assert (transformed.H @ y0 + transformed.k > 0.0).all()
+    assert (transformed.G @ planned.start + transformed.k > 0.0).all()

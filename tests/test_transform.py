@@ -133,6 +133,33 @@ def test_transform_identities_on_random_systems():
         np.testing.assert_allclose(t.F @ t.F, t.F, atol=1e-8)
 
 
+@pytest.mark.parametrize("rank_deficit", [0, 1], ids=["full_rank", "singular_sigma"])
+def test_plane_factor_carries_the_conditional_covariance(rank_deficit):
+    # B B' = F sigma F', B lies on the plane, P is orthonormal, G = A B, and
+    # the plane has k = rank(sigma) - r coordinates
+    rng = np.random.default_rng(79)
+    for _ in range(30):
+        n = int(rng.integers(3, 7))
+        p = int(rng.integers(0, n - rank_deficit))
+        # a singular sigma has no variance along one coordinate
+        sigma = np.zeros((n, n))
+        kept = np.sort(rng.permutation(n)[: n - rank_deficit])
+        sigma[np.ix_(kept, kept)] = random_spd(rng, n - rank_deficit)
+        C = rng.normal(size=(p, n)) if p else None
+        d = -C @ rng.normal(size=n) if p else None
+        A = rng.normal(size=(2, n))
+        spec = ProblemSpec(rng.normal(size=n), 0.5 * (sigma + sigma.T), A, np.ones(2), C, d)
+        t = build_transform(spec)
+        assert spec.factor.rank == n - rank_deficit
+        assert t.B.shape == (n, n - rank_deficit - p)
+        np.testing.assert_allclose(t.B @ t.B.T, t.F @ spec.sigma @ t.F.T, atol=1e-8)
+        np.testing.assert_allclose(t.P.T @ t.P, np.eye(t.P.shape[1]), atol=1e-12)
+        np.testing.assert_allclose(t.F @ t.B, t.B, atol=1e-8)
+        np.testing.assert_array_equal(t.G, A @ t.B)
+        if p:
+            np.testing.assert_allclose(C @ t.B, 0.0, atol=1e-8)
+
+
 def test_no_equalities_shortcut():
     spec = ProblemSpec(mu=[1.0, -2.0], sigma=np.eye(2), A=[[1.0, 0.0]], b=[0.0])
     t = build_transform(spec)
@@ -260,7 +287,7 @@ def test_given_classification_builds_the_same_transform():
         )
         alone = build_transform(spec)
         given = build_transform(spec, equality=classify_equality_system(spec.C, spec.d))
-        for name in ("F", "g", "H", "k"):
+        for name in ("F", "g", "H", "k", "B", "G", "P"):
             assert np.array_equal(getattr(alone, name), getattr(given, name)), name
 
 
@@ -343,6 +370,9 @@ def test_map_latent_single_and_batch():
         g=np.array([1.0, -1.0]),
         H=np.zeros((0, 2)),
         k=np.zeros(0),
+        B=np.eye(2),
+        G=np.zeros((0, 2)),
+        P=np.eye(2),
     )
     np.testing.assert_allclose(map_latent(t, [1.0, 1.0]), [2.0, 1.0])
     batch = map_latent(t, np.array([[1.0, 1.0], [0.0, 0.0]]))
