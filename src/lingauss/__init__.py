@@ -32,7 +32,6 @@ from .transform import (
     TransformedProblem,
     build_transform,
     classify_equality_system,
-    map_latent,
 )
 
 __version__ = "0.1.0"
@@ -66,7 +65,6 @@ __all__ = [
     "factor_covariance",
     "find_feasible_point",
     "load_problem",
-    "map_latent",
     "pentagon_problem",
     "problem_from_dict",
     "problem_to_dict",

@@ -99,22 +99,16 @@ class ArcSet:
         return float(np.sum(self.intervals[:, 1] - self.intervals[:, 0]))
 
 
-def _append(segments, start, end):
-    """Add [start, end] to the segments, merged into the last one if it ends at start."""
-    if segments and segments[-1][1] == start:
-        segments[-1][1] = end
-    else:
-        segments.append([start, end])
-
-
 def _intersect(starts, ends, crossing, needed):
     """Sweep-line intersection of `needed` arc families given as endpoints.
 
     Single pieces open at `starts` and close at `ends`; `crossing` pieces
     more open at -pi and close at pi, one for each arc split at the seam.
     The two lists are sorted in place and merged in one walk that takes
-    opens before closes at ties. Returns the angles covered by `needed` pieces at once as
-    [start, end] pairs; pieces that touch are merged.
+    opens before closes at ties. Returns the angles covered by `needed`
+    pieces at once as [start, end] pairs. Two of them can touch only where
+    the pieces of one arc split at the seam touch, and an arc from finite
+    projections spans less than the whole circle, so none are merged.
     """
     starts.sort()
     ends.sort()
@@ -129,13 +123,13 @@ def _intersect(starts, ends, crossing, needed):
         opening = starts[i]
         while opening <= angle:
             if cover == needed and opening > previous:
-                _append(segments, previous, opening)
+                segments.append([previous, opening])
             cover += 1
             previous = opening
             i += 1
             opening = starts[i]
         if cover == needed and angle > previous:
-            _append(segments, previous, angle)
+            segments.append([previous, angle])
         cover -= 1
         previous = angle
     return segments

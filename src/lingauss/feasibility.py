@@ -32,6 +32,10 @@ the first program's multipliers leave open:
    share one phase 1 and differ only in phase 2. When s* < 0 that phase 1
    also runs before a point mass is reported, since it decides whether any
    point is feasible at all.
+
+Every threshold above is the module constant FEAS_TOL, a distance in y
+between unit rows' hyperplanes, and the programs pivot at the simplex's
+PIVOT_TOL, of the same value; neither is a parameter.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from .errors import DegenerateRegion, NumericalBreakdown
 from .linalg import unit_rows
 from .simplex import LinearProgram, phase_one, phase_two, solve_lp
 
-FEAS_TOL = 1e-9
+FEAS_TOL = 1e-9  # slack, multiplier and range width, in unit-row distances, that count
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,7 @@ def max_slack_model(H, k) -> LinearProgram:
     return LinearProgram(c=c, G=G, h=h)
 
 
-def _pull_in(H, k, radius, tol):
+def _pull_in(H, k, radius):
     """Interior start point with slack priced against distance from the origin.
 
     min  sum|y| - weight * s   s.t.   H y + k >= s * rownorm(H),
@@ -110,13 +114,13 @@ def _pull_in(H, k, radius, tol):
     G[m + 1, -1] = -1.0  # s <= radius
     h = np.concatenate([-k, [radius * 1e-6, -radius]])
     model = LinearProgram(c=c, G=G, h=h, nonneg=np.ones(2 * n + 1, dtype=bool))
-    solution = solve_lp(model, tol)
+    solution = solve_lp(model)
     if solution.status != "optimal":
         return None, solution.pivots
     return solution.x[:n] - solution.x[n : 2 * n], solution.pivots
 
 
-def _coordinate_range(start, n, i, tol):
+def _coordinate_range(start, n, i):
     """(low, high, pivots): the extent of coordinate i over the region, entries
     None if unbounded, and the pivots of its two phase 2s."""
     bounds = []
@@ -124,35 +128,35 @@ def _coordinate_range(start, n, i, tol):
     for sign in (1.0, -1.0):
         c = np.zeros(n)
         c[i] = sign
-        solution = phase_two(start, c, tol)
+        solution = phase_two(start, c)
         pivots += solution.pivots
         bounds.append(None if solution.status == "unbounded" else sign * solution.objective)
     return bounds[0], bounds[1], pivots
 
 
-def _pins_a_point(H, multipliers, slack, tol) -> bool:
+def _pins_a_point(H, multipliers, slack) -> bool:
     """Whether the slack program's multipliers prove the region a point.
 
     H has unit rows and multipliers are the slack program's, its cap row
-    last. Let T be the rows with a multiplier lambda_i above tol. Every
+    last. Let T be the rows with a multiplier lambda_i above FEAS_TOL. Every
     feasible y keeps row i of T within |s*| / lambda_i of tight, so any two
     feasible points lie within sqrt(|T|) |s*| / (min_T lambda * sigma_min(H_T))
-    of each other, which must be at most tol. s* is known to no better than
+    of each other, which must be at most FEAS_TOL. s* is known to no better than
     one rounding, so |s*| counts as at least machine epsilon: a row set
     that pins the point only through an exact zero is not trusted at any
     conditioning.
     """
     weights = multipliers[:-1]
-    tight = weights > tol
+    tight = weights > FEAS_TOL
     count = np.count_nonzero(tight)
     if count < H.shape[1]:
         return False
     smallest = np.linalg.svd(H[tight], compute_uv=False)[-1]
     spread = np.sqrt(count) * max(abs(slack), np.finfo(float).eps)
-    return bool(spread <= tol * weights[tight].min() * smallest)
+    return bool(spread <= FEAS_TOL * weights[tight].min() * smallest)
 
 
-def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
+def find_feasible_point(H, k) -> FeasibilityResult:
     """Classify {y : H y + k >= 0} and return a start point when one exists.
 
     Requires at least one inequality row; callers handle m = 0 as trivially
@@ -173,15 +177,15 @@ def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
         H, k = H[~zero], k[~zero]
     H, k = unit_rows(H, k)
 
-    slack = solve_lp(max_slack_model(H, k), tol)
+    slack = solve_lp(max_slack_model(H, k))
     if slack.status != "optimal":  # feasible and capped by construction
         raise NumericalBreakdown(f"slack program ended {slack.status}; expected optimal")
     radius = -slack.objective
     pivots, solves = slack.pivots, 1
-    if radius < -tol:
+    if radius < -FEAS_TOL:
         return FeasibilityResult("infeasible", lp_pivots=pivots, lp_solves=solves)
-    if radius > tol:
-        point, pull_pivots = _pull_in(H, k, radius, tol)
+    if radius > FEAS_TOL:
+        point, pull_pivots = _pull_in(H, k, radius)
         if point is None:  # roundoff starved the follow-up program; keep the vertex
             point = slack.x[:n]
         return FeasibilityResult(
@@ -193,25 +197,25 @@ def find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
         )
 
     # empty interior: point mass or flat region?
-    pinned = _pins_a_point(H, slack.multipliers, radius, tol)
+    pinned = _pins_a_point(H, slack.multipliers, radius)
     if pinned and radius >= 0.0:  # the slack optimum meets every row
         return FeasibilityResult("point_mass", slack.x[:n], lp_pivots=pivots, lp_solves=solves)
-    start, start_pivots = phase_one(H, -k, None, tol)
+    start, start_pivots = phase_one(H, -k)
     pivots += start_pivots
     solves += 1
-    if start is None:  # |s*| <= tol, yet phase 1 leaves a violation above tol
+    if start is None:  # |s*| <= FEAS_TOL, yet phase 1 leaves a violation above it
         return FeasibilityResult("infeasible", lp_pivots=pivots, lp_solves=solves)
     if pinned:  # phase 1 has shown that some point is feasible
         return FeasibilityResult("point_mass", slack.x[:n], lp_pivots=pivots, lp_solves=solves)
     for i in range(n):
-        low, high, range_pivots = _coordinate_range(start, n, i, tol)
+        low, high, range_pivots = _coordinate_range(start, n, i)
         pivots += range_pivots
         solves += 2
         if low is None or high is None:
             raise DegenerateRegion(
                 f"feasible region has empty interior yet coordinate {i + 1} is unbounded"
             )
-        if high - low > tol:
+        if high - low > FEAS_TOL:
             raise DegenerateRegion(
                 "feasible region has empty interior but positive extent "
                 f"{high - low:.3e} along coordinate {i + 1}"

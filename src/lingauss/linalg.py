@@ -1,6 +1,6 @@
-"""Dense linear-algebra primitives: the covariance factor, unit rows, the
-row blocks that bound the temporaries of a pass over many samples, and the
-doubling blocks whose shapes do not depend on the length of the pass.
+"""Dense linear-algebra primitives: the covariance factor, unit rows, and
+the doubling blocks that bound the temporaries of a pass over many samples
+with shapes that do not depend on the length of the pass.
 
 Everything downstream funnels its covariance handling through
 :func:`factor_covariance`, so symmetry/positive-semidefiniteness policy
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotPSD, NotSymmetric
 
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-10  # times max|sigma|: symmetry, PSD, rank and the equality Gram floor
 # Elements per row block (256 KB of doubles). Sized in elements, not rows, so
 # that a narrow input, such as 200k samples of 4 coordinates, takes a few
 # dozen blocks rather than thousands.
@@ -29,25 +29,31 @@ class CovarianceFactor:
 
     L is the Cholesky factor when sigma is positive definite, otherwise an
     eigendecomposition-based square root with tiny negative eigenvalues
-    clamped to zero. `rank` counts the eigenvalues above tol times
+    clamped to zero. `rank` counts the eigenvalues above DEFAULT_TOL times
     max|sigma|, relative to the scale of sigma alone, as the equality Gram
     test in `transform` is.
     """
 
-    dimension: int
     factor: np.ndarray
     rank: int
 
 
-def factor_covariance(sigma, tol: float = DEFAULT_TOL) -> CovarianceFactor:
+def factor_covariance(sigma) -> CovarianceFactor:
     """Validate sigma and return a sampling factor for N(0, sigma).
 
-    The tolerance is tol * max|sigma|, relative to the scale of sigma alone,
-    as the rank rule is, so no verdict changes when sigma is rescaled.
-    Asymmetry beyond it raises NotSymmetric; an eigenvalue below its
-    negative raises NotPSD; eigenvalues between its negative and 0 are
-    treated as exact zeros. A positive definite sigma has rank n; otherwise
-    the rank counts eigenvalues above tol * max|sigma|.
+    The tolerance is DEFAULT_TOL * max|sigma|, relative to the scale of
+    sigma alone, as the rank rule is, so no verdict changes when sigma is
+    rescaled. Asymmetry beyond it raises NotSymmetric; an eigenvalue below
+    its negative raises NotPSD; eigenvalues between its negative and 0 are
+    treated as exact zeros.
+
+    The Cholesky factor is taken, with rank n, when its smallest pivot,
+    squared, exceeds the tolerance; otherwise the rank counts eigenvalues
+    above it. A pivot squared is at least the smallest eigenvalue, so a
+    small pivot proves a small eigenvalue, which roundoff can hide from the
+    factorisation itself (a rotated rank-deficient sigma). The test is
+    one-sided: an ill-conditioned sigma can have large pivots and a tiny
+    smallest eigenvalue, and is then taken as full rank.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
@@ -55,14 +61,16 @@ def factor_covariance(sigma, tol: float = DEFAULT_TOL) -> CovarianceFactor:
     if sigma.size and not np.all(np.isfinite(sigma)):
         raise ValueError("covariance entries must be finite")
     n = sigma.shape[0]
-    atol = tol * float(np.abs(sigma).max(initial=0.0))
+    atol = DEFAULT_TOL * float(np.abs(sigma).max(initial=0.0))
     if sigma.size:
         asym = float(np.abs(sigma - sigma.T).max())
         if asym > atol:
             raise NotSymmetric(f"max asymmetry {asym:.3e} exceeds tolerance {atol:.3e}")
     sym = 0.5 * (sigma + sigma.T)
     try:
-        return CovarianceFactor(n, np.linalg.cholesky(sym), n)
+        root = np.linalg.cholesky(sym)
+        if root.diagonal().min(initial=np.inf) ** 2 > atol:
+            return CovarianceFactor(root, n)
     except np.linalg.LinAlgError:
         pass
     eigvals, eigvecs = np.linalg.eigh(sym)
@@ -70,8 +78,8 @@ def factor_covariance(sigma, tol: float = DEFAULT_TOL) -> CovarianceFactor:
     if lowest < -atol:
         raise NotPSD(f"eigenvalue {lowest:.3e} below -{atol:.3e}")
     eigvals = np.clip(eigvals, 0.0, None)
-    rank = int(np.count_nonzero(eigvals > tol * float(np.abs(sym).max())))
-    return CovarianceFactor(n, eigvecs * np.sqrt(eigvals), rank)
+    rank = int(np.count_nonzero(eigvals > DEFAULT_TOL * float(np.abs(sym).max())))
+    return CovarianceFactor(eigvecs * np.sqrt(eigvals), rank)
 
 
 def unit_rows(rows, rhs):
@@ -80,19 +88,6 @@ def unit_rows(rows, rhs):
     norms = np.linalg.norm(rows, axis=1)
     norms[norms == 0.0] = 1.0
     return rows / norms[:, None], rhs / norms
-
-
-def row_blocks(rows: int, width: int) -> list[slice]:
-    """Consecutive slices over `rows` rows of `width` elements each, of at
-    most about BLOCK_ELEMENTS elements a block.
-
-    The blocks are as equal as the row count allows, the first the longest,
-    so none is a short remainder: a BLAS product of one or a few rows can
-    round differently from the product over many rows that it replaces.
-    """
-    count = min(max(1, -(-rows * width // BLOCK_ELEMENTS)), max(rows, 1))
-    edges = [-(-rows * i // count) for i in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def doubling_blocks(count: int, cap: int):

@@ -23,6 +23,7 @@ from .problem import ProblemSpec
 from .transform import classify_equality_system
 
 _RANK_TOL = 1e-10
+BATCH = 200_000  # proposals drawn at once by rejection_sample, to bound its memory
 
 
 @dataclass(frozen=True)
@@ -36,15 +37,13 @@ class RejectionReport:
 
 
 def rejection_sample(
-    spec: ProblemSpec,
-    proposals: int,
-    rng: np.random.Generator,
-    batch_size: int = 200_000,
+    spec: ProblemSpec, proposals: int, rng: np.random.Generator
 ) -> RejectionReport:
     """Propose x ~ N(mu, sigma), keep those with A x + b >= 0 exactly.
 
     Only valid for problems without equality constraints (a plane has zero
-    hit probability). Proposals are processed in batches to bound memory.
+    hit probability). Proposals are processed in batches of BATCH to bound
+    memory.
     """
     if spec.p:
         raise ValueError("rejection sampling cannot hit equality constraints")
@@ -54,7 +53,7 @@ def rejection_sample(
     kept = []
     remaining = proposals
     while remaining:
-        batch = min(batch_size, remaining)
+        batch = min(BATCH, remaining)
         draws = spec.mu + rng.standard_normal((batch, spec.n)) @ factor.T
         if spec.m:
             draws = draws[np.all(draws @ spec.A.T + spec.b >= 0.0, axis=1)]

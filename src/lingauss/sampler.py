@@ -37,7 +37,6 @@ from .transform import (
     TransformedProblem,
     build_transform,
     classify_equality_system,
-    map_latent,
     map_latent_rows,
     packed_latent,
 )
@@ -137,9 +136,9 @@ def plan(spec: ProblemSpec) -> Plan:
     check as a unique equality solution, and no LP runs. With a singular
     sigma the LPs run on range(sigma), where the latent prior has its
     mass, through an orthonormal basis of it, and the start point lies
-    there too. The LPs pose the region in y, H y + k >= 0; their start y0,
-    written y0 = L_rank w, becomes the chain's u0 = P' w, for which
-    B u0 = F y0.
+    there too. The LPs pose the region in y, H y + k >= 0; their point y0,
+    written y0 = L_rank w, becomes u = P' w in the plane's coordinates, for
+    which B u = F y0: the chain's start u0, or a point mass at g + B u.
     """
     started = time.perf_counter()
     if spec.p:
@@ -195,14 +194,14 @@ def plan(spec: ProblemSpec) -> Plan:
         if feasibility.lp_pivots:
             return impossible("no point satisfies the inequalities (negative maximum slack)")
         return impossible("an inequality fails wherever the law has mass: its row vanishes there")
-    if feasibility.kind == "point_mass":
-        y0 = feasibility.point if support is None else support @ feasibility.point
-        return decided("point_mass", point=map_latent(transformed, y0))
     if support is None:  # L_rank = L, square and invertible
         w = np.linalg.solve(spec.factor.factor, feasibility.point)
     else:
         w = feasibility.point / norms
-    return decided("samples", transformed=transformed, start=transformed.P.T @ w)
+    u = transformed.P.T @ w
+    if feasibility.kind == "point_mass":
+        return decided("point_mass", point=transformed.g + transformed.B @ u)
+    return decided("samples", transformed=transformed, start=u)
 
 
 def sample_constrained(

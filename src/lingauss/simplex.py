@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import CyclingGuardExceeded
 
-PIVOT_TOL = 1e-9
+PIVOT_TOL = 1e-9  # least reduced cost, pivot entry and phase-1 residual that count
 STALL_LIMIT = 100  # non-improving pivots tolerated before switching to Bland's rule
 
 
@@ -118,7 +118,7 @@ def _pivot(tableau, columns, basis, row, slot):
     columns[slot], basis[row] = basis[row], columns[slot]
 
 
-def _iterate(tableau, columns, basis, tol, cap):
+def _iterate(tableau, columns, basis, cap):
     """Pivot until the reduced costs are nonnegative. Mutates all three.
 
     Ties break by label, never by slot, so the pivots are those of a tableau
@@ -133,21 +133,21 @@ def _iterate(tableau, columns, basis, tol, cap):
     with np.errstate(divide="ignore", invalid="ignore"):
         for pivots in range(cap):
             if bland:
-                negatives = (reduced < -tol).nonzero()[0]
+                negatives = (reduced < -PIVOT_TOL).nonzero()[0]
                 if negatives.size == 0:
                     return "optimal", pivots
                 slot = _first_label(columns, negatives)
             else:
                 slot = reduced.argmin()
                 least = reduced[slot]
-                if least >= -tol:
+                if least >= -PIVOT_TOL:
                     return "optimal", pivots
                 ties = (reduced == least).nonzero()[0]
                 if ties.size > 1:
                     slot = _first_label(columns, ties)
             column = tableau[:-1, slot]
             ratios = rhs / column
-            ratios[column <= tol] = np.inf  # only rows with a positive entry bound the step
+            ratios[column <= PIVOT_TOL] = np.inf  # only rows with a positive entry bound the step
             row = ratios.argmin()
             least = ratios[row]
             if least == np.inf:
@@ -157,7 +157,7 @@ def _iterate(tableau, columns, basis, tol, cap):
                 row = _first_label(basis, ties)  # Bland-safe tie-break
             _pivot(tableau, columns, basis, row, slot)
             objective = -tableau[-1, -1]
-            if objective < best - tol:
+            if objective < best - PIVOT_TOL:
                 best = objective
                 stalled = 0
             else:
@@ -189,9 +189,7 @@ class FeasibleBasis:
     cap: int
 
 
-def phase_one(
-    G, h, nonneg=None, tol: float = PIVOT_TOL
-) -> tuple[FeasibleBasis | None, int]:
+def phase_one(G, h, nonneg=None) -> tuple[FeasibleBasis | None, int]:
     """A feasible basis of {G x >= h; x_j >= 0 where nonneg[j]}, or None if
     empty, with the number of pivots phase 1 made either way.
 
@@ -232,10 +230,10 @@ def phase_one(
     tableau[-1] -= tableau[art_rows].sum(axis=0)
 
     cap = 50 * (n_struct + 3 * nrows)
-    status, pivots = _iterate(tableau, columns, basis, tol, cap)
+    status, pivots = _iterate(tableau, columns, basis, cap)
     if status == "unbounded":  # impossible for a sum of nonnegative variables
         raise CyclingGuardExceeded("phase 1 reported unbounded: numerical breakdown")
-    if -tableau[-1, -1] > tol:
+    if -tableau[-1, -1] > PIVOT_TOL:
         return None, pivots
 
     # drive any leftover zero-valued artificials out of the basis. The row's
@@ -244,7 +242,7 @@ def phase_one(
     for i in (basis >= art0).nonzero()[0]:
         sizes = np.where(columns < art0, np.abs(tableau[i, :-1]), 0.0)
         largest = sizes.max()
-        if not largest > tol:
+        if not largest > PIVOT_TOL:
             raise CyclingGuardExceeded("phase 1 left an artificial it cannot pivot out")
         slot = _first_label(columns, (sizes == largest).nonzero()[0])
         _pivot(tableau, columns, basis, i, slot)
@@ -254,7 +252,7 @@ def phase_one(
     return FeasibleBasis(tableau, basis, columns[real], (variables, signs), cap), pivots
 
 
-def phase_two(start: FeasibleBasis, c, tol: float = PIVOT_TOL) -> LpSolution:
+def phase_two(start: FeasibleBasis, c) -> LpSolution:
     """Minimize c @ x from the phase-1 basis; start itself is left unchanged."""
     c = np.asarray(c, dtype=float)
     tableau = start.tableau.copy()
@@ -272,7 +270,7 @@ def phase_two(start: FeasibleBasis, c, tol: float = PIVOT_TOL) -> LpSolution:
         np.concatenate((tableau[-1:], basic_cost[priced, None] * tableau[priced])), axis=0
     )
 
-    status, pivots = _iterate(tableau, columns, basis, tol, start.cap)
+    status, pivots = _iterate(tableau, columns, basis, start.cap)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, pivots)
 
@@ -287,10 +285,10 @@ def phase_two(start: FeasibleBasis, c, tol: float = PIVOT_TOL) -> LpSolution:
     return LpSolution("optimal", float(c @ x), x, pivots, reduced[variables.size :])
 
 
-def solve_lp(model: LinearProgram, tol: float = PIVOT_TOL) -> LpSolution:
+def solve_lp(model: LinearProgram) -> LpSolution:
     """Solve the model; an Optimal solution is a vertex of the standard form."""
-    start, pivots = phase_one(model.G, model.h, model.nonneg, tol)
+    start, pivots = phase_one(model.G, model.h, model.nonneg)
     if start is None:
         return LpSolution("infeasible", None, None, pivots)
-    solution = phase_two(start, model.c, tol)
+    solution = phase_two(start, model.c)
     return replace(solution, pivots=pivots + solution.pivots)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSamples
-from .linalg import row_blocks
+from .linalg import BLOCK_ELEMENTS, doubling_blocks
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,10 @@ def sample_stats(samples, independent: bool = False) -> SampleStats:
     row 0, so its error is relative to the spread of the samples even far
     from the origin; the covariance takes a second pass over the centered
     rows. Both passes center one row block at a time in a reused buffer,
-    and each ESS series is built from its own column, so no temporary is
-    the size of the input. All-identical rows raise DegenerateSamples.
+    over blocks of 1, 2, 4, ... rows up to about BLOCK_ELEMENTS elements
+    (linalg.doubling_blocks), and each ESS series is built from its own
+    column, so no temporary is the size of the input. All-identical rows
+    raise DegenerateSamples.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -88,7 +90,10 @@ def sample_stats(samples, independent: bool = False) -> SampleStats:
     if n < 2:
         raise ValueError("need at least two samples for moment estimates")
     first = samples[0]
-    blocks = row_blocks(n, dim)
+    blocks = [
+        slice(start, min(start + size, n))
+        for start, size in doubling_blocks(n, max(1, BLOCK_ELEMENTS // max(dim, 1)))
+    ]
     # rows 0 and 1 differ on almost every input, so the full scan is rare
     if np.array_equal(samples[1], first) and all(
         (samples[block] == first).all() for block in blocks
@@ -99,7 +104,7 @@ def sample_stats(samples, independent: bool = False) -> SampleStats:
     # their offset from the origin. Row 0 and the shift are repeated down a
     # block, so each subtraction runs as one contiguous loop rather than
     # dim elements at a time.
-    size = blocks[0].stop
+    size = max(block.stop - block.start for block in blocks)
     buffer = np.empty((size, dim))
     firsts = np.tile(first, (size, 1))
     ones = np.ones(size)

@@ -3,7 +3,7 @@
 Equality constraints are eliminated by conditioning. One SVD of the unit
 rows of C classifies C x + d = 0 and, when its solutions form a plane,
 rewrites it as V x + c = 0 with orthonormal rows V (r of them, r the
-numerical rank of C). Conditioning on that system,
+numerical rank of C at EQUALITY_TOL). Conditioning on that system,
 
     E = sigma @ V.T @ (V @ sigma @ V.T)^-1
     F = I - E @ V
@@ -21,10 +21,16 @@ orthonormal basis of the null space of V L_rank, B = L_rank P has
 B B' = F sigma F', so u ~ N(0, I_k), k = rank(sigma) - r, gives
 x = g + B u the law of F y + g. The inequalities read G u + k >= 0 with
 G = A B. Without equalities P = I and B = L_rank.
+
+The LPs still pose the region in y, so their point y0 = L_rank w reaches
+the plane as u = P' w, for which B u = F y0 (`sampler.plan`): every point
+that becomes an x, a chain's draws, its start and a point mass alike,
+goes through the one map x = g + B u.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Literal
 
@@ -34,7 +40,8 @@ from .errors import SingularEqualityGram
 from .linalg import BLOCK_ELEMENTS, DEFAULT_TOL, doubling_blocks, unit_rows
 from .problem import ProblemSpec
 
-EQUALITY_TOL = 1e-8
+EQUALITY_TOL = 1e-8  # relative rank cut of C's unit rows, and its residual test
+_SCRATCH = threading.local()  # see _scratch
 
 
 @dataclass(frozen=True)
@@ -70,16 +77,16 @@ class TransformedProblem:
     P: np.ndarray
 
 
-def classify_equality_system(C, d, tol: float = EQUALITY_TOL) -> EqualityClass:
+def classify_equality_system(C, d) -> EqualityClass:
     """Classify C x + d = 0 from one SVD of its unit rows.
 
     A zero row of C is inconsistent unless its d_i is 0, and is dropped then.
     The other equations are scaled to unit rows, so a residual is the
     distance from x to a hyperplane. The rank r counts the singular values
-    above tol times the largest; the least-squares x on those r is the
-    solution when it lies within tol times max(1, largest hyperplane offset)
-    of every hyperplane. With p = 0 rows every x qualifies, which counts as
-    "infinite".
+    above EQUALITY_TOL times the largest; the least-squares x on those r is
+    the solution when it lies within EQUALITY_TOL times max(1, largest
+    hyperplane offset) of every hyperplane. With p = 0 rows every x
+    qualifies, which counts as "infinite".
     """
     C = np.atleast_2d(np.asarray(C, dtype=float))
     d = np.asarray(d, dtype=float).reshape(-1)
@@ -93,10 +100,10 @@ def classify_equality_system(C, d, tol: float = EQUALITY_TOL) -> EqualityClass:
         return EqualityClass("infinite", rows=np.zeros((0, n)), offsets=np.zeros(0))
     C, d = unit_rows(C[~zero], d[~zero])
     U, s, Vt = np.linalg.svd(C, full_matrices=False)
-    r = int(np.count_nonzero(s > tol * s[0]))
+    r = int(np.count_nonzero(s > EQUALITY_TOL * s[0]))
     offsets = U[:, :r].T @ d / s[:r]
     x = -Vt[:r].T @ offsets
-    if np.abs(C @ x + d).max() > tol * max(1.0, float(np.abs(d).max())):
+    if np.abs(C @ x + d).max() > EQUALITY_TOL * max(1.0, float(np.abs(d).max())):
         return EqualityClass("no_solution")
     if r == n:
         return EqualityClass("unique", x)
@@ -104,13 +111,13 @@ def classify_equality_system(C, d, tol: float = EQUALITY_TOL) -> EqualityClass:
 
 
 def build_transform(
-    spec: ProblemSpec, tol: float = EQUALITY_TOL, *, equality: EqualityClass | None = None
+    spec: ProblemSpec, *, equality: EqualityClass | None = None
 ) -> TransformedProblem:
     """Build the latent map for a problem whose equality system (if any) has
     infinitely many solutions.
 
     equality is the classification of (C, d) when the caller has already
-    made it (with the same tol); without it the system is classified here.
+    made it; without it the system is classified here.
 
     The map conditions on the classification's orthonormal rows, which
     already leave out redundant equations. Their Gram matrix V sigma V.T is
@@ -138,7 +145,7 @@ def build_transform(
             P=np.eye(spec.factor.rank),
         )
     if equality is None:
-        equality = classify_equality_system(spec.C, spec.d, tol)
+        equality = classify_equality_system(spec.C, spec.d)
     if equality.kind != "infinite":
         raise ValueError(
             "build_transform needs an equality system with infinitely many "
@@ -170,20 +177,23 @@ def build_transform(
     )
 
 
-def map_latent(transformed: TransformedProblem, y) -> np.ndarray:
-    """x = F y + g for a latent y of the LPs' coordinates. A 2-D input is
-    treated as one latent vector per row; the result is a new array."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        return transformed.F @ y + transformed.g
-    return y @ transformed.F.T + transformed.g
-
-
 def packed_latent(rows: np.ndarray, k: int) -> np.ndarray:
     """The (len(rows), k) array at the head of the memory of the C-contiguous
     2-D array rows: where a draw writes u before map_latent_rows expands
     each u in place into its row of x."""
     return rows.reshape(-1)[: len(rows) * k].reshape(len(rows), k)
+
+
+def _scratch(elements: int) -> np.ndarray:
+    """A float buffer of at least `elements` entries, kept for the calling
+    thread's later calls. map_latent_rows allocates its block temporaries
+    here, once, rather than on every call: freeing them at the end of each
+    call let the allocator hand their pages back, so that every call
+    faulted them in again."""
+    buffer = getattr(_SCRATCH, "buffer", None)
+    if buffer is None or buffer.size < elements:
+        buffer = _SCRATCH.buffer = np.empty(elements)
+    return buffer
 
 
 def map_latent_rows(transformed: TransformedProblem, rows: np.ndarray) -> None:
@@ -198,16 +208,23 @@ def map_latent_rows(transformed: TransformedProblem, rows: np.ndarray) -> None:
     it, and mapping the first rows of a longer array gives the same bits.
     The blocks run from the last to the first: a block's rows of x start
     past every earlier block's u and overwrite only u that later blocks
-    have already read.
+    have already read. Every block's product is written into one buffer,
+    and the padded block's u into another, both held by _scratch.
     """
     B_t = transformed.B.T
     k = B_t.shape[0]
     count, width = rows.shape
     latent = packed_latent(rows, k)
     blocks = list(doubling_blocks(count, max(1, BLOCK_ELEMENTS // width)))
+    largest = blocks[-1][1]  # the last block, the only one padded, is the largest
+    scratch = _scratch(largest * (width + k))
+    product = scratch[: largest * width].reshape(largest, width)
+    pad = scratch[largest * width : largest * (width + k)].reshape(largest, k)
     for start, size in reversed(blocks):
         u = latent[start : start + size]
         if len(u) < size:
-            u = np.zeros((size, k))
-            u[: count - start] = latent[start:]
-        np.add((u @ B_t)[: count - start], transformed.g, out=rows[start : start + size])
+            pad[: count - start] = u
+            pad[count - start :] = 0.0
+            u = pad
+        out = np.matmul(u, B_t, out=product[:size])
+        np.add(out[: count - start], transformed.g, out=rows[start : start + size])

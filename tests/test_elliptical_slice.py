@@ -52,12 +52,9 @@ def _reference_intersect(pieces, needed, stats=None):
     previous = -np.pi
     for angle, delta in events:
         if cover == needed and angle > previous:
-            if segments and segments[-1][1] == previous:
-                segments[-1] = (segments[-1][0], angle)
-                if stats is not None:
-                    stats["merges"] += 1
-            else:
-                segments.append((previous, angle))
+            if stats is not None and segments and segments[-1][1] == previous:
+                stats["touching"] += 1  # kept apart, as the sweep keeps them
+            segments.append((previous, angle))
         cover += delta
         previous = angle
     return segments
@@ -128,8 +125,9 @@ def _reference_chain(transformed, u0, n_steps, rng, stats=None):
 
 
 # Frozen: the sweep as it stood before it merged sorted start and end
-# lists, verbatim in arithmetic apart from the names and the `stats`
-# counters (_angle_at and _check_state did not change), and the draw and
+# lists, verbatim in arithmetic apart from the names, the `stats` counters
+# and the merge of touching pieces, which the sweep no longer makes
+# (_angle_at and _check_state did not change), and the draw and
 # the chain loop as they stood when the draws moved into blocks, run on
 # u ~ N(0, I_k) under G u + k >= 0, with long directions Q for P and Q'
 # for M. The arc code and the chains must reproduce them bit for bit.
@@ -142,12 +140,9 @@ def _frozen_intersect(events, needed, stats=None):
     previous = -np.pi
     for angle, step in events:
         if cover == needed and angle > previous:
-            if segments and segments[-1][1] == previous:
-                segments[-1][1] = angle  # merge abutting pieces
-                if stats is not None:
-                    stats["merges"] += 1
-            else:
-                segments.append([previous, angle])
+            if stats is not None and segments and segments[-1][1] == previous:
+                stats["touching"] += 1  # kept apart, as the sweep keeps them
+            segments.append([previous, angle])
         cover -= step
         previous = angle
     return segments
@@ -516,13 +511,14 @@ def test_active_arcs_match_reference_on_criterion_8_instances():
 
 
 def test_sweep_matches_reference_on_abutting_pieces():
-    # Arcs computed from finite projections never abut exactly, so the merge
-    # is exercised here on endpoints drawn from a coarse grid, where shared
-    # endpoints are common; split rows are given as _feasible_segments gives
-    # them to the sweep: a start, an end and one more seam crossing.
+    # Arcs computed from finite projections never abut exactly, so touching
+    # pieces, which neither sweep merges, are made here from endpoints drawn
+    # from a coarse grid, where shared endpoints are common; split rows are
+    # given as _feasible_segments gives them to the sweep: a start, an end
+    # and one more seam crossing.
     grid = np.linspace(-np.pi, np.pi, 9)[1:-1]
     rng = np.random.default_rng(31)
-    stats = {"merges": 0}
+    stats = {"touching": 0}
     for _ in range(2_000):
         needed = int(rng.integers(1, 5))
         pieces, starts, ends, crossing = [], [], [], 0
@@ -540,7 +536,7 @@ def test_sweep_matches_reference_on_abutting_pieces():
         expected = np.asarray(_reference_intersect(pieces, needed, stats)).reshape(-1, 2)
         segments = _intersect(starts, ends, crossing, needed)
         assert np.array_equal(np.asarray(segments).reshape(-1, 2), expected)
-    assert stats["merges"] > 0
+    assert stats["touching"] > 0
 
 
 # Exact directions: arctan2 of these is 0, +-pi/4, +-pi/2, +-3pi/4 or +-pi,
@@ -611,7 +607,7 @@ def _outcome(find_segments, *args):
 
 def test_feasible_segments_match_the_frozen_sweep():
     rng = np.random.default_rng(211)
-    stats = {"merges": 0, "crossing": 0}
+    stats = {"touching": 0, "crossing": 0}
     several, raised = 0, set()
     families = ["random", "grid", "signed_zero", "nan", "long_step", "sweep"]
     for index in range(21_000):
@@ -639,7 +635,7 @@ def test_feasible_segments_match_the_frozen_sweep():
             assert got == expected, (family, index)
         else:
             assert got.shape == expected.shape and np.array_equal(got, expected), (family, index)
-    assert stats["merges"] > 0 and stats["crossing"] > 0 and several > 0, (stats, several)
+    assert stats["touching"] > 0 and stats["crossing"] > 0 and several > 0, (stats, several)
     assert {message for _, message in raised} == {
         "a constraint excludes the entire ellipse",
         "constraint arcs intersect in a set of measure zero",

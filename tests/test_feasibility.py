@@ -356,7 +356,7 @@ def test_lp_solves_counts_every_program(monkeypatch, H, k, kind, solves):
 # phase 1 and the 2n range LPs. It calls the same simplex.
 
 
-def reference_coordinate_range(start, n, i, tol):
+def reference_coordinate_range(start, n, i):
     """(low, high, pivots): the extent of coordinate i over the region, entries
     None if unbounded, and the pivots of its two phase 2s."""
     bounds = []
@@ -364,13 +364,13 @@ def reference_coordinate_range(start, n, i, tol):
     for sign in (1.0, -1.0):
         c = np.zeros(n)
         c[i] = sign
-        solution = phase_two(start, c, tol)
+        solution = phase_two(start, c)
         pivots += solution.pivots
         bounds.append(None if solution.status == "unbounded" else sign * solution.objective)
     return bounds[0], bounds[1], pivots
 
 
-def reference_find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityResult:
+def reference_find_feasible_point(H, k) -> FeasibilityResult:
     """Classify {y : H y + k >= 0} and return a start point when one exists.
 
     Requires at least one inequality row; callers handle m = 0 as trivially
@@ -391,15 +391,15 @@ def reference_find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityRes
         H, k = H[~zero], k[~zero]
     H, k = unit_rows(H, k)
 
-    slack = solve_lp(max_slack_model(H, k), tol)
+    slack = solve_lp(max_slack_model(H, k))
     if slack.status != "optimal":  # feasible and capped by construction
         raise NumericalBreakdown(f"slack program ended {slack.status}; expected optimal")
     radius = -slack.objective
     pivots = slack.pivots
-    if radius < -tol:
+    if radius < -FEAS_TOL:
         return FeasibilityResult("infeasible", lp_pivots=pivots)
-    if radius > tol:
-        point, pull_pivots = _pull_in(H, k, radius, tol)
+    if radius > FEAS_TOL:
+        point, pull_pivots = _pull_in(H, k, radius)
         if point is None:  # roundoff starved the follow-up program; keep the vertex
             point = slack.x[:n]
         return FeasibilityResult(
@@ -407,18 +407,18 @@ def reference_find_feasible_point(H, k, tol: float = FEAS_TOL) -> FeasibilityRes
         )
 
     # empty interior: point mass or flat region?
-    start, start_pivots = phase_one(H, -k, None, tol)
+    start, start_pivots = phase_one(H, -k)
     pivots += start_pivots
-    if start is None:  # |s*| <= tol, yet phase 1 leaves a violation above tol
+    if start is None:  # |s*| <= FEAS_TOL, yet phase 1 leaves a violation above it
         return FeasibilityResult("infeasible", lp_pivots=pivots)
     for i in range(n):
-        low, high, range_pivots = reference_coordinate_range(start, n, i, tol)
+        low, high, range_pivots = reference_coordinate_range(start, n, i)
         pivots += range_pivots
         if low is None or high is None:
             raise DegenerateRegion(
                 f"feasible region has empty interior yet coordinate {i + 1} is unbounded"
             )
-        if high - low > tol:
+        if high - low > FEAS_TOL:
             raise DegenerateRegion(
                 "feasible region has empty interior but positive extent "
                 f"{high - low:.3e} along coordinate {i + 1}"

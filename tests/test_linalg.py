@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import special_ortho_group
 
 from lingauss.errors import NotPSD, NotSymmetric
 from lingauss.linalg import factor_covariance
@@ -9,7 +10,7 @@ from conftest import random_spd
 
 def test_identity_factors_to_identity():
     result = factor_covariance(np.eye(3))
-    assert result.dimension == 3
+    assert result.factor.shape == (3, 3)
     assert result.rank == 3
     np.testing.assert_allclose(result.factor @ result.factor.T, np.eye(3), atol=1e-12)
 
@@ -36,6 +37,25 @@ def test_rank_deficient_psd_factor():
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
 def test_rank_is_relative_to_the_scale_of_sigma(scale):
     assert factor_covariance(scale * np.diag([1.0, 2.0, 0.0])).rank == 2
+
+
+def test_rotated_rank_deficient_sigma_keeps_its_rank():
+    # roundoff lets the Cholesky factorisation of R diag(1, 1, 0) R' succeed
+    # for 22 of these rotations, with a last pivot near 1e-8; its square is
+    # below the tolerance, which proves an eigenvalue that small
+    factored = 0
+    for seed in range(50):
+        rotation = special_ortho_group.rvs(3, random_state=seed)
+        sigma = rotation @ np.diag([1.0, 1.0, 0.0]) @ rotation.T
+        try:
+            np.linalg.cholesky(0.5 * (sigma + sigma.T))
+            factored += 1
+        except np.linalg.LinAlgError:
+            pass
+        result = factor_covariance(sigma)
+        assert result.rank == 2, seed
+        np.testing.assert_allclose(result.factor @ result.factor.T, sigma, atol=1e-12)
+    assert factored > 0
 
 
 def test_marginally_indefinite_is_clamped():

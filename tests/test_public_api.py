@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import lingauss
@@ -32,7 +34,6 @@ PUBLIC_NAMES = [
     "factor_covariance",
     "find_feasible_point",
     "load_problem",
-    "map_latent",
     "pentagon_problem",
     "problem_from_dict",
     "problem_to_dict",
@@ -46,7 +47,7 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     # adding or removing a public name has to show up as a diff here
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 36
     assert sorted(lingauss.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(lingauss, name) is not None, name
@@ -66,3 +67,22 @@ def test_modules_import_no_private_name_from_a_sibling():
                     f"{path.name}: {alias.name}" for alias in node.names if alias.name.startswith("_")
                 ]
     assert crossings == []
+
+
+def test_no_function_takes_a_tolerance_or_batch_size():
+    # tolerances and batch sizes are module constants, not per-call knobs
+    package = Path(lingauss.__file__).parent
+    knobs = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"lingauss.{path.stem}")
+        for name, value in vars(module).items():
+            if not callable(value) or getattr(value, "__module__", None) != module.__name__:
+                continue
+            try:
+                parameters = inspect.signature(value).parameters
+            except ValueError:
+                continue
+            knobs += [
+                f"{module.__name__}.{name}({p})" for p in parameters if p in ("tol", "batch_size")
+            ]
+    assert knobs == []

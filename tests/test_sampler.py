@@ -1,8 +1,10 @@
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
+from scipy.stats import special_ortho_group
 
 import lingauss.sampler
 import lingauss.transform
@@ -258,6 +260,20 @@ def test_no_dimension_left_is_a_point_mass(sigma):
     outcome = sample_constrained(spec, 10, 1)
     assert outcome.status == "point_mass"
     np.testing.assert_array_equal(outcome.point, planned.point)
+
+
+def test_rotated_singular_sigma_leaves_no_dimension_on_the_plane():
+    # sigma = R diag(1, 0) R' carries mass along R[:, 0] alone, and the plane
+    # R[:, 0]' x = 0.5 fixes that direction: the law is the point 0.5 R[:, 0].
+    # Roundoff lets a Cholesky factor of some of these sigmas succeed, which
+    # counted rank 2 and left a line about 1e-8 wide to sample
+    for seed in range(50):
+        rotation = special_ortho_group.rvs(2, random_state=seed)
+        sigma = rotation @ np.diag([1.0, 0.0]) @ rotation.T
+        spec = ProblemSpec(mu=np.zeros(2), sigma=sigma, C=[rotation[:, 0]], d=[-0.5])
+        planned = plan(spec)
+        assert planned.status == "point_mass", seed
+        np.testing.assert_allclose(planned.point, 0.5 * rotation[:, 0], atol=1e-12)
 
 
 def test_argument_validation(pentagon_both):
@@ -734,6 +750,37 @@ def test_fewer_direct_draws_are_a_prefix():
     full = sample_constrained(spec, 2_000, 3).samples
     for m in (1, 5, 60, 700):
         assert np.array_equal(sample_constrained(spec, m, 3).samples, full[:m]), m
+
+
+def test_calls_in_threads_equal_the_same_calls_in_turn():
+    # map_latent_rows keeps its block buffers between calls, one set per
+    # thread: calls in other threads must not write into them. Direct draws
+    # spend most of a call in the map; the lengths pad their last blocks
+    # differently, and the chain on the cut box maps rows of k = 99
+    spec = normal_on_a_plane()
+    cases = [(spec, 700), (spec, 1_500), (spec, 61), (box_on_a_plane(), 100)]
+    expected = [sample_constrained(spec, m, 3).samples for spec, m in cases]
+    got = [[] for _ in cases]
+
+    def run(i):
+        spec, m = cases[i]
+        for _ in range(20):
+            got[i].append(sample_constrained(spec, m, 3).samples)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i, samples in enumerate(got):
+        assert len(samples) == 20, i
+        assert all(np.array_equal(s, expected[i]) for s in samples), i
 
 
 # The region and radius that a caller reads off build_transform: the LPs pose

@@ -557,9 +557,9 @@ def test_kernel_matches_the_full_tableau_reference(monkeypatch):
         full.append((before, tableau.copy(), pivots))
         return status, pivots
 
-    def condensed_iterate(tableau, columns, basis, tol, cap, unspied=lingauss.simplex._iterate):
+    def condensed_iterate(tableau, columns, basis, cap, unspied=lingauss.simplex._iterate):
         before = (tableau.copy(), columns.copy())
-        status, pivots = unspied(tableau, columns, basis, tol, cap)
+        status, pivots = unspied(tableau, columns, basis, cap)
         condensed.append((before, (tableau.copy(), columns.copy())))
         return status, pivots
 
