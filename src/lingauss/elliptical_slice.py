@@ -40,6 +40,12 @@ as Python floats) times the step's uniform, walked across the pieces. A
 chain's output is a deterministic function of its seed: the tests compare
 it bit for bit with a per-arc reference implementation of the same draws.
 
+State check. Each step first checks the slack G u + k of the state it
+starts from: `_check_state` reads the worst entry as slack[slack.argmin()]
+and raises NumericalBreakdown when it lies below -SLACK_TOL. numpy's argmin
+returns the index of the first NaN, so a NaN state reads as NaN and raises
+too. A kept step writes its new state straight into its output row.
+
 Thin regions. A region that is thin in a few directions and long in the
 others leaves each prior-shaped ellipse a tiny feasible share, so the plain
 chain creeps along the long directions. `long_directions` reads that shape
@@ -228,14 +234,16 @@ def long_directions(transformed: TransformedProblem, u0):
 
 def _draw_angle(segments, u):
     """Theta uniform on the union of the segments, from u uniform on [0, 1)."""
-    if len(segments) == 1:
-        start, end = segments[0]
-        return _angle_at(segments, (end - start) * u)
+    if len(segments) == 1:  # _angle_at's walk over one segment, inline
+        ((start, end),) = segments
+        width = end - start
+        u *= width
+        return start + u if u < width else end
     return _angle_at(segments, sum([end - start for start, end in segments]) * u)
 
 
 def _check_state(slack):
-    worst = float(np.minimum.reduce(slack))
+    worst = slack[slack.argmin()]  # argmin returns the first NaN, if any
     if not worst >= -SLACK_TOL:  # also catches a NaN state
         raise NumericalBreakdown(
             f"chain state violates a constraint by {-worst:.3e}; the state is corrupted"
@@ -295,20 +303,22 @@ def fill_chain(
         uniforms = random(size).tolist()
         f = 0  # the next full step's row of the block
         for i, r in zip(range(start, min(start + size, steps)), uniforms):
+            # a kept step writes its state straight into its output row
+            row = rows[kept] if i == keep else None
             if long is not None and i % 2:
-                row = i // 2 - start // 2  # the long step's row of the block
+                j = i // 2 - start // 2  # the long step's row of the block
                 slack = G.dot(u) + k
                 _check_state(slack)
                 a = M.dot(u)
                 along_a = GQ.dot(a)
                 offset = slack - along_a
-                segments = _feasible_segments(along_a, along_zs[row], offset, -offset)
+                segments = _feasible_segments(along_a, along_zs[j], offset, -offset)
                 theta = _draw_angle(segments, r)
                 try:
                     turn, lift = cos(theta) - 1.0, sin(theta)
                 except ValueError:  # math's cos and sin reject an infinite angle
                     raise NumericalBreakdown(_INFINITE_ANGLE) from None
-                u = u + long.dot(a * turn + zs[row] * lift)
+                u = np.add(u, long.dot(a * turn + zs[j] * lift), out=row)
             else:
                 if has_rows:
                     along_u = G.dot(u)
@@ -321,9 +331,9 @@ def fill_chain(
                     turn, lift = cos(theta), sin(theta)
                 except ValueError:
                     raise NumericalBreakdown(_INFINITE_ANGLE) from None
-                u = u * turn + nus[f] * lift
+                u = np.multiply(u, turn, out=row)
+                u += nus[f] * lift
                 f += 1
-            if i == keep:
-                rows[kept] = u
+            if row is not None:
                 kept += 1
                 keep += thin

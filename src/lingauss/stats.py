@@ -8,6 +8,18 @@ the coordinate series and for its centered square, because second moments
 are part of every downstream comparison and decorrelate slower on slice
 chains. Independent inputs skip the machinery and use the raw sample count.
 
+The series are estimated in blocks of coordinates. A block is one
+C-contiguous (c, n) array of centered coordinate series: one rfft and one
+irfft of length nfft (the power of two at or above 2n - 1) along its rows
+give every autocovariance of the block, with the power spectrum formed in
+place. The block is then squared and centered in place and transformed
+again. c is BLOCK_ELEMENTS // (2 nfft), so a block's padded series hold at
+most half of BLOCK_ELEMENTS; where that is 0, a block is one series, and
+the memory a long chain's statistics take grows with nfft alone, not with
+the number of coordinates. The truncation is vectorised: the pair sums
+rho[0:n-1:2] + rho[1:n:2] are kept up to their first nonpositive entry by
+np.logical_and.accumulate along each row.
+
 compare_stats checks two estimates against each other elementwise:
 |a - b| <= sigma_level * sqrt(se_a^2 + se_b^2). Covariance-element standard
 errors come from the Gaussian-theory formula
@@ -42,29 +54,33 @@ class SampleStats:
     ess: np.ndarray
 
 
-def _geyer_ess(centered: np.ndarray) -> float:
-    """Effective sample size of one centered coordinate via initial positive sums."""
-    n = centered.size
-    if not centered.any():  # constant coordinate: no autocorrelation to estimate
-        return float(n)
-    nfft = 1 << (2 * n - 1).bit_length()
-    spectrum = np.fft.rfft(centered, nfft)
+def _geyer_ess(block: np.ndarray, nfft: int) -> np.ndarray:
+    """Effective sample size of each row of a C-contiguous (c, n) block of
+    centered series via initial positive sums, with FFTs of length nfft."""
+    n = block.shape[1]
+    spectrum = np.fft.rfft(block, nfft, axis=1)
     # the power spectrum real**2 + imag**2, written over the spectrum itself
     power = spectrum.real
     power **= 2
     power += spectrum.imag**2
     spectrum.imag = 0.0
-    autocov = np.fft.irfft(spectrum, nfft)[:n] / n
-    if autocov[0] <= 0.0:
-        return float(n)
-    rho = autocov / autocov[0]
-    tau = -1.0
-    for lag in range(0, n - 1, 2):
-        pair = rho[lag] + rho[lag + 1]
-        if pair <= 0.0:
-            break
-        tau += 2.0 * pair
-    return float(min(max(n / max(tau, 1e-12), 1.0), n))
+    autocov = np.fft.irfft(spectrum, nfft, axis=1)
+    del spectrum, power  # freed before the pair sums: a long series' peak is here
+    rho = autocov[:, :n]
+    rho /= n
+    variance = rho[:, 0].copy()
+    # a constant series has no autocorrelation to estimate: its ESS is n
+    constant = variance <= 0.0
+    variance[constant] = 1.0
+    rho /= variance[:, None]
+    # lags (0, 1), (2, 3), ...: an even n's last pair is lags n - 2 and n - 1.
+    # A NaN pair does not end the sum, so a NaN series has a NaN ESS.
+    pairs = rho[:, 0 : n - 1 : 2] + rho[:, 1:n:2]
+    initial = np.logical_and.accumulate(~(pairs <= 0.0), axis=1)
+    tau = 2.0 * np.sum(pairs, axis=1, where=initial) - 1.0
+    ess = np.clip(n / np.maximum(tau, 1e-12), 1.0, n)
+    ess[constant] = n
+    return ess
 
 
 def sample_stats(samples, independent: bool = False) -> SampleStats:
@@ -77,9 +93,9 @@ def sample_stats(samples, independent: bool = False) -> SampleStats:
     from the origin; the covariance takes a second pass over the centered
     rows. Both passes center one row block at a time in a reused buffer,
     over blocks of 1, 2, 4, ... rows up to about BLOCK_ELEMENTS elements
-    (linalg.doubling_blocks), and each ESS series is built from its own
-    column, so no temporary is the size of the input. All-identical rows
-    raise DegenerateSamples.
+    (linalg.doubling_blocks), and the ESS series are built a block of
+    columns at a time (see the module docstring), so no temporary is the
+    size of the input. All-identical rows raise DegenerateSamples.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 1:
@@ -130,13 +146,19 @@ def sample_stats(samples, independent: bool = False) -> SampleStats:
         # Covariance entries are compared too, and squared coordinates
         # decorrelate slower than the coordinates themselves on slice chains,
         # so take the more pessimistic of the two series per coordinate.
+        nfft = 1 << (2 * n - 1).bit_length()
+        width = max(1, BLOCK_ELEMENTS // (2 * nfft))
+        series = np.empty((min(width, dim), n))
         ess = np.empty(dim)
-        for j in range(dim):
-            series = samples[:, j] - first[j]
-            series -= shift[j]
-            squared = series**2
-            squared -= squared.mean()
-            ess[j] = min(_geyer_ess(series), _geyer_ess(squared))
+        for start in range(0, dim, width):
+            columns = slice(start, min(start + width, dim))
+            block = series[: columns.stop - start]
+            np.subtract(samples[:, columns].T, first[columns, None], out=block)
+            block -= shift[columns, None]
+            ess[columns] = _geyer_ess(block, nfft)
+            block **= 2
+            block -= block.mean(axis=1, keepdims=True)
+            np.minimum(ess[columns], _geyer_ess(block, nfft), out=ess[columns])
     mean_se = np.sqrt(np.diag(covariance) / ess)
     return SampleStats(n=n, mean=mean, covariance=covariance, mean_se=mean_se, ess=ess)
 

@@ -375,6 +375,24 @@ def test_nan_state_raises():
         chain_states(transformed, np.array([np.nan, 0.0]), 5, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("where", [0, 57, 99], ids=["first", "middle", "last"])
+def test_a_nan_slack_raises_wherever_it_lies(where):
+    slack = np.linspace(2.0, 0.5, 100)
+    slack[50] = -0.5 * SLACK_TOL  # the smallest number, inside the tolerance
+    slack[where] = np.nan
+    with pytest.raises(NumericalBreakdown, match="corrupted"):
+        _check_state(slack)
+
+
+def test_the_state_check_holds_the_slack_to_its_tolerance():
+    slack = np.linspace(2.0, 0.5, 100)
+    slack[31] = -SLACK_TOL
+    _check_state(slack)
+    slack[31] = -1.01 * SLACK_TOL
+    with pytest.raises(NumericalBreakdown, match=r"violates a constraint by 1\.010e-09"):
+        _check_state(slack)
+
+
 def test_run_chain_shape_and_determinism():
     spec = ProblemSpec(
         mu=np.zeros(2),

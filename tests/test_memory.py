@@ -4,7 +4,8 @@ tracemalloc sees numpy's buffers, so the traced peak of a call, less the
 bytes of the array it returns, is what the call held on top of its output.
 That excess must stay under one fixed bound at N samples and at 4N: a call
 that kept a second copy of its output, or a statistics pass that centered a
-copy of its input, exceeds it at 4N.
+copy of its input, exceeds it at 4N. A long chain's ESS works on padded FFTs
+of its whole length, so there the bound is per padded element instead.
 """
 
 import tracemalloc
@@ -17,6 +18,7 @@ from lingauss.sampler import sample_constrained
 from lingauss.stats import sample_stats
 
 from test_elliptical_slice import rotated_box
+from test_stats import ar1
 
 EXCESS_BOUND = 5 << 18  # bytes (1.25 MiB); 4N samples of 50 coordinates take 1.6 MB
 N = 1_000
@@ -92,3 +94,13 @@ def test_sample_stats_centers_no_copy_of_its_input(name, n):
     stats, peak = traced(lambda: sample_stats(samples, independent=independent))
     assert stats.n == n
     assert peak <= EXCESS_BOUND
+
+
+def test_the_ess_of_a_long_chain_takes_one_padded_series_at_a_time():
+    # pentagon's checked chain: 100k steps of 4 coordinates
+    n = 100_000
+    samples = ar1(np.random.default_rng(137), n, 0.9, dim=4)
+    nfft = 1 << (2 * n - 1).bit_length()
+    stats, peak = traced(lambda: sample_stats(samples))
+    assert stats.ess.shape == (4,)
+    assert peak <= 24 * nfft  # 6.3 MB

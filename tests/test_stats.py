@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from lingauss.errors import DegenerateSamples
+from lingauss.sampler import sample_constrained
 from lingauss.stats import compare_stats, sample_stats
+
+from test_elliptical_slice import rotated_box
 
 
 def ar1(rng, n, rho, dim=1):
@@ -15,6 +18,86 @@ def ar1(rng, n, rho, dim=1):
     for t in range(1, n):
         out[t] = rho * out[t - 1] + innovations[t]
     return out
+
+
+# Frozen: the per-coordinate ESS as it stood before it ran in blocks of
+# coordinates, verbatim apart from the names; the shift is taken here with
+# numpy's mean. sample_stats must reproduce it to rounding.
+
+
+def _frozen_geyer_ess(centered):
+    n = centered.size
+    if not centered.any():  # constant coordinate: no autocorrelation to estimate
+        return float(n)
+    nfft = 1 << (2 * n - 1).bit_length()
+    spectrum = np.fft.rfft(centered, nfft)
+    # the power spectrum real**2 + imag**2, written over the spectrum itself
+    power = spectrum.real
+    power **= 2
+    power += spectrum.imag**2
+    spectrum.imag = 0.0
+    autocov = np.fft.irfft(spectrum, nfft)[:n] / n
+    if autocov[0] <= 0.0:
+        return float(n)
+    rho = autocov / autocov[0]
+    tau = -1.0
+    for lag in range(0, n - 1, 2):
+        pair = rho[lag] + rho[lag + 1]
+        if pair <= 0.0:
+            break
+        tau += 2.0 * pair
+    return float(min(max(n / max(tau, 1e-12), 1.0), n))
+
+
+def _frozen_ess(samples):
+    n, dim = samples.shape
+    first = samples[0]
+    shift = (samples - first).mean(axis=0)
+    ess = np.empty(dim)
+    for j in range(dim):
+        series = samples[:, j] - first[j]
+        series -= shift[j]
+        squared = series**2
+        squared -= squared.mean()
+        ess[j] = min(_frozen_geyer_ess(series), _frozen_geyer_ess(squared))
+    return ess
+
+
+def _mixed_columns(n, seed):
+    """AR(1) with rho 0.9, iid, constant, and +-1.5 in equal numbers where n
+    is even, so that the square of the centered column is constant."""
+    rng = np.random.default_rng(seed)
+    samples = np.empty((n, 4))
+    samples[:, :1] = ar1(rng, n, 0.9)
+    samples[:, 1] = rng.normal(size=n)
+    samples[:, 2] = 3.0
+    samples[:, 3] = rng.permutation(np.resize([1.5, -1.5], n))
+    return samples
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 999, 1000, 1001, 4000, 20001])
+def test_ess_matches_the_frozen_column_loop(n):
+    samples = _mixed_columns(n, n)
+    ess = sample_stats(samples).ess
+    np.testing.assert_allclose(ess, _frozen_ess(samples), rtol=1e-12, atol=0)
+    assert ess[2] == n
+    if n % 2 == 0:  # mean 0: the centered column is +-1.5, its square constant
+        assert samples[:, 3].sum() == 0.0
+
+
+def test_a_nan_column_has_a_nan_ess():
+    samples = _mixed_columns(1_000, 1)
+    samples[500, 1] = np.nan
+    ess = sample_stats(samples).ess
+    assert np.isnan(ess[1]) and not np.isnan(ess[[0, 2, 3]]).any()
+    np.testing.assert_allclose(ess, _frozen_ess(samples), rtol=1e-12, atol=0)
+
+
+def test_ess_of_a_box_chain_matches_the_frozen_column_loop():
+    samples = sample_constrained(rotated_box(), 1_000, 3).samples
+    ess = sample_stats(samples).ess
+    np.testing.assert_allclose(ess, _frozen_ess(samples), rtol=1e-12, atol=0)
+    assert ess.shape == (50,) and (ess < 1_000).all()
 
 
 def test_independent_inputs_report_full_ess():
