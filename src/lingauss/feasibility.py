@@ -1,8 +1,9 @@
 """Feasibility classification of {y : H y + k >= 0} and chain start points.
 
-One linear program gives the verdict, a second places the start point of a
-full-dimensional region, and a range probe settles an empty interior that
-the first program's multipliers leave open:
+One linear program gives the verdict, a second phase 2 continued from its
+optimum places the start point of a full-dimensional region, and a range
+probe settles an empty interior that the first program's multipliers leave
+open:
 
 1. Is the region nonempty, and does it have an interior?  Maximize a slack
    s (capped at 1) subject to H y + k >= s * rownorm(H), a Chebyshev-ball
@@ -16,7 +17,9 @@ the first program's multipliers leave open:
    unit norm before the program is posed, so FEAS_TOL bounds a distance in
    y and no verdict depends on how the rows were scaled.
 2. Where is a good start point?  For a full-dimensional region, trade
-   slack against distance from the origin (_pull_in).
+   slack against distance from the origin (_pull_in). That program is the
+   slack program with a floor on s and another cost, so it needs no phase 1
+   of its own: it carries on from the slack optimum's basis.
 3. If the interior is empty, is the region a single point?  The slack
    program's optimal multipliers usually say so at no further cost. They
    satisfy H' lambda = 0 and sum(lambda) = 1, so every feasible y has
@@ -47,7 +50,7 @@ import numpy as np
 
 from .errors import DegenerateRegion, NumericalBreakdown
 from .linalg import unit_rows
-from .simplex import LinearProgram, phase_one, phase_two, solve_lp
+from .simplex import FeasibleBasis, LinearProgram, phase_one, phase_two, solve_lp
 
 FEAS_TOL = 1e-9  # slack, multiplier and range width, in unit-row distances, that count
 
@@ -62,7 +65,8 @@ class FeasibilityResult:
     but may hold less slack than the optimum when the optimum face is remote).
     lp_pivots sums the simplex pivots of every program the classification ran.
     lp_solves counts those programs: each whole solve, each phase 1 run on
-    its own and each phase 2 priced on a shared phase 1.
+    its own and each phase 2, whether priced on a shared phase 1 or continued
+    from another program's optimal basis (the start point's program).
     """
 
     kind: Literal["infeasible", "point_mass", "full_dimensional"]
@@ -86,11 +90,11 @@ def max_slack_model(H, k) -> LinearProgram:
     return LinearProgram(c=c, G=G, h=h)
 
 
-def _pull_in(H, k, radius):
+def _pull_in(optimum: FeasibleBasis, n, radius):
     """Interior start point with slack priced against distance from the origin.
 
     min  sum|y| - weight * s   s.t.   H y + k >= s * rownorm(H),
-                                      radius * 1e-6 <= s <= radius
+                                      s >= radius * 1e-6
 
     The slack optimum of max_slack_model can be attained on a face that
     recedes arbitrarily far from the origin (narrow unbounded cones), where a
@@ -99,25 +103,26 @@ def _pull_in(H, k, radius):
     full slack whenever it is cheap -- bounded regions, where the optimum face
     passes near the mass anyway -- and otherwise settles at the knee of the
     distance/slack tradeoff close to the origin. The floor keeps the point
-    strictly interior either way.
+    strictly interior either way, and the rows themselves hold s to at most
+    radius.
+
+    The program is the slack program with the floor row added and another
+    cost, so a phase 2 continues from the slack program's optimal basis
+    (optimum), with the floor's surplus basic at radius * (1 - 1e-6). y is
+    free there, split into y+ - y-, so |y| is priced by label: 1 on both
+    halves of each y_j, -weight on s+ and +weight on s-. Returns the point,
+    or None if the phase 2 fails to end optimal, and its pivots.
     """
-    m, n = H.shape
-    norms = np.linalg.norm(H, axis=1)
+    floor = np.zeros(n + 1)
+    floor[-1] = 1.0
+    start = optimum.with_row(floor, radius * 1e-6)
     weight = 4.0 * n
-    # variables [y_pos, y_neg, s] >= 0 with y = y_pos - y_neg
-    c = np.concatenate([np.ones(2 * n), [-weight]])
-    G = np.zeros((m + 2, 2 * n + 1))
-    G[:m, :n] = H
-    G[:m, n : 2 * n] = -H
-    G[:m, -1] = -norms
-    G[m, -1] = 1.0  # s >= radius * 1e-6
-    G[m + 1, -1] = -1.0  # s <= radius
-    h = np.concatenate([-k, [radius * 1e-6, -radius]])
-    model = LinearProgram(c=c, G=G, h=h, nonneg=np.ones(2 * n + 1, dtype=bool))
-    solution = solve_lp(model)
+    cost = np.ones(2 * n + 2)  # labels y1+, y1-, ..., yn+, yn-, s+, s-
+    cost[-2:] = -weight, weight
+    solution = phase_two(start, cost)
     if solution.status != "optimal":
         return None, solution.pivots
-    return solution.x[:n] - solution.x[n : 2 * n], solution.pivots
+    return solution.x[:n], solution.pivots
 
 
 def _coordinate_range(start, n, i):
@@ -185,8 +190,8 @@ def find_feasible_point(H, k) -> FeasibilityResult:
     if radius < -FEAS_TOL:
         return FeasibilityResult("infeasible", lp_pivots=pivots, lp_solves=solves)
     if radius > FEAS_TOL:
-        point, pull_pivots = _pull_in(H, k, radius)
-        if point is None:  # roundoff starved the follow-up program; keep the vertex
+        point, pull_pivots = _pull_in(slack.basis, n, radius)
+        if point is None:  # bounded below, so only roundoff stops it; keep the vertex
             point = slack.x[:n]
         return FeasibilityResult(
             "full_dimensional",

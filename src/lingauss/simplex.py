@@ -12,7 +12,11 @@ optimizes the real objective. A region that contains the origin thus costs
 phase 1 no pivot at all. Phase 1 does not depend on the objective, so
 `phase_one` returns its feasible basis and `phase_two` prices one cost
 vector against a copy of it; `solve_lp` is one of each, and several
-objectives over one region can share a phase 1.
+objectives over one region can share a phase 1. An optimal phase 2 hands
+back its final basis too, and `FeasibleBasis.with_row` adds a row that the
+basis's vertex satisfies, with that row's surplus basic: a program that
+differs from a solved one by its cost and such a row continues from the
+solved optimum in another phase 2, with no phase 1 of its own.
 Entering columns follow Dantzig's rule (most negative reduced cost) until
 the objective stops improving for STALL_LIMIT consecutive pivots, after
 which Bland's rule takes over to rule out cycling; a hard iteration cap
@@ -91,6 +95,7 @@ class LpSolution:
     x: np.ndarray | None
     pivots: int = 0
     multipliers: np.ndarray | None = None
+    basis: FeasibleBasis | None = None  # the optimal basis, a start for more phase 2s
 
 
 def _first_label(labels, slots):
@@ -169,12 +174,13 @@ def _iterate(tableau, columns, basis, cap):
 
 @dataclass(frozen=True)
 class FeasibleBasis:
-    """A feasible basis of the standard form of {G x >= h}, found by phase 1.
+    """A feasible basis of the standard form of {G x >= h}, found by phase 1
+    or left optimal by a phase 2.
 
-    It depends only on (G, h, nonneg), so one phase 1 serves any number of
-    objectives over the same region: phase_two copies the tableau and prices
-    one cost vector. Columns are labelled in the standard form's order:
-    structural columns first, then one surplus column per row of G. The
+    A phase 1 basis depends only on (G, h, nonneg), so one phase 1 serves any
+    number of objectives over the same region: phase_two copies the tableau
+    and prices one cost vector. Columns are labelled in the standard form's
+    order: structural columns first, then one surplus column per row of G. The
     tableau stores only the nonbasic columns, in the slots whose labels
     `columns` lists, and the right-hand side last: a basic column is a unit
     vector and needs no storage. It has one row per row of G, whose basic
@@ -187,6 +193,30 @@ class FeasibleBasis:
     columns: np.ndarray
     split: tuple[np.ndarray, np.ndarray]  # structural column t is signs[t] * x[variables[t]]
     cap: int
+
+    def with_row(self, g, h) -> FeasibleBasis:
+        """The basis of the region with one more row g @ x >= h, which the
+        basis's vertex must satisfy to within PIVOT_TOL.
+
+        The row's surplus column, labelled after every existing label, joins
+        the basis at the value g @ x - h. Its tableau row is g over the
+        standard form's columns with each basic column replaced by its own
+        row, so the other rows and the cost row stay as they are.
+        """
+        variables, signs = self.split
+        coefficients = np.zeros(self.basis.size + self.columns.size)  # by label
+        coefficients[: variables.size] = signs * np.asarray(g, dtype=float)[variables]
+        basic = coefficients[self.basis]
+        priced = basic.nonzero()[0]
+        row = basic[priced] @ self.tableau[priced]
+        row[:-1] -= coefficients[self.columns]
+        row[-1] -= h
+        if row[-1] < -PIVOT_TOL:
+            raise ValueError(f"the basis's vertex violates the new row by {-row[-1]:.3e}")
+        row[-1] = max(row[-1], 0.0)  # a tight row's roundoff
+        tableau = np.vstack((self.tableau[:-1], row, self.tableau[-1]))
+        basis = np.append(self.basis, coefficients.size)
+        return FeasibleBasis(tableau, basis, self.columns, self.split, self.cap)
 
 
 def phase_one(G, h, nonneg=None) -> tuple[FeasibleBasis | None, int]:
@@ -253,14 +283,21 @@ def phase_one(G, h, nonneg=None) -> tuple[FeasibleBasis | None, int]:
 
 
 def phase_two(start: FeasibleBasis, c) -> LpSolution:
-    """Minimize c @ x from the phase-1 basis; start itself is left unchanged."""
+    """Minimize c @ x from a feasible basis; start itself is left unchanged.
+
+    c prices the variables of G or, given one entry per structural column,
+    those columns by label, so that the two halves of a free variable may
+    cost alike (a cost of |x_j|); the two readings agree where no variable is
+    free. The objective is then the cost of the structural columns' values.
+    """
     c = np.asarray(c, dtype=float)
     tableau = start.tableau.copy()
     basis = start.basis.copy()
     columns = start.columns.copy()
     variables, signs = start.split
+    by_label = c.size == variables.size
     cost = np.zeros(basis.size + columns.size)  # by label; only structural columns cost
-    cost[: variables.size] = signs * c[variables]
+    cost[: variables.size] = c if by_label else signs * c[variables]
     basic_cost = cost[basis]
     priced = basic_cost.nonzero()[0]
     tableau[-1, :-1] = cost[columns]
@@ -276,13 +313,18 @@ def phase_two(start: FeasibleBasis, c) -> LpSolution:
 
     values = np.zeros(cost.size)
     values[basis] = tableau[:-1, -1]
-    x = np.zeros(c.size)
-    np.add.at(x, variables, signs * values[: variables.size])
+    structural = values[: variables.size]
+    x = np.zeros(variables[-1] + 1)
+    np.add.at(x, variables, signs * structural)
+    objective = cost[: variables.size] @ structural if by_label else c @ x
     # reduced costs by label, 0 on the basic ones; the surplus column of row i
     # (label n_struct + i) prices that row
     reduced = np.zeros(cost.size)
     reduced[columns] = tableau[-1, :-1]
-    return LpSolution("optimal", float(c @ x), x, pivots, reduced[variables.size :])
+    optimum = FeasibleBasis(tableau, basis, columns, start.split, start.cap)
+    return LpSolution(
+        "optimal", float(objective), x, pivots, reduced[variables.size :], optimum
+    )
 
 
 def solve_lp(model: LinearProgram) -> LpSolution:

@@ -140,6 +140,7 @@ def sample_stats(samples, independent: bool = False) -> SampleStats:
         covariance += rows.T @ rows
     covariance /= n - 1
     covariance = 0.5 * (covariance + covariance.T)
+    del buffer, firsts, shifts, ones  # the ESS pass needs its own memory
     if independent:
         ess = np.full(dim, float(n))
     else:

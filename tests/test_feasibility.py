@@ -9,13 +9,12 @@ from lingauss.errors import DegenerateRegion, LinGaussError, NumericalBreakdown
 from lingauss.feasibility import (
     FEAS_TOL,
     FeasibilityResult,
-    _pull_in,
     find_feasible_point,
     max_slack_model,
 )
 from lingauss.linalg import unit_rows
 from lingauss.problem import ProblemSpec
-from lingauss.simplex import phase_one, phase_two, solve_lp
+from lingauss.simplex import LinearProgram, phase_one, phase_two, solve_lp
 from lingauss.transform import build_transform
 
 
@@ -134,9 +133,13 @@ def test_start_point_stays_near_origin_on_narrow_cone(pentagon_inequality):
     result = find_feasible_point(transformed.H, transformed.k)
     assert result.kind == "full_dimensional"
     assert result.chebyshev_radius == pytest.approx(1.0, abs=1e-6)  # capped optimum
-    # the slack-1 face of this cone only exists ~3e4 away from the origin; the
-    # start point must not chase it
-    assert np.linalg.norm(result.point) < 10.0
+    # the slack-1 face of this cone only exists ~3e4 away from the origin, where
+    # the slack program's vertex lies (|y|_1 about 6.3e4); the start point that
+    # continues from that vertex must leave it for the knee near the origin
+    vertex = solve_lp(max_slack_model(*unit_rows(transformed.H, transformed.k))).x[:-1]
+    assert np.abs(vertex).sum() > 1e4
+    assert np.abs(result.point).sum() < 1.0  # about 0.04
+    assert (transformed.H @ result.point + transformed.k > 0.0).all()
     norms = np.linalg.norm(transformed.H, axis=1)
     assert ((transformed.H @ result.point + transformed.k) / norms).min() > 1e-6
 
@@ -335,7 +338,7 @@ CORNER_SLACK_BELOW_ZERO = (  # a point mass whose s* rounds to -1.1e-16
 @pytest.mark.parametrize(
     "H, k, kind, solves",
     [
-        (SQUARE, [-1.0, 3.0, 2.0, 3.0], "full_dimensional", 2),  # slack LP and _pull_in
+        (SQUARE, [-1.0, 3.0, 2.0, 3.0], "full_dimensional", 2),  # slack LP, start's phase 2
         ([[1.0], [-1.0]], [-1.0, 0.0], "infeasible", 1),  # s* < -tol
         ([[0.0], [1.0]], [-1.0, 0.5], "infeasible", 0),  # a zero row decides
         ([[1.0], [-1.0]], [0.0, 0.0], "point_mass", 1),  # certified, s* = 0
@@ -353,7 +356,34 @@ def test_lp_solves_counts_every_program(monkeypatch, H, k, kind, solves):
 
 # The classifier as it was before the slack LP's multipliers could certify a
 # point mass, kept verbatim apart from its names: every empty interior ran
-# phase 1 and the 2n range LPs. It calls the same simplex.
+# phase 1 and the 2n range LPs, and every full-dimensional region solved the
+# start point's program afresh, with a phase 1 of its own. It calls the same
+# simplex.
+
+
+def reference_pull_in(H, k, radius):
+    """Interior start point with slack priced against distance from the origin.
+
+    min  sum|y| - weight * s   s.t.   H y + k >= s * rownorm(H),
+                                      radius * 1e-6 <= s <= radius
+    """
+    m, n = H.shape
+    norms = np.linalg.norm(H, axis=1)
+    weight = 4.0 * n
+    # variables [y_pos, y_neg, s] >= 0 with y = y_pos - y_neg
+    c = np.concatenate([np.ones(2 * n), [-weight]])
+    G = np.zeros((m + 2, 2 * n + 1))
+    G[:m, :n] = H
+    G[:m, n : 2 * n] = -H
+    G[:m, -1] = -norms
+    G[m, -1] = 1.0  # s >= radius * 1e-6
+    G[m + 1, -1] = -1.0  # s <= radius
+    h = np.concatenate([-k, [radius * 1e-6, -radius]])
+    model = LinearProgram(c=c, G=G, h=h, nonneg=np.ones(2 * n + 1, dtype=bool))
+    solution = solve_lp(model)
+    if solution.status != "optimal":
+        return None, solution.pivots
+    return solution.x[:n] - solution.x[n : 2 * n], solution.pivots
 
 
 def reference_coordinate_range(start, n, i):
@@ -399,7 +429,7 @@ def reference_find_feasible_point(H, k) -> FeasibilityResult:
     if radius < -FEAS_TOL:
         return FeasibilityResult("infeasible", lp_pivots=pivots)
     if radius > FEAS_TOL:
-        point, pull_pivots = _pull_in(H, k, radius)
+        point, pull_pivots = reference_pull_in(H, k, radius)
         if point is None:  # roundoff starved the follow-up program; keep the vertex
             point = slack.x[:n]
         return FeasibilityResult(
@@ -525,10 +555,21 @@ def same_bits(a, b):
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def pull_in_objective(H, k, radius, y):
+    """sum|y| - 4n s at y, with s as large as the unit rows and the radius allow."""
+    H, k = unit_rows(H, k)
+    return np.abs(y).sum() - 4.0 * H.shape[1] * min((H @ y + k).min(), radius)
+
+
 def test_certificate_keeps_every_verdict_of_the_frozen_classifier():
+    # Empty regions and point masses keep every bit. A full-dimensional
+    # region keeps its radius bit for bit, but its start point now continues
+    # from the slack optimum instead of solving its program afresh, so it may
+    # reach another optimal vertex by other roundoff: it must be strictly
+    # interior, as good by the program's objective, and take no more pivots.
     regions = reference_regions()
     assert len(regions) >= 300
-    taken = {"certified": 0, "fallback": 0, "raised": 0}
+    taken = {"certified": 0, "fallback": 0, "raised": 0, "full": 0}
     for family, H, k in regions:
         want = outcome(reference_find_feasible_point, H, k)
         got = outcome(find_feasible_point, H, k)
@@ -538,8 +579,17 @@ def test_certificate_keeps_every_verdict_of_the_frozen_classifier():
             continue
         assert not isinstance(got, type), (family, got)
         assert got.kind == want.kind, family
-        assert same_bits(got.point, want.point), family
         assert got.chebyshev_radius == want.chebyshev_radius, family
+        if got.kind == "full_dimensional":
+            taken["full"] += 1
+            assert (H @ got.point + k > 0.0).all(), family
+            radius = got.chebyshev_radius
+            objective = pull_in_objective(H, k, radius, got.point)
+            frozen = pull_in_objective(H, k, radius, want.point)
+            assert objective == pytest.approx(frozen, rel=1e-9), family
+            assert got.lp_pivots <= want.lp_pivots, family
+            continue
+        assert same_bits(got.point, want.point), family
         if got.kind == "point_mass" and got.lp_solves <= 2:
             taken["certified"] += 1
             assert got.lp_pivots < want.lp_pivots, family
@@ -549,6 +599,7 @@ def test_certificate_keeps_every_verdict_of_the_frozen_classifier():
     assert taken["certified"] >= 100
     assert taken["fallback"] >= 20
     assert taken["raised"] >= 20
+    assert taken["full"] >= 20
 
 
 def test_certified_multipliers_balance_the_rows():

@@ -103,4 +103,5 @@ def test_the_ess_of_a_long_chain_takes_one_padded_series_at_a_time():
     nfft = 1 << (2 * n - 1).bit_length()
     stats, peak = traced(lambda: sample_stats(samples))
     assert stats.ess.shape == (4,)
-    assert peak <= 24 * nfft  # 6.3 MB
+    # 5.39 MB; 5.98 MB while the moment passes' buffers outlived them
+    assert peak <= 21 * nfft  # 5.5 MB

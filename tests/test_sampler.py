@@ -307,7 +307,7 @@ def test_plan_seconds_time_the_plan(pentagon_both, monkeypatch):
 
 
 def test_report_counts_lp_solves(pentagon_inequality, pentagon_both, pentagon_equality):
-    assert plan(pentagon_inequality).report.lp_solves == 2  # slack LP and _pull_in
+    assert plan(pentagon_inequality).report.lp_solves == 2  # slack LP, start's phase 2
     assert sample_constrained(pentagon_both, 10, 1).report.lp_solves == 2
     assert plan(pentagon_equality).report.lp_solves == 0  # no inequality, no LP
     pinned = ProblemSpec(mu=[0.3], sigma=np.eye(1), A=[[1.0], [-1.0]], b=[-0.7, 0.7])

@@ -402,6 +402,56 @@ def test_shared_phase_one_matches_separate_solves_bit_for_bit():
     assert statuses == {"optimal", "unbounded", "infeasible"}
 
 
+def split_columns(G, nonneg):
+    """G's columns in the standard form's structural order: a free
+    variable's column, then its negative."""
+    columns = []
+    for j, positive in enumerate(nonneg):
+        columns.append(G[:, j])
+        if not positive:
+            columns.append(-G[:, j])
+    return np.column_stack(columns)
+
+
+def test_a_continued_phase_two_solves_the_program_with_its_row():
+    # a solved program plus a row its optimum satisfies, under a new cost by
+    # label, is the program a fresh solve over the structural columns poses
+    rng = np.random.default_rng(149)
+    statuses = []
+    for trial in range(150):
+        G, h, nonneg = random_region(rng, trial)
+        solved = solve_lp(LinearProgram(c=G.T @ np.ones(G.shape[0]), G=G, h=h, nonneg=nonneg))
+        if solved.status != "optimal":
+            continue
+        g = rng.normal(size=G.shape[1])
+        margin = 0.0 if trial % 3 == 0 else rng.uniform(0.0, 1.0)  # a tight row, or not
+        floor = g @ solved.x - margin
+        body = split_columns(np.vstack([G, g]), nonneg)
+        signs = np.where(rng.random(body.shape[1]) < 0.2, -1.0, 1.0)
+        cost = rng.uniform(0.1, 2.0, body.shape[1]) * signs
+        continued = phase_two(solved.basis.with_row(g, floor), cost)
+        fresh = solve_lp(
+            LinearProgram(c=cost, G=body, h=np.append(h, floor), nonneg=np.ones(cost.size, bool))
+        )
+        assert continued.status == fresh.status
+        statuses.append(continued.status)
+        if continued.status == "optimal":
+            scale = 1.0 + abs(fresh.objective)
+            assert continued.objective == pytest.approx(fresh.objective, abs=1e-9 * scale)
+            assert (G @ continued.x - h).min() >= -1e-9 * scale
+            assert g @ continued.x >= floor - 1e-9 * scale
+            assert continued.multipliers.size == G.shape[0] + 1
+    assert statuses.count("optimal") >= 50 and "unbounded" in statuses
+
+
+def test_a_row_the_vertex_violates_is_refused():
+    solved = solve_lp(LinearProgram(c=[1.0], G=[[1.0]], h=[2.0]))
+    assert solved.x[0] == 2.0
+    assert solved.basis.with_row([1.0], 2.0).tableau.shape[0] == 3  # tight: surplus 0
+    with pytest.raises(ValueError):
+        solved.basis.with_row([1.0], 2.5)
+
+
 def test_phase_one_at_the_origin_makes_no_pivot():
     rng = np.random.default_rng(89)
     for trial in range(20):
