@@ -16,6 +16,7 @@ some element disagreed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from itertools import repeat
 
@@ -148,6 +149,12 @@ def _cmd_check(args):
 
 
 def _cmd_compare(args):
+    if args.n < 2:
+        raise ValueError(f"--n must be at least 2 to estimate moments, got {args.n}")
+    if not (math.isfinite(args.sigma) and args.sigma > 0.0):
+        raise ValueError(f"--sigma must be finite and positive, got {args.sigma}")
+    if args.proposals < 1:
+        raise ValueError(f"--proposals must be at least 1, got {args.proposals}")
     spec = load_problem(args.problem)
     if args.oracle == "rejection" and spec.p:
         print("error: the rejection oracle needs a problem without equalities", file=sys.stderr)

@@ -261,7 +261,8 @@ def fill_chain(
 ) -> None:
     """Run burn_in + len(rows) * thin steps from u0 and write the states
     after steps burn_in, burn_in + thin, ... into the k-wide rows, in order
-    (u0 itself is not written).
+    (u0 itself is not written). The region has at least one row: without
+    one, sample_constrained draws directly and runs no chain.
 
     Each full step moves along nu ~ N(0, I_k) to an angle theta placed
     uniformly on the feasible arcs by one uniform draw. Given long = Q from
@@ -282,8 +283,7 @@ def fill_chain(
     # compare bits), without matmul's dispatch, about 0.5 us less a product
     u = np.asarray(u0, dtype=float)
     G, k = transformed.G, transformed.k
-    neg_k, G_t = -k, G.T
-    has_rows, dimension = G.shape[0] > 0, G.shape[1]
+    neg_k, G_t, dimension = -k, G.T, G.shape[1]
     standard_normal, random = rng.standard_normal, rng.random
     cos, sin = math.cos, math.sin
     if long is not None:
@@ -305,32 +305,26 @@ def fill_chain(
         for i, r in zip(range(start, min(start + size, steps)), uniforms):
             # a kept step writes its state straight into its output row
             row = rows[kept] if i == keep else None
-            if long is not None and i % 2:
+            is_long = long is not None and i % 2
+            along_u = G.dot(u)
+            slack = along_u + k
+            _check_state(slack)
+            if is_long:
                 j = i // 2 - start // 2  # the long step's row of the block
-                slack = G.dot(u) + k
-                _check_state(slack)
                 a = M.dot(u)
                 along_a = GQ.dot(a)
                 offset = slack - along_a
                 segments = _feasible_segments(along_a, along_zs[j], offset, -offset)
-                theta = _draw_angle(segments, r)
-                try:
-                    turn, lift = cos(theta) - 1.0, sin(theta)
-                except ValueError:  # math's cos and sin reject an infinite angle
-                    raise NumericalBreakdown(_INFINITE_ANGLE) from None
-                u = np.add(u, long.dot(a * turn + zs[j] * lift), out=row)
             else:
-                if has_rows:
-                    along_u = G.dot(u)
-                    _check_state(along_u + k)
-                    segments = _feasible_segments(along_u, along_nus[f], k, neg_k)
-                else:
-                    segments = _FULL_CIRCLE
-                theta = _draw_angle(segments, r)
-                try:
-                    turn, lift = cos(theta), sin(theta)
-                except ValueError:
-                    raise NumericalBreakdown(_INFINITE_ANGLE) from None
+                segments = _feasible_segments(along_u, along_nus[f], k, neg_k)
+            theta = _draw_angle(segments, r)
+            try:
+                turn, lift = cos(theta), sin(theta)
+            except ValueError:  # math's cos and sin reject an infinite angle
+                raise NumericalBreakdown(_INFINITE_ANGLE) from None
+            if is_long:
+                u = np.add(u, long.dot(a * (turn - 1.0) + zs[j] * lift), out=row)
+            else:
                 u = np.multiply(u, turn, out=row)
                 u += nus[f] * lift
                 f += 1

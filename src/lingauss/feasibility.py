@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import DegenerateRegion, NumericalBreakdown
 from .linalg import unit_rows
-from .simplex import FeasibleBasis, LinearProgram, phase_one, phase_two, solve_lp
+from .simplex import FeasibleBasis, phase_one, phase_two, solve_lp
 
 FEAS_TOL = 1e-9  # slack, multiplier and range width, in unit-row distances, that count
 
@@ -76,18 +76,19 @@ class FeasibilityResult:
     lp_solves: int = 0
 
 
-def max_slack_model(H, k) -> LinearProgram:
-    """max s  s.t.  H y + k >= s * rownorm(H),  s <= 1  (posed as min -s)."""
+def max_slack_model(H, k):
+    """(cost, G, h) of  max s  s.t.  H y + k >= s * rownorm(H),  s <= 1,
+    posed for solve_lp as min -s: -1 on s+ and +1 on s-, 0 on y."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
     k = np.asarray(k, dtype=float).reshape(-1)
     m, n = H.shape
     norms = np.linalg.norm(H, axis=1)
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
+    cost = np.zeros(2 * n + 2)  # columns y1+, y1-, ..., yn+, yn-, s+, s-
+    cost[-2:] = -1.0, 1.0
     G = np.vstack([np.hstack([H, -norms[:, None]]), np.zeros((1, n + 1))])
     G[-1, -1] = -1.0
     h = np.concatenate([-k, [-1.0]])
-    return LinearProgram(c=c, G=G, h=h)
+    return cost, G, h
 
 
 def _pull_in(optimum: FeasibleBasis, n, radius):
@@ -108,10 +109,10 @@ def _pull_in(optimum: FeasibleBasis, n, radius):
 
     The program is the slack program with the floor row added and another
     cost, so a phase 2 continues from the slack program's optimal basis
-    (optimum), with the floor's surplus basic at radius * (1 - 1e-6). y is
-    free there, split into y+ - y-, so |y| is priced by label: 1 on both
-    halves of each y_j, -weight on s+ and +weight on s-. Returns the point,
-    or None if the phase 2 fails to end optimal, and its pivots.
+    (optimum), with the floor's surplus basic at radius * (1 - 1e-6). The
+    cost is 1 on both halves of each y_j, which prices |y_j|, -weight on s+
+    and +weight on s-. Returns the point, or None if the phase 2 fails to
+    end optimal, and its pivots.
     """
     floor = np.zeros(n + 1)
     floor[-1] = 1.0
@@ -131,9 +132,9 @@ def _coordinate_range(start, n, i):
     bounds = []
     pivots = 0
     for sign in (1.0, -1.0):
-        c = np.zeros(n)
-        c[i] = sign
-        solution = phase_two(start, c)
+        cost = np.zeros(2 * n)
+        cost[2 * i : 2 * i + 2] = sign, -sign
+        solution = phase_two(start, cost)
         pivots += solution.pivots
         bounds.append(None if solution.status == "unbounded" else sign * solution.objective)
     return bounds[0], bounds[1], pivots
@@ -182,7 +183,7 @@ def find_feasible_point(H, k) -> FeasibilityResult:
         H, k = H[~zero], k[~zero]
     H, k = unit_rows(H, k)
 
-    slack = solve_lp(max_slack_model(H, k))
+    slack = solve_lp(*max_slack_model(H, k))
     if slack.status != "optimal":  # feasible and capped by construction
         raise NumericalBreakdown(f"slack program ended {slack.status}; expected optimal")
     radius = -slack.objective

@@ -93,7 +93,7 @@ def problem_from_dict(doc: dict) -> ProblemSpec:
         if key not in doc:
             raise ProblemFormatError(f"missing required field '{key}'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:  # bool is an int
         raise ProblemFormatError("'n' must be a positive integer")
     known = {"n", "mu", "sigma", "A", "b", "C", "d"}
     extra = sorted(set(doc) - known)

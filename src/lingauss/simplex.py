@@ -1,10 +1,12 @@
 """Dense two-phase simplex for small linear programs in inequality form.
 
-Solves    minimize c @ x    subject to    G @ x >= h,
+Solves    minimize cost @ (x+, x-)    subject to    G @ x >= h,
 
-where each variable is either free or sign-restricted to x_j >= 0. Free
-variables are split into positive and negative parts, and surplus variables
-turn the inequalities into equations. Phase 1 starts from the origin's slack
+over free variables x. Each x_j is split into a positive and a negative
+part, the structural columns 2j and 2j + 1 of the standard form, so that
+x = x+ - x-, and the cost prices those columns one by one: opposite entries
+on a pair price x_j itself, equal ones |x_j|. Surplus variables turn the
+inequalities into equations. Phase 1 starts from the origin's slack
 basis: a row that x = 0 already satisfies (h_i <= 0) starts with its surplus
 variable basic, and only a row that the origin violates (h_i > 0) gets an
 artificial variable, which phase 1 drives out of the basis before phase 2
@@ -46,48 +48,18 @@ PIVOT_TOL = 1e-9  # least reduced cost, pivot entry and phase-1 residual that co
 STALL_LIMIT = 100  # non-improving pivots tolerated before switching to Bland's rule
 
 
-@dataclass
-class LinearProgram:
-    """min c @ x  s.t.  G @ x >= h;  x_j >= 0 where nonneg[j], else free.
-
-    nonneg=None marks every variable free.
-    """
-
-    c: np.ndarray
-    G: np.ndarray
-    h: np.ndarray
-    nonneg: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float).reshape(-1)
-        self.G = np.atleast_2d(np.asarray(self.G, dtype=float))
-        self.h = np.asarray(self.h, dtype=float).reshape(-1)
-        nv = self.c.size
-        if nv == 0:
-            raise ValueError("linear program needs at least one variable")
-        if self.G.size == 0:
-            self.G = self.G.reshape(0, nv)
-        if self.G.shape[1] != nv:
-            raise ValueError(f"G must have {nv} columns, got {self.G.shape[1]}")
-        if self.G.shape[0] != self.h.size:
-            raise ValueError(f"G has {self.G.shape[0]} rows but h has {self.h.size}")
-        if self.nonneg is None:
-            self.nonneg = np.zeros(nv, dtype=bool)
-        else:
-            self.nonneg = np.asarray(self.nonneg, dtype=bool).reshape(-1)
-            if self.nonneg.size != nv:
-                raise ValueError("nonneg mask length must match c")
-
-
 @dataclass(frozen=True)
 class LpSolution:
-    """pivots counts the simplex pivots that reached this result: phase 1 and
-    phase 2 for solve_lp, phase 2 alone for phase_two.
+    """x holds the variables, x+ - x-, and objective the cost of the
+    structural columns' values. pivots counts the simplex pivots that reached
+    this result: phase 1 and phase 2 for solve_lp, phase 2 alone for
+    phase_two.
 
     multipliers holds, for an optimal solution, one Lagrange multiplier per
     row of G: the reduced cost of the row's surplus column in the final
     tableau, 0 where that column is basic. They are nonnegative up to the
-    pivot tolerance, and c = G.T @ multipliers on the free variables.
+    pivot tolerance, and G.T @ multipliers = cost[0::2] = -cost[1::2] where
+    each variable's two columns cost opposite amounts.
     """
 
     status: str  # "optimal" | "unbounded" | "infeasible"
@@ -96,6 +68,11 @@ class LpSolution:
     pivots: int = 0
     multipliers: np.ndarray | None = None
     basis: FeasibleBasis | None = None  # the optimal basis, a start for more phase 2s
+
+
+def _split(a):
+    """The structural columns of a's last axis: a_j, then -a_j, for each j."""
+    return np.stack((a, -a), axis=-1).reshape(*a.shape[:-1], -1)
 
 
 def _first_label(labels, slots):
@@ -177,10 +154,11 @@ class FeasibleBasis:
     """A feasible basis of the standard form of {G x >= h}, found by phase 1
     or left optimal by a phase 2.
 
-    A phase 1 basis depends only on (G, h, nonneg), so one phase 1 serves any
-    number of objectives over the same region: phase_two copies the tableau
-    and prices one cost vector. Columns are labelled in the standard form's
-    order: structural columns first, then one surplus column per row of G. The
+    A phase 1 basis depends only on (G, h), so one phase 1 serves any number
+    of objectives over the same region: phase_two copies the tableau and
+    prices one cost vector. Columns are labelled in the standard form's
+    order: structural columns first, two per variable, then one surplus
+    column per row of G, so the structural count is columns.size. The
     tableau stores only the nonbasic columns, in the slots whose labels
     `columns` lists, and the right-hand side last: a basic column is a unit
     vector and needs no storage. It has one row per row of G, whose basic
@@ -191,7 +169,6 @@ class FeasibleBasis:
     tableau: np.ndarray
     basis: np.ndarray
     columns: np.ndarray
-    split: tuple[np.ndarray, np.ndarray]  # structural column t is signs[t] * x[variables[t]]
     cap: int
 
     def with_row(self, g, h) -> FeasibleBasis:
@@ -199,13 +176,12 @@ class FeasibleBasis:
         basis's vertex must satisfy to within PIVOT_TOL.
 
         The row's surplus column, labelled after every existing label, joins
-        the basis at the value g @ x - h. Its tableau row is g over the
-        standard form's columns with each basic column replaced by its own
-        row, so the other rows and the cost row stay as they are.
+        the basis at the value g @ x - h. Its tableau row is (g, -g) over the
+        structural columns with each basic column replaced by its own row, so
+        the other rows and the cost row stay as they are.
         """
-        variables, signs = self.split
         coefficients = np.zeros(self.basis.size + self.columns.size)  # by label
-        coefficients[: variables.size] = signs * np.asarray(g, dtype=float)[variables]
+        coefficients[: self.columns.size] = _split(np.asarray(g, dtype=float))
         basic = coefficients[self.basis]
         priced = basic.nonzero()[0]
         row = basic[priced] @ self.tableau[priced]
@@ -216,12 +192,12 @@ class FeasibleBasis:
         row[-1] = max(row[-1], 0.0)  # a tight row's roundoff
         tableau = np.vstack((self.tableau[:-1], row, self.tableau[-1]))
         basis = np.append(self.basis, coefficients.size)
-        return FeasibleBasis(tableau, basis, self.columns, self.split, self.cap)
+        return FeasibleBasis(tableau, basis, self.columns, self.cap)
 
 
-def phase_one(G, h, nonneg=None) -> tuple[FeasibleBasis | None, int]:
-    """A feasible basis of {G x >= h; x_j >= 0 where nonneg[j]}, or None if
-    empty, with the number of pivots phase 1 made either way.
+def phase_one(G, h) -> tuple[FeasibleBasis | None, int]:
+    """A feasible basis of {G x >= h}, or None if empty, with the number of
+    pivots phase 1 made either way.
 
     The start basis is the origin's: each row with h_i <= 0, which x = 0
     satisfies, is negated so that its surplus column is +e_i and starts
@@ -231,24 +207,17 @@ def phase_one(G, h, nonneg=None) -> tuple[FeasibleBasis | None, int]:
     tableau starts with the structural columns and the surplus columns of
     the artificial rows as its nonbasic columns.
 
-    G and h must already have consistent shapes (LinearProgram checks them);
-    nonneg=None marks every variable free.
+    G and h must already have consistent shapes (solve_lp checks them).
     """
     nrows, nv = G.shape
-    if nonneg is None:
-        nonneg = np.zeros(nv, dtype=bool)
-
-    variables = np.repeat(np.arange(nv), np.where(nonneg, 1, 2))
-    signs = np.ones(variables.size)
-    signs[1:][variables[1:] == variables[:-1]] = -1.0  # the negative part of a free variable
-    n_struct = variables.size
+    n_struct = 2 * nv
     rhs = np.array(h, dtype=float)
     slack_start = rhs <= 0.0  # rows the origin satisfies, -0.0 included
     art_rows = np.flatnonzero(~slack_start)
     art0 = n_struct + nrows
 
     tableau = np.zeros((nrows + 1, n_struct + art_rows.size + 1))
-    body = G[:, variables] * signs
+    body = _split(G)
     body[slack_start] *= -1.0
     tableau[:nrows, :n_struct] = body
     tableau[art_rows, n_struct + np.arange(art_rows.size)] = -1.0
@@ -279,28 +248,23 @@ def phase_one(G, h, nonneg=None) -> tuple[FeasibleBasis | None, int]:
         pivots += 1
     real = columns < art0
     tableau = tableau[:, np.append(real, True)]
-    return FeasibleBasis(tableau, basis, columns[real], (variables, signs), cap), pivots
+    return FeasibleBasis(tableau, basis, columns[real], cap), pivots
 
 
-def phase_two(start: FeasibleBasis, c) -> LpSolution:
-    """Minimize c @ x from a feasible basis; start itself is left unchanged.
-
-    c prices the variables of G or, given one entry per structural column,
-    those columns by label, so that the two halves of a free variable may
-    cost alike (a cost of |x_j|); the two readings agree where no variable is
-    free. The objective is then the cost of the structural columns' values.
+def phase_two(start: FeasibleBasis, cost) -> LpSolution:
+    """Minimize cost @ (x+, x-) from a feasible basis, with one cost per
+    structural column (see the module docstring); start itself is left
+    unchanged.
     """
-    c = np.asarray(c, dtype=float)
     tableau = start.tableau.copy()
     basis = start.basis.copy()
     columns = start.columns.copy()
-    variables, signs = start.split
-    by_label = c.size == variables.size
-    cost = np.zeros(basis.size + columns.size)  # by label; only structural columns cost
-    cost[: variables.size] = c if by_label else signs * c[variables]
-    basic_cost = cost[basis]
+    n_struct = columns.size
+    by_label = np.zeros(basis.size + n_struct)  # only structural columns cost
+    by_label[:n_struct] = cost
+    basic_cost = by_label[basis]
     priced = basic_cost.nonzero()[0]
-    tableau[-1, :-1] = cost[columns]
+    tableau[-1, :-1] = by_label[columns]
     tableau[-1, -1] = 0.0
     # reduced costs: subtract the priced rows one after another, in row order
     tableau[-1] = np.subtract.reduce(
@@ -311,26 +275,33 @@ def phase_two(start: FeasibleBasis, c) -> LpSolution:
     if status == "unbounded":
         return LpSolution("unbounded", None, None, pivots)
 
-    values = np.zeros(cost.size)
+    values = np.zeros(by_label.size)
     values[basis] = tableau[:-1, -1]
-    structural = values[: variables.size]
-    x = np.zeros(variables[-1] + 1)
-    np.add.at(x, variables, signs * structural)
-    objective = cost[: variables.size] @ structural if by_label else c @ x
+    structural = values[:n_struct]
+    x = 0.0 + structural[0::2] - structural[1::2]  # summed from +0.0: a -0 part gives +0
     # reduced costs by label, 0 on the basic ones; the surplus column of row i
     # (label n_struct + i) prices that row
-    reduced = np.zeros(cost.size)
+    reduced = np.zeros(by_label.size)
     reduced[columns] = tableau[-1, :-1]
-    optimum = FeasibleBasis(tableau, basis, columns, start.split, start.cap)
+    optimum = FeasibleBasis(tableau, basis, columns, start.cap)
     return LpSolution(
-        "optimal", float(objective), x, pivots, reduced[variables.size :], optimum
+        "optimal", float(cost @ structural), x, pivots, reduced[n_struct:], optimum
     )
 
 
-def solve_lp(model: LinearProgram) -> LpSolution:
-    """Solve the model; an Optimal solution is a vertex of the standard form."""
-    start, pivots = phase_one(model.G, model.h, model.nonneg)
+def solve_lp(cost, G, h) -> LpSolution:
+    """Minimize cost @ (x+, x-) subject to G @ x >= h, with one cost per
+    structural column; an optimal solution is a vertex of the standard form.
+    """
+    cost = np.asarray(cost, dtype=float).reshape(-1)
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    h = np.asarray(h, dtype=float).reshape(-1)
+    if cost.size == 0 or cost.size != 2 * G.shape[1]:
+        raise ValueError(f"cost needs 2 entries per column of G ({G.shape[1]}), got {cost.size}")
+    if G.shape[0] != h.size:
+        raise ValueError(f"G has {G.shape[0]} rows but h has {h.size}")
+    start, pivots = phase_one(G, h)
     if start is None:
         return LpSolution("infeasible", None, None, pivots)
-    solution = phase_two(start, model.c)
+    solution = phase_two(start, cost)
     return replace(solution, pivots=pivots + solution.pivots)

@@ -253,8 +253,8 @@ def compare_stats(a: SampleStats, b: SampleStats, sigma_level: float = 4.0) -> C
     dim = a.mean.size
     if b.mean.size != dim:
         raise ValueError(f"dimension mismatch: {dim} vs {b.mean.size}")
-    if sigma_level <= 0.0:
-        raise ValueError("sigma_level must be positive")
+    if not (math.isfinite(sigma_level) and sigma_level > 0.0):
+        raise ValueError("sigma_level must be finite and positive")
     items = []
     for i in range(dim):
         combined = math.hypot(a.mean_se[i], b.mean_se[i])

@@ -418,3 +418,30 @@ def test_compare_oracle_problem_mismatch_exits_1(problem_dir, capsys):
     )
     assert code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--sigma", "0"), ("--sigma", "-1"), ("--sigma", "nan"), ("--sigma", "inf")]
+    + [("--proposals", "0"), ("--n", "1")],
+)
+def test_compare_rejects_a_bad_flag_before_sampling(problem_dir, capsys, monkeypatch, flag, value):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("compare sampled before checking its flags")
+
+    monkeypatch.setattr("lingauss.cli.sample_constrained", no_sampling)
+    monkeypatch.setattr("lingauss.cli.rejection_sample", no_sampling)
+    problem = str(problem_dir / "pentagon_inequality.json")
+    argv = ["compare", "--problem", problem, "--n", "100", "--seed", "1", "--oracle", "rejection"]
+    code = main(argv + [flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert flag in captured.err
+    assert "oracle" not in captured.out
+
+
+def test_a_boolean_dimension_exits_1(tmp_path, capsys):
+    path = tmp_path / "bool_n.json"
+    path.write_text(json.dumps({"n": True, "mu": [0.0], "sigma": [[1.0]]}))
+    assert main(["check", "--problem", str(path)]) == 1
+    assert "'n' must be a positive integer" in capsys.readouterr().err

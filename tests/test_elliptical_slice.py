@@ -485,14 +485,6 @@ def test_run_chain_matches_reference_bit_for_bit(case):
         assert check(stats, steps), stats
 
 
-def test_no_rows_chain_matches_reference_bit_for_bit():
-    spec = ProblemSpec(mu=np.zeros(3), sigma=random_spd(np.random.default_rng(5), 3))
-    transformed = build_transform(spec)
-    expected = _reference_chain(transformed, np.ones(3), 500, np.random.default_rng(3))
-    chain = chain_states(transformed, np.ones(3), 500, np.random.default_rng(3))
-    assert np.array_equal(chain, expected)
-
-
 def test_many_segments_chain_matches_reference_bit_for_bit():
     # Chains rarely see more than a few segments; numpy sums 8 or more
     # pairwise. The first nu is known from the seed, so the problem is built

@@ -14,8 +14,9 @@ from lingauss.feasibility import (
 )
 from lingauss.linalg import unit_rows
 from lingauss.problem import ProblemSpec
-from lingauss.simplex import LinearProgram, phase_one, phase_two, solve_lp
+from lingauss.simplex import phase_one, phase_two, solve_lp
 from lingauss.transform import build_transform
+from test_simplex import reference_phase_one, reference_phase_two
 
 
 def reference_radius(H, k, cap=1.0):
@@ -136,7 +137,7 @@ def test_start_point_stays_near_origin_on_narrow_cone(pentagon_inequality):
     # the slack-1 face of this cone only exists ~3e4 away from the origin, where
     # the slack program's vertex lies (|y|_1 about 6.3e4); the start point that
     # continues from that vertex must leave it for the knee near the origin
-    vertex = solve_lp(max_slack_model(*unit_rows(transformed.H, transformed.k))).x[:-1]
+    vertex = solve_lp(*max_slack_model(*unit_rows(transformed.H, transformed.k))).x[:-1]
     assert np.abs(vertex).sum() > 1e4
     assert np.abs(result.point).sum() < 1.0  # about 0.04
     assert (transformed.H @ result.point + transformed.k > 0.0).all()
@@ -186,8 +187,9 @@ def test_grid_confirms_classification_2d():
 def test_model_builders_shapes():
     H = np.array([[1.0, -1.0], [0.5, 2.0]])
     k = np.array([0.3, -0.7])
-    slack = max_slack_model(H, k)
-    assert slack.G.shape == (3, 3)  # two rows plus the cap row
+    cost, G, h = max_slack_model(H, k)
+    assert G.shape == (3, 3)  # two rows plus the cap row
+    assert cost.shape == (6,) and h.shape == (3,)  # two columns per variable y1, y2, s
 
 
 def test_classification_always_reaches_a_verdict():
@@ -358,7 +360,9 @@ def test_lp_solves_counts_every_program(monkeypatch, H, k, kind, solves):
 # point mass, kept verbatim apart from its names: every empty interior ran
 # phase 1 and the 2n range LPs, and every full-dimensional region solved the
 # start point's program afresh, with a phase 1 of its own. It calls the same
-# simplex.
+# simplex, except that the start point's program, posed over sign-restricted
+# variables, runs on the full-tableau reference of tests/test_simplex.py,
+# which makes the package kernel's pivots and bits.
 
 
 def reference_pull_in(H, k, radius):
@@ -379,11 +383,14 @@ def reference_pull_in(H, k, radius):
     G[m, -1] = 1.0  # s >= radius * 1e-6
     G[m + 1, -1] = -1.0  # s <= radius
     h = np.concatenate([-k, [radius * 1e-6, -radius]])
-    model = LinearProgram(c=c, G=G, h=h, nonneg=np.ones(2 * n + 1, dtype=bool))
-    solution = solve_lp(model)
+    start, pivots = reference_phase_one(G, h, nonneg=np.ones(2 * n + 1, dtype=bool))
+    if start is None:
+        return None, pivots
+    solution = reference_phase_two(start, c)
+    pivots += solution.pivots
     if solution.status != "optimal":
-        return None, solution.pivots
-    return solution.x[:n] - solution.x[n : 2 * n], solution.pivots
+        return None, pivots
+    return solution.x[:n] - solution.x[n : 2 * n], pivots
 
 
 def reference_coordinate_range(start, n, i):
@@ -392,8 +399,8 @@ def reference_coordinate_range(start, n, i):
     bounds = []
     pivots = 0
     for sign in (1.0, -1.0):
-        c = np.zeros(n)
-        c[i] = sign
+        c = np.zeros(2 * n)  # y_i's two columns
+        c[2 * i : 2 * i + 2] = sign, -sign
         solution = phase_two(start, c)
         pivots += solution.pivots
         bounds.append(None if solution.status == "unbounded" else sign * solution.objective)
@@ -421,7 +428,7 @@ def reference_find_feasible_point(H, k) -> FeasibilityResult:
         H, k = H[~zero], k[~zero]
     H, k = unit_rows(H, k)
 
-    slack = solve_lp(max_slack_model(H, k))
+    slack = solve_lp(*max_slack_model(H, k))
     if slack.status != "optimal":  # feasible and capped by construction
         raise NumericalBreakdown(f"slack program ended {slack.status}; expected optimal")
     radius = -slack.objective
@@ -611,7 +618,7 @@ def test_certified_multipliers_balance_the_rows():
             continue
         certified += 1
         H, k = unit_rows(H, k)
-        multipliers = solve_lp(max_slack_model(H, k)).multipliers
+        multipliers = solve_lp(*max_slack_model(H, k)).multipliers
         assert multipliers[-1] == 0.0  # the cap s <= 1 is slack
         assert abs(multipliers.sum() - 1.0) <= 1e-12
         assert np.abs(H.T @ multipliers[:-1]).max() <= 1e-12

@@ -93,6 +93,14 @@ def test_n_must_match_mu():
         problem_from_dict(doc)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0])
+def test_n_must_be_a_positive_integer(n):
+    doc = minimal_doc()
+    doc["n"] = n
+    with pytest.raises(ProblemFormatError, match="positive integer"):
+        problem_from_dict(doc)
+
+
 def test_save_load_round_trip(tmp_path):
     spec = problem_from_dict(minimal_doc())
     path = tmp_path / "problem.json"

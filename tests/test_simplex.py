@@ -7,19 +7,14 @@ from scipy.optimize import linprog
 
 import lingauss.simplex
 from lingauss.errors import CyclingGuardExceeded
-from lingauss.simplex import (
-    PIVOT_TOL,
-    LinearProgram,
-    LpSolution,
-    phase_one,
-    phase_two,
-    solve_lp,
-)
+from lingauss.simplex import PIVOT_TOL, LpSolution, phase_one, phase_two, solve_lp
 
 # A frozen reference: the simplex kernel as it was when the tableau stored
 # every column in label order (structural, surplus, artificial), basic ones
-# included. The package's kernel stores only the nonbasic columns and must
-# make the same pivots and give the same bits.
+# included, and a variable could be sign-restricted, with one structural
+# column, as well as free, with two. The package's kernel stores only the
+# nonbasic columns, takes free variables only, and must make the same
+# pivots and give the same bits on free programs.
 
 STALL_LIMIT = 100
 
@@ -152,14 +147,14 @@ def reference_phase_one(G, h, nonneg=None, tol=PIVOT_TOL):
 
 
 def reference_phase_two(start, c, tol=PIVOT_TOL):
-    """Minimize c @ x from the phase-1 basis; start itself is left unchanged."""
+    """Minimize c @ (structural columns' values) from the phase-1 basis, with
+    one cost per structural column; start itself is left unchanged."""
     tableau = start.tableau.copy()
     basis = list(start.basis)
     nrows = len(basis)
     ncols = tableau.shape[1] - 1
     cost = np.zeros(ncols)
-    for t, (j, sign) in enumerate(start.split):
-        cost[t] = sign * c[j]
+    cost[: len(start.split)] = c
     tableau[-1, :] = 0.0
     tableau[-1, :ncols] = cost
     for i in range(nrows):
@@ -174,10 +169,23 @@ def reference_phase_two(start, c, tol=PIVOT_TOL):
     values = np.zeros(ncols)
     for i in range(nrows):
         values[basis[i]] = tableau[i, -1]
-    x = np.zeros(len(c))
+    x = np.zeros(start.split[-1][0] + 1)
     for t, (j, sign) in enumerate(start.split):
         x[j] += sign * values[t]
-    return LpSolution("optimal", float(c @ x), x, pivots)
+    return LpSolution("optimal", float(c @ values[: len(start.split)]), x, pivots)
+
+
+def split_columns(a):
+    """a's last axis over the structural columns: a_j, then -a_j, for each
+    variable j. A cost c of the variables becomes split_columns(c)."""
+    a = np.asarray(a, dtype=float)
+    return np.stack((a, -a), axis=-1).reshape(*a.shape[:-1], -1)
+
+
+def with_sign_rows(G, h, nonneg):
+    """{G x >= h; x_j >= 0 where nonneg[j]} over free x: each sign
+    restriction becomes a row e_j . x >= 0."""
+    return np.vstack([G, np.eye(G.shape[1])[nonneg]]), np.append(h, np.zeros(nonneg.sum()))
 
 
 def scipy_status(result):
@@ -212,12 +220,12 @@ def certify_unbounded(c, G, h, nonneg):
     return ray.status == 0
 
 
-def all_artificial_phase_one(G, h, nonneg, tol=PIVOT_TOL):
+def all_artificial_phase_one(G, h, tol=PIVOT_TOL):
     """Reference phase 1 that gives every row an artificial column, as the
     solver did before it started from the origin's slack basis; returns the
     basis (None if empty) and the pivot count, as phase_one does."""
     nrows, nv = G.shape
-    split = [(j, s) for j in range(nv) for s in ((1.0,) if nonneg[j] else (1.0, -1.0))]
+    split = [(j, s) for j in range(nv) for s in (1.0, -1.0)]
     n_struct = len(split)
     total = n_struct + 2 * nrows
     art0 = n_struct + nrows
@@ -260,13 +268,10 @@ def all_artificial_phase_one(G, h, nonneg, tol=PIVOT_TOL):
 
 def test_known_optimum():
     # min -x1 - 2 x2  s.t.  x1 + x2 <= 4, x1 <= 3, x >= 0
-    model = LinearProgram(
-        c=np.array([-1.0, -2.0]),
-        G=np.array([[-1.0, -1.0], [-1.0, 0.0]]),
-        h=np.array([-4.0, -3.0]),
-        nonneg=np.array([True, True]),
+    G, h = with_sign_rows(
+        np.array([[-1.0, -1.0], [-1.0, 0.0]]), np.array([-4.0, -3.0]), np.array([True, True])
     )
-    solution = solve_lp(model)
+    solution = solve_lp(split_columns([-1.0, -2.0]), G, h)
     assert solution.status == "optimal"
     assert solution.objective == pytest.approx(-8.0, abs=1e-9)
     np.testing.assert_allclose(solution.x, [0.0, 4.0], atol=1e-9)
@@ -274,26 +279,19 @@ def test_known_optimum():
 
 def test_free_variable_optimum():
     # min x  s.t.  x >= -5 with x free
-    solution = solve_lp(LinearProgram(c=np.array([1.0]), G=np.array([[1.0]]), h=np.array([-5.0])))
+    solution = solve_lp(split_columns([1.0]), [[1.0]], [-5.0])
     assert solution.status == "optimal"
     assert solution.objective == pytest.approx(-5.0, abs=1e-9)
 
 
 def test_unbounded():
-    solution = solve_lp(
-        LinearProgram(c=np.array([-1.0]), G=np.array([[1.0]]), h=np.array([0.0]))
-    )
+    solution = solve_lp(split_columns([-1.0]), [[1.0]], [0.0])
     assert solution.status == "unbounded"
 
 
 def test_infeasible():
     # x >= 1 and -x >= 0
-    model = LinearProgram(
-        c=np.array([0.0]),
-        G=np.array([[1.0], [-1.0]]),
-        h=np.array([1.0, 0.0]),
-    )
-    assert solve_lp(model).status == "infeasible"
+    assert solve_lp(split_columns([0.0]), [[1.0], [-1.0]], [1.0, 0.0]).status == "infeasible"
 
 
 def test_degenerate_vertex_terminates():
@@ -307,8 +305,7 @@ def test_degenerate_vertex_terminates():
         ]
     )
     h = -np.array([0.0, 0.0, 1.0])
-    model = LinearProgram(c=c, G=G, h=h, nonneg=np.ones(4, dtype=bool))
-    solution = solve_lp(model)
+    solution = solve_lp(split_columns(c), *with_sign_rows(G, h, np.ones(4, dtype=bool)))
     assert solution.status == "optimal"
     assert solution.objective == pytest.approx(-0.05, abs=1e-9)
 
@@ -321,7 +318,7 @@ def test_solution_is_feasible_when_optimal():
         h = rng.normal(size=m)
         c = rng.normal(size=n)
         nonneg = rng.random(n) < 0.5
-        solution = solve_lp(LinearProgram(c=c, G=G, h=h, nonneg=nonneg))
+        solution = solve_lp(split_columns(c), *with_sign_rows(G, h, nonneg))
         if solution.status == "optimal":
             assert (G @ solution.x - h).min() >= -1e-7
             if nonneg.any():
@@ -343,7 +340,7 @@ def test_randomized_against_reference_solver():
             h[1] = h[0]
         if trial % 11 == 0:
             G[0] = 0.0
-        mine = solve_lp(LinearProgram(c=c, G=G, h=h, nonneg=nonneg))
+        mine = solve_lp(split_columns(c), *with_sign_rows(G, h, nonneg))
         ref = linprog(
             c,
             A_ub=-G,
@@ -380,13 +377,14 @@ def test_shared_phase_one_matches_separate_solves_bit_for_bit():
         if trial % 5 == 0 and m > 1:  # a duplicate row makes a degenerate vertex
             G[1] = G[0]
             h[1] = h[0]
-        costs = [rng.normal(size=n) for _ in range(3)]
-        costs += [sign * np.eye(n)[i] for i in range(n) for sign in (1.0, -1.0)]
-        start, _ = phase_one(G, h, nonneg)
+        costs = [split_columns(rng.normal(size=n)) for _ in range(3)]
+        costs += [split_columns(sign * np.eye(n)[i]) for i in range(n) for sign in (1.0, -1.0)]
+        G, h = with_sign_rows(G, h, nonneg)
+        start, _ = phase_one(G, h)
         if start is not None:
             tableau = start.tableau.copy()
         for c in costs:
-            separate = solve_lp(LinearProgram(c=c, G=G, h=h, nonneg=nonneg))
+            separate = solve_lp(c, G, h)
             statuses.add(separate.status)
             if start is None:
                 assert separate.status == "infeasible"
@@ -402,36 +400,29 @@ def test_shared_phase_one_matches_separate_solves_bit_for_bit():
     assert statuses == {"optimal", "unbounded", "infeasible"}
 
 
-def split_columns(G, nonneg):
-    """G's columns in the standard form's structural order: a free
-    variable's column, then its negative."""
-    columns = []
-    for j, positive in enumerate(nonneg):
-        columns.append(G[:, j])
-        if not positive:
-            columns.append(-G[:, j])
-    return np.column_stack(columns)
-
-
 def test_a_continued_phase_two_solves_the_program_with_its_row():
     # a solved program plus a row its optimum satisfies, under a new cost by
-    # label, is the program a fresh solve over the structural columns poses
+    # column, is the program a fresh solve over the structural columns
+    # poses: a variable per column, each held to >= 0 by a row
     rng = np.random.default_rng(149)
     statuses = []
-    for trial in range(150):
+    for trial in range(250):
         G, h, nonneg = random_region(rng, trial)
-        solved = solve_lp(LinearProgram(c=G.T @ np.ones(G.shape[0]), G=G, h=h, nonneg=nonneg))
+        c = G.T @ np.ones(G.shape[0])
+        G, h = with_sign_rows(G, h, nonneg)
+        solved = solve_lp(split_columns(c), G, h)
         if solved.status != "optimal":
             continue
         g = rng.normal(size=G.shape[1])
         margin = 0.0 if trial % 3 == 0 else rng.uniform(0.0, 1.0)  # a tight row, or not
         floor = g @ solved.x - margin
-        body = split_columns(np.vstack([G, g]), nonneg)
+        body = split_columns(np.vstack([G, g]))
         signs = np.where(rng.random(body.shape[1]) < 0.2, -1.0, 1.0)
         cost = rng.uniform(0.1, 2.0, body.shape[1]) * signs
         continued = phase_two(solved.basis.with_row(g, floor), cost)
         fresh = solve_lp(
-            LinearProgram(c=cost, G=body, h=np.append(h, floor), nonneg=np.ones(cost.size, bool))
+            split_columns(cost),
+            *with_sign_rows(body, np.append(h, floor), np.ones(cost.size, bool)),
         )
         assert continued.status == fresh.status
         statuses.append(continued.status)
@@ -445,7 +436,7 @@ def test_a_continued_phase_two_solves_the_program_with_its_row():
 
 
 def test_a_row_the_vertex_violates_is_refused():
-    solved = solve_lp(LinearProgram(c=[1.0], G=[[1.0]], h=[2.0]))
+    solved = solve_lp(split_columns([1.0]), [[1.0]], [2.0])
     assert solved.x[0] == 2.0
     assert solved.basis.with_row([1.0], 2.0).tableau.shape[0] == 3  # tight: surplus 0
     with pytest.raises(ValueError):
@@ -461,13 +452,13 @@ def test_phase_one_at_the_origin_makes_no_pivot():
         h = -np.abs(rng.normal(size=m))
         h[rng.random(m) < 0.3] = 0.0
         h[rng.random(m) < 0.3] = -0.0
-        nonneg = rng.random(n) < 0.5
-        start, pivots = phase_one(G, h, nonneg)
-        n_struct = n + int(np.count_nonzero(~nonneg))
+        G, h = with_sign_rows(G, h, rng.random(n) < 0.5)
+        m = G.shape[0]
+        start, pivots = phase_one(G, h)
         assert pivots == 0
-        assert tuple(start.basis) == tuple(n_struct + i for i in range(m))  # the surplus columns
+        assert tuple(start.basis) == tuple(2 * n + i for i in range(m))  # the surplus columns
         np.testing.assert_array_equal(start.tableau[:m, -1], np.abs(h))
-        assert solve_lp(LinearProgram(c=np.zeros(n), G=G, h=h, nonneg=nonneg)).pivots == 0
+        assert solve_lp(np.zeros(2 * n), G, h).pivots == 0
 
 
 def test_slack_start_matches_all_artificial_phase_one():
@@ -490,13 +481,14 @@ def test_slack_start_matches_all_artificial_phase_one():
             h[1] = h[0]
         nonneg = rng.random(n) < 0.5
         c = rng.normal(size=n)
-        mine = solve_lp(LinearProgram(c=c, G=G, h=h, nonneg=nonneg))
-        start, start_pivots = all_artificial_phase_one(G, h, nonneg)
+        free = with_sign_rows(G, h, nonneg)
+        mine = solve_lp(split_columns(c), *free)
+        start, start_pivots = all_artificial_phase_one(*free)
         statuses.add(mine.status)
         if start is None:
             assert mine.status == "infeasible"
             continue
-        ref = reference_phase_two(start, c)
+        ref = reference_phase_two(start, split_columns(c))
         assert mine.status == ref.status
         if ref.status == "optimal":
             tol = 1e-9 * (1 + abs(ref.objective))
@@ -527,35 +519,38 @@ def test_pivot_counts_add_up():
     G = rng.normal(size=(8, 4))
     h = G @ (3.0 * rng.normal(size=4)) - 0.1  # nonempty; the origin violates rows
     assert (h > 0.0).any()
-    c = G.T @ np.ones(8)  # bounded below on {G x >= h}
+    c = split_columns(G.T @ np.ones(8))  # bounded below on {G x >= h}
     start, start_pivots = phase_one(G, h)
     second = phase_two(start, c)
-    whole = solve_lp(LinearProgram(c=c, G=G, h=h))
+    whole = solve_lp(c, G, h)
     assert whole.status == "optimal"
     assert start_pivots > 0
     assert whole.pivots == start_pivots + second.pivots
-    infeasible = solve_lp(LinearProgram(c=[0.0], G=[[1.0], [-1.0]], h=[1.0, 0.0]))
+    infeasible = solve_lp(split_columns([0.0]), [[1.0], [-1.0]], [1.0, 0.0])
     assert infeasible.status == "infeasible" and infeasible.pivots >= 1
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        solve_lp(LinearProgram(c=np.ones(2), G=np.ones((1, 3)), h=np.ones(1)))
-    with pytest.raises(ValueError):
-        solve_lp(LinearProgram(c=np.ones(2), G=np.ones((2, 2)), h=np.ones(1)))
+    with pytest.raises(ValueError, match="2 entries per column"):
+        solve_lp(np.ones(4), np.ones((1, 3)), np.ones(1))
+    with pytest.raises(ValueError, match="2 entries per column"):
+        solve_lp(np.ones(3), np.ones((1, 3)), np.ones(1))  # one cost per variable
+    with pytest.raises(ValueError, match="2 entries per column"):
+        solve_lp(np.ones(0), np.ones((1, 0)), np.ones(1))  # no variable
+    with pytest.raises(ValueError, match="rows"):
+        solve_lp(np.ones(4), np.ones((2, 2)), np.ones(1))
 
 
 def test_solution_structure():
-    solution = solve_lp(
-        LinearProgram(c=np.array([1.0]), G=np.array([[1.0]]), h=np.array([2.0]))
-    )
+    solution = solve_lp(split_columns([1.0]), [[1.0]], [2.0])
     assert isinstance(solution, LpSolution)
     assert solution.x.shape == (1,)
     assert solution.objective == pytest.approx(2.0, abs=1e-9)
 
 
 def random_region(rng, trial):
-    """(G, h, nonneg) of one of the families the kernel comparison covers."""
+    """(G, h, nonneg) of one of the families the kernel comparison covers;
+    with_sign_rows poses it over free variables."""
     m = int(rng.integers(1, 12))
     n = int(rng.integers(1, 8))
     G = rng.normal(size=(m, n))
@@ -630,13 +625,16 @@ def test_kernel_matches_the_full_tableau_reference(monkeypatch):
         n = G.shape[1]
         costs = [rng.normal(size=n), np.round(rng.normal(size=n))]
         costs += [sign * np.eye(n)[i] for i in range(n) for sign in (1.0, -1.0)]
+        costs = [split_columns(c) for c in costs]
+        costs.append(np.repeat(np.abs(costs[0][::2]), 2))  # a cost of |x|
+        G, h = with_sign_rows(G, h, nonneg)
         pivots_by_limit = []
         for limit in (100, 1):
             monkeypatch.setattr(lingauss.simplex, "STALL_LIMIT", limit)
             monkeypatch.setattr(module, "STALL_LIMIT", limit)
-            ref_start, ref_pivots = reference_phase_one(G, h, nonneg)
+            ref_start, ref_pivots = reference_phase_one(G, h)
             seen["driven out"] += ref_pivots > full[0][2]
-            start, pivots = phase_one(G, h, nonneg)
+            start, pivots = phase_one(G, h)
             assert_same_tableaus()
             assert pivots == ref_pivots
             assert (start is None) == (ref_start is None)
@@ -651,7 +649,7 @@ def test_kernel_matches_the_full_tableau_reference(monkeypatch):
                     assert_same_tableaus()
                     seen[mine.status] += 1
                     made.append(mine.pivots)
-                    whole = solve_lp(LinearProgram(c=c, G=G, h=h, nonneg=nonneg))
+                    whole = solve_lp(c, G, h)
                     assert_same_solution(whole, replace(mine, pivots=pivots + mine.pivots))
                     condensed.clear()
             pivots_by_limit.append(made)
@@ -679,11 +677,11 @@ def test_phase_one_stores_only_nonbasic_columns(monkeypatch):
         elif trial % 3 == 1 and m > 1:  # a duplicate violated row
             h[0] = abs(h[0]) + 0.1
             G[1], h[1] = G[0], h[0]
-        nonneg = rng.random(n) < 0.5
-        n_struct = n + int(np.count_nonzero(~nonneg))
+        G, h = with_sign_rows(G, h, rng.random(n) < 0.5)
+        m, n_struct = G.shape[0], 2 * n
         violated = int(np.count_nonzero(h > 0.0))
         widths.clear()
-        start, _ = phase_one(G, h, nonneg)
+        start, _ = phase_one(G, h)
         assert widths == [n_struct + violated + 1]  # before the artificials are dropped
         if start is None:
             continue

@@ -251,8 +251,9 @@ def test_compare_validates_inputs():
     b = sample_stats(rng.normal(size=(100, 3)), independent=True)
     with pytest.raises(ValueError):
         compare_stats(a, b)
-    with pytest.raises(ValueError):
-        compare_stats(a, a, sigma_level=0.0)
+    for level in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            compare_stats(a, a, sigma_level=level)
 
 
 def test_report_renderings():
