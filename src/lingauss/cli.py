@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from itertools import repeat
 
@@ -82,6 +83,8 @@ def _print_lps(spec, report):
 
 
 def _cmd_sample(args):
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"--out {args.out}: not a file in an existing directory")
     spec = load_problem(args.problem)
     outcome = sample_constrained(
         spec,

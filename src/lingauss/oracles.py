@@ -7,9 +7,11 @@ Two independent routes to the same distributions:
   regions but unarguably correct.
 * :func:`conditional_direct_sample` — exact draws on the equality plane
   through a null-space parameterization (particular solution + orthonormal
-  basis of ker C, conditional moments from the precision restricted to the
-  plane). Deliberately built without the projection pipeline in
-  :mod:`lingauss.transform`, so agreement between the two is meaningful.
+  basis of the plane, conditional moments from the precision restricted to
+  it). It shares with the package only the plane's classification (the
+  orthonormal rows of `classify_equality_system` and the rank of sigma),
+  not the projection in :mod:`lingauss.transform`, so agreement between the
+  two is meaningful.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ import numpy as np
 
 from .errors import SingularEqualityGram
 from .problem import ProblemSpec
-from .transform import classify_equality_system
+from .transform import EQUALITY_TOL, classify_equality_system
 
-_RANK_TOL = 1e-10
 BATCH = 200_000  # proposals drawn at once by rejection_sample, to bound its memory
 
 
@@ -64,15 +65,6 @@ def rejection_sample(
     return RejectionReport(proposals, accepted, accepted / proposals, samples)
 
 
-def _plane_parameterization(C, d):
-    """Particular solution and orthonormal null-space basis of C x + d = 0."""
-    x0, *_ = np.linalg.lstsq(C, -d, rcond=None)
-    _, singular_values, vt = np.linalg.svd(C)
-    rank = int(np.count_nonzero(singular_values > _RANK_TOL * singular_values[0]))
-    basis = vt[rank:].T  # (n, n - rank), orthonormal columns spanning ker C
-    return x0, basis
-
-
 def conditional_direct_sample(
     spec: ProblemSpec,
     n_draws: int,
@@ -81,13 +73,16 @@ def conditional_direct_sample(
 ) -> RejectionReport:
     """Exact draws of x ~ N(mu, sigma) conditioned on C x + d = 0.
 
-    Writes x = x0 + U t with U an orthonormal basis of ker C; t is normal
-    with precision U' sigma^+ U and mean solving that precision against
-    U' sigma^+ (mu - x0), sigma^+ the pseudo-inverse from an eigendecomposition.
-    A singular sigma keeps x - mu in range(sigma), so the eigenvectors of its
-    null space join C as further equations first. With an (A, b)
-    inequality_filter the draws are additionally accept-reject filtered on
-    the plane, so the report's accepted count can be below n_draws.
+    Writes x = x0 + U t with U an orthonormal basis of the plane; t is
+    normal with precision U' sigma^+ U and mean solving that precision
+    against U' sigma^+ (mu - x0), sigma^+ the pseudo-inverse on the
+    spec.factor.rank largest eigenvalues. A singular sigma keeps x - mu in
+    range(sigma), so the eigenvectors of its null space join the
+    classification's rows, and one SVD of the stacked rows gives x0 and U;
+    rows that are dependent at EQUALITY_TOL raise SingularEqualityGram. With
+    an (A, b) inequality_filter the draws are additionally accept-reject
+    filtered on the plane, so the report's accepted count can be below
+    n_draws.
     """
     if spec.p == 0:
         raise ValueError("conditional sampling needs at least one equality constraint")
@@ -98,27 +93,26 @@ def conditional_direct_sample(
         raise ValueError(
             f"equality system must have infinitely many solutions, got {classification.kind!r}"
         )
-    C, d = spec.C, spec.d
     eigvals, eigvecs = np.linalg.eigh(spec.sigma)
-    kept = eigvals > _RANK_TOL * eigvals[-1]
-    null = eigvecs[:, ~kept]
-    if null.size:  # x - mu stays in range(sigma)
-        C = np.vstack([C, null.T])
-        d = np.concatenate([d, -null.T @ spec.mu])
-    x0, basis = _plane_parameterization(C, d)
-    root = eigvecs[:, kept] / np.sqrt(eigvals[kept])  # root @ root.T = sigma^+
-
-    def precision_apply(rhs):
-        return root @ (root.T @ rhs)
-
-    precision = basis.T @ precision_apply(basis)
+    null = spec.n - spec.factor.rank  # x - mu stays in range(sigma)
+    rows = np.vstack([classification.rows, eigvecs[:, :null].T])
+    offsets = np.concatenate([classification.offsets, -eigvecs[:, :null].T @ spec.mu])
+    u, singular_values, vt = np.linalg.svd(rows)
+    q = rows.shape[0]
+    if q > spec.n or (q and singular_values[-1] <= EQUALITY_TOL * singular_values[0]):
+        raise SingularEqualityGram("sigma carries no mass across some equality row")
+    x0 = -vt[:q].T @ (u.T @ offsets / singular_values)
+    basis = vt[q:].T  # (n, n - q), orthonormal columns spanning the plane's directions
+    root = eigvecs[:, null:] / np.sqrt(eigvals[null:])  # root @ root.T = sigma^+
+    whitened = root.T @ basis
+    precision = whitened.T @ whitened
     try:
         chol_precision = np.linalg.cholesky(precision)
     except np.linalg.LinAlgError as exc:
         raise SingularEqualityGram("conditional precision on the plane is singular") from exc
     t_mean = np.linalg.solve(
         chol_precision.T,
-        np.linalg.solve(chol_precision, basis.T @ precision_apply(spec.mu - x0)),
+        np.linalg.solve(chol_precision, whitened.T @ (root.T @ (spec.mu - x0))),
     )
     white = rng.standard_normal((n_draws, basis.shape[1]))
     t = t_mean + np.linalg.solve(chol_precision.T, white.T).T

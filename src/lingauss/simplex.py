@@ -256,6 +256,8 @@ def phase_two(start: FeasibleBasis, cost) -> LpSolution:
     structural column (see the module docstring); start itself is left
     unchanged.
     """
+    if np.shape(cost) != start.columns.shape:
+        raise ValueError(f"cost needs one entry per structural column ({start.columns.size})")
     tableau = start.tableau.copy()
     basis = start.basis.copy()
     columns = start.columns.copy()

@@ -15,9 +15,11 @@ with V in place of C: both span the same rows. The inequalities become
 H y + k >= 0 with H = A F and k = A g + b, the region the feasibility LPs
 classify. Without equalities the map degenerates to F = I, g = mu.
 
-Every draw is made in the plane's own coordinates instead: with L_rank the
-rank(sigma) columns of the covariance factor that carry its mass and P an
-orthonormal basis of the null space of V L_rank, B = L_rank P has
+With L_rank the rank(sigma) columns of the covariance factor that carry
+its mass, one complete QR (V L_rank)' = [Q1 P] [R; 0] gives the whole map:
+E = L_rank Q1 R^-T, one solve with R, whose condition number is the square
+root of the Gram's; g = mu - E (V mu + c) and H = A - (A E) V, F unformed.
+Every draw is made in the plane's own coordinates: B = L_rank P has
 B B' = F sigma F', so u ~ N(0, I_k), k = rank(sigma) - r, gives
 x = g + B u the law of F y + g. The inequalities read G u + k >= 0 with
 G = A B. Without equalities P = I and B = L_rank.
@@ -65,10 +67,10 @@ class TransformedProblem:
     """Latent reformulation: x = F y + g for y ~ N(0, sigma) s.t. H y + k >= 0,
     drawn as x = g + B u for u ~ N(0, I_k) s.t. G u + k >= 0.
 
-    B = L_rank P (n x k), with P (rank(sigma) x k) orthonormal; G = A B.
+    F is the paper's notation, not a field. B = L_rank P (n x k), with P
+    (rank(sigma) x k) orthonormal; G = A B.
     """
 
-    F: np.ndarray
     g: np.ndarray
     H: np.ndarray
     k: np.ndarray
@@ -128,15 +130,14 @@ def build_transform(
     That floor is tested, not the bare Cholesky, because roundoff can leave
     a singular Gram a Cholesky factor; and on the counted directions, so
     that the plane's dimension k = rank(sigma) - r cannot come out wrong or
-    negative. E is computed through a factorization-based solve, never an
-    explicit inverse. The complete QR of (V L_rank).T gives P as the columns
-    after its first r, orthogonal to every row of V L_rank.
+    negative. The complete QR of (V L_rank).T gives E = L_rank Q1 R^-T from
+    its first r columns Q1, and P, orthogonal to every row of V L_rank, as
+    the columns after them.
     """
     n = spec.n
     root = spec.factor.factor[:, n - spec.factor.rank :]  # L_rank
     if spec.p == 0:
         return TransformedProblem(
-            F=np.eye(n),
             g=spec.mu.copy(),
             H=spec.A.copy(),
             k=spec.A @ spec.mu + spec.b,
@@ -153,27 +154,23 @@ def build_transform(
         )
     V = equality.rows
     r = V.shape[0]
-    rhs = V @ spec.sigma  # (r, n); E = (gram^-1 @ rhs).T
     counted = V @ root
     floor = DEFAULT_TOL * np.abs(spec.sigma).max() * np.eye(r)
     try:
         # the shifted Gram has a Cholesky factor iff its smallest eigenvalue
-        # exceeds the floor. The PSD tolerance bounds the negative eigenvalues
-        # of sigma by the same floor, so past it V sigma V.T is positive
-        # definite too, and its factorisation can fail only by roundoff
+        # exceeds the floor
         np.linalg.cholesky(counted @ counted.T - floor)
-        chol = np.linalg.cholesky(rhs @ V.T)
     except np.linalg.LinAlgError as exc:
         raise SingularEqualityGram(
             "C sigma C.T is singular after dropping redundant equality rows"
         ) from exc
-    E = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs)).T
-    F = np.eye(n) - E @ V
-    g = F @ spec.mu - E @ equality.offsets
-    P = np.linalg.qr(counted.T, mode="complete")[0][:, r:]
+    Q, R = np.linalg.qr(counted.T, mode="complete")
+    E = root @ np.linalg.solve(R[:r], Q[:, :r].T).T
+    g = spec.mu - E @ (V @ spec.mu + equality.offsets)
+    P = Q[:, r:]
     B = root @ P
     return TransformedProblem(
-        F=F, g=g, H=spec.A @ F, k=spec.A @ g + spec.b, B=B, G=spec.A @ B, P=P
+        g=g, H=spec.A - (spec.A @ E) @ V, k=spec.A @ g + spec.b, B=B, G=spec.A @ B, P=P
     )
 
 

@@ -196,10 +196,15 @@ def test_criterion_5_analytic_half_normal():
 
 
 def test_criterion_6_equality_closed_form(equality_spec, equality_run):
+    # the paper's map from the raw (C, d): E = sigma C' (C sigma C')^-1, F = I - E C
+    mu, sigma, C, d = equality_spec.mu, equality_spec.sigma, equality_spec.C, equality_spec.d
+    E = sigma @ C.T @ np.linalg.inv(C @ sigma @ C.T)
+    F = np.eye(equality_spec.n) - E @ C
+    target_mean = F @ mu - E @ d
+    target_cov = F @ sigma @ F.T
     transformed = build_transform(equality_spec)
     stats = sample_stats(equality_run.samples, independent=True)
-    target_cov = transformed.F @ equality_spec.sigma @ transformed.F.T
-    z_mean = float((np.abs(stats.mean - transformed.g) / stats.mean_se).max())
+    z_mean = float((np.abs(stats.mean - target_mean) / stats.mean_se).max())
     dim = equality_spec.n
     z_cov = 0.0
     for i in range(dim):
@@ -209,22 +214,19 @@ def test_criterion_6_equality_closed_form(equality_spec, equality_run):
                 / stats.n
             )
             z_cov = max(z_cov, abs(stats.covariance[i, j] - target_cov[i, j]) / se)
+    B, g = transformed.B, transformed.g
     identities = max(
-        float(np.abs(equality_spec.C @ transformed.F).max()),
-        float(np.abs(equality_spec.C @ transformed.g + equality_spec.d).max()),
-        float(
-            np.abs(
-                transformed.F @ equality_spec.sigma @ transformed.F.T
-                - transformed.F @ equality_spec.sigma
-            ).max()
-        ),
-        float(np.abs(transformed.F @ transformed.F - transformed.F).max()),
+        float(np.abs(B @ B.T - target_cov).max()),
+        float(np.abs(C @ B).max()),
+        float(np.abs(C @ g + d).max()),
+        float(np.abs(g - target_mean).max()),
     )
     verdict(
         6,
         z_mean <= SIGMA_LEVEL and z_cov <= SIGMA_LEVEL and identities <= 1e-8,
-        f"mean z {z_mean:.2f} vs g, cov z {z_cov:.2f} vs F Sigma F', "
-        f"algebraic identities within {identities:.2e} <= 1e-08",
+        f"mean z {z_mean:.2f} vs F mu - E d, cov z {z_cov:.2f} vs F Sigma F', "
+        f"B B' = F Sigma F', C B = 0, C g + d = 0 and g = F mu - E d "
+        f"within {identities:.2e} <= 1e-08",
     )
 
 

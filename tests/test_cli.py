@@ -345,6 +345,22 @@ def test_compare_agrees_rejection(problem_dir, tmp_path, capsys):
     assert "agree" in out
 
 
+def test_compare_conditional_agrees_on_rows_parallel_within_1e9(tmp_path, capsys):
+    # the two rows are one equation at EQUALITY_TOL, for the sampler and the oracle alike
+    problem = write_spec(
+        tmp_path / "near_parallel.json",
+        mu=[0.0, 1.0, 2.0],
+        sigma=np.eye(3),
+        C=[[1.0, 0.0, 0.0], [1.0, 1e-9, 0.0]],
+        d=[0.0, 0.0],
+    )
+    argv = ["compare", "--problem", problem, "--n", "20000", "--seed", "1"]
+    code = main(argv + ["--oracle", "conditional"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "agree" in out
+
+
 def test_compare_json_output(problem_dir, capsys):
     code = main(
         [
@@ -438,6 +454,24 @@ def test_compare_rejects_a_bad_flag_before_sampling(problem_dir, capsys, monkeyp
     assert code == 1
     assert flag in captured.err
     assert "oracle" not in captured.out
+
+
+@pytest.mark.parametrize("out", ["missing/draws.csv", "directory"])
+def test_sample_rejects_a_missing_out_directory_before_sampling(
+    problem_dir, tmp_path, capsys, monkeypatch, out
+):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sample loaded or sampled before checking --out")
+
+    monkeypatch.setattr("lingauss.cli.load_problem", no_sampling)
+    monkeypatch.setattr("lingauss.cli.sample_constrained", no_sampling)
+    (tmp_path / "directory").mkdir()
+    problem = str(problem_dir / "pentagon_inequality.json")
+    argv = ["sample", "--problem", problem, "--n", "10", "--seed", "1"]
+    code = main(argv + ["--out", str(tmp_path / out)])
+    assert code == 1
+    assert "--out" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.rglob("*")] == ["directory"]
 
 
 def test_a_boolean_dimension_exits_1(tmp_path, capsys):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from lingauss.errors import SingularEqualityGram
 from lingauss.oracles import conditional_direct_sample, rejection_sample
 from lingauss.problem import ProblemSpec
+from lingauss.transform import build_transform, classify_equality_system
 
 from conftest import pentagon_plane_coords, pentagon_transform, random_spd
 
@@ -112,3 +114,49 @@ def test_plane_coordinates_flatten_the_equalities(pentagon_equality):
         assert v2 == pytest.approx(full[1], abs=1e-10)
         # the last two coordinates vanish on the constraint plane
         np.testing.assert_allclose(full[2:], 0.0, atol=1e-8)
+
+
+def rotated(diagonal, seed):
+    """Q diag(diagonal) Q' for a random rotation Q."""
+    rotation, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(diagonal), len(diagonal))))
+    sigma = rotation @ np.diag(diagonal) @ rotation.T
+    return 0.5 * (sigma + sigma.T)
+
+
+PLANE_CASES = {
+    # two rows parallel within 1e-9 or 5e-9 are one equation at EQUALITY_TOL
+    "parallel_1e-9": (np.eye(3), [[1.0, 0.0, 0.0], [1.0, 1e-9, 0.0]], [0.0, 0.0]),
+    "parallel_5e-9": (np.eye(3), [[1.0, 0.0, 0.0], [1.0, 5e-9, 0.0]], [0.0, 0.0]),
+    "zero_rows": (np.eye(3), np.zeros((2, 3)), [0.0, 0.0]),
+    "singular_sigma": (rotated([2.0, 1.0, 0.0], 5), [[1.0, 1.0, 1.0]], [-3.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(PLANE_CASES))
+def test_conditional_draws_span_the_plane_of_the_transform(name):
+    # the oracle's draws move in as many directions as the package's B has columns
+    sigma, C, d = PLANE_CASES[name]
+    spec = ProblemSpec(mu=[0.0, 1.0, 2.0], sigma=sigma, C=C, d=d)
+    report = conditional_direct_sample(spec, 2_000, np.random.default_rng(59))
+    centred = report.samples - report.samples.mean(axis=0)
+    singular_values = np.linalg.svd(centred, compute_uv=False)
+    span = int(np.count_nonzero(singular_values > 1e-6 * singular_values[0]))
+    assert span == build_transform(spec).B.shape[1]
+    plane = classify_equality_system(C, d)
+    np.testing.assert_allclose(report.samples @ plane.rows.T + plane.offsets, 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sigma, C",
+    [
+        (np.diag([1.0, 1.0, 0.0]), [[0.0, 0.0, 1.0]]),  # the row is sigma's null direction
+        (np.diag([1.0, 0.0, 0.0]), [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),  # more rows than n
+    ],
+    ids=["row_in_null_space", "more_rows_than_coordinates"],
+)
+def test_conditional_refuses_a_plane_sigma_has_no_mass_across(sigma, C):
+    spec = ProblemSpec(mu=np.zeros(3), sigma=sigma, C=C, d=np.zeros(len(C)))
+    with pytest.raises(SingularEqualityGram):
+        build_transform(spec)
+    with pytest.raises(SingularEqualityGram):
+        conditional_direct_sample(spec, 10, np.random.default_rng(0))

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import lingauss
@@ -86,3 +87,23 @@ def test_no_function_takes_a_tolerance_or_batch_size():
                 f"{module.__name__}.{name}({p})" for p in parameters if p in ("tol", "batch_size")
             ]
     assert knobs == []
+
+
+def test_readme_tolerance_table_names_every_tolerance():
+    # every module-level *_TOL of the package is a row of README's table, at its value
+    package = Path(lingauss.__file__).parent
+    defined = {}
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"lingauss.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id.endswith("_TOL"):
+                        defined[f"{path.stem}.{target.id}"] = getattr(module, target.id)
+    readme = (package.parents[1] / "README.md").read_text()
+    table = {
+        name: float(value)
+        for name, value in re.findall(r"^\| `(\w+\.\w+)` \| `([^`]+)` \|", readme, re.MULTILINE)
+    }
+    assert len(defined) >= 6
+    assert table == defined

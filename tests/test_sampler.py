@@ -804,7 +804,8 @@ def test_report_radius_and_start_belong_to_the_latent_region(name):
     y0 = planned.transformed.B @ planned.start  # = F y0 of the LP start
     if spec.factor.rank == spec.n:  # the same LP on the same rows
         assert report.chebyshev_radius == region.chebyshev_radius
-        np.testing.assert_allclose(y0, transformed.F @ region.point, atol=1e-10)
+        # H F = H: the start has the LP point's slacks
+        np.testing.assert_allclose(transformed.H @ y0, transformed.H @ region.point, atol=1e-10)
     else:  # the LPs run on range(sigma), which holds the slab's rows
         assert report.chebyshev_radius == pytest.approx(region.chebyshev_radius, rel=1e-12)
     assert (transformed.H @ y0 + transformed.k > 0.0).all()

@@ -541,6 +541,20 @@ def test_shape_validation():
         solve_lp(np.ones(4), np.ones((2, 2)), np.ones(1))
 
 
+def test_phase_two_refuses_a_cost_of_the_wrong_length(monkeypatch):
+    # a triangle in two free variables, four structural columns
+    start, _ = phase_one(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]), np.array([0, 0, -1.0]))
+    assert phase_two(start, split_columns([-1.0, -1.0])).pivots > 0
+    tableau = start.tableau.copy()
+    pivots = []
+    monkeypatch.setattr(lingauss.simplex, "_pivot", lambda *args: pivots.append(args))
+    for cost in ([1.0], [-1.0, -1.0], np.ones(5)):
+        with pytest.raises(ValueError, match="one entry per structural column"):
+            phase_two(start, cost)
+    assert pivots == []
+    np.testing.assert_array_equal(start.tableau, tableau)
+
+
 def test_solution_structure():
     solution = solve_lp(split_columns([1.0]), [[1.0]], [2.0])
     assert isinstance(solution, LpSolution)

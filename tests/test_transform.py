@@ -13,7 +13,11 @@ from conftest import random_spd
 
 
 def brute_force_transform(mu, sigma, C, d):
-    """Straight-line reference: explicit inverse, no factorization tricks."""
+    """Straight-line reference: explicit inverse, no factorization tricks.
+
+    Returns the paper's F = I - E C and g. A problem built with A = I has
+    H = A F = F, so its H is compared with F.
+    """
     E = sigma @ C.T @ np.linalg.inv(C @ sigma @ C.T)
     F = np.eye(len(mu)) - E @ C
     g = F @ mu - E @ d
@@ -87,15 +91,19 @@ def test_row_scale_does_not_make_an_equality_redundant():
     d = -C @ rng.normal(size=n)
     mu = rng.normal(size=n)
     scales = np.array([1e6, 1e-6])
-    scaled = build_transform(ProblemSpec(mu=mu, sigma=sigma, C=C * scales[:, None], d=d * scales))
+    scaled = build_transform(
+        ProblemSpec(mu, sigma, np.eye(n), np.zeros(n), C * scales[:, None], d * scales)
+    )
     F, g = brute_force_transform(mu, sigma, C, d)
-    np.testing.assert_allclose(scaled.F, F, atol=1e-8)
+    np.testing.assert_allclose(scaled.H, F, atol=1e-8)
+    np.testing.assert_allclose(scaled.B @ scaled.B.T, F @ sigma @ F.T, atol=1e-8)
     np.testing.assert_allclose(scaled.g, g, atol=1e-8)
     # x1 = 3e8 and x1 + 1e-3 x2 = 3e8 are two equations: x2 = 0 is the second
     C = np.array([[1.0, 0.0, 0.0], [1.0, 1e-3, 0.0]])
-    t = build_transform(ProblemSpec(mu=np.zeros(3), sigma=np.eye(3), C=C, d=[-3e8, -3e8]))
+    t = build_transform(ProblemSpec(np.zeros(3), np.eye(3), np.eye(3), np.zeros(3), C, [-3e8] * 2))
     np.testing.assert_allclose(t.g, [3e8, 0.0, 0.0], atol=1e-3)
-    np.testing.assert_allclose(t.F, np.diag([0.0, 0.0, 1.0]), atol=1e-8)
+    np.testing.assert_allclose(t.H, np.diag([0.0, 0.0, 1.0]), atol=1e-8)
+    np.testing.assert_allclose(t.B @ t.B.T, np.diag([0.0, 0.0, 1.0]), atol=1e-8)
 
 
 def test_transform_matches_brute_force():
@@ -108,10 +116,11 @@ def test_transform_matches_brute_force():
         mu = rng.normal(size=n)
         x_star = rng.normal(size=n)
         d = -C @ x_star  # consistent by construction
-        spec = ProblemSpec(mu=mu, sigma=sigma, C=C, d=d)
+        spec = ProblemSpec(mu, sigma, np.eye(n), np.zeros(n), C, d)
         transformed = build_transform(spec)
         F, g = brute_force_transform(mu, sigma, C, d)
-        np.testing.assert_allclose(transformed.F, F, atol=1e-8)
+        np.testing.assert_allclose(transformed.H, F, atol=1e-8)
+        np.testing.assert_allclose(transformed.B @ transformed.B.T, F @ sigma @ F.T, atol=1e-8)
         np.testing.assert_allclose(transformed.g, g, atol=1e-8)
 
 
@@ -123,12 +132,15 @@ def test_transform_identities_on_random_systems():
         sigma = random_spd(rng, n)
         C = rng.normal(size=(p, n))
         d = -C @ rng.normal(size=n)
-        spec = ProblemSpec(mu=rng.normal(size=n), sigma=sigma, C=C, d=d)
+        spec = ProblemSpec(rng.normal(size=n), sigma, np.eye(n), np.zeros(n), C, d)
         t = build_transform(spec)
-        np.testing.assert_allclose(C @ t.F, 0.0, atol=1e-8)
+        F = t.H  # A = I
+        np.testing.assert_allclose(C @ F, 0.0, atol=1e-8)
+        np.testing.assert_allclose(C @ t.B, 0.0, atol=1e-8)
         np.testing.assert_allclose(C @ t.g + d, 0.0, atol=1e-8)
-        np.testing.assert_allclose(t.F @ sigma @ t.F.T, t.F @ sigma, atol=1e-8)
-        np.testing.assert_allclose(t.F @ t.F, t.F, atol=1e-8)
+        np.testing.assert_allclose(F @ sigma @ F.T, F @ sigma, atol=1e-8)
+        np.testing.assert_allclose(F @ F, F, atol=1e-8)
+        np.testing.assert_allclose(t.B @ t.B.T, F @ sigma, atol=1e-8)
 
 
 @pytest.mark.parametrize("rank_deficit", [0, 1], ids=["full_rank", "singular_sigma"])
@@ -148,11 +160,13 @@ def test_plane_factor_carries_the_conditional_covariance(rank_deficit):
         A = rng.normal(size=(2, n))
         spec = ProblemSpec(rng.normal(size=n), 0.5 * (sigma + sigma.T), A, np.ones(2), C, d)
         t = build_transform(spec)
+        F = brute_force_transform(spec.mu, spec.sigma, C, d)[0] if p else np.eye(n)
         assert spec.factor.rank == n - rank_deficit
         assert t.B.shape == (n, n - rank_deficit - p)
-        np.testing.assert_allclose(t.B @ t.B.T, t.F @ spec.sigma @ t.F.T, atol=1e-8)
+        np.testing.assert_allclose(t.B @ t.B.T, F @ spec.sigma @ F.T, atol=1e-8)
         np.testing.assert_allclose(t.P.T @ t.P, np.eye(t.P.shape[1]), atol=1e-12)
-        np.testing.assert_allclose(t.F @ t.B, t.B, atol=1e-8)
+        np.testing.assert_allclose(F @ t.B, t.B, atol=1e-8)
+        np.testing.assert_allclose(t.H, A @ F, atol=1e-8)
         np.testing.assert_array_equal(t.G, A @ t.B)
         if p:
             np.testing.assert_allclose(C @ t.B, 0.0, atol=1e-8)
@@ -161,7 +175,8 @@ def test_plane_factor_carries_the_conditional_covariance(rank_deficit):
 def test_no_equalities_shortcut():
     spec = ProblemSpec(mu=[1.0, -2.0], sigma=np.eye(2), A=[[1.0, 0.0]], b=[0.0])
     t = build_transform(spec)
-    np.testing.assert_array_equal(t.F, np.eye(2))
+    np.testing.assert_array_equal(t.B, spec.factor.factor)
+    np.testing.assert_array_equal(t.P, np.eye(2))
     np.testing.assert_array_equal(t.g, spec.mu)
     np.testing.assert_array_equal(t.H, spec.A)
     np.testing.assert_allclose(t.k, spec.A @ spec.mu + spec.b)
@@ -177,12 +192,14 @@ def test_inequalities_map_into_latent_space():
     b = rng.normal(size=3)
     spec = ProblemSpec(mu=rng.normal(size=n), sigma=sigma, A=A, b=b, C=C, d=d)
     t = build_transform(spec)
-    np.testing.assert_allclose(t.H, A @ t.F, atol=1e-10)
+    F, _ = brute_force_transform(spec.mu, sigma, C, d)
+    np.testing.assert_allclose(t.H, A @ F, atol=1e-10)
     np.testing.assert_allclose(t.k, A @ t.g + b, atol=1e-10)
-    # a feasible latent point maps to a feasible x with identical slack
-    y = rng.normal(size=n)
-    x = t.F @ y + t.g
-    np.testing.assert_allclose(A @ x + b, t.H @ y + t.k, atol=1e-8)
+    # a point of the plane has the same slack in x, in y = B u and in u
+    u = rng.normal(size=t.B.shape[1])
+    x = t.g + t.B @ u
+    np.testing.assert_allclose(A @ x + b, t.H @ (t.B @ u) + t.k, atol=1e-8)
+    np.testing.assert_allclose(A @ x + b, t.G @ u + t.k, atol=1e-8)
     np.testing.assert_allclose(C @ x + d, 0.0, atol=1e-8)
 
 
@@ -192,16 +209,18 @@ def test_redundant_equality_rows_are_dropped():
     sigma = random_spd(rng, n)
     C = rng.normal(size=(2, n))
     d = -C @ rng.normal(size=n)
-    spec_plain = ProblemSpec(mu=np.zeros(n), sigma=sigma, C=C, d=d)
+    spec_plain = ProblemSpec(np.zeros(n), sigma, np.eye(n), np.zeros(n), C, d)
     C_dup = np.vstack([C, 2.0 * C[0]])
     d_dup = np.concatenate([d, [2.0 * d[0]]])
-    spec_dup = ProblemSpec(mu=np.zeros(n), sigma=sigma, C=C_dup, d=d_dup)
+    spec_dup = ProblemSpec(np.zeros(n), sigma, np.eye(n), np.zeros(n), C_dup, d_dup)
     a = build_transform(spec_plain)
     b = build_transform(spec_dup)
-    np.testing.assert_allclose(a.F, b.F, atol=1e-10)
+    np.testing.assert_allclose(a.H, b.H, atol=1e-10)
+    np.testing.assert_allclose(a.B @ a.B.T, b.B @ b.B.T, atol=1e-10)
     np.testing.assert_allclose(a.g, b.g, atol=1e-10)
     F, g = brute_force_transform(np.zeros(n), sigma, C, d)  # the two kept rows
-    np.testing.assert_allclose(b.F, F, atol=1e-8)
+    np.testing.assert_allclose(b.H, F, atol=1e-8)
+    np.testing.assert_allclose(b.B @ b.B.T, F @ sigma @ F.T, atol=1e-8)
     np.testing.assert_allclose(b.g, g, atol=1e-8)
 
 
@@ -225,10 +244,11 @@ def test_shuffled_redundant_systems_match_brute_force_on_independent_rows():
         sigma = random_spd(rng, width)
         equality = classify_equality_system(rows, -rows @ x_star)
         assert equality.rows.shape[0] == free
-        spec = ProblemSpec(mu=mu, sigma=sigma, C=rows, d=-rows @ x_star)
+        spec = ProblemSpec(mu, sigma, np.eye(width), np.zeros(width), rows, -rows @ x_star)
         t = build_transform(spec, equality=equality)
         F, g = brute_force_transform(mu, sigma, base, -base @ x_star)
-        np.testing.assert_allclose(t.F, F, atol=1e-8)
+        np.testing.assert_allclose(t.H, F, atol=1e-8)
+        np.testing.assert_allclose(t.B @ t.B.T, F @ sigma @ F.T, atol=1e-8)
         np.testing.assert_allclose(t.g, g, atol=1e-8)
         dropped += rows.shape[0] - free
     assert dropped > 200
@@ -239,10 +259,10 @@ def test_near_parallel_rows_give_a_projector(eps):
     # two unit rows eps apart: rank 1 below 2e-8 (s2 / s1 = tan(eps / 2)), else 2
     C = np.array([[1.0, 0.0, 0.0], [np.cos(eps), np.sin(eps), 0.0]])
     d = -C @ np.array([0.0, 1.25e-8, 0.0])
-    spec = ProblemSpec(mu=np.ones(3), sigma=np.eye(3), C=C, d=d)
+    spec = ProblemSpec(np.ones(3), np.eye(3), np.eye(3), np.zeros(3), C, d)
     rank = classify_equality_system(C, d).rows.shape[0]
     assert rank == (1 if eps < 2e-8 else 2)
-    F = build_transform(spec).F
+    F = build_transform(spec).H  # A = I
     assert np.abs(F @ F - F).max() <= 1e-12
     assert abs(np.trace(F) - (3 - rank)) <= 1e-12
     np.testing.assert_allclose(C @ F, 0.0, atol=2 * EQUALITY_TOL)
@@ -285,7 +305,7 @@ def test_given_classification_builds_the_same_transform():
         )
         alone = build_transform(spec)
         given = build_transform(spec, equality=classify_equality_system(spec.C, spec.d))
-        for name in ("F", "g", "H", "k", "B", "G", "P"):
+        for name in ("g", "H", "k", "B", "G", "P"):
             assert np.array_equal(getattr(alone, name), getattr(given, name)), name
 
 
