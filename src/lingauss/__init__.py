@@ -25,7 +25,6 @@ from .linalg import CovarianceFactor, factor_covariance
 from .oracles import RejectionReport, conditional_direct_sample, rejection_sample
 from .problem import ProblemSpec, load_problem, problem_from_dict, problem_to_dict, save_problem
 from .sampler import RunReport, SamplingOutcome, sample_constrained
-from .simplex import LpSolution
 from .stats import ComparisonReport, SampleStats, compare_stats, sample_stats
 from .transform import (
     EqualityClass,
@@ -46,7 +45,6 @@ __all__ = [
     "EqualityClass",
     "FeasibilityResult",
     "LinGaussError",
-    "LpSolution",
     "NotPSD",
     "NotSymmetric",
     "NumericalBreakdown",

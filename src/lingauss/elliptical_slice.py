@@ -213,15 +213,14 @@ def long_directions(transformed: TransformedProblem, u0):
     or None.
 
     See the module docstring. None means the plain chain: u0 is not
-    strictly interior, no direction is thin, or every direction is.
+    strictly interior, no direction is thin, or every direction is. The
+    rows of G are those the law can move: `sampler.plan` drops every row
+    that is constant where the law has mass, so none bounds nothing.
     """
     G = transformed.G
     slack = G @ np.asarray(u0, dtype=float) + transformed.k
-    if not (slack > 0.0).all():
-        rows = G.any(axis=1)  # a zero row with k_i = 0 bounds nothing
-        G, slack = G[rows], slack[rows]
-        if not (slack > 0.0).all():  # only a strictly interior u0 has a Dikin ellipsoid
-            return None
+    if not (slack > 0.0).all():  # only a strictly interior u0 has a Dikin ellipsoid
+        return None
     D = G / slack[:, None]
     if not np.vdot(D, D) > 1.0 / THIN**2:  # lambda_max <= trace(D'D)
         return None

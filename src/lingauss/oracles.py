@@ -82,7 +82,9 @@ def conditional_direct_sample(
     rows that are dependent at EQUALITY_TOL raise SingularEqualityGram. With
     an (A, b) inequality_filter the draws are additionally accept-reject
     filtered on the plane, so the report's accepted count can be below
-    n_draws.
+    n_draws. A draw keeps row i when A_i x + b_i >= -EQUALITY_TOL |A_i|:
+    a row constant on the plane holds there up to roundoff, which an
+    exact test would turn into rejections at random.
     """
     if spec.p == 0:
         raise ValueError("conditional sampling needs at least one equality constraint")
@@ -118,7 +120,8 @@ def conditional_direct_sample(
     t = t_mean + np.linalg.solve(chol_precision.T, white.T).T
     samples = x0 + t @ basis.T
     if inequality_filter is not None:
-        A, b = inequality_filter
-        samples = samples[np.all(samples @ np.asarray(A, float).T + b >= 0.0, axis=1)]
+        A = np.asarray(inequality_filter[0], float)
+        floor = inequality_filter[1] + EQUALITY_TOL * np.linalg.norm(A, axis=1)
+        samples = samples[np.all(samples @ A.T + floor >= 0.0, axis=1)]
     accepted = samples.shape[0]
     return RejectionReport(n_draws, accepted, accepted / n_draws, samples)

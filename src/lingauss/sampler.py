@@ -1,31 +1,31 @@
-"""End-to-end sampling: dispatch on which constraint blocks are present.
+"""End-to-end sampling: dispatch on the inequality rows the law can move.
 
-Recipes:
+Recipes (RunReport.recipe names the constraint blocks present):
 
-* no constraints            -> direct draws u ~ N(0, I_k)
-* equality only
-* inequality (with or
-  without equality rows)    -> slice-sampling chain on u ~ N(0, I_k)
+* no such row               -> direct draws u ~ N(0, I_k)
+* some                      -> slice-sampling chain on u ~ N(0, I_k)
                                s.t. G u + k >= 0, started at an interior
                                point found by linear programming
 
 Both recipes draw in the plane's own k = rank(sigma) - r coordinates, r the
 number of independent equality rows, and place every draw u on the plane
 by the one affine map x = g + B u of `transform` (B B' = F sigma F').
+A row the law cannot move, constant wherever it has mass, is decided by
+`plan` alone and never reaches the LPs or the chain.
 
-Degenerate cases short-circuit: an inconsistent equality system or an empty
-inequality region yields an `impossible` outcome with the reason; a system
-pinned to a single point, by the equalities or by k = 0, yields `point_mass`
-with that point. `plan` makes that verdict, and everything else that
-precedes the first draw, for both `sample_constrained` and the CLI's
-`check`.
+Degenerate cases short-circuit: an inconsistent equality system, a
+constant row that fails, or an empty inequality region yields an
+`impossible` outcome with the reason; a system pinned to a single point,
+by the equalities or by k = 0, yields `point_mass` with that point. `plan`
+makes that verdict, and everything else that precedes the first draw, for
+both `sample_constrained` and the CLI's `check`.
 """
 
 from __future__ import annotations
 
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -34,6 +34,7 @@ from .elliptical_slice import fill_chain, long_directions
 from .feasibility import find_feasible_point
 from .problem import ProblemSpec
 from .transform import (
+    EQUALITY_TOL,
     TransformedProblem,
     build_transform,
     classify_equality_system,
@@ -130,15 +131,26 @@ def plan(spec: ProblemSpec) -> Plan:
 
     The recipe, the equality classification, the latent map (so a singular
     C sigma C.T raises SingularEqualityGram for every recipe) and, with
-    inequality rows, the LP classification of the region, where a flat
-    region raises DegenerateRegion. When k = rank(sigma) - r is 0 the law
-    is a point mass at g; the inequalities are tested there by the same
-    check as a unique equality solution, and no LP runs. With a singular
-    sigma the LPs run on range(sigma), where the latent prior has its
-    mass, through an orthonormal basis of it, and the start point lies
-    there too. The LPs pose the region in y, H y + k >= 0; their point y0,
-    written y0 = L_rank w, becomes u = P' w in the plane's coordinates, for
-    which B u = F y0: the chain's start u0, or a point mass at g + B u.
+    inequality rows the law can move, the LP classification of the region,
+    where a flat region raises DegenerateRegion.
+
+    One rule decides, before any LP, which inequality rows are constant
+    where the law has mass: row i is when |G_i| <= EQUALITY_TOL |A_i| |B|_F
+    (a row implied by the plane, or along sigma's null space), and every
+    row is when the equality solution is unique or k = rank(sigma) - r is
+    0. A constant row holds or fails as a whole, by its value k_i at g (or
+    at the unique solution): it fails when k_i < -POINT_TOL |A_i|, and the
+    problem is impossible. The rows that hold are dropped from H, G and k,
+    so neither the LPs nor the chain see them; with none left the law is a
+    point mass at the unique solution or at g when k = 0, and otherwise is
+    drawn directly.
+
+    With a singular sigma the LPs run on range(sigma), where the latent
+    prior has its mass, through an orthonormal basis of it, and the start
+    point lies there too. The LPs pose the region in y, H y + k >= 0; their
+    point y0, written y0 = L_rank w, becomes u = P' w in the plane's
+    coordinates, for which B u = F y0: the chain's start u0, or a point
+    mass at g + B u.
     """
     started = time.perf_counter()
     if spec.p:
@@ -154,27 +166,32 @@ def plan(spec: ProblemSpec) -> Plan:
     def impossible(reason):
         return decided("impossible", reason=reason)
 
-    classification, point = None, None
+    classification = None
     if spec.p:
         classification = classify_equality_system(spec.C, spec.d)
         report.equality = classification.kind
         if classification.kind == "no_solution":
             return impossible("equality system C x + d = 0 has no solution")
-        if classification.kind == "unique":
-            point = classification.x
-            violated = "the unique equality solution violates the inequalities"
-    if point is None:
+    row_norms = np.linalg.norm(spec.A, axis=1)
+    if classification is not None and classification.kind == "unique":
+        point, level = classification.x, spec.A @ classification.x + spec.b
+        constant = np.ones(spec.m, dtype=bool)
+    else:
         transformed = build_transform(spec, equality=classification)
-        if transformed.B.shape[1] == 0:  # sigma leaves no freedom on the plane
-            point = transformed.g
-            violated = "the single point the law reaches violates the inequalities"
-    if point is not None:
-        # a row is violated beyond POINT_TOL of its own norm
-        if (spec.A @ point + spec.b < -POINT_TOL * np.linalg.norm(spec.A, axis=1)).any():
-            return impossible(violated)
+        point = transformed.g if transformed.B.shape[1] == 0 else None
+        level = transformed.k
+        scale = EQUALITY_TOL * np.linalg.norm(transformed.B)  # Frobenius: no SVD
+        constant = np.linalg.norm(transformed.G, axis=1) <= scale * row_norms
+    if (level < -POINT_TOL * row_norms)[constant].any():
+        return impossible("an inequality fails wherever the law has mass")
+    if point is not None:  # every row is constant
         return decided("point_mass", point=point)
-
-    if spec.m == 0:
+    if constant.any():
+        kept = ~constant
+        transformed = replace(
+            transformed, H=transformed.H[kept], G=transformed.G[kept], k=transformed.k[kept]
+        )
+    if not transformed.k.size:
         return decided("samples", transformed=transformed)
     H, support = transformed.H, None
     if spec.factor.rank < spec.n:  # the latent prior lives on range(sigma)
@@ -188,12 +205,7 @@ def plan(spec: ProblemSpec) -> Plan:
     report.lp_pivots = feasibility.lp_pivots
     report.lp_solves = feasibility.lp_solves
     if feasibility.kind == "infeasible":
-        # An LP proves emptiness only by pivoting an artificial variable out,
-        # so no pivot means a row of H that is zero where the law has mass
-        # decided it: 0 + k_i < 0.
-        if feasibility.lp_pivots:
-            return impossible("no point satisfies the inequalities (negative maximum slack)")
-        return impossible("an inequality fails wherever the law has mass: its row vanishes there")
+        return impossible("no point satisfies the inequalities (negative maximum slack)")
     if support is None:  # L_rank = L, square and invertible
         w = np.linalg.solve(spec.factor.factor, feasibility.point)
     else:
@@ -250,7 +262,7 @@ def sample_constrained(
     transformed = planned.transformed
     samples = np.empty((n_samples, spec.n))
     k = transformed.B.shape[1]
-    if spec.m == 0:
+    if not transformed.k.size:  # no row the law can move: direct draws
         (generator,) = _generators(rng, 1)
         generator.standard_normal(out=packed_latent(samples, k))
         map_latent_rows(transformed, samples)

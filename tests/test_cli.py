@@ -1,11 +1,13 @@
+import inspect
 import json
 import re
 
 import numpy as np
 import pytest
 
+from lingauss import errors
 from lingauss.cli import main
-from lingauss.errors import NumericalBreakdown
+from lingauss.errors import LinGaussError, NumericalBreakdown
 from lingauss.fixtures import write_pentagon_files
 from lingauss.problem import ProblemSpec, load_problem, save_problem
 from lingauss.sampler import plan
@@ -237,9 +239,9 @@ AGREEMENT_CASES = {
 # what decided each infeasible verdict, as both commands word it
 REASONS = {
     "scaled_infeasible": "negative maximum slack",
-    "outside_sigma_range": "its row vanishes there",
-    "unique_point_violated": "unique equality solution violates",
-    "sigma_point_mass_violated": "single point the law reaches violates",
+    "outside_sigma_range": "fails wherever the law has mass",
+    "unique_point_violated": "fails wherever the law has mass",
+    "sigma_point_mass_violated": "fails wherever the law has mass",
 }
 
 
@@ -300,6 +302,25 @@ def test_degenerate_region_exits_3(tmp_path, capsys):
     code = main(["sample", "--problem", path, "--n", "10", "--seed", "1"])
     assert code == 3
     assert "DegenerateRegion" in capsys.readouterr().err
+
+
+PACKAGE_ERRORS = [
+    cls for _, cls in inspect.getmembers(errors, inspect.isclass) if issubclass(cls, LinGaussError)
+]
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_package_error_exits_1_or_3(monkeypatch, capsys, error):
+    def failing_load(path):
+        raise error("stubbed failure")
+
+    monkeypatch.setattr("lingauss.cli.load_problem", failing_load)
+    code = main(["check", "--problem", "stub.json"])
+    err = capsys.readouterr().err
+    if error in (errors.ProblemFormatError, errors.NotSymmetric, errors.NotPSD):
+        assert (code, err) == (1, "error: stubbed failure\n")
+    else:  # a numerical failure names its class
+        assert (code, err) == (3, f"{error.__name__}: stubbed failure\n")
 
 
 def test_numerical_breakdown_exits_3(problem_dir, tmp_path, monkeypatch, capsys):
