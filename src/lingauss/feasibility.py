@@ -1,9 +1,7 @@
 """Feasibility classification of {y : H y + k >= 0} and chain start points.
 
-One linear program gives the verdict, a second phase 2 continued from its
-optimum places the start point of a full-dimensional region, and a range
-probe settles an empty interior that the first program's multipliers leave
-open:
+One linear program gives the verdict, and a second phase 2 continued from
+its optimum places the start point of a full-dimensional region:
 
 1. Is the region nonempty, and does it have an interior?  Maximize a slack
    s (capped at 1) subject to H y + k >= s * rownorm(H), a Chebyshev-ball
@@ -20,25 +18,20 @@ open:
    slack against distance from the origin (_pull_in). That program is the
    slack program with a floor on s and another cost, so it needs no phase 1
    of its own: it carries on from the slack optimum's basis.
-3. If the interior is empty, is the region a single point?  The slack
-   program's optimal multipliers usually say so at no further cost. They
-   satisfy H' lambda = 0 and sum(lambda) = 1, so every feasible y has
-   sum_i lambda_i slack_i(y) = s*, and each row with lambda_i > 0 is tight
-   to within |s*| / lambda_i (the implicit equalities of Goldman & Tucker).
-   When those rows span R^n well enough that no two feasible points lie
-   more than FEAS_TOL apart, the region is the point mass at the slack
-   optimum, and no further LP runs. Otherwise (a flat region, or a corner
-   whose multipliers vanish on a tight row) probe the range of every
-   coordinate with a pair of LPs: all ranges at zero means a point mass,
-   anything wider (or unbounded) is a flat region the sampler cannot
-   honestly represent, reported as DegenerateRegion. The 2n range programs
-   share one phase 1 and differ only in phase 2. When s* < 0 that phase 1
-   also runs before a point mass is reported, since it decides whether any
-   point is feasible at all.
+3. Which rows make the interior empty?  The slack program's optimal
+   multipliers satisfy H' lambda = 0 and sum(lambda) = 1, so every feasible
+   y has sum_i lambda_i slack_i(y) = s*: when s* = 0, each row with
+   lambda_i > 0 is tight at every point of the region, an implicit equality
+   (Goldman & Tucker 1956). An empty interior is returned with those rows
+   and no further program runs. Whether the region is a point, a flat or
+   empty is then a question about a system of equations, which
+   `sampler.plan` settles by adding the rows to the equality constraints
+   and planning again, at the equality tolerances.
 
 Every threshold above is the module constant FEAS_TOL, a distance in y
-between unit rows' hyperplanes, and the programs pivot at the simplex's
-PIVOT_TOL, of the same value; neither is a parameter.
+between unit rows' hyperplanes and the multiplier that counts a row as
+tight, and the programs pivot at the simplex's PIVOT_TOL, of the same
+value; neither is a parameter.
 """
 
 from __future__ import annotations
@@ -48,32 +41,33 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DegenerateRegion, NumericalBreakdown
+from .errors import NumericalBreakdown
 from .linalg import unit_rows
-from .simplex import FeasibleBasis, phase_one, phase_two, solve_lp
+from .simplex import FeasibleBasis, phase_two, solve_lp
 
-FEAS_TOL = 1e-9  # slack, multiplier and range width, in unit-row distances, that count
+FEAS_TOL = 1e-9  # slack, in unit-row distances, and multiplier that count
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """kind: "infeasible" | "point_mass" | "full_dimensional".
+    """kind: "infeasible" | "empty_interior" | "full_dimensional".
 
-    point is a feasible latent vector for the two non-empty kinds;
-    chebyshev_radius is set only for full-dimensional regions (the optimum of
-    the slack program, capped at 1; the returned point is strictly interior
-    but may hold less slack than the optimum when the optimum face is remote).
+    For a full-dimensional region, point is a strictly interior latent
+    vector and chebyshev_radius the optimum of the slack program, capped at
+    1 (the point may hold less slack than the optimum when the optimum face
+    is remote). For an empty interior, tight indexes the input rows whose
+    multiplier exceeds FEAS_TOL: its implicit equalities.
     lp_pivots sums the simplex pivots of every program the classification ran.
-    lp_solves counts those programs: each whole solve, each phase 1 run on
-    its own and each phase 2, whether priced on a shared phase 1 or continued
-    from another program's optimal basis (the start point's program).
+    lp_solves counts those programs: the slack program, and the start
+    point's phase 2 continued from its optimal basis.
     """
 
-    kind: Literal["infeasible", "point_mass", "full_dimensional"]
+    kind: Literal["infeasible", "empty_interior", "full_dimensional"]
     point: np.ndarray | None = None
     chebyshev_radius: float | None = None
     lp_pivots: int = 0
     lp_solves: int = 0
+    tight: np.ndarray | None = None
 
 
 def max_slack_model(H, k):
@@ -126,44 +120,9 @@ def _pull_in(optimum: FeasibleBasis, n, radius):
     return solution.x[:n], solution.pivots
 
 
-def _coordinate_range(start, n, i):
-    """(low, high, pivots): the extent of coordinate i over the region, entries
-    None if unbounded, and the pivots of its two phase 2s."""
-    bounds = []
-    pivots = 0
-    for sign in (1.0, -1.0):
-        cost = np.zeros(2 * n)
-        cost[2 * i : 2 * i + 2] = sign, -sign
-        solution = phase_two(start, cost)
-        pivots += solution.pivots
-        bounds.append(None if solution.status == "unbounded" else sign * solution.objective)
-    return bounds[0], bounds[1], pivots
-
-
-def _pins_a_point(H, multipliers, slack) -> bool:
-    """Whether the slack program's multipliers prove the region a point.
-
-    H has unit rows and multipliers are the slack program's, its cap row
-    last. Let T be the rows with a multiplier lambda_i above FEAS_TOL. Every
-    feasible y keeps row i of T within |s*| / lambda_i of tight, so any two
-    feasible points lie within sqrt(|T|) |s*| / (min_T lambda * sigma_min(H_T))
-    of each other, which must be at most FEAS_TOL. s* is known to no better than
-    one rounding, so |s*| counts as at least machine epsilon: a row set
-    that pins the point only through an exact zero is not trusted at any
-    conditioning.
-    """
-    weights = multipliers[:-1]
-    tight = weights > FEAS_TOL
-    count = np.count_nonzero(tight)
-    if count < H.shape[1]:
-        return False
-    smallest = np.linalg.svd(H[tight], compute_uv=False)[-1]
-    spread = np.sqrt(count) * max(abs(slack), np.finfo(float).eps)
-    return bool(spread <= FEAS_TOL * weights[tight].min() * smallest)
-
-
 def find_feasible_point(H, k) -> FeasibilityResult:
-    """Classify {y : H y + k >= 0} and return a start point when one exists.
+    """Classify {y : H y + k >= 0} and return a start point when it has an
+    interior, or the rows that are tight on all of it when it has none.
 
     Requires at least one inequality row; callers handle m = 0 as trivially
     full-dimensional at the origin.
@@ -202,28 +161,6 @@ def find_feasible_point(H, k) -> FeasibilityResult:
             lp_solves=solves + 1,
         )
 
-    # empty interior: point mass or flat region?
-    pinned = _pins_a_point(H, slack.multipliers, radius)
-    if pinned and radius >= 0.0:  # the slack optimum meets every row
-        return FeasibilityResult("point_mass", slack.x[:n], lp_pivots=pivots, lp_solves=solves)
-    start, start_pivots = phase_one(H, -k)
-    pivots += start_pivots
-    solves += 1
-    if start is None:  # |s*| <= FEAS_TOL, yet phase 1 leaves a violation above it
-        return FeasibilityResult("infeasible", lp_pivots=pivots, lp_solves=solves)
-    if pinned:  # phase 1 has shown that some point is feasible
-        return FeasibilityResult("point_mass", slack.x[:n], lp_pivots=pivots, lp_solves=solves)
-    for i in range(n):
-        low, high, range_pivots = _coordinate_range(start, n, i)
-        pivots += range_pivots
-        solves += 2
-        if low is None or high is None:
-            raise DegenerateRegion(
-                f"feasible region has empty interior yet coordinate {i + 1} is unbounded"
-            )
-        if high - low > FEAS_TOL:
-            raise DegenerateRegion(
-                "feasible region has empty interior but positive extent "
-                f"{high - low:.3e} along coordinate {i + 1}"
-            )
-    return FeasibilityResult("point_mass", slack.x[:n], lp_pivots=pivots, lp_solves=solves)
+    # empty interior: the rows that carry the multipliers are tight on all of it
+    rows = np.flatnonzero(~zero)[slack.multipliers[:-1] > FEAS_TOL]
+    return FeasibilityResult("empty_interior", lp_pivots=pivots, lp_solves=solves, tight=rows)

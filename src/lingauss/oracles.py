@@ -3,8 +3,8 @@
 Two independent routes to the same distributions:
 
 * :func:`rejection_sample` — propose from the unrestricted normal, keep
-  proposals satisfying every inequality exactly. Arbitrarily slow on tight
-  regions but unarguably correct.
+  proposals satisfying every inequality (to EQUALITY_TOL). Arbitrarily
+  slow on tight regions but unarguably correct.
 * :func:`conditional_direct_sample` — exact draws on the equality plane
   through a null-space parameterization (particular solution + orthonormal
   basis of the plane, conditional moments from the precision restricted to
@@ -40,24 +40,30 @@ class RejectionReport:
 def rejection_sample(
     spec: ProblemSpec, proposals: int, rng: np.random.Generator
 ) -> RejectionReport:
-    """Propose x ~ N(mu, sigma), keep those with A x + b >= 0 exactly.
+    """Propose x ~ N(mu, sigma), keep those with A x + b >= 0.
 
     Only valid for problems without equality constraints (a plane has zero
     hit probability). Proposals are processed in batches of BATCH to bound
-    memory.
+    memory. A proposal is mu + L_rank z with z ~ N(0, I_rank), L_rank the
+    rank(sigma) columns of the covariance factor that carry its mass, as in
+    `build_transform`: the other columns hold only the roundoff of sigma's
+    null space. A proposal keeps row i when A_i x + b_i >= -EQUALITY_TOL
+    |A_i|, so that a row constant on range(sigma) holds there up to
+    roundoff, which an exact test would turn into rejections at random.
     """
     if spec.p:
         raise ValueError("rejection sampling cannot hit equality constraints")
     if proposals < 1:
         raise ValueError("proposals must be positive")
-    factor = spec.factor.factor
+    root = spec.factor.factor[:, spec.n - spec.factor.rank :]  # L_rank
+    floor = spec.b + EQUALITY_TOL * np.linalg.norm(spec.A, axis=1)
     kept = []
     remaining = proposals
     while remaining:
         batch = min(BATCH, remaining)
-        draws = spec.mu + rng.standard_normal((batch, spec.n)) @ factor.T
+        draws = spec.mu + rng.standard_normal((batch, root.shape[1])) @ root.T
         if spec.m:
-            draws = draws[np.all(draws @ spec.A.T + spec.b >= 0.0, axis=1)]
+            draws = draws[np.all(draws @ spec.A.T + floor >= 0.0, axis=1)]
         kept.append(draws)
         remaining -= batch
     samples = np.vstack(kept)

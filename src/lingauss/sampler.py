@@ -16,7 +16,9 @@ A row the law cannot move, constant wherever it has mass, is decided by
 Degenerate cases short-circuit: an inconsistent equality system, a
 constant row that fails, or an empty inequality region yields an
 `impossible` outcome with the reason; a system pinned to a single point,
-by the equalities or by k = 0, yields `point_mass` with that point. `plan`
+by the equalities or by k = 0, yields `point_mass` with that point. An
+inequality region without interior is settled by the same rules, once its
+implicit equalities have joined the equality rows. `plan`
 makes that verdict, and everything else that precedes the first draw, for
 both `sample_constrained` and the CLI's `check`.
 """
@@ -31,6 +33,7 @@ from typing import Literal
 import numpy as np
 
 from .elliptical_slice import fill_chain, long_directions
+from .errors import DegenerateRegion, NumericalBreakdown
 from .feasibility import find_feasible_point
 from .problem import ProblemSpec
 from .transform import (
@@ -58,7 +61,10 @@ class RunReport:
     fill_chain, summed over the chains, so chain_seconds / chain_steps is
     the cost of one chain step. lp_solves counts the feasibility linear
     programs (see FeasibilityResult.lp_solves), and plan_seconds is the
-    time spent in `plan`: everything before the first draw.
+    time spent in `plan`: everything before the first draw. Both LP counts
+    sum over plan's rounds, and feasibility names the region's kind as the
+    last round settled it: "point_mass" or "infeasible" for a region
+    without interior.
     """
 
     recipe: str
@@ -131,8 +137,7 @@ def plan(spec: ProblemSpec) -> Plan:
 
     The recipe, the equality classification, the latent map (so a singular
     C sigma C.T raises SingularEqualityGram for every recipe) and, with
-    inequality rows the law can move, the LP classification of the region,
-    where a flat region raises DegenerateRegion.
+    inequality rows the law can move, the LP classification of the region.
 
     One rule decides, before any LP, which inequality rows are constant
     where the law has mass: row i is when |G_i| <= EQUALITY_TOL |A_i| |B|_F
@@ -145,12 +150,21 @@ def plan(spec: ProblemSpec) -> Plan:
     point mass at the unique solution or at g when k = 0, and otherwise is
     drawn directly.
 
+    A region with an empty interior has implicit equalities: the rows
+    find_feasible_point reports tight on all of it. They join (C, d) and
+    the plan runs again, on a plane those rows now fix, so each round
+    lowers k and there are at most k rounds. The rules above end the last
+    one: a unique solution or k = 0 makes every row constant, hence a point
+    mass or impossible, and an inconsistent system is impossible. A region
+    that keeps an interior on the smaller plane is flat and raises
+    DegenerateRegion. The report's LP counts sum over the rounds.
+
     With a singular sigma the LPs run on range(sigma), where the latent
     prior has its mass, through an orthonormal basis of it, and the start
-    point lies there too. The LPs pose the region in y, H y + k >= 0; their
+    point lies there too; an implicit equality is taken on that subspace.
+    The LPs pose the region in y, H y + k >= 0; their
     point y0, written y0 = L_rank w, becomes u = P' w in the plane's
-    coordinates, for which B u = F y0: the chain's start u0, or a point
-    mass at g + B u.
+    coordinates, for which B u = F y0: the chain's start u0.
     """
     started = time.perf_counter()
     if spec.p:
@@ -158,62 +172,84 @@ def plan(spec: ProblemSpec) -> Plan:
     else:
         recipe = "inequality-only" if spec.m else "unconstrained"
     report = RunReport(recipe=recipe)
+    implicit = 0  # rows joined to (C, d) as implicit equalities
+    dimension = None  # k of the last round's plane
 
     def decided(status, **fields):
+        if implicit:  # the region has no interior, so this verdict is its kind
+            if status == "samples":
+                raise DegenerateRegion(
+                    f"feasible region is flat: {implicit} implicit equalities leave it "
+                    f"{dimension}-dimensional, with an interior on that flat"
+                )
+            report.feasibility = "point_mass" if status == "point_mass" else "infeasible"
         report.plan_seconds = time.perf_counter() - started
         return Plan(status, report, **fields)
 
     def impossible(reason):
         return decided("impossible", reason=reason)
 
-    classification = None
-    if spec.p:
-        classification = classify_equality_system(spec.C, spec.d)
-        report.equality = classification.kind
-        if classification.kind == "no_solution":
-            return impossible("equality system C x + d = 0 has no solution")
     row_norms = np.linalg.norm(spec.A, axis=1)
-    if classification is not None and classification.kind == "unique":
-        point, level = classification.x, spec.A @ classification.x + spec.b
-        constant = np.ones(spec.m, dtype=bool)
-    else:
-        transformed = build_transform(spec, equality=classification)
-        point = transformed.g if transformed.B.shape[1] == 0 else None
-        level = transformed.k
-        scale = EQUALITY_TOL * np.linalg.norm(transformed.B)  # Frobenius: no SVD
-        constant = np.linalg.norm(transformed.G, axis=1) <= scale * row_norms
-    if (level < -POINT_TOL * row_norms)[constant].any():
-        return impossible("an inequality fails wherever the law has mass")
-    if point is not None:  # every row is constant
-        return decided("point_mass", point=point)
-    if constant.any():
-        kept = ~constant
-        transformed = replace(
-            transformed, H=transformed.H[kept], G=transformed.G[kept], k=transformed.k[kept]
-        )
-    if not transformed.k.size:
-        return decided("samples", transformed=transformed)
-    H, support = transformed.H, None
+    support = None
     if spec.factor.rank < spec.n:  # the latent prior lives on range(sigma)
         support = spec.factor.factor[:, spec.n - spec.factor.rank :]
         norms = np.linalg.norm(support, axis=0)
         support = support / norms
-        H = H @ support
-    feasibility = find_feasible_point(H, transformed.k)
+    while True:
+        classification = None
+        if spec.p:
+            classification = classify_equality_system(spec.C, spec.d)
+            if not implicit:
+                report.equality = classification.kind
+            if classification.kind == "no_solution":
+                if implicit:
+                    return impossible("the inequalities' implicit equalities have no solution")
+                return impossible("equality system C x + d = 0 has no solution")
+        if classification is not None and classification.kind == "unique":
+            point, level = classification.x, spec.A @ classification.x + spec.b
+            constant = np.ones(spec.m, dtype=bool)
+        else:
+            transformed = build_transform(spec, equality=classification)
+            if dimension is not None and transformed.B.shape[1] >= dimension:
+                raise NumericalBreakdown("implicit equalities left the plane's dimension as it was")
+            dimension = transformed.B.shape[1]
+            point = transformed.g if dimension == 0 else None
+            level = transformed.k
+            scale = EQUALITY_TOL * np.linalg.norm(transformed.B)  # Frobenius: no SVD
+            constant = np.linalg.norm(transformed.G, axis=1) <= scale * row_norms
+        if (level < -POINT_TOL * row_norms)[constant].any():
+            return impossible("an inequality fails wherever the law has mass")
+        if point is not None:  # every row is constant
+            return decided("point_mass", point=point)
+        kept = ~constant
+        if constant.any():
+            transformed = replace(
+                transformed, H=transformed.H[kept], G=transformed.G[kept], k=transformed.k[kept]
+            )
+        if not transformed.k.size:
+            return decided("samples", transformed=transformed)
+        H = transformed.H if support is None else transformed.H @ support
+        feasibility = find_feasible_point(H, transformed.k)
+        report.lp_pivots += feasibility.lp_pivots
+        report.lp_solves += feasibility.lp_solves
+        if feasibility.kind != "empty_interior":
+            break
+        rows = np.flatnonzero(kept)[feasibility.tight]
+        C, d = spec.A[rows], spec.b[rows]
+        if support is not None:  # x - mu lies in range(sigma): keep the rows' part there
+            projected = (C @ support) @ support.T
+            C, d = projected, d + (C - projected) @ spec.mu
+        implicit += rows.size
+        spec = replace(spec, C=np.vstack([spec.C, C]), d=np.concatenate([spec.d, d]))
     report.feasibility = feasibility.kind
     report.chebyshev_radius = feasibility.chebyshev_radius
-    report.lp_pivots = feasibility.lp_pivots
-    report.lp_solves = feasibility.lp_solves
     if feasibility.kind == "infeasible":
         return impossible("no point satisfies the inequalities (negative maximum slack)")
     if support is None:  # L_rank = L, square and invertible
         w = np.linalg.solve(spec.factor.factor, feasibility.point)
     else:
         w = feasibility.point / norms
-    u = transformed.P.T @ w
-    if feasibility.kind == "point_mass":
-        return decided("point_mass", point=transformed.g + transformed.B @ u)
-    return decided("samples", transformed=transformed, start=u)
+    return decided("samples", transformed=transformed, start=transformed.P.T @ w)
 
 
 def sample_constrained(

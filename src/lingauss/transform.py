@@ -25,9 +25,8 @@ x = g + B u the law of F y + g. The inequalities read G u + k >= 0 with
 G = A B. Without equalities P = I and B = L_rank.
 
 The LPs still pose the region in y, so their point y0 = L_rank w reaches
-the plane as u = P' w, for which B u = F y0 (`sampler.plan`): every point
-that becomes an x, a chain's draws, its start and a point mass alike,
-goes through the one map x = g + B u.
+the plane as u = P' w, for which B u = F y0 (`sampler.plan`): a chain's
+draws and its start alike become an x through the one map x = g + B u.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from lingauss.problem import ProblemSpec
 from lingauss.sampler import sample_constrained
 from lingauss.stats import compare_stats, sample_stats
 from lingauss.transform import build_transform
+from test_feasibility import planned_region
 
 N_METHOD = 1_000_000
 REJECTION_PROPOSALS = 10_000_000
@@ -231,17 +232,16 @@ def test_criterion_6_equality_closed_form(equality_spec, equality_run):
 
 
 def test_criterion_7_feasibility_classifier(inequality_spec):
-    # (a) infeasible pair
-    infeasible = find_feasible_point(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]))
+    # (a) infeasible pair; the plan names each region's kind, since an empty
+    # interior is a point mass only once its implicit equalities are solved
+    infeasible = planned_region(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]))[0]
     # (b) point-mass pair
-    pinned = find_feasible_point(np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]))
+    pinned = planned_region(np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]))[0]
     # (c) the fixture polytope
     transformed = build_transform(inequality_spec)
-    pentagon = find_feasible_point(transformed.H, transformed.k)
+    pentagon = find_feasible_point(transformed.H, transformed.k).kind
     kinds_ok = (
-        infeasible.kind == "infeasible"
-        and pinned.kind == "point_mass"
-        and pentagon.kind == "full_dimensional"
+        infeasible == "infeasible" and pinned == "point_mass" and pentagon == "full_dimensional"
     )
 
     # brute-force 2-D grid confirmations
@@ -257,17 +257,17 @@ def test_criterion_7_feasibility_classifier(inequality_spec):
     point_points = points[np.all(points @ box_h.T + point_k >= 0, axis=1)]
     grid_ok = (
         not empty_mask.any()
-        and find_feasible_point(box_h, empty_k).kind == "infeasible"
+        and planned_region(box_h, empty_k)[0] == "infeasible"
         and full_mask.sum() > 1_000
-        and find_feasible_point(box_h, full_k).kind == "full_dimensional"
+        and planned_region(box_h, full_k)[0] == "full_dimensional"
         and point_points.shape[0] >= 1
         and (point_points.max(axis=0) - point_points.min(axis=0)).max() < 0.02
-        and find_feasible_point(box_h, point_k).kind == "point_mass"
+        and planned_region(box_h, point_k)[0] == "point_mass"
     )
     verdict(
         7,
         kinds_ok and grid_ok,
-        f"three-way kinds ({infeasible.kind} / {pinned.kind} / {pentagon.kind}) "
+        f"three-way kinds ({infeasible} / {pinned} / {pentagon}) "
         "with 2-D grid confirmation of all three classes",
     )
 

@@ -92,6 +92,13 @@ def test_check_point_mass(tmp_path, capsys):
     code = main(["check", "--problem", path])
     assert code == 0
     assert "point mass" in capsys.readouterr().out
+    # three rows pin a point of the plane x3 = 0.5: one LP, then the rows
+    # that it finds tight fix the point with the plane
+    path = write_spec(tmp_path / "plane.json", **AGREEMENT_CASES["plane_point_mass"][0])
+    assert main(["check", "--problem", path]) == 0
+    out = capsys.readouterr().out
+    assert "point mass at [0.2, -0.1, 0.5]" in out
+    assert re.search(r"^linear programs: 1 \(\d+ pivots\)$", out, re.M)
 
 
 def test_sample_writes_csv(problem_dir, tmp_path, capsys):
@@ -218,6 +225,30 @@ AGREEMENT_CASES = {
             sigma=np.eye(2),
             A=[[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
             b=[0.0, 0.0, 0.0, 5.0],
+        ),
+        3,
+    ),
+    # three rows pin x = (0.2, -0.1, 0.5) on the plane x3 = 0.5
+    "plane_point_mass": (
+        dict(
+            mu=[0.0, 0.0, 0.0],
+            sigma=np.eye(3),
+            A=[[1.0, 0.2, 0.7], [-0.3, 1.0, -0.2], [-0.9, -1.4, 0.4]],
+            b=[-0.53, 0.26, -0.16],
+            C=[[0.0, 0.0, 1.0]],
+            d=[-0.5],
+        ),
+        0,
+    ),
+    # x1 + 0.5 x3 = 0.25 on the plane x3 = 0.5, -1 <= x2 <= 1
+    "plane_flat": (
+        dict(
+            mu=[0.0, 0.0, 0.0],
+            sigma=np.eye(3),
+            A=[[1.0, 0.0, 0.5], [-1.0, 0.0, -0.5], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],
+            b=[-0.25, 0.25, 1.0, 1.0],
+            C=[[0.0, 0.0, 1.0]],
+            d=[-0.5],
         ),
         3,
     ),

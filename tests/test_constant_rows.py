@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 from lingauss.cli import main
+from lingauss.oracles import rejection_sample
 from lingauss.problem import ProblemSpec, save_problem
 from lingauss.sampler import plan, sample_constrained
 from lingauss.stats import sample_stats
 
-CUT_MEAN = math.exp(-0.5) / math.sqrt(2.0 * math.pi) / (0.5 * (1.0 + math.erf(math.sqrt(0.5))))
+CUT_MASS = 0.5 * (1.0 + math.erf(math.sqrt(0.5)))  # P(R0 . x >= -1) = Phi(1)
+CUT_MEAN = math.exp(-0.5) / math.sqrt(2.0 * math.pi) / CUT_MASS
 
 
 def rotation(seed):
@@ -138,3 +140,24 @@ def test_conditional_oracle_agrees_on_a_constant_row(tmp_path, capsys):
     path = write(tmp_path, on_plane(0)[0])
     command = ["compare", "--problem", path, "--n", "20000", "--seed", "1"]
     assert main(command + ["--oracle", "conditional"]) == 0, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rejection_oracle_keeps_the_law_under_a_singular_sigma(seed):
+    # the oracle proposes through L_rank alone (seed 1's factor has a null
+    # column of 1e-8) and keeps R2 . x >= 0.5 up to roundoff: both are needed
+    spec, R = singular_sigma(seed)
+    report = rejection_sample(spec, 200_000, np.random.default_rng(seed))
+    se = math.sqrt(CUT_MASS * (1.0 - CUT_MASS) / report.proposals)
+    assert abs(report.acceptance_rate - CUT_MASS) <= 4.5 * se
+    stats = sample_stats(report.samples @ R[0][:, None], independent=True)
+    assert abs(stats.mean[0] - CUT_MEAN) <= 4.5 * stats.mean_se[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rejection_oracle_agrees_on_a_constant_row_under_a_singular_sigma(tmp_path, capsys, seed):
+    path = write(tmp_path, singular_sigma(seed)[0])
+    command = ["compare", "--problem", path, "--n", "20000", "--seed", "1"]
+    assert main(command + ["--oracle", "rejection", "--proposals", "200000"]) == 0, (
+        capsys.readouterr().out
+    )

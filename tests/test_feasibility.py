@@ -14,9 +14,23 @@ from lingauss.feasibility import (
 )
 from lingauss.linalg import unit_rows
 from lingauss.problem import ProblemSpec
+from lingauss.sampler import POINT_TOL
 from lingauss.simplex import phase_one, phase_two, solve_lp
 from lingauss.transform import build_transform
 from test_simplex import reference_phase_one, reference_phase_two
+
+KINDS = {"impossible": "infeasible", "point_mass": "point_mass", "samples": "full_dimensional"}
+
+
+def planned_region(H, k):
+    """(kind, plan) of {x : H x + k >= 0} under N(0, I), where x is the
+    LPs' y: the plan's verdict, named as find_feasible_point names a
+    region's kind. An empty interior is settled only here, by the rounds
+    that add its implicit equalities to the equality rows."""
+    H = np.atleast_2d(np.asarray(H, dtype=float))
+    n = H.shape[1]
+    planned = lingauss.sampler.plan(ProblemSpec(mu=np.zeros(n), sigma=np.eye(n), A=H, b=k))
+    return KINDS[planned.status], planned
 
 
 def reference_radius(H, k, cap=1.0):
@@ -56,21 +70,26 @@ def test_infeasible_pair():
 
 def test_point_mass_pair():
     H = np.array([[1.0], [-1.0]])
-    k = np.array([0.0, 0.0])  # y >= 0 and y <= 0: the slack LP's multipliers decide
+    k = np.array([0.0, 0.0])  # y >= 0 and y <= 0: both rows carry a multiplier
     result = find_feasible_point(H, k)
-    assert result.kind == "point_mass"
-    np.testing.assert_allclose(result.point, [0.0], atol=1e-9)
+    assert result.kind == "empty_interior" and result.tight.tolist() == [0, 1]
+    assert result.point is None and result.lp_solves == 1
+    kind, planned = planned_region(H, k)  # the equations y = 0 fix the point
+    assert kind == "point_mass" and planned.report.feasibility == "point_mass"
+    assert planned.report.lp_solves == 1
+    np.testing.assert_allclose(planned.point, [0.0], atol=1e-9)
 
 
 def test_point_mass_2d_corner():
     H = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     k = np.array([-2.0, 2.0, 1.0, -1.0])  # y1 = 2, y2 = -1
-    result = find_feasible_point(H, k)
-    # the slack LP's multipliers rest on one opposite pair, which spans a
-    # line, so the range LPs decide
-    assert result.kind == "point_mass"
-    assert result.lp_solves == 2 + 2 * 2
-    np.testing.assert_allclose(result.point, [2.0, -1.0], atol=1e-9)
+    # the slack LP's multipliers rest on one opposite pair, which fixes a
+    # line; a second round's LP on that line finds the other pair
+    assert find_feasible_point(H, k).tight.size == 2
+    kind, planned = planned_region(H, k)
+    assert kind == "point_mass"
+    assert planned.report.lp_solves == 2
+    np.testing.assert_allclose(planned.point, [2.0, -1.0], atol=1e-9)
 
 
 def test_full_dimensional_box():
@@ -84,19 +103,21 @@ def test_full_dimensional_box():
 
 
 def test_degenerate_flat_region_raises():
-    # y1 pinned to 0, y2 still free on [0, 5]: empty interior, positive extent
+    # y1 pinned to 0, y2 still free on [0, 5]: on the line y1 = 0 the rows
+    # 0 <= y2 <= 5 leave an interior
     H = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     k = np.array([0.0, 0.0, 0.0, 5.0])
-    with pytest.raises(DegenerateRegion):
-        find_feasible_point(H, k)
+    assert find_feasible_point(H, k).tight.tolist() == [0, 1]
+    with pytest.raises(DegenerateRegion, match="2 implicit equalities leave it 1-dimensional"):
+        planned_region(H, k)
 
 
 def test_degenerate_unbounded_line_raises():
-    # y1 pinned to 0, y2 unbounded
+    # y1 pinned to 0, y2 unbounded: on the line y1 = 0 no row is left
     H = np.array([[1.0, 0.0], [-1.0, 0.0]])
     k = np.array([0.0, 0.0])
-    with pytest.raises(DegenerateRegion):
-        find_feasible_point(H, k)
+    with pytest.raises(DegenerateRegion, match="2 implicit equalities leave it 1-dimensional"):
+        planned_region(H, k)
 
 
 def test_radius_matches_reference_on_random_polytopes():
@@ -176,9 +197,9 @@ def test_grid_confirms_classification_2d():
             assert feasible_points.shape[0] >= 1
             spread = feasible_points.max(axis=0) - feasible_points.min(axis=0)
             assert spread.max() < 0.05
-            result = find_feasible_point(H, k)
-            assert result.kind == "point_mass"
-            np.testing.assert_allclose(result.point, feasible_points.mean(axis=0), atol=0.05)
+            kind, planned = planned_region(H, k)
+            assert kind == "point_mass"
+            np.testing.assert_allclose(planned.point, feasible_points.mean(axis=0), atol=0.05)
         else:
             assert feasible_points.shape[0] > 100  # a genuinely 2-D patch
             assert find_feasible_point(H, k).kind == "full_dimensional"
@@ -241,12 +262,37 @@ def test_all_zero_rows_leave_the_whole_space():
 
 
 def test_slack_within_tolerance_but_violation_above_it_is_infeasible():
-    # y >= 0 and 1e3 y <= -1.5e-6, a gap of 1.5e-9 in y: the slack optimum
-    # -7.5e-10 of the rows scaled to unit norm is within tolerance of zero,
-    # but no y comes within 1.5e-9 of both rows, so the phase 1 that every
-    # negative s* gets finds the region empty
-    result = find_feasible_point(np.array([[1e3], [-1e3]]), np.array([0.0, -1.5e-6]))
-    assert result.kind == "infeasible"
+    # x1 >= 0.3 and x1 <= 0.3 - gap on the plane x2 = 0.2. sigma correlates
+    # x1 with the tightly held x2, so H = A F has rows of norm 90: the slack
+    # optimum, a distance in y, is about -gap / 180, within FEAS_TOL. The
+    # tight rows become the equations x1 = 0.3 and x1 = 0.3 - gap, which the
+    # equality tolerance 1e-8 then decides, in x
+    sigma = np.array([[1.0, 0.009], [0.009, 1e-4]])
+    verdicts = {}
+    for gap in (5e-8, 5e-9):
+        spec = ProblemSpec(
+            mu=np.zeros(2),
+            sigma=sigma,
+            A=[[1.0, 0.0], [-1.0, 0.0]],
+            b=[-0.3, 0.3 - gap],
+            C=[[0.0, 1.0]],
+            d=[-0.2],
+        )
+        transformed = build_transform(spec)
+        assert np.linalg.norm(transformed.H, axis=1) == pytest.approx(90.0, rel=1e-3)
+        assert find_feasible_point(transformed.H, transformed.k).kind == "empty_interior"
+        verdicts[gap] = lingauss.sampler.plan(spec)
+        assert verdicts[gap].report.lp_solves == 1
+    empty, pinned = verdicts[5e-8], verdicts[5e-9]
+    assert empty.status == "impossible" and empty.report.feasibility == "infeasible"
+    assert empty.reason == "the inequalities' implicit equalities have no solution"
+    assert pinned.status == "point_mass" and pinned.report.feasibility == "point_mass"
+    np.testing.assert_allclose(pinned.point, [0.3, 0.2], rtol=0, atol=POINT_TOL)
+    # a gap of 1.5e-9 with sigma = I and no plane: y >= 0 and 1e3 y <= -1.5e-6,
+    # whose least-squares point misses each row by 7.5e-10
+    kind, planned = planned_region(np.array([[1e3], [-1e3]]), np.array([0.0, -1.5e-6]))
+    assert kind == "point_mass"
+    assert planned.point[0] == pytest.approx(-7.5e-10, abs=1e-15)
 
 
 def test_point_mass_among_redundant_rows():
@@ -255,9 +301,9 @@ def test_point_mass_among_redundant_rows():
         [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0], [0.0, -1.0]]
     )
     k = np.array([-1.0, 1.0, 2.0, -2.0, 5.0, -2.0])
-    result = find_feasible_point(H, k)
-    assert result.kind == "point_mass"
-    np.testing.assert_allclose(result.point, [1.0, -2.0], atol=1e-9)
+    kind, planned = planned_region(H, k)
+    assert kind == "point_mass"
+    np.testing.assert_allclose(planned.point, [1.0, -2.0], atol=1e-9)
 
 
 def test_rotated_box_around_the_origin_takes_few_pivots():
@@ -284,8 +330,8 @@ SQUARE = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
     [
         ([[1.0], [-1.0]], [-1.0, 0.0], "infeasible"),
         ([[0.0], [1.0]], [-1.0, 0.5], "infeasible"),  # decided before any LP
-        (SQUARE, [-2.0, 2.0, 1.0, -1.0], "point_mass"),
-        ([[1e3], [-1e3]], [0.0, -1.5e-6], "infeasible"),  # s* < 0, and phase 1 finds none
+        (SQUARE, [-2.0, 2.0, 1.0, -1.0], "point_mass"),  # two rounds
+        ([[1e3], [-1e3]], [0.0, -1.5e-6], "point_mass"),  # s* < 0, within FEAS_TOL
         (SQUARE, [-1.0, 3.0, 2.0, 3.0], "full_dimensional"),
     ],
 )
@@ -298,9 +344,20 @@ def test_lp_pivots_counts_every_pivot(monkeypatch, H, k, kind):
         return pivot(*args)
 
     monkeypatch.setattr(lingauss.simplex, "_pivot", counted)
-    result = find_feasible_point(np.array(H), np.array(k))
-    assert result.kind == kind
-    assert result.lp_pivots == len(made)
+    got, planned = planned_region(H, k)
+    assert got == kind
+    assert planned.report.lp_pivots == len(made)
+
+
+def test_a_round_that_fixes_no_new_direction_breaks_down(monkeypatch):
+    # each round must lower the plane's dimension, which bounds the rounds;
+    # tight rows that the plane already fixes would repeat the round forever
+    def nothing_new(H, k):
+        return FeasibilityResult("empty_interior", lp_solves=1, tight=np.zeros(0, dtype=int))
+
+    monkeypatch.setattr(lingauss.sampler, "find_feasible_point", nothing_new)
+    with pytest.raises(NumericalBreakdown, match="dimension"):
+        planned_region(SQUARE, [1.0, 1.0, 1.0, 1.0])
 
 
 def test_rejects_empty_or_mismatched_input():
@@ -317,10 +374,10 @@ def test_result_dataclass_defaults():
 
 
 def count_programs(monkeypatch):
-    """Count the programs find_feasible_point runs: whole solves, standalone
-    phase 1s and phase 2s, as FeasibilityResult.lp_solves does."""
+    """Count the programs find_feasible_point runs: whole solves and
+    continued phase 2s, as FeasibilityResult.lp_solves does."""
     made = []
-    for name in ("solve_lp", "phase_one", "phase_two"):
+    for name in ("solve_lp", "phase_two"):
         real = getattr(lingauss.feasibility, name)
 
         def counted(*args, _real=real, _name=name):
@@ -342,18 +399,18 @@ CORNER_SLACK_BELOW_ZERO = (  # a point mass whose s* rounds to -1.1e-16
     [
         (SQUARE, [-1.0, 3.0, 2.0, 3.0], "full_dimensional", 2),  # slack LP, start's phase 2
         ([[1.0], [-1.0]], [-1.0, 0.0], "infeasible", 1),  # s* < -tol
-        ([[0.0], [1.0]], [-1.0, 0.5], "infeasible", 0),  # a zero row decides
-        ([[1.0], [-1.0]], [0.0, 0.0], "point_mass", 1),  # certified, s* = 0
-        (*CORNER_SLACK_BELOW_ZERO, "point_mass", 2),  # certified after phase 1
-        (SQUARE, [-2.0, 2.0, 1.0, -1.0], "point_mass", 6),  # phase 1 and 2n range LPs
-        ([[1e3], [-1e3]], [0.0, -1.5e-6], "infeasible", 2),  # phase 1 finds none
+        ([[0.0], [1.0]], [-1.0, 0.5], "infeasible", 0),  # a constant row decides
+        ([[1.0], [-1.0]], [0.0, 0.0], "point_mass", 1),  # s* = 0, both rows tight
+        (*CORNER_SLACK_BELOW_ZERO, "point_mass", 1),  # all three rows tight
+        (SQUARE, [-2.0, 2.0, 1.0, -1.0], "point_mass", 2),  # one opposite pair a round
+        ([[1e3], [-1e3]], [0.0, -1.5e-6], "point_mass", 1),  # a gap within FEAS_TOL
     ],
 )
 def test_lp_solves_counts_every_program(monkeypatch, H, k, kind, solves):
     made = count_programs(monkeypatch)
-    result = find_feasible_point(np.array(H), np.array(k))
-    assert result.kind == kind
-    assert result.lp_solves == len(made) == solves
+    got, planned = planned_region(H, k)
+    assert got == kind
+    assert planned.report.lp_solves == len(made) == solves
 
 
 # The classifier as it was before the slack LP's multipliers could certify a
@@ -568,83 +625,111 @@ def pull_in_objective(H, k, radius, y):
     return np.abs(y).sum() - 4.0 * H.shape[1] * min((H @ y + k).min(), radius)
 
 
+# The gaps and slivers of reference_regions lie within 2 FEAS_TOL of a class
+# boundary. There the slack LP no longer decides alone: its empty interior
+# becomes equations, which EQUALITY_TOL and POINT_TOL settle. These regions,
+# by index, were empty or flat for the frozen classifier and are point masses.
+WAS_INFEASIBLE = (0, 2, 223, 225, 227, 230, 233, 242, 252, 262, 278)
+WAS_DEGENERATE = (5, 231, 232, 234, 235, 236, 237, 243, 245, 246, 247, 249, 250)
+WAS_DEGENERATE += (257, 259, 260, 264, 266, 267, 269, 274)
+
+
 def test_certificate_keeps_every_verdict_of_the_frozen_classifier():
-    # Empty regions and point masses keep every bit. A full-dimensional
-    # region keeps its radius bit for bit, but its start point now continues
-    # from the slack optimum instead of solving its program afresh, so it may
-    # reach another optimal vertex by other roundoff: it must be strictly
-    # interior, as good by the program's objective, and take no more pivots.
+    # Outside the band every verdict is the frozen classifier's. A point mass
+    # is now the solution of the equations its tight rows make, not the
+    # slack LP's vertex, so it agrees to POINT_TOL, after at most n rounds
+    # of one program each. A full-dimensional region keeps its radius bit
+    # for bit, but its start point now continues from the slack optimum
+    # instead of solving its program afresh, so it may reach another optimal
+    # vertex by other roundoff: it must be strictly interior, as good by the
+    # program's objective, and take no more pivots.
     regions = reference_regions()
     assert len(regions) >= 300
-    taken = {"certified": 0, "fallback": 0, "raised": 0, "full": 0}
-    for family, H, k in regions:
+    taken = {"point": 0, "raised": 0, "full": 0, "infeasible": 0}
+    pivots = {"got": 0, "want": 0}
+    for index, (family, H, k) in enumerate(regions):
         want = outcome(reference_find_feasible_point, H, k)
-        got = outcome(find_feasible_point, H, k)
+        got = outcome(planned_region, H, k)
+        if index in WAS_INFEASIBLE + WAS_DEGENERATE:
+            assert family in ("gap", "sliver")
+            assert want is DegenerateRegion if index in WAS_DEGENERATE else want.kind == "infeasible"
+            kind, planned = got
+            assert kind == "point_mass", index
+            slack = (H @ planned.point + k) / np.linalg.norm(H, axis=1)
+            assert slack.min() >= -POINT_TOL, index
+            continue
         if isinstance(want, type):
             assert got is want, family
             taken["raised"] += 1
             continue
         assert not isinstance(got, type), (family, got)
-        assert got.kind == want.kind, family
-        assert got.chebyshev_radius == want.chebyshev_radius, family
-        if got.kind == "full_dimensional":
+        kind, planned = got
+        assert kind == want.kind, (index, family)
+        if kind == "infeasible":
+            taken["infeasible"] += 1
+        elif kind == "point_mass":
+            taken["point"] += 1
+            np.testing.assert_allclose(planned.point, want.point, rtol=0, atol=POINT_TOL)
+            assert planned.report.lp_solves <= H.shape[1], family
+            pivots["got"] += planned.report.lp_pivots
+            pivots["want"] += want.lp_pivots
+        else:
             taken["full"] += 1
+            got = find_feasible_point(H, k)
+            assert got.chebyshev_radius == want.chebyshev_radius, family
             assert (H @ got.point + k > 0.0).all(), family
             radius = got.chebyshev_radius
             objective = pull_in_objective(H, k, radius, got.point)
             frozen = pull_in_objective(H, k, radius, want.point)
             assert objective == pytest.approx(frozen, rel=1e-9), family
             assert got.lp_pivots <= want.lp_pivots, family
-            continue
-        assert same_bits(got.point, want.point), family
-        if got.kind == "point_mass" and got.lp_solves <= 2:
-            taken["certified"] += 1
-            assert got.lp_pivots < want.lp_pivots, family
-        else:
-            taken["fallback"] += got.kind == "point_mass"
-            assert got.lp_pivots == want.lp_pivots, family
-    assert taken["certified"] >= 100
-    assert taken["fallback"] >= 20
+    assert taken["point"] >= 150
     assert taken["raised"] >= 20
     assert taken["full"] >= 20
+    assert taken["infeasible"] >= 10
+    assert pivots["got"] < 0.6 * pivots["want"]  # 3008 against 7271
 
 
 def test_certified_multipliers_balance_the_rows():
     rng = np.random.default_rng(137)
-    certified = 0
     for n in range(2, 13):
         H, k = point_mass_region(rng, n)
-        if find_feasible_point(H, k).lp_solves > 2:
-            continue
-        certified += 1
+        result = find_feasible_point(H, k)
         H, k = unit_rows(H, k)
         multipliers = solve_lp(*max_slack_model(H, k)).multipliers
         assert multipliers[-1] == 0.0  # the cap s <= 1 is slack
         assert abs(multipliers.sum() - 1.0) <= 1e-12
         assert np.abs(H.T @ multipliers[:-1]).max() <= 1e-12
-    assert certified >= 9
+        assert result.kind == "empty_interior"
+        assert result.tight.tolist() == np.flatnonzero(multipliers[:-1] > FEAS_TOL).tolist()
+        assert result.tight.size > n  # they positively span R^n
 
 
 @pytest.mark.parametrize("angle", [1e-8, 1e-6])
 def test_nearly_parallel_pinning_rows_fall_back(monkeypatch, angle):
-    # rows at +-angle from e1 and -e1 pin one point, but sigma_min(H_T) is
-    # about angle: the multipliers cannot bound the spread to FEAS_TOL
+    # rows at +-angle from e1 and -e1 pin one point, which the frozen
+    # classifier found by its range LPs. Now the slack LP's multipliers make
+    # all three rows equations, and the plane's EQUALITY_TOL decides: at 1e-6
+    # they fix the point; at 1e-8 the two angled rows are parallel within it,
+    # so they fix only the line y1 = 0.4, on which no row bounds y2: a flat
     H = np.array([[np.cos(angle), np.sin(angle)], [np.cos(angle), -np.sin(angle)], [-1.0, 0.0]])
     k = -H @ np.array([0.4, -0.7])
     made = count_programs(monkeypatch)
-    got = outcome(find_feasible_point, H, k)
-    assert len(made) > 2
-    want = outcome(reference_find_feasible_point, H, k)
-    if isinstance(want, type):
-        assert got is want
+    assert outcome(reference_find_feasible_point, H, k).kind == "point_mass"
+    if angle < 1e-7:
+        with pytest.raises(DegenerateRegion, match="3 implicit equalities leave it 1-dimensional"):
+            planned_region(H, k)
     else:
-        assert got.kind == want.kind
-        assert same_bits(got.point, want.point)
+        kind, planned = planned_region(H, k)
+        assert kind == "point_mass"
+        np.testing.assert_allclose(planned.point, [0.4, -0.7], rtol=0, atol=1e-9)
+    assert len(made) == 1
 
 
 def test_singular_sigma_point_mass_is_certified_in_the_support_basis(monkeypatch):
     # sigma has rank 2: the LPs run in plan's basis of range(sigma), where
-    # four rows pin one point of mu + range(sigma)
+    # four rows pin one point of mu + range(sigma); its three tight rows,
+    # taken on that subspace, fix it
     rng = np.random.default_rng(139)
     axes = orthogonal(rng, 3)
     sigma = axes @ np.diag([1.0, 2.0, 0.0]) @ axes.T
@@ -655,21 +740,38 @@ def test_singular_sigma_point_mass_is_certified_in_the_support_basis(monkeypatch
     b = -A @ point
     b[-1] += 1.0
     spec = ProblemSpec(mu=mu, sigma=0.5 * (sigma + sigma.T), A=A, b=b)
+    made = count_programs(monkeypatch)
     planned = lingauss.sampler.plan(spec)
-    monkeypatch.setattr(lingauss.sampler, "find_feasible_point", reference_find_feasible_point)
-    frozen = lingauss.sampler.plan(spec)
-    assert planned.status == frozen.status == "point_mass"
-    assert planned.report.lp_solves <= 2
-    assert planned.report.lp_pivots < frozen.report.lp_pivots
-    assert same_bits(planned.point, frozen.point)
+    assert planned.status == "point_mass" and planned.report.feasibility == "point_mass"
+    assert planned.report.lp_solves == len(made) == 1
     np.testing.assert_allclose(planned.point, point, atol=1e-9)
 
 
-def test_equality_plane_point_mass_is_decided_as_before(monkeypatch):
+def test_singular_sigma_corner_takes_its_implicit_equalities_on_the_support():
+    # sigma has rank 2 and opposite pairs pin a corner of mu + range(sigma),
+    # one pair a round. The rows' parts along sigma's null space differ, so
+    # taken whole, a pair would fix a direction that holds no mass, and the
+    # plane's Gram would be singular
+    rng = np.random.default_rng(149)
+    axes = orthogonal(rng, 3)
+    sigma = axes @ np.diag([1.0, 2.0, 0.0]) @ axes.T
+    mu = rng.normal(size=3)
+    point = mu + axes[:, :2] @ np.array([0.3, -0.4])
+    on_support = np.vstack([axes[:, :2].T, -axes[:, :2].T])
+    A = on_support + np.outer(rng.normal(size=4), axes[:, 2])
+    spec = ProblemSpec(mu=mu, sigma=0.5 * (sigma + sigma.T), A=A, b=-A @ point)
+    planned = lingauss.sampler.plan(spec)
+    assert planned.status == "point_mass"
+    assert planned.report.lp_solves == 2
+    np.testing.assert_allclose(planned.point, point, atol=1e-9)
+
+
+def test_equality_plane_point_mass_is_a_point_mass(monkeypatch):
     # rows that pin a point of the plane x3 = 0.5. The LPs run on the latent
     # y in R^3, where the plane's normal stays free (H = A F, and F y does
-    # not see it), so the multipliers cannot certify the point: both
-    # classifiers reach the range LPs and find that direction unbounded
+    # not see it), so the region in y is a line: the frozen classifier's
+    # range LPs found it unbounded. Its tight rows, joined to the plane,
+    # fix the point
     A = np.array([[1.0, 0.2, 0.7], [-0.3, 1.0, -0.2], [-0.9, -1.4, 0.4]])
     spec = ProblemSpec(
         mu=np.zeros(3),
@@ -680,9 +782,13 @@ def test_equality_plane_point_mass_is_decided_as_before(monkeypatch):
         d=[-0.5],
     )
     made = count_programs(monkeypatch)
+    planned = lingauss.sampler.plan(spec)
+    assert planned.status == "point_mass" and planned.report.feasibility == "point_mass"
+    assert planned.report.equality == "infinite"
+    assert planned.report.lp_solves == len(made) == 1
+    np.testing.assert_allclose(planned.point, [0.2, -0.1, 0.5], rtol=0, atol=POINT_TOL)
+    sampled = lingauss.sampler.sample_constrained(spec, 5, 1)
+    assert sampled.status == "point_mass" and np.array_equal(sampled.point, planned.point)
+    transformed = build_transform(spec)
     with pytest.raises(DegenerateRegion):
-        lingauss.sampler.plan(spec)
-    assert len(made) > 2
-    monkeypatch.setattr(lingauss.sampler, "find_feasible_point", reference_find_feasible_point)
-    with pytest.raises(DegenerateRegion):
-        lingauss.sampler.plan(spec)
+        reference_find_feasible_point(transformed.H, transformed.k)

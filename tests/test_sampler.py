@@ -532,6 +532,28 @@ VERDICT_SYSTEMS = {
         ),
         "degenerate",
     ),
+    "plane_point_mass": (  # three rows pin x = (0.2, -0.1, 0.5) on the plane x3 = 0.5
+        dict(
+            mu=[0.0, 0.0, 0.0],
+            sigma=np.eye(3),
+            A=[[1.0, 0.2, 0.7], [-0.3, 1.0, -0.2], [-0.9, -1.4, 0.4]],
+            b=[-0.53, 0.26, -0.16],
+            C=[[0.0, 0.0, 1.0]],
+            d=[-0.5],
+        ),
+        "point_mass",
+    ),
+    "plane_flat": (  # x1 + 0.5 x3 = 0.25 on the plane x3 = 0.5, -1 <= x2 <= 1
+        dict(
+            mu=[0.0, 0.0, 0.0],
+            sigma=np.eye(3),
+            A=[[1.0, 0.0, 0.5], [-1.0, 0.0, -0.5], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]],
+            b=[-0.25, 0.25, 1.0, 1.0],
+            C=[[0.0, 0.0, 1.0]],
+            d=[-0.5],
+        ),
+        "degenerate",
+    ),
     "sigma_point_mass": (  # sigma pins x2 = 2 and the equality x1 = 0.5: rank(sigma) = r
         dict(
             mu=[0.0, 2.0],
