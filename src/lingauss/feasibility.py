@@ -28,6 +28,10 @@ its optimum places the start point of a full-dimensional region:
    `sampler.plan` settles by adding the rows to the equality constraints
    and planning again, at the equality tolerances.
 
+`find_feasible_point` answers all three; `classify_region` skips step 2,
+for a caller that needs no start point (`sampler.plan` on a round whose
+interior would make the region flat rather than sampled).
+
 Every threshold above is the module constant FEAS_TOL, a distance in y
 between unit rows' hyperplanes and the multiplier that counts a row as
 tight, and the programs pivot at the simplex's PIVOT_TOL, of the same
@@ -36,7 +40,7 @@ value; neither is a parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -58,8 +62,9 @@ class FeasibilityResult:
     is remote). For an empty interior, tight indexes the input rows whose
     multiplier exceeds FEAS_TOL: its implicit equalities.
     lp_pivots sums the simplex pivots of every program the classification ran.
-    lp_solves counts those programs: the slack program, and the start
-    point's phase 2 continued from its optimal basis.
+    lp_solves counts those programs: the slack program, and for
+    find_feasible_point's full-dimensional region the start point's phase 2
+    continued from its optimal basis.
     """
 
     kind: Literal["infeasible", "empty_interior", "full_dimensional"]
@@ -76,12 +81,15 @@ def max_slack_model(H, k):
     H = np.atleast_2d(np.asarray(H, dtype=float))
     k = np.asarray(k, dtype=float).reshape(-1)
     m, n = H.shape
-    norms = np.linalg.norm(H, axis=1)
     cost = np.zeros(2 * n + 2)  # columns y1+, y1-, ..., yn+, yn-, s+, s-
     cost[-2:] = -1.0, 1.0
-    G = np.vstack([np.hstack([H, -norms[:, None]]), np.zeros((1, n + 1))])
-    G[-1, -1] = -1.0
-    h = np.concatenate([-k, [-1.0]])
+    G = np.zeros((m + 1, n + 1))  # rows [H_i, -|H_i|], then the cap's [0, -1]
+    G[:m, :n] = H
+    np.negative(np.linalg.norm(H, axis=1), out=G[:m, n])
+    G[m, n] = -1.0
+    h = np.empty(m + 1)
+    np.negative(k, out=h[:m])
+    h[m] = -1.0
     return cost, G, h
 
 
@@ -120,12 +128,10 @@ def _pull_in(optimum: FeasibleBasis, n, radius):
     return solution.x[:n], solution.pivots
 
 
-def find_feasible_point(H, k) -> FeasibilityResult:
-    """Classify {y : H y + k >= 0} and return a start point when it has an
-    interior, or the rows that are tight on all of it when it has none.
-
-    Requires at least one inequality row; callers handle m = 0 as trivially
-    full-dimensional at the origin.
+def _slack_program(H, k):
+    """(verdict, optimum) of the slack program on {y : H y + k >= 0}: the
+    classify_region verdict, and for a full-dimensional region the
+    program's optimal basis, from which _pull_in continues (None otherwise).
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     k = np.asarray(k, dtype=float).reshape(-1)
@@ -138,7 +144,7 @@ def find_feasible_point(H, k) -> FeasibilityResult:
     zero = ~H.any(axis=1)
     if zero.any():  # s cannot relax a zero row, so decide these rows here
         if (k[zero] < 0.0).any():
-            return FeasibilityResult("infeasible")
+            return FeasibilityResult("infeasible"), None
         H, k = H[~zero], k[~zero]
     H, k = unit_rows(H, k)
 
@@ -146,21 +152,43 @@ def find_feasible_point(H, k) -> FeasibilityResult:
     if slack.status != "optimal":  # feasible and capped by construction
         raise NumericalBreakdown(f"slack program ended {slack.status}; expected optimal")
     radius = -slack.objective
-    pivots, solves = slack.pivots, 1
     if radius < -FEAS_TOL:
-        return FeasibilityResult("infeasible", lp_pivots=pivots, lp_solves=solves)
+        return FeasibilityResult("infeasible", lp_pivots=slack.pivots, lp_solves=1), None
     if radius > FEAS_TOL:
-        point, pull_pivots = _pull_in(slack.basis, n, radius)
-        if point is None:  # bounded below, so only roundoff stops it; keep the vertex
-            point = slack.x[:n]
-        return FeasibilityResult(
-            "full_dimensional",
-            point,
-            float(radius),
-            lp_pivots=pivots + pull_pivots,
-            lp_solves=solves + 1,
+        verdict = FeasibilityResult(
+            "full_dimensional", slack.x[:n], radius, lp_pivots=slack.pivots, lp_solves=1
         )
+        return verdict, slack.basis
 
     # empty interior: the rows that carry the multipliers are tight on all of it
     rows = np.flatnonzero(~zero)[slack.multipliers[:-1] > FEAS_TOL]
-    return FeasibilityResult("empty_interior", lp_pivots=pivots, lp_solves=solves, tight=rows)
+    verdict = FeasibilityResult("empty_interior", lp_pivots=slack.pivots, lp_solves=1, tight=rows)
+    return verdict, None
+
+
+def classify_region(H, k) -> FeasibilityResult:
+    """Classify {y : H y + k >= 0} by the slack program alone.
+
+    The verdict is find_feasible_point's, but no start-point program runs:
+    a full-dimensional region's point is the slack optimum's vertex, where
+    every row holds at least chebyshev_radius of slack, and lp_solves is 1.
+    For callers that need the verdict and not a start point.
+    """
+    return _slack_program(H, k)[0]
+
+
+def find_feasible_point(H, k) -> FeasibilityResult:
+    """Classify {y : H y + k >= 0} and return a start point when it has an
+    interior, or the rows that are tight on all of it when it has none.
+
+    Requires at least one inequality row; callers handle m = 0 as trivially
+    full-dimensional at the origin.
+    """
+    verdict, optimum = _slack_program(H, k)
+    if optimum is None:
+        return verdict
+    n = verdict.point.size
+    point, pivots = _pull_in(optimum, n, verdict.chebyshev_radius)
+    if point is None:  # bounded below, so only roundoff stops it; keep the vertex
+        point = verdict.point
+    return replace(verdict, point=point, lp_pivots=verdict.lp_pivots + pivots, lp_solves=2)

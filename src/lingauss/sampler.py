@@ -34,7 +34,7 @@ import numpy as np
 
 from .elliptical_slice import fill_chain, long_directions
 from .errors import DegenerateRegion, NumericalBreakdown
-from .feasibility import find_feasible_point
+from .feasibility import classify_region, find_feasible_point
 from .problem import ProblemSpec
 from .transform import (
     EQUALITY_TOL,
@@ -157,7 +157,9 @@ def plan(spec: ProblemSpec) -> Plan:
     one: a unique solution or k = 0 makes every row constant, hence a point
     mass or impossible, and an inconsistent system is impossible. A region
     that keeps an interior on the smaller plane is flat and raises
-    DegenerateRegion. The report's LP counts sum over the rounds.
+    DegenerateRegion, so a later round classifies its region by the slack
+    program alone and places no start point. The report's LP counts sum
+    over the rounds.
 
     With a singular sigma the LPs run on range(sigma), where the latent
     prior has its mass, through an orthonormal basis of it, and the start
@@ -229,7 +231,9 @@ def plan(spec: ProblemSpec) -> Plan:
         if not transformed.k.size:
             return decided("samples", transformed=transformed)
         H = transformed.H if support is None else transformed.H @ support
-        feasibility = find_feasible_point(H, transformed.k)
+        # only the first round can sample: a later round's interior is a flat
+        locate = classify_region if implicit else find_feasible_point
+        feasibility = locate(H, transformed.k)
         report.lp_pivots += feasibility.lp_pivots
         report.lp_solves += feasibility.lp_solves
         if feasibility.kind != "empty_interior":

@@ -34,6 +34,15 @@ artificial columns), and a pivot swaps the labels of the entering and the
 leaving variable. Every tie, of the entering column, in the ratio test and
 in the drive-out of zero artificials, breaks by label, so the pivots and
 the bits are those of a tableau that stores every column in label order.
+
+A pivot's rank-1 update, the bulk of its work, is one BLAS product of the
+multiplier column and the pivot row with an inner dimension of 1, cheaper
+than forming the same products by a broadcast multiply. With K = 1 each
+entry is one rounded product, so the tableau matches a full-tableau
+reference entry for entry. BLAS adds each product to a zeroed output, so a
+product of -0 comes out +0, and a tableau entry of -0 then keeps its sign
+where the broadcast would have made it +0. Zeros may differ in sign from
+there on, but no comparison or ratio test can tell the two apart.
 """
 
 from __future__ import annotations
@@ -70,11 +79,6 @@ class LpSolution:
     basis: FeasibleBasis | None = None  # the optimal basis, a start for more phase 2s
 
 
-def _split(a):
-    """The structural columns of a's last axis: a_j, then -a_j, for each j."""
-    return np.stack((a, -a), axis=-1).reshape(*a.shape[:-1], -1)
-
-
 def _first_label(labels, slots):
     """The slot among slots whose label is lowest."""
     return slots[labels[slots].argmin()]
@@ -93,7 +97,7 @@ def _pivot(tableau, columns, basis, row, slot):
     pivot_row /= pivot
     multipliers = tableau[:, slot].copy()
     multipliers[row] = 0.0
-    tableau -= multipliers[:, None] * pivot_row
+    tableau -= np.dot(multipliers[:, None], pivot_row[None, :])
     multipliers *= -1.0 / pivot
     multipliers[row] = 1.0 / pivot
     tableau[:, slot] = multipliers
@@ -180,8 +184,11 @@ class FeasibleBasis:
         structural columns with each basic column replaced by its own row, so
         the other rows and the cost row stay as they are.
         """
+        g = np.asarray(g, dtype=float)
         coefficients = np.zeros(self.basis.size + self.columns.size)  # by label
-        coefficients[: self.columns.size] = _split(np.asarray(g, dtype=float))
+        pairs = coefficients[: self.columns.size].reshape(-1, 2)  # (x_j+, x_j-) a row
+        pairs[:, 0] = g
+        pairs[:, 1] = -g
         basic = coefficients[self.basis]
         priced = basic.nonzero()[0]
         row = basic[priced] @ self.tableau[priced]
@@ -202,10 +209,11 @@ def phase_one(G, h) -> tuple[FeasibleBasis | None, int]:
     The start basis is the origin's: each row with h_i <= 0, which x = 0
     satisfies, is negated so that its surplus column is +e_i and starts
     basic at value -h_i >= 0. Only the rows with h_i > 0 get an artificial
-    column, and the phase-1 cost sums those artificials alone, so a region
-    that contains the origin is feasible at once, with no pivot. The
-    tableau starts with the structural columns and the surplus columns of
-    the artificial rows as its nonbasic columns.
+    column, and the phase-1 cost sums those artificials alone. When the
+    origin satisfies every row, that start basis is feasible as it stands
+    and is returned without any phase-1 work. The tableau starts with the
+    structural columns and the surplus columns of the artificial rows as
+    its nonbasic columns.
 
     G and h must already have consistent shapes (solve_lp checks them).
     """
@@ -217,18 +225,23 @@ def phase_one(G, h) -> tuple[FeasibleBasis | None, int]:
     art0 = n_struct + nrows
 
     tableau = np.zeros((nrows + 1, n_struct + art_rows.size + 1))
-    body = _split(G)
-    body[slack_start] *= -1.0
-    tableau[:nrows, :n_struct] = body
-    tableau[art_rows, n_struct + np.arange(art_rows.size)] = -1.0
+    # structural columns (g_i, -g_i), negated on the rows the origin satisfies
+    signed = G * np.where(slack_start, -1.0, 1.0)[:, None]
+    tableau[:nrows, 0:n_struct:2] = signed
+    np.negative(signed, out=tableau[:nrows, 1:n_struct:2])
     tableau[:nrows, -1] = np.abs(rhs)
-    columns = np.concatenate([np.arange(n_struct), n_struct + art_rows])
+    columns = np.arange(n_struct)
     basis = n_struct + np.arange(nrows)
+    cap = 50 * (n_struct + 3 * nrows)
+    if not art_rows.size:
+        return FeasibleBasis(tableau, basis, columns, cap), 0
+
+    tableau[art_rows, n_struct + np.arange(art_rows.size)] = -1.0
+    columns = np.append(columns, n_struct + art_rows)
     basis[art_rows] = art0 + np.arange(art_rows.size)
     # phase-1 reduced costs: artificial costs 1, priced out against the basis
     tableau[-1] -= tableau[art_rows].sum(axis=0)
 
-    cap = 50 * (n_struct + 3 * nrows)
     status, pivots = _iterate(tableau, columns, basis, cap)
     if status == "unbounded":  # impossible for a sum of nonnegative variables
         raise CyclingGuardExceeded("phase 1 reported unbounded: numerical breakdown")

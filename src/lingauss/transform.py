@@ -205,7 +205,10 @@ def map_latent_rows(transformed: TransformedProblem, rows: np.ndarray) -> None:
     The blocks run from the last to the first: a block's rows of x start
     past every earlier block's u and overwrite only u that later blocks
     have already read. Every block's product is written into one buffer,
-    and the padded block's u into another, both held by _scratch.
+    the padded block's u into another, and g is added from a third that
+    holds it once per row of the largest block, so that each block's sum
+    is one pass over contiguous memory rather than a loop per row. All
+    three are held by _scratch.
     """
     B_t = transformed.B.T
     k = B_t.shape[0]
@@ -213,9 +216,11 @@ def map_latent_rows(transformed: TransformedProblem, rows: np.ndarray) -> None:
     latent = packed_latent(rows, k)
     blocks = list(doubling_blocks(count, max(1, BLOCK_ELEMENTS // width)))
     largest = blocks[-1][1]  # the last block, the only one padded, is the largest
-    scratch = _scratch(largest * (width + k))
+    scratch = _scratch(largest * (2 * width + k))
     product = scratch[: largest * width].reshape(largest, width)
-    pad = scratch[largest * width : largest * (width + k)].reshape(largest, k)
+    offset = scratch[largest * width : 2 * largest * width].reshape(largest, width)
+    pad = scratch[2 * largest * width : largest * (2 * width + k)].reshape(largest, k)
+    offset[: min(count, largest)] = transformed.g
     for start, size in reversed(blocks):
         u = latent[start : start + size]
         if len(u) < size:
@@ -223,4 +228,5 @@ def map_latent_rows(transformed: TransformedProblem, rows: np.ndarray) -> None:
             pad[count - start :] = 0.0
             u = pad
         out = np.matmul(u, B_t, out=product[:size])
-        np.add(out[: count - start], transformed.g, out=rows[start : start + size])
+        kept = min(size, count - start)
+        np.add(out[:kept], offset[:kept], out=rows[start : start + kept])

@@ -9,6 +9,7 @@ from lingauss.errors import DegenerateRegion, LinGaussError, NumericalBreakdown
 from lingauss.feasibility import (
     FEAS_TOL,
     FeasibilityResult,
+    classify_region,
     find_feasible_point,
     max_slack_model,
 )
@@ -411,6 +412,47 @@ def test_lp_solves_counts_every_program(monkeypatch, H, k, kind, solves):
     got, planned = planned_region(H, k)
     assert got == kind
     assert planned.report.lp_solves == len(made) == solves
+
+
+def test_classify_region_is_the_verdict_without_the_start_program(monkeypatch):
+    rng = np.random.default_rng(131)
+    kinds = set()
+    for trial in range(60):
+        n = int(rng.integers(1, 5))
+        H = rng.normal(size=(int(rng.integers(n + 1, 3 * n + 3)), n))
+        k = rng.normal(size=H.shape[0]) + (0.5 if trial % 3 else -0.5)
+        if trial % 5 == 0:  # an opposite pair makes an empty interior
+            H[1], k[1] = -H[0], -k[0]
+        whole = find_feasible_point(H, k)
+        made = count_programs(monkeypatch)
+        verdict = classify_region(H, k)
+        monkeypatch.undo()
+        kinds.add(verdict.kind)
+        assert made == ["solve_lp"] and verdict.lp_solves == 1
+        assert verdict.kind == whole.kind
+        assert verdict.chebyshev_radius == whole.chebyshev_radius
+        assert np.array_equal(verdict.tight, whole.tight) or verdict.tight is whole.tight is None
+        if verdict.kind == "full_dimensional":
+            assert whole.lp_solves == 2 and verdict.lp_pivots <= whole.lp_pivots
+            unit = H / np.linalg.norm(H, axis=1)[:, None]
+            slack = unit @ verdict.point + k / np.linalg.norm(H, axis=1)
+            assert slack.min() >= verdict.chebyshev_radius - 1e-9
+    assert kinds == {"infeasible", "empty_interior", "full_dimensional"}
+
+
+def test_a_flat_region_places_no_start_point(monkeypatch):
+    # x1 = 0 as two inequalities and |x_i| <= 1 otherwise, rotated: the first
+    # round's slack program finds the pair tight, and the second round's,
+    # on the plane x1 = 0, finds an interior, so the region is flat and
+    # raises; no program places a start point that nothing would use
+    n = 10
+    rows = np.vstack([np.eye(n), -np.eye(n)])
+    offsets = np.r_[0.0, np.ones(n - 1), 0.0, np.ones(n - 1)]
+    rotation, _ = np.linalg.qr(np.random.default_rng(127).normal(size=(n, n)))
+    made = count_programs(monkeypatch)
+    with pytest.raises(DegenerateRegion, match="2 implicit equalities leave it 9-dimensional"):
+        planned_region(rows @ rotation.T, offsets)
+    assert made == ["solve_lp", "solve_lp"]
 
 
 # The classifier as it was before the slack LP's multipliers could certify a

@@ -601,12 +601,23 @@ def assert_same_solution(mine, ref):
         assert np.array_equal(mine.x, ref.x)
 
 
+def assert_same_basis(start, ref_start):
+    """A FeasibleBasis holds the reference basis's entries of its labels."""
+    assert tuple(start.basis) == ref_start.basis
+    assert np.array_equal(ref_start.tableau[:, start.columns], start.tableau[:, :-1])
+    assert np.array_equal(ref_start.tableau[:, -1], start.tableau[:, -1])
+
+
 def test_kernel_matches_the_full_tableau_reference(monkeypatch):
     # Each region is solved with the default stall limit and again with a
     # limit of 1, so that Bland's rule takes over after the first pivot that
     # does not improve the objective; both kernels read their own limit.
     # Each kernel's tableau is recorded before and after every _iterate
     # call: the stored entries must equal the reference's of the same labels.
+    # From an origin that satisfies every row, phase_one returns its start
+    # basis without calling _iterate (the reference iterates there and makes
+    # no pivot), so the basis it returns stands in for both records. Every
+    # basis phase_one returns is also compared with the reference's.
     module = sys.modules[__name__]
     full, condensed = [], []
 
@@ -649,6 +660,9 @@ def test_kernel_matches_the_full_tableau_reference(monkeypatch):
             ref_start, ref_pivots = reference_phase_one(G, h)
             seen["driven out"] += ref_pivots > full[0][2]
             start, pivots = phase_one(G, h)
+            if not (h > 0.0).any():
+                assert condensed == [] and pivots == 0
+                condensed.append(((start.tableau, start.columns),) * 2)
             assert_same_tableaus()
             assert pivots == ref_pivots
             assert (start is None) == (ref_start is None)
@@ -656,7 +670,7 @@ def test_kernel_matches_the_full_tableau_reference(monkeypatch):
             if start is None:
                 seen["infeasible"] += 1
             else:
-                assert tuple(start.basis) == ref_start.basis
+                assert_same_basis(start, ref_start)
                 for c in costs:
                     mine = phase_two(start, c)
                     assert_same_solution(mine, reference_phase_two(ref_start, c))
@@ -696,11 +710,43 @@ def test_phase_one_stores_only_nonbasic_columns(monkeypatch):
         violated = int(np.count_nonzero(h > 0.0))
         widths.clear()
         start, _ = phase_one(G, h)
-        assert widths == [n_struct + violated + 1]  # before the artificials are dropped
+        # one artificial column per violated row while phase 1 iterates, and
+        # no iteration at all from an origin that satisfies every row
+        assert widths == ([n_struct + violated + 1] if violated else [])
+        ref_start, _ = reference_phase_one(G, h)
+        assert (start is None) == (ref_start is None)
         if start is None:
             continue
+        assert_same_basis(start, ref_start)
         nonbasic, basic = set(start.columns.tolist()), set(start.basis.tolist())
         assert len(basic) == m  # a surplus column keeps every row independent
         assert not nonbasic & basic
         assert nonbasic | basic == set(range(n_struct + m))  # every label once, no artificial
         assert start.tableau.shape == (m + 1, n_struct + 1)
+
+
+def test_pivot_update_is_an_outer_product_entry_for_entry():
+    # the update is a BLAS product with an inner dimension of 1: each entry
+    # must be the one rounded product that np.outer forms, overflow,
+    # underflow and zeros of either sign included
+    rng = np.random.default_rng(113)
+    entries = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 1.0, -2.5, 0.1, 3.0])
+    for trial in range(200):
+        m, w = (int(v) for v in rng.integers(2, 9, size=2))
+        tableau = rng.choice(entries, size=(m, w)) * rng.choice([1.0, 1.0 + 2**-30], size=(m, w))
+        row, slot = int(rng.integers(m)), int(rng.integers(w))
+        tableau[row, slot] = rng.choice([1.0, -2.0, 0.75, 3.0])
+        columns, basis = np.arange(w), w + np.arange(m)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            want = tableau.copy()
+            pivot = want[row, slot]
+            want[row] /= pivot
+            multipliers = want[:, slot].copy()
+            multipliers[row] = 0.0
+            want -= np.outer(multipliers, want[row])
+            multipliers *= -1.0 / pivot
+            multipliers[row] = 1.0 / pivot
+            want[:, slot] = multipliers
+            lingauss.simplex._pivot(tableau, columns, basis, row, slot)
+        assert np.array_equal(tableau, want, equal_nan=True)
+        assert columns[slot] == w + row and basis[row] == slot
