@@ -24,16 +24,26 @@ the objective stops improving for STALL_LIMIT consecutive pivots, after
 which Bland's rule takes over to rule out cycling; a hard iteration cap
 backstops both phases.
 
-The tableau is dense but stores only the nonbasic columns and the
-right-hand side: a basic column is a unit vector and needs no storage. With
-one basic variable per row, a phase-2 tableau has as many columns as there
-are structural ones, and a phase-1 tableau one more per artificial, so a
-pivot no longer sweeps a surplus column for every row. Each column keeps a
-label, its index in the standard form (structural, then surplus, then
-artificial columns), and a pivot swaps the labels of the entering and the
-leaving variable. Every tie, of the entering column, in the ratio test and
-in the drive-out of zero artificials, breaks by label, so the pivots and
-the bits are those of a tableau that stores every column in label order.
+The tableau is dense but stores one column per variable x_j, one per
+nonbasic surplus (or artificial) column, and the right-hand side. A basic
+column is a unit vector and needs no storage. Neither does the half of x_j
+that is not stored: while both halves are nonbasic, x_j-'s column is
+exactly the negative of x_j+'s, since negation is exact and every rounding
+is symmetric in sign, and once one half is basic in row i, the other's
+column is -e_i. So a phase-2 tableau has as many columns as there are
+variables, half the structural columns. Only the reduced costs of the two
+halves differ, unless their costs are opposite; the simplex keeps those of
+the halves it does not store, updated by the same rounded products, and
+prices both halves of every variable. Each stored column keeps a label, its
+index in the standard form (structural, then surplus, then artificial
+columns), and a pivot swaps the labels of the entering and the leaving
+variable. Every tie, of the entering column, in the ratio test and in the
+drive-out of zero artificials, breaks by label, so the pivots and the bits
+are those of a tableau that stores every column in label order. A half
+that enters takes the slot of its variable, with the negated column when
+it is the one not stored, and a half whose partner is basic has no
+positive entry, so choosing it ends the program unbounded, as it does for
+the full tableau.
 
 A pivot's rank-1 update, the bulk of its work, is one BLAS product of the
 multiplier column and the pivot row with an inner dimension of 1, cheaper
@@ -47,7 +57,7 @@ there on, but no comparison or ratio test can tell the two apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,65 +94,160 @@ def _first_label(labels, slots):
     return slots[labels[slots].argmin()]
 
 
-def _pivot(tableau, columns, basis, row, slot):
+def _pivot(tableau, columns, basis, row, slot, multipliers=None):
     """Pivot the variable in `slot` into the basis at `row`. Mutates all three.
 
     The leaving variable takes the freed slot. Its column was the unit vector
     of `row`, so after the pivot it holds 1/p in `row` and -a_i * (1/p) in
     every other row i, where p is the pivot and a the entering column: the
-    arithmetic that a tableau storing every column does on it.
+    arithmetic that a tableau storing every column does on it. The entering
+    column is the slot's own, or `multipliers` when given, a copy that the
+    pivot consumes (a partner's column, for instance).
     """
-    pivot = tableau[row, slot]
+    if multipliers is None:
+        multipliers = tableau[:, slot].copy()
+    pivot = multipliers[row]
     pivot_row = tableau[row]
     pivot_row /= pivot
-    multipliers = tableau[:, slot].copy()
     multipliers[row] = 0.0
     tableau -= np.dot(multipliers[:, None], pivot_row[None, :])
-    multipliers *= -1.0 / pivot
-    multipliers[row] = 1.0 / pivot
-    tableau[:, slot] = multipliers
+    inverse = 1.0 / pivot
+    np.multiply(multipliers, -inverse, out=tableau[:, slot])
+    tableau[row, slot] = inverse
     columns[slot], basis[row] = basis[row], columns[slot]
 
 
-def _iterate(tableau, columns, basis, cap):
-    """Pivot until the reduced costs are nonnegative. Mutates all three.
+def _exchange(work, row_partners, columns, basis, row, slot, partner, multipliers):
+    """Pivot a half of the variable in `slot` of a working tableau (see
+    _iterate) into the basis at `row`: the stored one, or with `partner` the
+    other, whose column is the negative, exactly. `multipliers` is that
+    half's column, a copy that the pivot consumes. Keeps the partners'
+    reduced costs. Mutates the first four, and returns whether the entry of
+    row_partners it replaced, or the one it put there, lies below
+    -PIVOT_TOL.
+
+    A partner's column is the negative of its variable's, so its pivot-row
+    entry after the division is -r where its variable's is r, and its
+    reduced cost gains d * r where its variable's loses it, d the entering
+    cost: the reference's rounded product with its sign turned, which the
+    rank-1 update forms from -d as the partner row's multiplier. In the
+    freed slot that leaves d * (1/p) for the leaving variable's partner,
+    whose column was -e_row (r = -1/p); its cost joins from row_partners,
+    and the entering variable's other half (r = p/p = 1) takes its place
+    there.
+    """
+    if partner:  # the partner row holds the entering cost, negated
+        cost = -multipliers[-2]
+        stays = -multipliers[-1]
+        multipliers[-1] = cost
+        columns[slot] ^= 1
+    else:
+        cost = multipliers[-1]
+        stays = multipliers[-2]
+        multipliers[-2] = -cost
+    _pivot(work, columns, basis, row, slot, multipliers)
+    left = row_partners[row]
+    if left:
+        work[-2, slot] += left
+    joined = stays + cost
+    row_partners[row] = joined
+    return joined < -PIVOT_TOL or left < -PIVOT_TOL
+
+
+def _cost_labels(columns, candidates):
+    """The labels of entries of _iterate's `costs`: partners, then stored
+    columns. A partner's label is its variable's label ^ 1."""
+    return np.concatenate((columns ^ 1, [-1], columns))[candidates]
+
+
+def _entering(costs, row_partners, columns, basis, bland):
+    """The entering column by Bland's rule, or by Dantzig's among the
+    partners of the basic variables too, over both halves of every
+    variable, or None when no reduced cost is negative. Ties break by label.
+
+    Returns an index into costs (see _iterate), or costs.size + i for the
+    partner of row i's basic variable.
+    """
+    if bland:
+        chosen = (costs < -PIVOT_TOL).nonzero()[0]
+        rows = (row_partners < -PIVOT_TOL).nonzero()[0]
+    else:
+        least = min(costs.min(), row_partners.min())
+        if least >= -PIVOT_TOL:
+            return None
+        chosen = (costs == least).nonzero()[0]
+        rows = (row_partners == least).nonzero()[0]
+    labels = np.concatenate((_cost_labels(columns, chosen), basis[rows] ^ 1))
+    if not labels.size:
+        return None
+    first = labels.argmin()
+    if first < chosen.size:
+        return chosen[first]
+    return costs.size + rows[first - chosen.size]
+
+
+def _iterate(work, row_partners, columns, basis, cap):
+    """Pivot until no reduced cost is negative, of a stored column or of a
+    partner. Mutates all four.
+
+    The working tableau holds the rows of G, the partner row and, last, the
+    cost row. The partner row holds the reduced cost of each stored
+    variable's partner, the half not stored, and +inf in a slot that holds
+    no structural column and at the right-hand side. row_partners holds
+    those of the basic variables' partners, one per row, +inf where the
+    basic variable is no structural half. The partner row and the cost row
+    are adjacent, so `costs` views the reduced costs of both halves of every
+    stored variable at once: partner s at s, the +inf at width, the stored
+    slot s at width + 1 + s.
 
     Ties break by label, never by slot, so the pivots are those of a tableau
-    that stores every column in label order. Returns ("optimal" or
-    "unbounded", pivots made); raises CyclingGuardExceeded at the cap.
+    that stores every column in label order. A stored variable's partner
+    enters with the negated column and leaves its slot to the leaving
+    variable, as the stored one would; the partner of a basic variable is
+    -e_row, with no positive entry, so choosing it ends the program
+    unbounded. Returns ("optimal" or "unbounded", pivots made); raises
+    CyclingGuardExceeded at the cap.
     """
-    reduced = tableau[-1, :-1]  # views: the pivots update them in place
-    rhs = tableau[:-1, -1]
+    width = columns.size
+    costs = work[-2:].reshape(-1)[:-1]  # a view: work is C-contiguous
+    backwards = costs[::-1]  # argmin from either end: a unique least if both meet
+    last = costs.size - 1
+    rhs = work[:-2, -1]
+    negatives = np.count_nonzero(row_partners < -PIVOT_TOL)
     bland = False
     stalled = 0
-    best = -tableau[-1, -1]
+    best = -work[-1, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         for pivots in range(cap):
-            if bland:
-                negatives = (reduced < -PIVOT_TOL).nonzero()[0]
-                if negatives.size == 0:
+            if bland or negatives:
+                entering = _entering(costs, row_partners, columns, basis, bland)
+                if entering is None:
                     return "optimal", pivots
-                slot = _first_label(columns, negatives)
-            else:
-                slot = reduced.argmin()
-                least = reduced[slot]
+                if entering >= costs.size:  # a basic variable's partner
+                    return "unbounded", pivots
+            else:  # Dantzig's rule, where no basic variable's partner can enter
+                entering = costs.argmin()
+                least = costs[entering]
                 if least >= -PIVOT_TOL:
                     return "optimal", pivots
-                ties = (reduced == least).nonzero()[0]
-                if ties.size > 1:
-                    slot = _first_label(columns, ties)
-            column = tableau[:-1, slot]
+                if entering + backwards.argmin() != last:  # the least is not unique
+                    ties = (costs == least).nonzero()[0]
+                    entering = ties[_cost_labels(columns, ties).argmin()]
+            partner = entering < width
+            slot = entering if partner else entering - width - 1
+            multipliers = -work[:, slot] if partner else work[:, slot].copy()
+            column = multipliers[:-2]
             ratios = rhs / column
             ratios[column <= PIVOT_TOL] = np.inf  # only rows with a positive entry bound the step
             row = ratios.argmin()
             least = ratios[row]
             if least == np.inf:
                 return "unbounded", pivots
-            ties = (ratios == least).nonzero()[0]
-            if ties.size > 1:
-                row = _first_label(basis, ties)  # Bland-safe tie-break
-            _pivot(tableau, columns, basis, row, slot)
-            objective = -tableau[-1, -1]
+            if row + ratios[::-1].argmin() != rhs.size - 1:  # Bland-safe tie-break
+                row = _first_label(basis, (ratios == least).nonzero()[0])
+            if _exchange(work, row_partners, columns, basis, row, slot, partner, multipliers):
+                negatives = np.count_nonzero(row_partners < -PIVOT_TOL)
+            objective = -work[-1, -1]
             if objective < best - PIVOT_TOL:
                 best = objective
                 stalled = 0
@@ -162,18 +267,29 @@ class FeasibleBasis:
     of objectives over the same region: phase_two copies the tableau and
     prices one cost vector. Columns are labelled in the standard form's
     order: structural columns first, two per variable, then one surplus
-    column per row of G, so the structural count is columns.size. The
-    tableau stores only the nonbasic columns, in the slots whose labels
-    `columns` lists, and the right-hand side last: a basic column is a unit
-    vector and needs no storage. It has one row per row of G, whose basic
+    column per row of G. The tableau stores one column per variable and per
+    nonbasic surplus column, in the slots whose labels `columns` lists, and
+    the right-hand side last (see the module docstring), so the structural
+    count is 2 * columns.size. It has one row per row of G, whose basic
     labels `basis` lists, and a cost row. No artificial column is left.
-    Treat the arrays as read-only.
+
+    `work` is the working tableau of the program that found the basis (see
+    _iterate), and `added` holds the rows with_row has added since, in the
+    same columns: with_row copies no tableau, and a phase 2 that continues
+    from the basis builds its working tableau with one copy. `tableau` puts
+    the rows together. Treat the arrays as read-only.
     """
 
-    tableau: np.ndarray
+    work: np.ndarray
     basis: np.ndarray
     columns: np.ndarray
     cap: int
+    added: np.ndarray
+
+    @property
+    def tableau(self) -> np.ndarray:
+        """A new array of the rows of G, added rows included, and the cost row."""
+        return np.concatenate((self.work[:-2], self.added, self.work[-1:]))
 
     def with_row(self, g, h) -> FeasibleBasis:
         """The basis of the region with one more row g @ x >= h, which the
@@ -182,24 +298,28 @@ class FeasibleBasis:
         The row's surplus column, labelled after every existing label, joins
         the basis at the value g @ x - h. Its tableau row is (g, -g) over the
         structural columns with each basic column replaced by its own row, so
-        the other rows and the cost row stay as they are.
+        the other rows and the cost row stay as they are. A partner's entry
+        in it is the negative of its variable's, or 0 for a basic variable's,
+        so the stored columns hold it all. Only structural variables are
+        priced, and none is basic in an added row, so the rows it reads are
+        those of `work`.
         """
         g = np.asarray(g, dtype=float)
-        coefficients = np.zeros(self.basis.size + self.columns.size)  # by label
-        pairs = coefficients[: self.columns.size].reshape(-1, 2)  # (x_j+, x_j-) a row
+        coefficients = np.zeros(self.basis.size + 2 * self.columns.size)  # by label
+        pairs = coefficients[: 2 * self.columns.size].reshape(-1, 2)  # (x_j+, x_j-) a row
         pairs[:, 0] = g
         pairs[:, 1] = -g
         basic = coefficients[self.basis]
         priced = basic.nonzero()[0]
-        row = basic[priced] @ self.tableau[priced]
+        row = basic[priced] @ self.work[priced]
         row[:-1] -= coefficients[self.columns]
         row[-1] -= h
         if row[-1] < -PIVOT_TOL:
             raise ValueError(f"the basis's vertex violates the new row by {-row[-1]:.3e}")
         row[-1] = max(row[-1], 0.0)  # a tight row's roundoff
-        tableau = np.vstack((self.tableau[:-1], row, self.tableau[-1]))
-        basis = np.append(self.basis, coefficients.size)
-        return FeasibleBasis(tableau, basis, self.columns, self.cap)
+        added = np.concatenate((self.added, row[None]))
+        basis = np.concatenate((self.basis, [coefficients.size]))
+        return FeasibleBasis(self.work, basis, self.columns, self.cap, added)
 
 
 def phase_one(G, h) -> tuple[FeasibleBasis | None, int]:
@@ -212,8 +332,8 @@ def phase_one(G, h) -> tuple[FeasibleBasis | None, int]:
     column, and the phase-1 cost sums those artificials alone. When the
     origin satisfies every row, that start basis is feasible as it stands
     and is returned without any phase-1 work. The tableau starts with the
-    structural columns and the surplus columns of the artificial rows as
-    its nonbasic columns.
+    columns of x_j+ and the surplus columns of the artificial rows stored;
+    the phase-1 costs of x_j- are those of x_j+ negated.
 
     G and h must already have consistent shapes (solve_lp checks them).
     """
@@ -221,47 +341,53 @@ def phase_one(G, h) -> tuple[FeasibleBasis | None, int]:
     n_struct = 2 * nv
     rhs = np.array(h, dtype=float)
     slack_start = rhs <= 0.0  # rows the origin satisfies, -0.0 included
-    art_rows = np.flatnonzero(~slack_start)
+    art_rows = (~slack_start).nonzero()[0]
     art0 = n_struct + nrows
 
-    tableau = np.zeros((nrows + 1, n_struct + art_rows.size + 1))
-    # structural columns (g_i, -g_i), negated on the rows the origin satisfies
-    signed = G * np.where(slack_start, -1.0, 1.0)[:, None]
-    tableau[:nrows, 0:n_struct:2] = signed
-    np.negative(signed, out=tableau[:nrows, 1:n_struct:2])
-    tableau[:nrows, -1] = np.abs(rhs)
-    columns = np.arange(n_struct)
+    work = np.zeros((nrows + 2, nv + art_rows.size + 1))  # see _iterate
+    # x_j+'s column g_i, negated on the rows the origin satisfies
+    np.multiply(G, np.where(slack_start, -1.0, 1.0)[:, None], out=work[:nrows, :nv])
+    work[:nrows, -1] = np.abs(rhs)
+    columns = np.arange(0, n_struct, 2)
     basis = n_struct + np.arange(nrows)
     cap = 50 * (n_struct + 3 * nrows)
     if not art_rows.size:
-        return FeasibleBasis(tableau, basis, columns, cap), 0
+        return FeasibleBasis(work, basis, columns, cap, work[:0]), 0
 
-    tableau[art_rows, n_struct + np.arange(art_rows.size)] = -1.0
-    columns = np.append(columns, n_struct + art_rows)
+    work[art_rows, nv + np.arange(art_rows.size)] = -1.0
+    columns = np.concatenate((columns, n_struct + art_rows))
     basis[art_rows] = art0 + np.arange(art_rows.size)
-    # phase-1 reduced costs: artificial costs 1, priced out against the basis
-    tableau[-1] -= tableau[art_rows].sum(axis=0)
+    # phase-1 reduced costs: artificial costs 1, priced out against the basis;
+    # x_j-'s are x_j+'s negated, and no basic variable has a partner
+    work[-1] -= work[art_rows].sum(axis=0)
+    np.negative(work[-1, :nv], out=work[-2, :nv])
+    work[-2, nv:] = np.inf
+    row_partners = np.full(nrows, np.inf)
 
-    status, pivots = _iterate(tableau, columns, basis, cap)
+    status, pivots = _iterate(work, row_partners, columns, basis, cap)
     if status == "unbounded":  # impossible for a sum of nonnegative variables
         raise CyclingGuardExceeded("phase 1 reported unbounded: numerical breakdown")
-    if -tableau[-1, -1] > PIVOT_TOL:
+    if -work[-1, -1] > PIVOT_TOL:
         return None, pivots
 
     # drive any leftover zero-valued artificials out of the basis. The row's
     # own surplus column, the negative of its artificial, holds about -1
-    # there, so a pivot always exists and no row is ever redundant.
+    # there, so a pivot always exists and no row is ever redundant. A stored
+    # half and its partner tie in size, and the x_j+ half has the lower label.
     for i in (basis >= art0).nonzero()[0]:
-        sizes = np.where(columns < art0, np.abs(tableau[i, :-1]), 0.0)
+        sizes = np.where(columns < art0, np.abs(work[i, :-1]), 0.0)
         largest = sizes.max()
         if not largest > PIVOT_TOL:
             raise CyclingGuardExceeded("phase 1 left an artificial it cannot pivot out")
-        slot = _first_label(columns, (sizes == largest).nonzero()[0])
-        _pivot(tableau, columns, basis, i, slot)
+        labels = np.where(columns < n_struct, columns & -2, columns)
+        slot = _first_label(labels, (sizes == largest).nonzero()[0])
+        partner = columns[slot] != labels[slot]
+        multipliers = -work[:, slot] if partner else work[:, slot].copy()
+        _exchange(work, row_partners, columns, basis, i, slot, partner, multipliers)
         pivots += 1
     real = columns < art0
-    tableau = tableau[:, np.append(real, True)]
-    return FeasibleBasis(tableau, basis, columns[real], cap), pivots
+    work = work[:, np.concatenate((real, [True]))]
+    return FeasibleBasis(work, basis, columns[real], cap, work[:0]), pivots
 
 
 def phase_two(start: FeasibleBasis, cost) -> LpSolution:
@@ -269,36 +395,50 @@ def phase_two(start: FeasibleBasis, cost) -> LpSolution:
     structural column (see the module docstring); start itself is left
     unchanged.
     """
-    if np.shape(cost) != start.columns.shape:
-        raise ValueError(f"cost needs one entry per structural column ({start.columns.size})")
-    tableau = start.tableau.copy()
+    n_struct = 2 * start.columns.size
+    if np.shape(cost) != (n_struct,):
+        raise ValueError(f"cost needs one entry per structural column ({n_struct})")
+    rows = start.basis.size
+    solved = start.work.shape[0] - 2
+    work = np.empty((rows + 2, start.work.shape[1]))  # see _iterate
+    work[:solved] = start.work[:solved]
+    work[solved:rows] = start.added
     basis = start.basis.copy()
     columns = start.columns.copy()
-    n_struct = columns.size
-    by_label = np.zeros(basis.size + n_struct)  # only structural columns cost
+    by_label = np.zeros(n_struct + rows)  # only structural columns cost
     by_label[:n_struct] = cost
+    # the cost of the other half of label ^ 1; a surplus column has none, and
+    # a surplus label ^ 1 lands on the +inf past the structural labels
+    other = np.concatenate((by_label[:n_struct], np.full(rows + 1, np.inf)))
     basic_cost = by_label[basis]
     priced = basic_cost.nonzero()[0]
-    tableau[-1, :-1] = by_label[columns]
-    tableau[-1, -1] = 0.0
-    # reduced costs: subtract the priced rows one after another, in row order
-    tableau[-1] = np.subtract.reduce(
-        np.concatenate((tableau[-1:], basic_cost[priced, None] * tableau[priced])), axis=0
-    )
+    products = basic_cost[priced, None] * work[priced]
+    work[-1, :-1] = by_label[columns]
+    work[-2, :-1] = other[columns ^ 1]
+    work[-2:, -1] = 0.0
+    # reduced costs: subtract the priced rows one after another, in row order.
+    # A stored variable's partner has the negated column, so the same
+    # products, negated, come off its cost.
+    work[-1] = np.subtract.reduce(np.concatenate((work[-1:], products)), axis=0)
+    products *= -1.0
+    work[-2] = np.subtract.reduce(np.concatenate((work[-2:-1], products)), axis=0)
+    work[-2, -1] = np.inf
+    # a basic variable's partner is -e_row, so the variable's own cost adds
+    row_partners = other[basis ^ 1] + basic_cost
 
-    status, pivots = _iterate(tableau, columns, basis, start.cap)
+    status, pivots = _iterate(work, row_partners, columns, basis, start.cap)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, pivots)
 
     values = np.zeros(by_label.size)
-    values[basis] = tableau[:-1, -1]
+    values[basis] = work[:-2, -1]
     structural = values[:n_struct]
     x = 0.0 + structural[0::2] - structural[1::2]  # summed from +0.0: a -0 part gives +0
     # reduced costs by label, 0 on the basic ones; the surplus column of row i
     # (label n_struct + i) prices that row
     reduced = np.zeros(by_label.size)
-    reduced[columns] = tableau[-1, :-1]
-    optimum = FeasibleBasis(tableau, basis, columns, start.cap)
+    reduced[columns] = work[-1, :-1]
+    optimum = FeasibleBasis(work, basis, columns, start.cap, work[:0])
     return LpSolution(
         "optimal", float(cost @ structural), x, pivots, reduced[n_struct:], optimum
     )
@@ -319,4 +459,11 @@ def solve_lp(cost, G, h) -> LpSolution:
     if start is None:
         return LpSolution("infeasible", None, None, pivots)
     solution = phase_two(start, cost)
-    return replace(solution, pivots=pivots + solution.pivots)
+    return LpSolution(
+        solution.status,
+        solution.objective,
+        solution.x,
+        pivots + solution.pivots,
+        solution.multipliers,
+        solution.basis,
+    )

@@ -627,17 +627,41 @@ def test_kernel_matches_the_full_tableau_reference(monkeypatch):
         full.append((before, tableau.copy(), pivots))
         return status, pivots
 
-    def condensed_iterate(tableau, columns, basis, cap, unspied=lingauss.simplex._iterate):
-        before = (tableau.copy(), columns.copy())
-        status, pivots = unspied(tableau, columns, basis, cap)
-        condensed.append((before, (tableau.copy(), columns.copy())))
+    def condensed_iterate(
+        work, row_partners, columns, basis, cap, unspied=lingauss.simplex._iterate
+    ):
+        # the working tableau's partner row sits above the cost row (see _iterate)
+        def record():
+            partners = (work[-2, :-1].copy(), row_partners.copy(), basis.copy())
+            return np.delete(work, -2, axis=0), columns.copy(), partners
+
+        before = record()
+        status, pivots = unspied(work, row_partners, columns, basis, cap)
+        condensed.append((before, record()))
         return status, pivots
+
+    def assert_same_partners(reference, tableau, columns, partner_row, row_partners, basis):
+        # the half of each variable that is not stored: a stored one's
+        # partner is its negated column, a basic one's -e_row, and each
+        # reduced cost is the reference's of the same label
+        n_struct = 2 * n
+        stored = columns < n_struct
+        assert np.array_equal(reference[:-1, columns[stored] ^ 1], -tableau[:-1, :-1][:, stored])
+        assert np.array_equal(reference[-1, columns[stored] ^ 1], partner_row[stored])
+        assert (partner_row[~stored] == np.inf).all()
+        basic = basis < n_struct
+        unit = np.eye(basis.size)[:, basic]
+        assert np.array_equal(reference[:-1, basis[basic] ^ 1], -unit)
+        assert np.array_equal(reference[-1, basis[basic] ^ 1], row_partners[basic])
+        assert (row_partners[~basic] == np.inf).all()
 
     def assert_same_tableaus():
         assert len(full) == len(condensed) == 1
-        for reference, (tableau, columns) in zip(full[0][:2], condensed[0]):
+        for reference, (tableau, columns, partners) in zip(full[0][:2], condensed[0]):
             assert np.array_equal(reference[:, columns], tableau[:, :-1])
             assert np.array_equal(reference[:, -1], tableau[:, -1])
+            if partners is not None:
+                assert_same_partners(reference, tableau, columns, *partners)
         full.clear()
         condensed.clear()
 
@@ -662,7 +686,7 @@ def test_kernel_matches_the_full_tableau_reference(monkeypatch):
             start, pivots = phase_one(G, h)
             if not (h > 0.0).any():
                 assert condensed == [] and pivots == 0
-                condensed.append(((start.tableau, start.columns),) * 2)
+                condensed.append(((start.tableau, start.columns, None),) * 2)
             assert_same_tableaus()
             assert pivots == ref_pivots
             assert (start is None) == (ref_start is None)
@@ -710,9 +734,10 @@ def test_phase_one_stores_only_nonbasic_columns(monkeypatch):
         violated = int(np.count_nonzero(h > 0.0))
         widths.clear()
         start, _ = phase_one(G, h)
-        # one artificial column per violated row while phase 1 iterates, and
-        # no iteration at all from an origin that satisfies every row
-        assert widths == ([n_struct + violated + 1] if violated else [])
+        # one column per variable and one artificial column per violated row
+        # while phase 1 iterates, and no iteration at all from an origin that
+        # satisfies every row
+        assert widths == ([n + violated + 1] if violated else [])
         ref_start, _ = reference_phase_one(G, h)
         assert (start is None) == (ref_start is None)
         if start is None:
@@ -721,8 +746,10 @@ def test_phase_one_stores_only_nonbasic_columns(monkeypatch):
         nonbasic, basic = set(start.columns.tolist()), set(start.basis.tolist())
         assert len(basic) == m  # a surplus column keeps every row independent
         assert not nonbasic & basic
-        assert nonbasic | basic == set(range(n_struct + m))  # every label once, no artificial
-        assert start.tableau.shape == (m + 1, n_struct + 1)
+        # one half of every variable and every surplus column, once, no artificial
+        owners = [label // 2 if label < n_struct else label - n for label in nonbasic | basic]
+        assert sorted(owners) == list(range(n + m))
+        assert start.tableau.shape == (m + 1, n + 1)
 
 
 def test_pivot_update_is_an_outer_product_entry_for_entry():
