@@ -117,41 +117,28 @@ def _pivot(tableau, columns, basis, row, slot, multipliers=None):
     columns[slot], basis[row] = basis[row], columns[slot]
 
 
-def _exchange(work, row_partners, columns, basis, row, slot, partner, multipliers):
-    """Pivot a half of the variable in `slot` of a working tableau (see
-    _iterate) into the basis at `row`: the stored one, or with `partner` the
-    other, whose column is the negative, exactly. `multipliers` is that
-    half's column, a copy that the pivot consumes. Keeps the partners'
-    reduced costs. Mutates the first four, and returns whether the entry of
-    row_partners it replaced, or the one it put there, lies below
-    -PIVOT_TOL.
+def _entering_column(work, slot, partner):
+    """The column of a half of the variable in `slot` of a working tableau
+    (see _iterate), as the multipliers _pivot takes, and the reduced cost of
+    the variable's other half: the stored half's column, or with `partner`
+    the other's, its exact negative.
 
     A partner's column is the negative of its variable's, so its pivot-row
     entry after the division is -r where its variable's is r, and its
     reduced cost gains d * r where its variable's loses it, d the entering
-    cost: the reference's rounded product with its sign turned, which the
-    rank-1 update forms from -d as the partner row's multiplier. In the
-    freed slot that leaves d * (1/p) for the leaving variable's partner,
-    whose column was -e_row (r = -1/p); its cost joins from row_partners,
-    and the entering variable's other half (r = p/p = 1) takes its place
-    there.
+    cost: the reference's rounded product with its sign turned. So the cost
+    row's multiplier is d and the partner row's -d, and the pivot's rank-1
+    update keeps every stored variable's partner.
     """
-    if partner:  # the partner row holds the entering cost, negated
-        cost = -multipliers[-2]
+    if partner:
+        multipliers = -work[:, slot]
         stays = -multipliers[-1]
-        multipliers[-1] = cost
-        columns[slot] ^= 1
+        multipliers[-1] = -multipliers[-2]
     else:
-        cost = multipliers[-1]
+        multipliers = work[:, slot].copy()
         stays = multipliers[-2]
-        multipliers[-2] = -cost
-    _pivot(work, columns, basis, row, slot, multipliers)
-    left = row_partners[row]
-    if left:
-        work[-2, slot] += left
-    joined = stays + cost
-    row_partners[row] = joined
-    return joined < -PIVOT_TOL or left < -PIVOT_TOL
+        multipliers[-2] = -multipliers[-1]
+    return multipliers, stays
 
 
 def _cost_labels(columns, candidates):
@@ -161,9 +148,9 @@ def _cost_labels(columns, candidates):
 
 
 def _entering(costs, row_partners, columns, basis, bland):
-    """The entering column by Bland's rule, or by Dantzig's among the
-    partners of the basic variables too, over both halves of every
-    variable, or None when no reduced cost is negative. Ties break by label.
+    """The entering column by Bland's rule, or by Dantzig's where a basic
+    variable's partner may enter, over both halves of every variable, or
+    None when no reduced cost is negative. Ties break by label.
 
     Returns an index into costs (see _iterate), or costs.size + i for the
     partner of row i's basic variable.
@@ -235,7 +222,7 @@ def _iterate(work, row_partners, columns, basis, cap):
                     entering = ties[_cost_labels(columns, ties).argmin()]
             partner = entering < width
             slot = entering if partner else entering - width - 1
-            multipliers = -work[:, slot] if partner else work[:, slot].copy()
+            multipliers, stays = _entering_column(work, slot, partner)
             column = multipliers[:-2]
             ratios = rhs / column
             ratios[column <= PIVOT_TOL] = np.inf  # only rows with a positive entry bound the step
@@ -243,9 +230,24 @@ def _iterate(work, row_partners, columns, basis, cap):
             least = ratios[row]
             if least == np.inf:
                 return "unbounded", pivots
-            if row + ratios[::-1].argmin() != rhs.size - 1:  # Bland-safe tie-break
+            if row + ratios[::-1].argmin() != rhs.size - 1:  # a tie: break it Bland-safe
                 row = _first_label(basis, (ratios == least).nonzero()[0])
-            if _exchange(work, row_partners, columns, basis, row, slot, partner, multipliers):
+            cost = multipliers[-1]
+            if partner:
+                columns[slot] ^= 1
+            _pivot(work, columns, basis, row, slot, multipliers)
+            # the freed slot holds d * (1/p) for the leaving variable's
+            # partner, whose column was -e_row (r = -1/p): its cost joins
+            # from row_partners, and the entering variable's other half
+            # (r = p/p = 1) takes its place there
+            left = row_partners[row]
+            if left == np.inf:  # no structural half left the basis
+                work[-2, slot] = left
+            elif left:
+                work[-2, slot] += left
+            joined = stays + cost
+            row_partners[row] = joined
+            if joined < -PIVOT_TOL or left < -PIVOT_TOL:
                 negatives = np.count_nonzero(row_partners < -PIVOT_TOL)
             objective = -work[-1, -1]
             if objective < best - PIVOT_TOL:
@@ -349,14 +351,14 @@ def phase_one(G, h) -> tuple[FeasibleBasis | None, int]:
     np.multiply(G, np.where(slack_start, -1.0, 1.0)[:, None], out=work[:nrows, :nv])
     work[:nrows, -1] = np.abs(rhs)
     columns = np.arange(0, n_struct, 2)
-    basis = n_struct + np.arange(nrows)
+    basis = np.arange(n_struct, art0)
     cap = 50 * (n_struct + 3 * nrows)
     if not art_rows.size:
         return FeasibleBasis(work, basis, columns, cap, work[:0]), 0
 
     work[art_rows, nv + np.arange(art_rows.size)] = -1.0
     columns = np.concatenate((columns, n_struct + art_rows))
-    basis[art_rows] = art0 + np.arange(art_rows.size)
+    basis[art_rows] = np.arange(art0, art0 + art_rows.size)
     # phase-1 reduced costs: artificial costs 1, priced out against the basis;
     # x_j-'s are x_j+'s negated, and no basic variable has a partner
     work[-1] -= work[art_rows].sum(axis=0)
@@ -374,6 +376,8 @@ def phase_one(G, h) -> tuple[FeasibleBasis | None, int]:
     # own surplus column, the negative of its artificial, holds about -1
     # there, so a pivot always exists and no row is ever redundant. A stored
     # half and its partner tie in size, and the x_j+ half has the lower label.
+    # The partners' costs phase 2 prices afresh, and an artificial's slot is
+    # never a candidate here, so only the partner row's multiplier is kept.
     for i in (basis >= art0).nonzero()[0]:
         sizes = np.where(columns < art0, np.abs(work[i, :-1]), 0.0)
         largest = sizes.max()
@@ -382,8 +386,10 @@ def phase_one(G, h) -> tuple[FeasibleBasis | None, int]:
         labels = np.where(columns < n_struct, columns & -2, columns)
         slot = _first_label(labels, (sizes == largest).nonzero()[0])
         partner = columns[slot] != labels[slot]
-        multipliers = -work[:, slot] if partner else work[:, slot].copy()
-        _exchange(work, row_partners, columns, basis, i, slot, partner, multipliers)
+        multipliers, _ = _entering_column(work, slot, partner)
+        if partner:
+            columns[slot] ^= 1
+        _pivot(work, columns, basis, i, slot, multipliers)
         pivots += 1
     real = columns < art0
     work = work[:, np.concatenate((real, [True]))]
@@ -407,8 +413,9 @@ def phase_two(start: FeasibleBasis, cost) -> LpSolution:
     columns = start.columns.copy()
     by_label = np.zeros(n_struct + rows)  # only structural columns cost
     by_label[:n_struct] = cost
-    # the cost of the other half of label ^ 1; a surplus column has none, and
-    # a surplus label ^ 1 lands on the +inf past the structural labels
+    # by label, the cost and +inf past the structural labels, so that
+    # other[label ^ 1] is the cost of the label's other half, or +inf for a
+    # surplus column, which has none
     other = np.concatenate((by_label[:n_struct], np.full(rows + 1, np.inf)))
     basic_cost = by_label[basis]
     priced = basic_cost.nonzero()[0]

@@ -617,7 +617,11 @@ def test_kernel_matches_the_full_tableau_reference(monkeypatch):
     # From an origin that satisfies every row, phase_one returns its start
     # basis without calling _iterate (the reference iterates there and makes
     # no pivot), so the basis it returns stands in for both records. Every
-    # basis phase_one returns is also compared with the reference's.
+    # basis phase_one returns is also compared with the reference's. Some
+    # costs draw the two halves of each variable independently, so their
+    # reduced costs are no mirror images; halves that both cost less than
+    # nothing make a basic variable's partner, whose column the kernel never
+    # stores, the most negative, and the program ends unbounded through it.
     module = sys.modules[__name__]
     full, condensed = [], []
 
@@ -665,10 +669,18 @@ def test_kernel_matches_the_full_tableau_reference(monkeypatch):
         full.clear()
         condensed.clear()
 
+    def counted_entering(costs, *args, unspied=lingauss.simplex._entering):
+        entering = unspied(costs, *args)
+        seen["through a basic partner"] += entering is not None and entering >= costs.size
+        return entering
+
     monkeypatch.setattr(module, "reference_iterate", full_iterate)
     monkeypatch.setattr(lingauss.simplex, "_iterate", condensed_iterate)
+    monkeypatch.setattr(lingauss.simplex, "_entering", counted_entering)
     rng = np.random.default_rng(107)
+    halves = np.random.default_rng(163)  # the independent halves, apart from the regions
     seen = {"optimal": 0, "unbounded": 0, "infeasible": 0, "driven out": 0, "bland differs": 0}
+    seen["through a basic partner"] = 0
     for trial in range(320):
         G, h, nonneg = random_region(rng, trial)
         n = G.shape[1]
@@ -676,6 +688,8 @@ def test_kernel_matches_the_full_tableau_reference(monkeypatch):
         costs += [sign * np.eye(n)[i] for i in range(n) for sign in (1.0, -1.0)]
         costs = [split_columns(c) for c in costs]
         costs.append(np.repeat(np.abs(costs[0][::2]), 2))  # a cost of |x|
+        costs.append(halves.normal(size=2 * n))
+        costs.append(-np.abs(halves.normal(size=2 * n)))
         G, h = with_sign_rows(G, h, nonneg)
         pivots_by_limit = []
         for limit in (100, 1):
@@ -698,6 +712,9 @@ def test_kernel_matches_the_full_tableau_reference(monkeypatch):
                 for c in costs:
                     mine = phase_two(start, c)
                     assert_same_solution(mine, reference_phase_two(ref_start, c))
+                    if mine.status == "optimal":  # the surplus columns' reduced costs
+                        final = full[0][1][-1, 2 * n : 2 * n + G.shape[0]]
+                        assert np.array_equal(mine.multipliers, final)
                     assert_same_tableaus()
                     seen[mine.status] += 1
                     made.append(mine.pivots)
