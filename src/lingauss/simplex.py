@@ -376,8 +376,9 @@ def phase_one(G, h) -> tuple[FeasibleBasis | None, int]:
     # own surplus column, the negative of its artificial, holds about -1
     # there, so a pivot always exists and no row is ever redundant. A stored
     # half and its partner tie in size, and the x_j+ half has the lower label.
-    # The partners' costs phase 2 prices afresh, and an artificial's slot is
-    # never a candidate here, so only the partner row's multiplier is kept.
+    # row_partners is not kept here: phase 2 prices every partner afresh, and
+    # the only partner costs a later drive-out reads are those of stored
+    # variables, which the partner row's multiplier keeps.
     for i in (basis >= art0).nonzero()[0]:
         sizes = np.where(columns < art0, np.abs(work[i, :-1]), 0.0)
         largest = sizes.max()
@@ -405,45 +406,46 @@ def phase_two(start: FeasibleBasis, cost) -> LpSolution:
     if np.shape(cost) != (n_struct,):
         raise ValueError(f"cost needs one entry per structural column ({n_struct})")
     rows = start.basis.size
+    labels = n_struct + rows
     solved = start.work.shape[0] - 2
     work = np.empty((rows + 2, start.work.shape[1]))  # see _iterate
     work[:solved] = start.work[:solved]
-    work[solved:rows] = start.added
+    if rows > solved:
+        work[solved:rows] = start.added
     basis = start.basis.copy()
     columns = start.columns.copy()
-    by_label = np.zeros(n_struct + rows)  # only structural columns cost
+    by_label = np.zeros(labels + 1)  # only structural columns cost
     by_label[:n_struct] = cost
-    # by label, the cost and +inf past the structural labels, so that
-    # other[label ^ 1] is the cost of the label's other half, or +inf for a
-    # surplus column, which has none
-    other = np.concatenate((by_label[:n_struct], np.full(rows + 1, np.inf)))
     basic_cost = by_label[basis]
     priced = basic_cost.nonzero()[0]
-    products = basic_cost[priced, None] * work[priced]
-    work[-1, :-1] = by_label[columns]
-    work[-2, :-1] = other[columns ^ 1]
-    work[-2:, -1] = 0.0
-    # reduced costs: subtract the priced rows one after another, in row order.
-    # A stored variable's partner has the negated column, so the same
-    # products, negated, come off its cost.
-    work[-1] = np.subtract.reduce(np.concatenate((work[-1:], products)), axis=0)
-    products *= -1.0
-    work[-2] = np.subtract.reduce(np.concatenate((work[-2:-1], products)), axis=0)
+    # reduced costs: the costs less the priced rows one after another, in
+    # row order. A stored variable's partner has the negated column, so the
+    # same products, negated, come off its cost.
+    steps = np.empty((priced.size + 1, 2, work.shape[1]))  # partner row, cost row
+    steps[0, 1, :-1] = by_label[columns]
+    steps[0, :, -1] = 0.0
+    np.multiply(basic_cost[priced, None], work[priced], out=steps[1:, 1])
+    np.negative(steps[1:, 1], out=steps[1:, 0])
+    # by_label[label ^ 1] is now the cost of the label's other half, and +inf
+    # for a surplus column, which has none
+    by_label[n_struct:] = np.inf
+    steps[0, 0, :-1] = by_label[columns ^ 1]
+    work[-2:] = np.subtract.reduce(steps, axis=0)
     work[-2, -1] = np.inf
     # a basic variable's partner is -e_row, so the variable's own cost adds
-    row_partners = other[basis ^ 1] + basic_cost
+    row_partners = by_label[basis ^ 1] + basic_cost
 
     status, pivots = _iterate(work, row_partners, columns, basis, start.cap)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, pivots)
 
-    values = np.zeros(by_label.size)
+    values = np.zeros(labels)
     values[basis] = work[:-2, -1]
     structural = values[:n_struct]
     x = 0.0 + structural[0::2] - structural[1::2]  # summed from +0.0: a -0 part gives +0
     # reduced costs by label, 0 on the basic ones; the surplus column of row i
     # (label n_struct + i) prices that row
-    reduced = np.zeros(by_label.size)
+    reduced = np.zeros(labels)
     reduced[columns] = work[-1, :-1]
     optimum = FeasibleBasis(work, basis, columns, start.cap, work[:0])
     return LpSolution(
