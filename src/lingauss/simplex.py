@@ -47,9 +47,10 @@ the full tableau.
 
 A pivot's rank-1 update, the bulk of its work, is one BLAS product of the
 multiplier column and the pivot row with an inner dimension of 1, cheaper
-than forming the same products by a broadcast multiply. With K = 1 each
-entry is one rounded product, so the tableau matches a full-tableau
-reference entry for entry. BLAS adds each product to a zeroed output, so a
+than forming the same products by a broadcast multiply. The freed slot
+takes the leaving variable's unit column first, so the same update forms
+that column too. With K = 1 each entry is one rounded product, so the
+tableau matches a full-tableau reference entry for entry. BLAS adds each product to a zeroed output, so a
 product of -0 comes out +0, and a tableau entry of -0 then keeps its sign
 where the broadcast would have made it +0. Zeros may differ in sign from
 there on, but no comparison or ratio test can tell the two apart.
@@ -57,7 +58,7 @@ there on, but no comparison or ratio test can tell the two apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,26 +95,23 @@ def _first_label(labels, slots):
     return slots[labels[slots].argmin()]
 
 
-def _pivot(tableau, columns, basis, row, slot, multipliers=None):
-    """Pivot the variable in `slot` into the basis at `row`. Mutates all three.
+def _pivot(tableau, columns, basis, row, slot, multipliers):
+    """Pivot the variable in `slot` into the basis at `row`, with `multipliers`
+    a copy of its column that the pivot consumes. Mutates the first three.
 
-    The leaving variable takes the freed slot. Its column was the unit vector
-    of `row`, so after the pivot it holds 1/p in `row` and -a_i * (1/p) in
-    every other row i, where p is the pivot and a the entering column: the
-    arithmetic that a tableau storing every column does on it. The entering
-    column is the slot's own, or `multipliers` when given, a copy that the
-    pivot consumes (a partner's column, for instance).
+    The leaving variable takes the freed slot with its column, the unit
+    vector of `row`, and the rank-1 update turns that into 1/p in `row` and
+    -a_i * (1/p) in every other row i, where p is the pivot and a the
+    entering column: the arithmetic that a tableau storing every column does
+    on it.
     """
-    if multipliers is None:
-        multipliers = tableau[:, slot].copy()
     pivot = multipliers[row]
+    tableau[:, slot] = 0.0
+    tableau[row, slot] = 1.0
     pivot_row = tableau[row]
     pivot_row /= pivot
     multipliers[row] = 0.0
     tableau -= np.dot(multipliers[:, None], pivot_row[None, :])
-    inverse = 1.0 / pivot
-    np.multiply(multipliers, -inverse, out=tableau[:, slot])
-    tableau[row, slot] = inverse
     columns[slot], basis[row] = basis[row], columns[slot]
 
 
@@ -200,6 +198,8 @@ def _iterate(work, row_partners, columns, basis, cap):
     backwards = costs[::-1]  # argmin from either end: a unique least if both meet
     last = costs.size - 1
     rhs = work[:-2, -1]
+    ratios = np.empty(rhs.size)
+    ratios_backwards = ratios[::-1]
     negatives = np.count_nonzero(row_partners < -PIVOT_TOL)
     bland = False
     stalled = 0
@@ -224,13 +224,13 @@ def _iterate(work, row_partners, columns, basis, cap):
             slot = entering if partner else entering - width - 1
             multipliers, stays = _entering_column(work, slot, partner)
             column = multipliers[:-2]
-            ratios = rhs / column
+            np.divide(rhs, column, out=ratios)
             ratios[column <= PIVOT_TOL] = np.inf  # only rows with a positive entry bound the step
             row = ratios.argmin()
             least = ratios[row]
             if least == np.inf:
                 return "unbounded", pivots
-            if row + ratios[::-1].argmin() != rhs.size - 1:  # a tie: break it Bland-safe
+            if row + ratios_backwards.argmin() != rhs.size - 1:  # a tie: break it Bland-safe
                 row = _first_label(basis, (ratios == least).nonzero()[0])
             cost = multipliers[-1]
             if partner:
@@ -238,13 +238,10 @@ def _iterate(work, row_partners, columns, basis, cap):
             _pivot(work, columns, basis, row, slot, multipliers)
             # the freed slot holds d * (1/p) for the leaving variable's
             # partner, whose column was -e_row (r = -1/p): its cost joins
-            # from row_partners, and the entering variable's other half
-            # (r = p/p = 1) takes its place there
+            # from row_partners (+inf where no structural half left), and the
+            # entering variable's other half (r = p/p = 1) takes its place there
             left = row_partners[row]
-            if left == np.inf:  # no structural half left the basis
-                work[-2, slot] = left
-            elif left:
-                work[-2, slot] += left
+            work[-2, slot] += left
             joined = stays + cost
             row_partners[row] = joined
             if joined < -PIVOT_TOL or left < -PIVOT_TOL:
@@ -278,8 +275,8 @@ class FeasibleBasis:
     `work` is the working tableau of the program that found the basis (see
     _iterate), and `added` holds the rows with_row has added since, in the
     same columns: with_row copies no tableau, and a phase 2 that continues
-    from the basis builds its working tableau with one copy. `tableau` puts
-    the rows together. Treat the arrays as read-only.
+    from the basis builds its working tableau with one copy. Treat the arrays
+    as read-only.
     """
 
     work: np.ndarray
@@ -287,11 +284,6 @@ class FeasibleBasis:
     columns: np.ndarray
     cap: int
     added: np.ndarray
-
-    @property
-    def tableau(self) -> np.ndarray:
-        """A new array of the rows of G, added rows included, and the cost row."""
-        return np.concatenate((self.work[:-2], self.added, self.work[-1:]))
 
     def with_row(self, g, h) -> FeasibleBasis:
         """The basis of the region with one more row g @ x >= h, which the
@@ -420,17 +412,17 @@ def phase_two(start: FeasibleBasis, cost) -> LpSolution:
     priced = basic_cost.nonzero()[0]
     # reduced costs: the costs less the priced rows one after another, in
     # row order. A stored variable's partner has the negated column, so the
-    # same products, negated, come off its cost.
-    steps = np.empty((priced.size + 1, 2, work.shape[1]))  # partner row, cost row
-    steps[0, 1, :-1] = by_label[columns]
-    steps[0, :, -1] = 0.0
-    np.multiply(basic_cost[priced, None], work[priced], out=steps[1:, 1])
-    np.negative(steps[1:, 1], out=steps[1:, 0])
+    # same products add to its cost.
+    steps = np.empty((priced.size + 1, work.shape[1]))
+    steps[0, :-1] = by_label[columns]
+    steps[0, -1] = 0.0
+    np.multiply(basic_cost[priced][:, None], work.take(priced, axis=0), out=steps[1:])
+    np.subtract.reduce(steps, axis=0, out=work[-1])
     # by_label[label ^ 1] is now the cost of the label's other half, and +inf
     # for a surplus column, which has none
     by_label[n_struct:] = np.inf
-    steps[0, 0, :-1] = by_label[columns ^ 1]
-    work[-2:] = np.subtract.reduce(steps, axis=0)
+    steps[0, :-1] = by_label[columns ^ 1]
+    np.add.reduce(steps, axis=0, out=work[-2])
     work[-2, -1] = np.inf
     # a basic variable's partner is -e_row, so the variable's own cost adds
     row_partners = by_label[basis ^ 1] + basic_cost
@@ -468,11 +460,4 @@ def solve_lp(cost, G, h) -> LpSolution:
     if start is None:
         return LpSolution("infeasible", None, None, pivots)
     solution = phase_two(start, cost)
-    return LpSolution(
-        solution.status,
-        solution.objective,
-        solution.x,
-        pivots + solution.pivots,
-        solution.multipliers,
-        solution.basis,
-    )
+    return replace(solution, pivots=pivots + solution.pivots)

@@ -1,15 +1,19 @@
 """Every input of the benchmark's three workloads, sampled by the program,
 against outputs frozen in this file: the verdict, the feasibility kind,
-lp_pivots, the Chebyshev radius, a point mass's point, and digests of the
-chain's start point and of the samples. A change that moves a pivot, a
-start point or a chain fails here; one that moves them on purpose records
-the table again and says so.
+the samples' shape or the error raised, and lp_pivots, the Chebyshev
+radius, a point mass's point, and digests of the chain's start point and
+of the samples. A change that moves a verdict, a pivot, a start point or a
+chain fails here; one that moves them on purpose records the table again
+and says so.
 
-The bits depend on numpy, on its BLAS, on the CPU features that both pick
-kernels by and on the number of BLAS threads (a product over 100 columns
-rounds differently on two threads than on one), so the comparison runs
-only in the environment the values were recorded in and is skipped
-elsewhere.
+The verdicts, the feasibility kinds, the shapes and the errors are
+compared on every host. The rest depends on the bits, and the bits depend
+on numpy, on its BLAS, on the CPU features that both pick kernels by and
+on the number of BLAS threads (a product over 100 columns rounds
+differently on two threads than on one); lp_pivots follows them wherever a
+tie between rounded entries decides a pivot. So those fields are compared
+only in the environment they were recorded in and are skipped elsewhere,
+a CI runner included.
 """
 
 import hashlib
@@ -247,24 +251,21 @@ def test_every_workload_input_is_frozen():
     assert set(FROZEN) == set(CASES)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_outputs_equal_the_frozen_ones(name):
-    if environment() != RECORDED_IN:
-        pytest.skip(f"outputs recorded in {RECORDED_IN}, not in {environment()}")
-    case, frozen = CASES[name], FROZEN[name]
+def outputs(name):
+    """The input's outputs in the fields of Frozen, or the error it raises
+    as a Raises."""
+    case = CASES[name]
     spec = ProblemSpec(**case.arrays)
     n_samples = min(case.n_samples, SAMPLES)
-    if isinstance(frozen, Raises):
-        with pytest.raises(LinGaussError) as raised:
-            sample_constrained(spec, n_samples, case.seed, **case.kwargs)
-        assert (type(raised.value).__name__, str(raised.value)) == frozen
-        return
+    try:
+        outcome = sample_constrained(spec, n_samples, case.seed, **case.kwargs)
+    except LinGaussError as error:
+        return Raises(type(error).__name__, str(error))
     planned = plan(spec)
-    outcome = sample_constrained(spec, n_samples, case.seed, **case.kwargs)
     report = outcome.report
     radius = report.chebyshev_radius
     samples = outcome.samples
-    got = Frozen(
+    return Frozen(
         outcome.status,
         report.feasibility,
         report.lp_pivots,
@@ -273,4 +274,26 @@ def test_outputs_equal_the_frozen_ones(name):
         None if planned.start is None else digest(planned.start),
         None if samples is None else (samples.shape, digest(samples)),
     )
-    assert got == frozen
+
+
+def verdict(outputs):
+    """The fields that do not depend on the bits."""
+    if isinstance(outputs, Raises):
+        return outputs
+    shape = None if outputs.samples is None else outputs.samples[0]
+    return outputs.status, outputs.feasibility, shape
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_verdicts_equal_the_frozen_ones(name):
+    assert verdict(outputs(name)) == verdict(FROZEN[name])
+
+
+@pytest.mark.parametrize("name", sorted(n for n, f in FROZEN.items() if isinstance(f, Frozen)))
+def test_outputs_equal_the_frozen_ones(name):
+    if environment() != RECORDED_IN:
+        pytest.skip(
+            f"bit-level outputs recorded in {RECORDED_IN}, not in {environment()}; "
+            "the verdicts are compared everywhere"
+        )
+    assert outputs(name) == FROZEN[name]
