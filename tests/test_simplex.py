@@ -12,9 +12,10 @@ from lingauss.simplex import PIVOT_TOL, LpSolution, phase_one, phase_two, solve_
 # A frozen reference: the simplex kernel as it was when the tableau stored
 # every column in label order (structural, surplus, artificial), basic ones
 # included, and a variable could be sign-restricted, with one structural
-# column, as well as free, with two. The package's kernel stores only the
-# nonbasic columns, takes free variables only, and must make the same
-# pivots and give the same bits on free programs.
+# column, as well as free, with two. The package's kernel stores one column
+# per free variable and per nonbasic surplus column, takes free variables
+# only, and must make the same pivots and give the same bits on free
+# programs.
 
 STALL_LIMIT = 100
 
