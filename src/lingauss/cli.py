@@ -104,7 +104,7 @@ def _cmd_sample(args):
         return EXIT_OK
     if report.chain_steps:
         kernel = (
-            f"alternating full and {report.long_directions}-direction long steps"
+            f"alternating one-axis thin steps and {report.long_directions}-direction long steps"
             if report.long_directions
             else "full steps only"
         )

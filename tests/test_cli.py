@@ -143,7 +143,7 @@ def test_sample_seed_reproducibility(problem_dir, tmp_path, capsys):
     second = tmp_path / "b.csv"
     assert main(args + ["--out", str(first)]) == 0
     assert main(args + ["--out", str(second)]) == 0
-    assert "alternating full and 2-direction long steps" in capsys.readouterr().out
+    assert "alternating one-axis thin steps and 2-direction long steps" in capsys.readouterr().out
     assert first.read_bytes() == second.read_bytes()
 
 

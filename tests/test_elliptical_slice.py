@@ -20,7 +20,7 @@ from lingauss.errors import EmptyArcSet, NumericalBreakdown
 from lingauss.fixtures import pentagon_problem
 from lingauss.linalg import doubling_blocks
 from lingauss.problem import ProblemSpec
-from lingauss.sampler import plan
+from lingauss.sampler import plan, sample_constrained
 from lingauss.stats import sample_stats
 from lingauss.transform import build_transform
 
@@ -102,25 +102,55 @@ def _schedule(steps):
     return blocks
 
 
-def _reference_chain(transformed, u0, n_steps, rng, stats=None):
+def _reference_chain(transformed, u0, n_steps, rng, stats=None, axes=None):
+    """The chain one step at a time with the per-arc reference: full steps,
+    or, given axes = (Q, V), a thin step along column (i // 2) mod t of V
+    at each even step i and a long step along Q at each odd one."""
     H, k = transformed.G, transformed.k
     y = np.asarray(u0, dtype=float)
     out = np.empty((n_steps, y.size))
+    if axes is not None:
+        Q, V = axes
+        HQ, HV = H @ Q, H @ V
     for start, size in _schedule(n_steps):
-        nus = rng.standard_normal((size, y.size))
-        along_nus = nus @ H.T
+        if axes is None:
+            nus = rng.standard_normal((size, y.size))
+            along_nus = nus @ H.T
+        else:
+            evens = sum(1 for i in range(start, start + size) if i % 2 == 0)
+            thin_zs = rng.standard_normal(evens)
+            long_zs = rng.standard_normal((size - evens, Q.shape[1]))
+            along_long_zs = long_zs @ HQ.T
         uniforms = rng.random(size)
         for j in range(min(size, n_steps - start)):
+            i = start + j
+            if axes is None:
+                along_y, along_nu, offset = H @ y, along_nus[j], k
+            elif i % 2:
+                a = Q.T @ y
+                along_y, along_nu = HQ @ a, along_long_zs[i // 2 - start // 2]
+                offset = H @ y + k - along_y
+            else:
+                axis = (i // 2) % V.shape[1]
+                v, hv, z = V[:, axis], HV[:, axis], thin_zs[i // 2 - (start + 1) // 2]
+                a = v @ y
+                along_y, along_nu = hv * a, hv * z
+                offset = H @ y + k - along_y
             if H.shape[0]:
-                along_y = H @ y
-                assert float((along_y + k).min()) >= -SLACK_TOL
-                intervals = _reference_intervals(along_y, along_nus[j], k, stats)
+                assert float((H @ y + k).min()) >= -SLACK_TOL
+                intervals = _reference_intervals(along_y, along_nu, offset, stats)
             else:
                 intervals = np.array([[-np.pi, np.pi]])
             total = sum((intervals[:, 1] - intervals[:, 0]).tolist())
             theta = _reference_sample(intervals, total * uniforms[j])
-            y = y * math.cos(theta) + nus[j] * math.sin(theta)
-            out[start + j] = y
+            if axes is None:
+                y = y * math.cos(theta) + nus[j] * math.sin(theta)
+            elif i % 2:
+                z = long_zs[i // 2 - start // 2]
+                y = y + Q @ (a * (math.cos(theta) - 1.0) + z * math.sin(theta))
+            else:
+                y = y + v * (a * (math.cos(theta) - 1.0) + z * math.sin(theta))
+            out[i] = y
     return out
 
 
@@ -130,7 +160,9 @@ def _reference_chain(transformed, u0, n_steps, rng, stats=None):
 # (_angle_at and _check_state did not change), and the draw and
 # the chain loop as they stood when the draws moved into blocks, run on
 # u ~ N(0, I_k) under G u + k >= 0, with long directions Q for P and Q'
-# for M. The arc code and the chains must reproduce them bit for bit.
+# for M, and its even steps moved from full steps to thin steps along one
+# column of V each. The arc code and the chains must reproduce them bit
+# for bit.
 
 
 def _frozen_intersect(events, needed, stats=None):
@@ -186,30 +218,32 @@ def _frozen_draw_angle(segments, u):
     return _angle_at(segments, total * u)
 
 
-def _frozen_fill_chain(transformed, u0, rows, rng, long=None, burn_in=0, thin=1):
+def _frozen_fill_chain(transformed, u0, rows, rng, axes=None, burn_in=0, thin=1):
     y = np.asarray(u0, dtype=float)
     H, k = transformed.G, transformed.k
     has_rows = H.shape[0] > 0
     dimension = y.size
-    if long is not None:
-        P, M = long, long.T
-        HP, width = H @ P, P.shape[1]
+    if axes is not None:
+        P, V = axes
+        M = P.T
+        HP, HV, width = H @ P, H @ V, P.shape[1]
     kept = 0
     keep = burn_in
     steps = burn_in + len(rows) * thin
     for start, size in _schedule(steps):
         block = range(start, start + size)
-        full = [i for i in block if long is None or i % 2 == 0]
-        nus = rng.standard_normal((len(full), dimension))
-        along_nus = nus @ H.T
-        if long is not None:
-            zs = rng.standard_normal((size - len(full), width))
+        if axes is None:
+            nus = rng.standard_normal((size, dimension))
+            along_nus = nus @ H.T
+        else:
+            thin_zs = rng.standard_normal(len([i for i in block if i % 2 == 0]))
+            zs = rng.standard_normal((size - thin_zs.size, width))
             along_zs = zs @ HP.T
         uniforms = rng.random(size).tolist()
         full_row = long_row = 0
         for i in block[: steps - start]:
             u = uniforms[i - start]
-            if long is not None and i % 2:
+            if axes is not None and i % 2:
                 slack = H @ y + k
                 _check_state(slack)
                 a = M @ y
@@ -219,6 +253,18 @@ def _frozen_fill_chain(transformed, u0, rows, rng, long=None, burn_in=0, thin=1)
                 )
                 y = y + P @ (a * (math.cos(theta) - 1.0) + zs[long_row] * math.sin(theta))
                 long_row += 1
+            elif axes is not None:
+                slack = H @ y + k
+                _check_state(slack)
+                axis = (i // 2) % V.shape[1]
+                a = V[:, axis] @ y
+                along_a = HV[:, axis] * a
+                z = thin_zs[full_row]
+                theta = _frozen_draw_angle(
+                    _frozen_feasible_segments(along_a, z * HV[:, axis], slack - along_a), u
+                )
+                y = y + V[:, axis] * (a * (math.cos(theta) - 1.0) + z * math.sin(theta))
+                full_row += 1
             else:
                 if has_rows:
                     along_y = H @ y
@@ -235,10 +281,10 @@ def _frozen_fill_chain(transformed, u0, rows, rng, long=None, burn_in=0, thin=1)
                 keep += thin
 
 
-def chain_states(transformed, u0, n_steps, rng, long=None):
+def chain_states(transformed, u0, n_steps, rng, axes=None):
     """The n_steps states after u0, one per row: fill_chain over a new array."""
     rows = np.empty((n_steps, np.size(u0)))
-    fill_chain(transformed, u0, rows, rng, long)
+    fill_chain(transformed, u0, rows, rng, axes)
     return rows
 
 
@@ -674,14 +720,16 @@ def slab(sigma=None, seed=41, plane=False):
 
 
 def chain_setup(spec):
-    """The latent map, the chain's start u0 and its long directions, from plan."""
+    """The latent map, the chain's start u0 and its long and thin axes, from plan."""
     planned = plan(spec)
     transformed, u0 = planned.transformed, planned.start
     return transformed, u0, long_directions(transformed, u0)
 
 
-def long_count(spec):
-    return 0 if (long := chain_setup(spec)[2]) is None else long.shape[1]
+def axis_counts(spec):
+    """The numbers of long and of thin axes, (0, 0) for the plain chain."""
+    axes = chain_setup(spec)[2]
+    return (0, 0) if axes is None else (axes[0].shape[1], axes[1].shape[1])
 
 
 def normal_pdf(t):
@@ -697,20 +745,23 @@ def truncated_normal_moments(low, high):
 
 def test_long_directions_span_the_long_axes_of_the_slab():
     spec, rotation = slab()
-    transformed, u0, long = chain_setup(spec)
-    assert long.shape == (3, 2)
-    np.testing.assert_allclose(long.T @ long, np.eye(2), atol=1e-12)
+    transformed, u0, (long, narrow) = chain_setup(spec)
+    assert long.shape == (3, 2) and narrow.shape == (3, 1)
+    axes = np.hstack([long, narrow])
+    np.testing.assert_allclose(axes.T @ axes, np.eye(3), atol=1e-12)
     # Sigma = I: the long directions of x, B Q, are w2 and w3, orthogonal to the thin w1
     P = transformed.B @ long
     np.testing.assert_allclose(rotation[:, 0] @ P, 0.0, atol=1e-9)
     np.testing.assert_allclose(np.linalg.svd(rotation[:, 1:].T @ P)[1], 1.0, atol=1e-9)
+    # and the thin axis of x, B V, is w1
+    np.testing.assert_allclose(np.abs(rotation[:, 0] @ transformed.B @ narrow), 1.0, atol=1e-9)
 
 
 def test_long_directions_are_whitened_orthonormal():
     # with a correlated sigma, Q is orthonormal and its directions of x,
     # P = B Q = L Q, are orthonormal under sigma^-1: P' sigma^-1 P = I
     spec, _ = slab(sigma=lambda rotation: random_spd(np.random.default_rng(43), 3))
-    transformed, _, long = chain_setup(spec)
+    transformed, _, (long, _) = chain_setup(spec)
     P = transformed.B @ long
     np.testing.assert_allclose(P.T @ np.linalg.solve(spec.sigma, P), np.eye(2), atol=1e-10)
     np.testing.assert_allclose(long.T @ long, np.eye(2), atol=1e-10)
@@ -725,10 +776,10 @@ def test_long_chain_matches_truncated_normal_moments_and_beats_the_plain_chain()
     # on the plane w3 = 0.1, w3 is fixed and w1, w2 keep their laws (sigma = I)
     for plane, free in ((False, 3), (True, 2)):
         spec, rotation = slab(plane=plane)
-        transformed, u0, long = chain_setup(spec)
-        assert long.shape[1] == free - 1
+        transformed, u0, axes = chain_setup(spec)
+        assert axes[0].shape[1] == free - 1
         steps = 20_000
-        chain = chain_states(transformed, u0, steps, np.random.default_rng(47), long)
+        chain = chain_states(transformed, u0, steps, np.random.default_rng(47), axes)
         plain = chain_states(transformed, u0, steps, np.random.default_rng(47))
         chain = chain @ transformed.B.T + transformed.g
         plain = plain @ transformed.B.T + transformed.g
@@ -746,13 +797,16 @@ def test_long_chain_matches_truncated_normal_moments_and_beats_the_plain_chain()
 
 
 @pytest.mark.parametrize(
-    "make, expected", [(lambda: slab()[0], 2), (rotated_box, 0)], ids=["slab", "rotated_box"]
+    "make, expected",
+    [(lambda: slab()[0], (2, 1)), (rotated_box, (0, 0))],
+    ids=["slab", "rotated_box"],
 )
 def test_long_direction_count_is_invariant_to_row_transformations(make, expected):
+    # expected: the numbers of long and of thin axes
     spec = make()
     rng = np.random.default_rng(53)
     m = spec.m
-    assert long_count(spec) == expected
+    assert axis_counts(spec) == expected
     variants = {
         "scale 1e-6": np.full(m, 1e-6),
         "scale 1e6": np.full(m, 1e6),
@@ -760,15 +814,15 @@ def test_long_direction_count_is_invariant_to_row_transformations(make, expected
     }
     for name, scales in variants.items():
         scaled = ProblemSpec(spec.mu, spec.sigma, A=spec.A * scales[:, None], b=spec.b * scales)
-        assert long_count(scaled) == expected, name
+        assert axis_counts(scaled) == expected, name
     permuted = rng.permutation(m)
     duplicated = np.concatenate([np.arange(m), rng.choice(m, size=m // 2, replace=False)])
     for rows in (permuted, duplicated):
         chosen = ProblemSpec(spec.mu, spec.sigma, A=spec.A[rows], b=spec.b[rows])
-        assert long_count(chosen) == expected
+        assert axis_counts(chosen) == expected
     # a zero row with zero offset holds everywhere, with zero slack at y0
     A, b = np.vstack([spec.A, np.zeros(spec.n)]), np.append(spec.b, 0.0)
-    assert long_count(ProblemSpec(spec.mu, spec.sigma, A=A, b=b)) == expected
+    assert axis_counts(ProblemSpec(spec.mu, spec.sigma, A=A, b=b)) == expected
 
 
 def test_no_thin_direction_skips_the_eigendecomposition(monkeypatch):
@@ -796,9 +850,9 @@ def test_singular_sigma_takes_long_steps():
     # sigma of rank 2 leaves u two coordinates, w1 and w2 of x; the slab is
     # thin in w1 and long in w2, so one of the two is long
     spec, rotation = slab(sigma=lambda rotation: rotation @ np.diag([1.0, 1.0, 0.0]) @ rotation.T)
-    transformed, u0, long = chain_setup(spec)
+    transformed, u0, (long, narrow) = chain_setup(spec)
     assert spec.factor.rank == 2 and transformed.B.shape == (3, 2)
-    assert long.shape == (2, 1)
+    assert long.shape == (2, 1) and narrow.shape == (2, 1)
     P = transformed.B @ long  # the long direction of x is w2
     np.testing.assert_allclose(np.abs(rotation[:, 1] @ P), 1.0, atol=1e-9)
 
@@ -822,64 +876,91 @@ class _FaultyRandom:
 
 @pytest.mark.parametrize("value", [-1e3, -np.inf], ids=["violating", "nan"])
 def test_corrupted_state_raises_on_a_long_step(value):
-    # a draw far below [0, 1) puts step 0's angle a thousand total measures
-    # off the arcs, so the state that step 1, a long step, starts from is
-    # corrupted; -inf puts the angle at -inf, where cos and sin are undefined
+    # a draw far below [0, 1) puts step 0's angle, a thin step's, a thousand
+    # total measures off the arcs, so the state that step 1, a long step,
+    # starts from is corrupted; -inf puts the angle at -inf, where cos and
+    # sin are undefined
     spec, _ = slab()
-    transformed, u0, long = chain_setup(spec)
+    transformed, u0, axes = chain_setup(spec)
     with pytest.raises(NumericalBreakdown, match="corrupted"):
-        chain_states(transformed, u0, 2, _FaultyRandom(59, value), long)
+        chain_states(transformed, u0, 2, _FaultyRandom(59, value), axes)
     if value == -np.inf:  # an infinite angle raises on the step that draws it
         with pytest.raises(NumericalBreakdown, match="corrupted"):
-            chain_states(transformed, u0, 1, _FaultyRandom(59, value), long)
+            chain_states(transformed, u0, 1, _FaultyRandom(59, value), axes)
     else:  # the same first step passes with one step only: nothing checks its output
-        single = chain_states(transformed, u0, 1, _FaultyRandom(59, value), long)
+        single = chain_states(transformed, u0, 1, _FaultyRandom(59, value), axes)
         assert single.shape == (1, 3)
 
 
 def test_an_infinite_angle_raises_on_a_long_step():
     # step 1, a long step, opens block 1: its uniform is the first of call 1
     spec, _ = slab()
-    transformed, u0, long = chain_setup(spec)
+    transformed, u0, axes = chain_setup(spec)
     with pytest.raises(NumericalBreakdown, match="corrupted"):
-        chain_states(transformed, u0, 2, _FaultyRandom(59, -np.inf, call=1), long)
+        chain_states(transformed, u0, 2, _FaultyRandom(59, -np.inf, call=1), axes)
     # so the angle raises, not a state check: no later step checks step 1's
     # output, and a finite angle as far off passes
-    off = chain_states(transformed, u0, 2, _FaultyRandom(59, -1e3, call=1), long)
+    off = chain_states(transformed, u0, 2, _FaultyRandom(59, -1e3, call=1), axes)
     assert off.shape == (2, 3)
 
 
-def test_long_chain_even_steps_use_the_full_step_draws():
-    # step 0 is a full step: it takes the same draws and lands where the plain chain does
-    spec, _ = slab()
-    transformed, u0, long = chain_setup(spec)
-    first = chain_states(transformed, u0, 1, np.random.default_rng(61), long)
-    assert np.array_equal(first, chain_states(transformed, u0, 1, np.random.default_rng(61)))
-    chain = chain_states(transformed, u0, 400, np.random.default_rng(61), long)
+def test_long_chain_even_steps_use_the_thin_axis_draws():
+    # on the pentagon (two thin and two long axes) step 0 is a thin step
+    # along thin axis 0: one normal z, no long step's normals, one uniform
+    transformed, u0, (long, narrow) = chain_setup(pentagon_problem("inequality"))
+    assert long.shape == (4, 2) and narrow.shape == (4, 2)
+    first = chain_states(transformed, u0, 1, np.random.default_rng(61), (long, narrow))
+    rng = np.random.default_rng(61)
+    (z,), _, (r,) = rng.standard_normal(1), rng.standard_normal((0, 2)), rng.random(1)
+    v = narrow[:, 0]
+    a = v @ u0
+    G, k = transformed.G, transformed.k
+    arcs = active_arcs(a * v, z * v, G, G @ u0 + k - a * (G @ v)).intervals
+    theta = _angle_at(arcs.tolist(), float(np.sum(arcs[:, 1] - arcs[:, 0])) * r)
+    expected = u0 + v * (a * (math.cos(theta) - 1.0) + z * math.sin(theta))
+    np.testing.assert_allclose(first[0], expected, rtol=1e-12, atol=1e-15)
+    # even step i moves along thin axis (i // 2) mod 2 alone, odd steps along Q
+    chain = chain_states(transformed, u0, 400, np.random.default_rng(61), (long, narrow))
     assert (chain @ transformed.G.T + transformed.k).min() >= -SLACK_TOL
-    # the long steps move only along the columns of Q
-    step = chain[1::2] - chain[0:-1:2]
-    residual = step - step @ long @ long.T
-    assert np.abs(residual).max() <= 1e-12
+    moves = np.diff(np.vstack([u0, chain]), axis=0)
+    for i, move in enumerate(moves):
+        basis = long if i % 2 else narrow[:, [(i // 2) % 2]]
+        assert np.abs(move - basis @ (basis.T @ move)).max() <= 1e-12, i
+    # and the thin steps do move
+    assert np.all(np.abs(moves[0::4] @ narrow[:, 0]) > 0.0)
+    assert np.all(np.abs(moves[2::4] @ narrow[:, 1]) > 0.0)
 
 
 @pytest.mark.parametrize(
     "make", [lambda: slab()[0], lambda: pentagon_problem("inequality")], ids=["slab", "pentagon"]
 )
 def test_long_chain_matches_the_frozen_loop_bit_for_bit(make):
-    transformed, u0, long = chain_setup(make())
-    assert long is not None
+    transformed, u0, axes = chain_setup(make())
+    assert axes is not None
     steps = 2_000
     expected = np.empty((steps, u0.size))
-    _frozen_fill_chain(transformed, u0, expected, np.random.default_rng(67), long)
-    chain = chain_states(transformed, u0, steps, np.random.default_rng(67), long)
+    _frozen_fill_chain(transformed, u0, expected, np.random.default_rng(67), axes)
+    chain = chain_states(transformed, u0, steps, np.random.default_rng(67), axes)
     assert np.array_equal(chain, expected)
+    # the per-arc reference, one step at a time, takes the same path
+    stats = {"active": 0, "crossing": 0}
+    reference = _reference_chain(transformed, u0, steps, np.random.default_rng(67), stats, axes)
+    assert np.array_equal(chain, reference)
+    assert stats["active"] >= steps, stats
     # with a burn-in and thinning, over 3 * 700 + 101 steps
     expected = np.empty((700, u0.size))
-    _frozen_fill_chain(transformed, u0, expected, np.random.default_rng(71), long, 101, 3)
+    _frozen_fill_chain(transformed, u0, expected, np.random.default_rng(71), axes, 101, 3)
     rows = np.empty_like(expected)
-    fill_chain(transformed, u0, rows, np.random.default_rng(71), long, burn_in=101, thin=3)
+    fill_chain(transformed, u0, rows, np.random.default_rng(71), axes, burn_in=101, thin=3)
     assert np.array_equal(rows, expected)
+
+
+def test_thin_steps_lift_the_pentagon_chains_ess():
+    # the same 20k-step call made a minimum ESS of 758 when its even steps
+    # were full-ellipse steps
+    outcome = sample_constrained(pentagon_problem("inequality"), 20_000, 1)
+    assert outcome.report.long_directions == 2
+    assert sample_stats(outcome.samples).ess.min() >= 2 * 758
 
 
 # The block schedule: a chain is a prefix of any longer one with its seed,
@@ -899,40 +980,42 @@ PREFIX_LENGTHS = [1, 2, 3, 63, 64, 65, 127, 1000]
 @pytest.mark.parametrize("name", list(PREFIX_CHAINS))
 def test_a_shorter_chain_is_a_prefix_of_a_longer_one(name):
     make, alternates = PREFIX_CHAINS[name]
-    transformed, u0, long = chain_setup(make())
-    assert (long is not None) == alternates
-    full = chain_states(transformed, u0, 2_000, np.random.default_rng(73), long)
+    transformed, u0, axes = chain_setup(make())
+    assert (axes is not None) == alternates
+    full = chain_states(transformed, u0, 2_000, np.random.default_rng(73), axes)
     for n in PREFIX_LENGTHS:
-        chain = chain_states(transformed, u0, n, np.random.default_rng(73), long)
+        chain = chain_states(transformed, u0, n, np.random.default_rng(73), axes)
         assert np.array_equal(chain, full[:n]), n
     # with a burn-in and thinning, the kept states are a prefix too
     rows = np.empty((2_000, u0.size))
-    fill_chain(transformed, u0, rows, np.random.default_rng(79), long, 37, 3)
+    fill_chain(transformed, u0, rows, np.random.default_rng(79), axes, 37, 3)
     for n in PREFIX_LENGTHS:
         part = np.empty((n, u0.size))
-        fill_chain(transformed, u0, part, np.random.default_rng(79), long, 37, 3)
+        fill_chain(transformed, u0, part, np.random.default_rng(79), axes, 37, 3)
         assert np.array_equal(part, rows[:n]), n
 
 
 def _draw_the_schedule(rng, steps, dimension, width=None):
-    """Draw what the documented blocks of a chain of `steps` steps draw."""
+    """Draw what the documented blocks of a chain of `steps` steps draw:
+    given the long steps' width, one normal per thin (even) step and
+    `width` per long (odd) step."""
     for start, size in _schedule(steps):
         if width is None:
             rng.standard_normal((size, dimension))
         else:
-            full = sum(1 for i in range(start, start + size) if i % 2 == 0)
-            rng.standard_normal((full, dimension))
-            rng.standard_normal((size - full, width))
+            thin = sum(1 for i in range(start, start + size) if i % 2 == 0)
+            rng.standard_normal(thin)
+            rng.standard_normal((size - thin, width))
         rng.random(size)
 
 
 @pytest.mark.parametrize("name", list(PREFIX_CHAINS))
 @pytest.mark.parametrize("rows, burn_in, thin", [(1, 0, 1), (64, 0, 1), (700, 101, 3)])
 def test_a_chain_draws_the_documented_blocks(name, rows, burn_in, thin):
-    transformed, u0, long = chain_setup(PREFIX_CHAINS[name][0]())
+    transformed, u0, axes = chain_setup(PREFIX_CHAINS[name][0]())
     generator, reference = np.random.default_rng(83), np.random.default_rng(83)
-    fill_chain(transformed, u0, np.empty((rows, u0.size)), generator, long, burn_in, thin)
-    width = None if long is None else long.shape[1]
+    fill_chain(transformed, u0, np.empty((rows, u0.size)), generator, axes, burn_in, thin)
+    width = None if axes is None else axes[0].shape[1]
     _draw_the_schedule(reference, burn_in + rows * thin, u0.size, width)
     assert generator.bit_generator.state == reference.bit_generator.state
 

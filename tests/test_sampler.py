@@ -679,7 +679,7 @@ def stacked_samples(spec, n_samples, seed, burn_in=0, thin=1, chains=1):
     if spec.m == 0:
         draws = np.random.default_rng(seed).standard_normal((n_samples, k))
         return mapped_in_blocks(transformed, draws)
-    long = long_directions(transformed, planned.start)
+    axes = long_directions(transformed, planned.start)
     base, extra = divmod(n_samples, chains)
     parts = []
     for i in range(chains):
@@ -687,7 +687,7 @@ def stacked_samples(spec, n_samples, seed, burn_in=0, thin=1, chains=1):
         if count:
             latent = np.empty((burn_in + count * thin, k))
             generator = np.random.default_rng(seed + i)
-            fill_chain(transformed, planned.start, latent, generator, long)
+            fill_chain(transformed, planned.start, latent, generator, axes)
             parts.append(mapped_in_blocks(transformed, latent[burn_in::thin]))
     return np.vstack(parts)
 
