@@ -10,11 +10,13 @@ restricts theta through
 
 with r_i = hypot(G_i.u, G_i.nu) and phi_i = atan2(G_i.nu, G_i.u). That is the
 whole circle when k_i >= r_i, impossible when k_i <= -r_i, and otherwise the
-closed arc phi_i +/- arccos(-k_i / r_i). The feasible set is the intersection
-of these arcs; theta is drawn uniformly from it, so no proposal is ever
-rejected and theta = 0 (staying put) is always available as a member of the
-set. One nu and one uniform per step, nothing else touches the generator
-(a thin or a long step, below, draws z in place of nu).
+closed arc phi_i +/- arccos(-k_i / r_i), the complement of the open arc
+phi_i + pi +/- arccos(k_i / r_i) that the row forbids. The feasible set is
+the intersection of the allowed arcs; theta is drawn uniformly from it, so
+no proposal is ever rejected and theta = 0 (staying put) is always
+available as a member of the set. One nu and one uniform per step,
+nothing else touches the generator (a thin or a long step, below, draws z
+in place of nu).
 
 Draw order. None of a step's randomness depends on the state, so the steps
 run in blocks of 1, 2, 4, ... up to DRAW_BLOCK steps, the block sizes a
@@ -28,18 +30,18 @@ the chain's length, an n-step chain is bit for bit the first n steps of
 any longer chain with the same seed, and a one-step chain draws no more
 than one step needs.
 
-Angles live in [-pi, pi). Per step, the radii, the phases and the
-half-widths are whole-array operations, on the active rows gathered once by
-index. One scalar loop over those rows then moves each arc into [-pi, pi),
-adding 2 pi to both ends exactly when its start lies below -pi, and splits
-the arcs that then end beyond pi at the seam. The starts and the ends, held
-as plain floats, are sorted as two lists and merged in one sweep, opens
-before closes at ties, which keeps the angles covered by every active arc;
-the seam pieces enter as one start at -pi and one end at pi, each weighted
-by the number of split arcs. theta is then total measure (the widths summed
-as Python floats) times the step's uniform, walked across the pieces. A
-chain's output is a deterministic function of its seed: the tests compare
-it bit for bit with a per-arc reference implementation of the same draws.
+Angles are measured from the state: theta = 0 is where the step starts,
+and the circle is cut there, as [0, 2 pi]. Per step, the radii, the
+centres and the half-widths of the arcs the active rows *forbid* are
+whole-array operations, on the active rows gathered once by index. A
+forbidden arc misses theta = 0 whenever the state satisfies its row, so
+it needs no move and no split at a seam: one Python sort of the (start,
+end) pairs and one pass that keeps the running maximum of the ends yield
+the gaps between them, which are the feasible set. theta is then total
+measure (the widths summed as Python floats) times the step's uniform,
+walked across the gaps from 0. A chain's output is a deterministic
+function of its seed: the tests compare it bit for bit with a per-arc
+reference implementation of the same draws.
 
 State check. Each step first checks the slack G u + k of the state it
 starts from: `_check_state` reads the worst entry as slack[slack.argmin()]
@@ -95,14 +97,15 @@ THIN = 0.05  # semi-axis, in prior standard deviations, below which a direction 
 DRAW_BLOCK = 32  # most steps whose randomness one block draws (see fill_chain)
 _PI = np.pi
 _TWO_PI = 2.0 * np.pi
-_FULL_CIRCLE = [[-_PI, _PI]]
+_FULL_CIRCLE = [[0.0, _TWO_PI]]
 _MEASURE_ZERO = "constraint arcs intersect in a set of measure zero"
 _INFINITE_ANGLE = "the step's angle is infinite; the state is corrupted"
 
 
 @dataclass(frozen=True)
 class ArcSet:
-    """Sorted, pairwise-disjoint angle intervals inside [-pi, pi)."""
+    """Sorted, pairwise-disjoint angle intervals inside [0, 2 pi], theta = 0
+    being the current point: the pieces of the circle no constraint forbids."""
 
     intervals: np.ndarray  # shape (k, 2), columns are (start, end)
 
@@ -111,82 +114,42 @@ class ArcSet:
         return float(np.sum(self.intervals[:, 1] - self.intervals[:, 0]))
 
 
-def _intersect(starts, ends, crossing, needed):
-    """Sweep-line intersection of `needed` arc families given as endpoints.
+def _feasible_segments(along_y, along_nu, k):
+    """Sorted, disjoint [start, end] pairs of the angles in [0, 2 pi] that
+    every constraint allows: the gaps between the arcs the active rows forbid.
 
-    Single pieces open at `starts` and close at `ends`; `crossing` pieces
-    more open at -pi and close at pi, one for each arc split at the seam.
-    The two lists are sorted in place and merged in one walk that takes
-    opens before closes at ties. Returns the angles covered by `needed`
-    pieces at once as [start, end] pairs. Two of them can touch only where
-    the pieces of one arc split at the seam touch, and an arc from finite
-    projections spans less than the whole circle, so none are merged.
-    """
-    starts.sort()
-    ends.sort()
-    starts.append(math.inf)  # opens after every close: the walk needs no bound
-    if crossing:
-        ends.append(_PI)  # the seam pieces close last
-    segments = []
-    cover = crossing  # the seam pieces open first
-    previous = -_PI
-    i = 0
-    for angle in ends:
-        opening = starts[i]
-        while opening <= angle:
-            if cover == needed and opening > previous:
-                segments.append([previous, opening])
-            cover += 1
-            previous = opening
-            i += 1
-            opening = starts[i]
-        if cover == needed and angle > previous:
-            segments.append([previous, angle])
-        cover -= 1
-        previous = angle
-    return segments
-
-
-def _feasible_segments(along_y, along_nu, k, neg_k):
-    """Sorted, disjoint [start, end] pairs of the angles every constraint allows.
-
-    neg_k is -k, which a chain negates once per call, not once per step. A
-    row whose arc is NaN allows no angle: EmptyArcSet, as for an empty set.
+    Row i forbids the open arc centred on phi_i + pi with half-width
+    arccos(k_i / r_i), which misses theta = 0 whenever the state satisfies
+    the row. The arcs are walked in order of their starts with the running
+    maximum of their ends, `reach`: a start past it opens a gap [reach,
+    start], and [reach, 2 pi] closes the list. Nothing is clipped to [0,
+    2 pi]: a start below 0 opens no gap and an end past 2 pi leaves no last
+    gap. A row whose arc is NaN allows no angle: EmptyArcSet, as for an
+    empty set.
     """
     radius = np.hypot(along_y, along_nu)
     active = (~(k >= radius)).nonzero()[0]  # k >= radius: the whole circle satisfies row i
-    needed = active.size
-    if not needed:
+    if not active.size:
         return _FULL_CIRCLE
-    neg_k, radius = neg_k[active], radius[active]
-    if np.count_nonzero(neg_k >= radius):  # k <= -radius
+    k, radius = k[active], radius[active]
+    if np.count_nonzero(k <= -radius):
         raise EmptyArcSet("a constraint excludes the entire ellipse")
-    phase = np.arctan2(along_nu[active], along_y[active])
+    centre = np.arctan2(along_nu[active], along_y[active])
+    centre += _PI
     # -radius < k < radius on active rows, so the ratio lies in [-1, 1]
-    half_width = np.arccos(neg_k / radius)
-    # s = phase - half_width lies in [-2 pi, pi), so moving [s, e] into
-    # [-pi, pi) adds 2 pi to both ends exactly when s < -pi. Then [s, e] is
-    # one piece unless e > pi: it crosses the seam and becomes [s, pi] and
-    # [-pi, e - 2 pi]. The seam endpoints of all crossing arcs coincide, so
-    # _intersect takes them as one start and one end weighted by their count
-    starts, ends = [], []
-    crossing = 0
-    low, high, turn = -_PI, _PI, _TWO_PI
-    for s, e in zip((phase - half_width).tolist(), (phase + half_width).tolist()):
-        if s >= low:
-            pass
-        elif s < low:
-            s += turn
-            e += turn
-        else:  # NaN: a row with no arc leaves no angle to draw
+    half_width = np.arccos(k / radius)
+    segments = []
+    reach = 0.0
+    for start, end in sorted(zip((centre - half_width).tolist(), (centre + half_width).tolist())):
+        if start > reach:
+            segments.append([reach, start])
+        elif not start <= reach:  # NaN: a row with no arc leaves no angle to draw
             raise EmptyArcSet(_MEASURE_ZERO)
-        if e > high:
-            e -= turn
-            crossing += 1
-        starts.append(s)
-        ends.append(e)
-    segments = _intersect(starts, ends, crossing, needed)
-    # every kept piece has end > start, so a nonempty list has positive measure
+        if end > reach:
+            reach = end
+    if reach < _TWO_PI:
+        segments.append([reach, _TWO_PI])
+    # every gap has end > start, so a nonempty list has positive measure
     if not segments:
         raise EmptyArcSet(_MEASURE_ZERO)
     return segments
@@ -211,7 +174,7 @@ def active_arcs(y, nu, H, k) -> ArcSet:
     k = np.asarray(k, dtype=float).reshape(-1)
     along_y = H @ np.asarray(y, float)
     along_nu = H @ np.asarray(nu, float)
-    return ArcSet(np.asarray(_feasible_segments(along_y, along_nu, k, -k)))
+    return ArcSet(np.asarray(_feasible_segments(along_y, along_nu, k)))
 
 
 def long_directions(transformed: TransformedProblem, u0):
@@ -235,16 +198,6 @@ def long_directions(transformed: TransformedProblem, u0):
     if not 0 < np.count_nonzero(long) < long.size:
         return None
     return eigenvectors[:, long], eigenvectors[:, ~long]
-
-
-def _draw_angle(segments, u):
-    """Theta uniform on the union of the segments, from u uniform on [0, 1)."""
-    if len(segments) == 1:  # _angle_at's walk over one segment, inline
-        ((start, end),) = segments
-        width = end - start
-        u *= width
-        return start + u if u < width else end
-    return _angle_at(segments, sum([end - start for start, end in segments]) * u)
 
 
 def _check_state(slack):
@@ -292,7 +245,7 @@ def fill_chain(
     # compare bits), without matmul's dispatch, about 0.5 us less a product
     u = np.asarray(u0, dtype=float)
     G, k = transformed.G, transformed.k
-    neg_k, G_t, dimension = -k, G.T, G.shape[1]
+    G_t, dimension = G.T, G.shape[1]
     standard_normal, random = rng.standard_normal, rng.random
     cos, sin = math.cos, math.sin
     if axes is not None:
@@ -327,7 +280,7 @@ def fill_chain(
             slack = along_u + k
             _check_state(slack)
             if axes is None:
-                segments = _feasible_segments(along_u, along_nus[f], k, neg_k)
+                segments = _feasible_segments(along_u, along_nus[f], k)
             else:
                 if i % 2:
                     j = i // 2 - start // 2  # the long step's row of the block
@@ -337,9 +290,9 @@ def fill_chain(
                     axis = (i // 2) % count
                     a = thin_axes[axis].dot(u)
                     along_a, along_z = thin_products[axis] * a, along_nus[f]
-                offset = slack - along_a
-                segments = _feasible_segments(along_a, along_z, offset, -offset)
-            theta = _draw_angle(segments, r)
+                segments = _feasible_segments(along_a, along_z, slack - along_a)
+            # theta uniform on the segments, from r uniform on [0, 1)
+            theta = _angle_at(segments, sum([end - start for start, end in segments]) * r)
             try:
                 turn, lift = cos(theta), sin(theta)
             except ValueError:  # math's cos and sin reject an infinite angle

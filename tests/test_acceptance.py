@@ -274,7 +274,7 @@ def test_criterion_7_feasibility_classifier(inequality_spec):
 
 def test_criterion_8_arc_oracle_equivalence():
     n_grid = 10_000
-    theta = -np.pi + 2 * np.pi * np.arange(n_grid) / n_grid
+    theta = 2 * np.pi * np.arange(n_grid) / n_grid
     rng = np.random.default_rng(401)
     worst = 0.0
     for _ in range(1_000):
