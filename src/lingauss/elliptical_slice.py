@@ -1,10 +1,10 @@
 """Rejection-free elliptical slice sampling of N(0, I_k) under G u + k >= 0.
 
-The chain runs in the plane's own coordinates u (see `transform`): its
-prior is N(0, I_k), and `sample_constrained` maps each kept state to
-x = g + B u. Each step draws an auxiliary direction nu ~ N(0, I_k) and
-walks the ellipse theta -> u cos(theta) + nu sin(theta). Constraint i
-restricts theta through
+The chain runs in the plane's own coordinates u (see `transform`), or on a
+thin region (below) in a rotation of them: its prior is N(0, I_k), and
+`sample_constrained` maps each kept state to x = g + B u. Each step draws
+an auxiliary direction nu ~ N(0, I_k) and walks the ellipse
+theta -> u cos(theta) + nu sin(theta). Constraint i restricts theta through
 
     G_i . (u cos + nu sin) + k_i = r_i cos(theta - phi_i) + k_i >= 0,
 
@@ -15,20 +15,17 @@ phi_i + pi +/- arccos(k_i / r_i) that the row forbids. The feasible set is
 the intersection of the allowed arcs; theta is drawn uniformly from it, so
 no proposal is ever rejected and theta = 0 (staying put) is always
 available as a member of the set. One nu and one uniform per step,
-nothing else touches the generator (a thin or a long step, below, draws z
-in place of nu).
+nothing else touches the generator.
 
 Draw order. None of a step's randomness depends on the state, so the steps
 run in blocks of 1, 2, 4, ... up to DRAW_BLOCK steps, the block sizes a
 function of the step index alone. A block of s steps draws the nu of its
-full steps as one standard_normal((s, k)), or on a thin region (below) the
-z of its f thin steps as one standard_normal(f) and the z of its long steps
-as one standard_normal((s - f, b)); then the uniforms of all its steps as
-one random(s). It forms the row products once per block: NU G', or z G v
-and Z (G Q)'. Each step reads its row. Since a block's shapes do not depend on
-the chain's length, an n-step chain is bit for bit the first n steps of
-any longer chain with the same seed, and a one-step chain draws no more
-than one step needs.
+steps as one standard_normal((s, k)), then their uniforms as one random(s).
+It zeroes each nu outside the coordinates its step moves (see Thin regions)
+and forms the row products once, as NU G'. Each step reads its row. Since a
+block's shapes do not depend on the chain's length, an n-step chain is bit
+for bit the first n steps of any longer chain with the same seed, and a
+one-step chain draws no more than one step needs.
 
 Angles are measured from the state: theta = 0 is where the step starts,
 and the circle is cut there, as [0, 2 pi]. Per step, the radii, the
@@ -47,7 +44,8 @@ State check. Each step first checks the slack G u + k of the state it
 starts from: `_check_state` reads the worst entry as slack[slack.argmin()]
 and raises NumericalBreakdown when it lies below -SLACK_TOL. numpy's argmin
 returns the index of the first NaN, so a NaN state reads as NaN and raises
-too. A kept step writes its new state straight into its output row.
+too. A step moves its coordinates of the state in place, and a kept step
+copies the state into its output row.
 
 Thin regions. A region that is thin in a few directions and long in the
 others leaves each prior-shaped ellipse a tiny feasible share, so the plain
@@ -55,30 +53,33 @@ chain creeps along the long directions. `long_directions` reads that shape
 once, from the Dikin ellipsoid {u : u' D'D u <= 1} at the start point u0,
 where row i of D is G_i divided by its slack (G u0 + k)_i. An eigenvector
 of D'D whose semi-axis 1 / sqrt(lambda) is at least THIN prior standard
-deviations is *long*; Q holds them as orthonormal columns, and V the other,
-*thin*, eigenvectors. Since lambda_max <= trace(D'D) = sum_i |D_i|^2, a
-trace of at most 1 / THIN^2 proves that no direction is thin, and no
-eigendecomposition runs. When some but not all directions are thin, no
-full step runs. For any b orthonormal columns P, a = P' u splits the state
-as u = P a + rest, and the prior makes a ~ N(0, I_b) independent of the
-rest, so the target's conditional law of a is N(0, I_b) on the region's
-slice. One elliptical slice step in a-space (draw z ~ N(0, I_b), then theta
-uniform on the arcs of G P a, G P z and G u - G P a + k) moves to
-u + P (a (cos theta - 1) + z sin theta). It leaves that conditional
-invariant, so it is an exact, rejection-free Gibbs update of the target.
-fill_chain alternates two such updates:
+deviations is *long*, the others *thin*. Since lambda_max <= trace(D'D) =
+sum_i |D_i|^2, a trace of at most 1 / THIN^2 proves that no direction is
+thin, and no eigendecomposition runs. When some but not all directions
+are thin, `sample_constrained` runs the chain in the eigenbasis: with R
+the orthonormal eigenvectors as columns, the b long ones first, the state
+is w = R' u, whose prior is N(0, I_k), under G R w + k >= 0, and
+x = g + (B R) w. Each step moves one block S of the coordinates of w. The
+prior makes w[S] ~ N(0, I) independent of the rest, so the target's
+conditional law of w[S] is N(0, I) on the region's slice. One elliptical
+slice step in w[S] alone (nu[S] ~ N(0, I), then theta uniform on the arcs
+of G[:, S] w[S], G[:, S] nu[S] and the slack of the other coordinates,
+G[:, ~S] w[~S] + k) leaves that law invariant, so it is an exact,
+rejection-free Gibbs update of the target. fill_chain alternates two such
+updates, for the b long and the t thin coordinates:
 
-* even steps i (0, 2, ...): a thin step, with P the one column v of V
-  numbered (i // 2) mod t, for t thin axes (b = 1: a and z are scalars);
-* odd steps: a long step, with P = Q.
+* even steps i (0, 2, ...): a thin step, S the thin coordinate
+  b + (i // 2) mod t alone;
+* odd steps: a long step, S = [0, b).
 
-A full step's ellipse is cut by the thin axes together, to a sliver of the
-thinnest; a thin step's ellipse lies along one thin axis and is cut to
-that axis's width, and the long step moves the long directions at the
-scale of the prior instead of the region's thickness. On the rare-event
-pentagon (thin semi-axes 0.034 and 0.0008) this lifts the chain from 24-30
-to 81-92 effective samples per 1000 steps (100k steps, seeds 1-4).
-Regions with no thin or no long direction keep the plain chain.
+The plain chain is the step with S = every coordinate, where the slack of
+the others is k itself. A full step's ellipse is cut by the thin axes
+together, to a sliver of the thinnest; a thin step's ellipse lies along one
+thin axis and is cut to that axis's width, and the long step moves the long
+directions at the scale of the prior instead of the region's thickness. On
+the rare-event pentagon (thin semi-axes 0.034 and 0.0008) this lifts the
+chain from 24-30 to 86-106 effective samples per 1000 steps (50k steps,
+seeds 1-8). Regions with no thin or no long direction keep the plain chain.
 """
 
 from __future__ import annotations
@@ -178,8 +179,9 @@ def active_arcs(y, nu, H, k) -> ArcSet:
 
 
 def long_directions(transformed: TransformedProblem, u0):
-    """(Q, V), the orthonormal long and thin axes of the Dikin ellipsoid at
-    u0 as columns, or None.
+    """(R, b): the axes of the Dikin ellipsoid at u0, the eigenvectors of
+    D'D, as the orthonormal columns of R from the longest to the shortest,
+    and the number b of long ones among them; or None.
 
     See the module docstring. None means the plain chain: u0 is not
     strictly interior, no direction is thin, or every direction is. The
@@ -193,11 +195,11 @@ def long_directions(transformed: TransformedProblem, u0):
     D = G / slack[:, None]
     if not np.vdot(D, D) > 1.0 / THIN**2:  # lambda_max <= trace(D'D)
         return None
-    eigenvalues, eigenvectors = np.linalg.eigh(D.T @ D)
-    long = eigenvalues * THIN**2 <= 1.0  # semi-axis 1 / sqrt(lambda) >= THIN
-    if not 0 < np.count_nonzero(long) < long.size:
+    eigenvalues, eigenvectors = np.linalg.eigh(D.T @ D)  # ascending: the long axes first
+    long = np.count_nonzero(eigenvalues * THIN**2 <= 1.0)  # semi-axis 1 / sqrt(lambda) >= THIN
+    if not 0 < long < eigenvalues.size:
         return None
-    return eigenvectors[:, long], eigenvectors[:, ~long]
+    return eigenvectors, long
 
 
 def _check_state(slack):
@@ -213,7 +215,7 @@ def fill_chain(
     u0,
     rows: np.ndarray,
     rng: np.random.Generator,
-    axes=None,
+    long=None,
     burn_in: int = 0,
     thin: int = 1,
 ) -> None:
@@ -222,90 +224,69 @@ def fill_chain(
     (u0 itself is not written). The region has at least one row: without
     one, sample_constrained draws directly and runs no chain.
 
-    axes=None runs full steps: each moves along nu ~ N(0, I_k) to an angle
-    theta placed uniformly on the feasible arcs by one uniform draw. Given
-    axes = (Q, V) from long_directions, the even steps are thin steps along
-    one column of V each and the odd steps long steps along Q (see the
-    module docstring). The steps run in blocks of 1, 2, 4, ... up to
-    DRAW_BLOCK steps (linalg.doubling_blocks over the step index), and each
-    block draws its randomness at once, in this order: standard_normal((s,
-    k)) for its s full steps, or standard_normal(f) for its f thin steps and
-    standard_normal((s - f, b)) for its long steps (b = Q.shape[1]), then
-    random(s) for the angles of all its steps. The row products are one
-    product per block: NU G' for the full steps, the rows of (G V)' that
-    the thin steps move along times their z, and Z (G Q)' for the long
-    steps. The last block is drawn whole, also where it runs past the
-    chain's end. A block's shapes depend on its position alone, so the
-    chain is bit for bit the first steps of any longer chain with the same
-    seed, burn-in and thinning, and a one-step chain draws one normal
-    vector (one normal on a thin region) and one uniform. No other state
-    is stored.
+    Each step moves one block S of the coordinates of the state w. With
+    long=None, S holds all of them: the plain chain. A chain run in the
+    Dikin eigenbasis (see the module docstring) gets its number of long
+    coordinates as long: its even step i moves the thin coordinate
+    long + (i // 2) mod t alone, and its odd steps move [0, long). A step
+    draws nu ~ N(0, I_k), zeroed outside S, and places theta uniformly on
+    the feasible arcs of G[:, S] w[S], G nu and the slack of the
+    coordinates outside S by one uniform draw; w[S] moves to
+    w[S] cos(theta) + nu[S] sin(theta). The steps run in blocks of 1, 2, 4,
+    ... up to DRAW_BLOCK steps (linalg.doubling_blocks over the step index),
+    and each block draws its randomness at once, in this order:
+    standard_normal((s, k)) for its s steps, then random(s) for their
+    angles. The row products G nu are one product per block. The last block
+    is drawn whole, also where it runs past the chain's end. A block's
+    shapes depend on its position alone, so the chain is bit for bit the
+    first steps of any longer chain with the same seed, burn-in and
+    thinning, and a one-step chain draws one normal vector and one uniform.
+    No other state is stored.
     """
     # a step's products use ndarray.dot: the same BLAS call as @ (the tests
     # compare bits), without matmul's dispatch, about 0.5 us less a product
-    u = np.asarray(u0, dtype=float)
+    w = np.array(u0, dtype=float)  # a copy: each step moves one block of it in place
     G, k = transformed.G, transformed.k
     G_t, dimension = G.T, G.shape[1]
     standard_normal, random = rng.standard_normal, rng.random
     cos, sin = math.cos, math.sin
-    if axes is not None:
-        long, narrow = axes
-        M, GQ = long.T, G @ long
-        GQ_t, width = GQ.T, long.shape[1]
-        # contiguous rows: thin axis j and its row products G v_j
-        thin_axes, GV_t = list(narrow.T.copy()), (G @ narrow).T.copy()
-        thin_products, count = list(GV_t), len(thin_axes)
+    if long is None:
+        blocks = [slice(0, dimension)]
+    else:  # by step index mod 2t: thin coordinate long + j at step 2j, [0, long) at 2j + 1
+        blocks = [s for j in range(long, dimension) for s in (slice(j, j + 1), slice(0, long))]
+    masks = np.zeros((len(blocks), dimension))  # row c: 1 on the coordinates of block c
+    kinds = []
+    for mask, block in zip(masks, blocks):
+        mask[block] = 1.0
+        runs = (slice(0, block.start), slice(block.stop, dimension))  # outside the block
+        outside = [(G[:, run], w[run]) for run in runs if run.start < run.stop]
+        kinds.append((block, w[block], G[:, block], outside))
     kept = 0
     keep = burn_in  # the step whose state goes into rows[kept]
     steps = burn_in + len(rows) * thin
     for start, size in doubling_blocks(steps, DRAW_BLOCK):
-        if axes is None:
-            nus = standard_normal((size, dimension))
-            along_nus = nus @ G_t
-        else:
-            # the thin steps are the even ones; the block's first takes axis first mod t
-            even, first = (size + 1 - start % 2) // 2, (start + 1) // 2
-            z_thin = standard_normal(even)
-            along_nus = GV_t.take(range(first, first + even), axis=0, mode="wrap")
-            along_nus *= z_thin[:, None]
-            z_thin = z_thin.tolist()
-            zs = standard_normal((size - even, width))
-            along_zs = zs @ GQ_t
+        nus = standard_normal((size, dimension))
+        nus *= masks.take(range(start, start + size), axis=0, mode="wrap")
+        along_nus = nus @ G_t
         uniforms = random(size).tolist()
-        f = 0  # the next full or thin step's row of the block
-        for i, r in zip(range(start, min(start + size, steps)), uniforms):
-            # a kept step writes its state straight into its output row
-            row = rows[kept] if i == keep else None
-            along_u = G.dot(u)
-            slack = along_u + k
+        for f, (i, r) in enumerate(zip(range(start, min(start + size, steps)), uniforms)):
+            block, moving, G_block, outside = kinds[i % len(kinds)]
+            along_moving = G_block.dot(moving)
+            fixed = k  # the slack of the coordinates outside the block: k in the plain chain
+            for G_run, run in outside:
+                fixed = fixed + G_run.dot(run)
+            slack = along_moving + fixed
             _check_state(slack)
-            if axes is None:
-                segments = _feasible_segments(along_u, along_nus[f], k)
-            else:
-                if i % 2:
-                    j = i // 2 - start // 2  # the long step's row of the block
-                    a = M.dot(u)
-                    along_a, along_z = GQ.dot(a), along_zs[j]
-                else:
-                    axis = (i // 2) % count
-                    a = thin_axes[axis].dot(u)
-                    along_a, along_z = thin_products[axis] * a, along_nus[f]
-                segments = _feasible_segments(along_a, along_z, slack - along_a)
+            segments = _feasible_segments(along_moving, along_nus[f], fixed)
             # theta uniform on the segments, from r uniform on [0, 1)
             theta = _angle_at(segments, sum([end - start for start, end in segments]) * r)
             try:
                 turn, lift = cos(theta), sin(theta)
             except ValueError:  # math's cos and sin reject an infinite angle
                 raise NumericalBreakdown(_INFINITE_ANGLE) from None
-            if axes is None:
-                u = np.multiply(u, turn, out=row)
-                u += nus[f] * lift
-                f += 1
-            elif i % 2:
-                u = np.add(u, long.dot(a * (turn - 1.0) + zs[j] * lift), out=row)
-            else:
-                u = np.add(u, thin_axes[axis] * (a * (turn - 1.0) + z_thin[f] * lift), out=row)
-                f += 1
-            if row is not None:
+            moving *= turn  # a view of w[block]
+            moving += nus[f, block] * lift
+            if i == keep:
+                rows[kept] = w
                 kept += 1
                 keep += thin

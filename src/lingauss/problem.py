@@ -111,7 +111,7 @@ def problem_from_dict(doc: dict) -> ProblemSpec:
             C=None if "C" not in doc else np.asarray(doc["C"], dtype=float),
             d=None if "d" not in doc else np.asarray(doc["d"], dtype=float),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: an object where a number belongs
         raise ProblemFormatError(str(exc)) from exc
     if spec.n != n:
         raise ProblemFormatError(f"'n' is {n} but mu has {spec.n} entries")

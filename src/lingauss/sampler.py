@@ -56,9 +56,10 @@ class RunReport:
     skip the autocorrelation correction. chains counts the chains that ran:
     with fewer samples than chains asked for, one per sample. lp_pivots
     sums the simplex pivots of the call's feasibility programs.
-    long_directions is the number of long directions the chain's odd steps
-    move along, while its even steps move along one thin direction each
-    (0: full steps only). chain_seconds is the time spent in
+    long_directions is the number b of long coordinates of a chain run in
+    the Dikin eigenbasis: its odd steps move those b, its even steps one
+    thin coordinate each (0: the plain chain, whose steps move every
+    coordinate). chain_seconds is the time spent in
     fill_chain, summed over the chains, so chain_seconds / chain_steps is
     the cost of one chain step. lp_solves counts the feasibility linear
     programs (see FeasibilityResult.lp_solves), and plan_seconds is the
@@ -309,9 +310,15 @@ def sample_constrained(
         map_latent_rows(transformed, samples)
         return done("samples", samples=samples)
 
-    axes = long_directions(transformed, planned.start)
-    if axes is not None:
-        report.long_directions = axes[0].shape[1]
+    u0, long = planned.start, None
+    axes = long_directions(transformed, u0)
+    if axes is not None:  # run the chain in the Dikin eigenbasis: u = R w
+        R, long = axes
+        report.long_directions = long
+        u0 = R.T @ u0
+        transformed = replace(
+            transformed, B=transformed.B @ R, G=transformed.G @ R, P=transformed.P @ R
+        )
     # chain i fills the next count_i rows; only the chains with a row run
     counts = _split_counts(n_samples, min(chains, n_samples))
     report.chains = len(counts)
@@ -320,7 +327,7 @@ def sample_constrained(
         start, end = end, end + count
         began = time.perf_counter()
         latent = packed_latent(samples[start:end], k)
-        fill_chain(transformed, planned.start, latent, generator, axes, burn_in, thin)
+        fill_chain(transformed, u0, latent, generator, long, burn_in, thin)
         report.chain_seconds += time.perf_counter() - began
         report.chain_steps += burn_in + count * thin
         map_latent_rows(transformed, samples[start:end])

@@ -315,6 +315,21 @@ def test_malformed_problem_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("sigma", {"a": 1}), ("mu", [0.0, {"a": 1}]), ("A", [[1.0, {"a": 1}]]), ("b", {"a": 1})],
+    ids=["sigma", "mu entry", "A entry", "b"],
+)
+def test_an_object_where_a_number_belongs_exits_1(tmp_path, capsys, field, value):
+    doc = {"n": 2, "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]], "A": [[1.0, 0.0]], "b": [1.0]}
+    doc[field] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--problem", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err, err
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     code = main(["check", "--problem", str(tmp_path / "missing.json")])
     assert code == 1

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,67 +93,67 @@ def _schedule(steps):
     return blocks
 
 
-def _reference_chain(transformed, u0, n_steps, rng, stats=None, axes=None):
-    """The chain one step at a time with the per-arc reference: full steps,
-    or, given axes = (Q, V), a thin step along column (i // 2) mod t of V
-    at each even step i and a long step along Q at each odd one."""
+def _block(step, long, dimension):
+    """The coordinates [low, high) that step `step` moves: all of them for
+    the plain chain (long None); on the Dikin eigenbasis the thin coordinate
+    long + (step // 2) mod t at even steps and [0, long) at odd ones."""
+    if long is None:
+        return 0, dimension
+    if step % 2:
+        return 0, long
+    low = long + (step // 2) % (dimension - long)
+    return low, low + 1
+
+
+def _block_masks(start, size, long, dimension):
+    """One row per step start, ..., start + size - 1: 1 on the coordinates
+    the step moves, 0 elsewhere."""
+    masks = np.zeros((size, dimension))
+    for row, step in zip(masks, range(start, start + size)):
+        low, high = _block(step, long, dimension)
+        row[low:high] = 1.0
+    return masks
+
+
+def _reference_chain(transformed, u0, n_steps, rng, stats=None, long=None):
+    """The chain one step at a time with the per-arc reference: each step
+    moves its block [low, high) of w along nu, which is zeroed outside the
+    block, over the slack k + G w of the coordinates outside it."""
     H, k = transformed.G, transformed.k
     y = np.asarray(u0, dtype=float)
     out = np.empty((n_steps, y.size))
-    if axes is not None:
-        Q, V = axes
-        HQ, HV = H @ Q, H @ V
     for start, size in _schedule(n_steps):
-        if axes is None:
-            nus = rng.standard_normal((size, y.size))
-            along_nus = nus @ H.T
-        else:
-            evens = sum(1 for i in range(start, start + size) if i % 2 == 0)
-            thin_zs = rng.standard_normal(evens)
-            long_zs = rng.standard_normal((size - evens, Q.shape[1]))
-            along_long_zs = long_zs @ HQ.T
+        nus = rng.standard_normal((size, y.size))
+        nus *= _block_masks(start, size, long, y.size)
+        along_nus = nus @ H.T
         uniforms = rng.random(size)
         for j in range(min(size, n_steps - start)):
             i = start + j
-            if axes is None:
-                along_y, along_nu, offset = H @ y, along_nus[j], k
-            elif i % 2:
-                a = Q.T @ y
-                along_y, along_nu = HQ @ a, along_long_zs[i // 2 - start // 2]
-                offset = H @ y + k - along_y
-            else:
-                axis = (i // 2) % V.shape[1]
-                v, hv, z = V[:, axis], HV[:, axis], thin_zs[i // 2 - (start + 1) // 2]
-                a = v @ y
-                along_y, along_nu = hv * a, hv * z
-                offset = H @ y + k - along_y
+            low, high = _block(i, long, y.size)
+            along_y = H[:, low:high] @ y[low:high]
+            # the coordinates before the block, then those after it
+            offset = k + H[:, :low] @ y[:low] + H[:, high:] @ y[high:]
             if H.shape[0]:
                 assert float((H @ y + k).min()) >= -SLACK_TOL
-                intervals = _reference_intervals(along_y, along_nu, offset, stats)
+                intervals = _reference_intervals(along_y, along_nus[j], offset, stats)
             else:
                 intervals = np.array([[0.0, 2.0 * np.pi]])
             total = sum((intervals[:, 1] - intervals[:, 0]).tolist())
             theta = _reference_sample(intervals, total * uniforms[j])
             if stats is not None and len(intervals) > 1 and theta >= intervals[-1, 0]:
                 stats["wrap"] += 1  # theta lies past the cut at the state, towards 2 pi
-            if axes is None:
-                y = y * math.cos(theta) + nus[j] * math.sin(theta)
-            elif i % 2:
-                z = long_zs[i // 2 - start // 2]
-                y = y + Q @ (a * (math.cos(theta) - 1.0) + z * math.sin(theta))
-            else:
-                y = y + v * (a * (math.cos(theta) - 1.0) + z * math.sin(theta))
+            y = y.copy()
+            y[low:high] = y[low:high] * math.cos(theta) + nus[j, low:high] * math.sin(theta)
             out[i] = y
     return out
 
 
 # Frozen: a second implementation of the arcs, with the union of the
 # forbidden arcs taken in numpy (a sort by start, then a running maximum
-# of the ends), and the draw and the chain loop as they stood when the
-# draws moved into blocks, run on u ~ N(0, I_k) under G u + k >= 0, with
-# long directions Q for P and Q' for M, its even steps thin steps along
-# one column of V each, and the circle cut at the state. The arc code and
-# the chains must reproduce them bit for bit.
+# of the ends), and the draw and the chain loop as they stood when every
+# step became one block update, run on w ~ N(0, I_k) under G w + k >= 0,
+# with the circle cut at the state. The arc code and the chains must
+# reproduce them bit for bit.
 
 
 def _frozen_feasible_segments(along_y, along_nu, k, stats=None):
@@ -188,73 +189,35 @@ def _frozen_draw_angle(segments, u):
     return _angle_at(segments, total * u)
 
 
-def _frozen_fill_chain(transformed, u0, rows, rng, axes=None, burn_in=0, thin=1):
-    y = np.asarray(u0, dtype=float)
+def _frozen_fill_chain(transformed, w0, rows, rng, long=None, burn_in=0, thin=1):
+    w = np.array(w0, dtype=float)
     H, k = transformed.G, transformed.k
-    has_rows = H.shape[0] > 0
-    dimension = y.size
-    if axes is not None:
-        P, V = axes
-        M = P.T
-        HP, HV, width = H @ P, H @ V, P.shape[1]
+    dimension = w.size
     kept = 0
     keep = burn_in
     steps = burn_in + len(rows) * thin
     for start, size in _schedule(steps):
-        block = range(start, start + size)
-        if axes is None:
-            nus = rng.standard_normal((size, dimension))
-            along_nus = nus @ H.T
-        else:
-            thin_zs = rng.standard_normal(len([i for i in block if i % 2 == 0]))
-            zs = rng.standard_normal((size - thin_zs.size, width))
-            along_zs = zs @ HP.T
+        nus = rng.standard_normal((size, dimension)) * _block_masks(start, size, long, dimension)
+        along_nus = nus @ H.T
         uniforms = rng.random(size).tolist()
-        full_row = long_row = 0
-        for i in block[: steps - start]:
-            u = uniforms[i - start]
-            if axes is not None and i % 2:
-                slack = H @ y + k
-                _check_state(slack)
-                a = M @ y
-                along_a = HP @ a
-                theta = _frozen_draw_angle(
-                    _frozen_feasible_segments(along_a, along_zs[long_row], slack - along_a), u
-                )
-                y = y + P @ (a * (math.cos(theta) - 1.0) + zs[long_row] * math.sin(theta))
-                long_row += 1
-            elif axes is not None:
-                slack = H @ y + k
-                _check_state(slack)
-                axis = (i // 2) % V.shape[1]
-                a = V[:, axis] @ y
-                along_a = HV[:, axis] * a
-                z = thin_zs[full_row]
-                theta = _frozen_draw_angle(
-                    _frozen_feasible_segments(along_a, z * HV[:, axis], slack - along_a), u
-                )
-                y = y + V[:, axis] * (a * (math.cos(theta) - 1.0) + z * math.sin(theta))
-                full_row += 1
-            else:
-                if has_rows:
-                    along_y = H @ y
-                    _check_state(along_y + k)
-                    segments = _frozen_feasible_segments(along_y, along_nus[full_row], k)
-                else:
-                    segments = [[0.0, 2.0 * np.pi]]
-                theta = _frozen_draw_angle(segments, u)
-                y = y * math.cos(theta) + nus[full_row] * math.sin(theta)
-                full_row += 1
+        for j, i in enumerate(range(start, min(start + size, steps))):
+            low, high = _block(i, long, dimension)
+            along_a = H[:, low:high] @ w[low:high]
+            offset = k + H[:, :low] @ w[:low] + H[:, high:] @ w[high:]
+            _check_state(along_a + offset)
+            segments = _frozen_feasible_segments(along_a, along_nus[j], offset)
+            theta = _frozen_draw_angle(segments, uniforms[j])
+            w[low:high] = w[low:high] * math.cos(theta) + nus[j, low:high] * math.sin(theta)
             if i == keep:
-                rows[kept] = y
+                rows[kept] = w
                 kept += 1
                 keep += thin
 
 
-def chain_states(transformed, u0, n_steps, rng, axes=None):
-    """The n_steps states after u0, one per row: fill_chain over a new array."""
-    rows = np.empty((n_steps, np.size(u0)))
-    fill_chain(transformed, u0, rows, rng, axes)
+def chain_states(transformed, w0, n_steps, rng, long=None):
+    """The n_steps states after w0, one per row: fill_chain over a new array."""
+    rows = np.empty((n_steps, np.size(w0)))
+    fill_chain(transformed, w0, rows, rng, long)
     return rows
 
 
@@ -510,15 +473,16 @@ def small_box(seed=5):
     return spec, rotation
 
 
-def ks_times_root_ess(w):
-    """Per coordinate of w, the largest gap between its empirical CDF and
-    (Phi(t) - Phi(low)) / (Phi(high) - Phi(low)), times the root of its ESS."""
+def ks_times_root_ess(w, lows=BOX_LOW, highs=BOX_HIGH):
+    """Per coordinate j of w, the largest gap between its empirical CDF and
+    (Phi(t) - Phi(low)) / (Phi(high) - Phi(low)), low and high the
+    coordinate's bounds lows[j] and highs[j], times the root of its ESS."""
     phi = np.vectorize(lambda t: 0.5 * (1.0 + math.erf(t / math.sqrt(2.0))))
     n = w.shape[0]
     ranks = np.arange(1, n + 1) / n
     scores = []
     for j, ess in enumerate(sample_stats(w).ess):
-        low, high = phi(BOX_LOW[j]), phi(BOX_HIGH[j])
+        low, high = phi(lows[j]), phi(highs[j])
         cdf = (phi(np.sort(w[:, j])) - low) / (high - low)
         gap = max((ranks - cdf).max(), (cdf - (ranks - 1.0 / n)).max())
         scores.append(gap * math.sqrt(ess))
@@ -530,8 +494,8 @@ def test_box_marginals_match_truncated_normal_cdfs(monkeypatch):
     # exceeds 1.95 with probability 0.001. The real kernel reads 0.3-1.3 on
     # this box at 20k steps; theta drawn from one gap only reads 4 or more.
     spec, rotation = small_box()
-    transformed, u0, axes = chain_setup(spec)
-    assert axes is None
+    transformed, u0, long = chain_setup(spec)
+    assert long is None
 
     def scores(seed):
         chain = chain_states(transformed, u0, 20_000, np.random.default_rng(seed))
@@ -723,7 +687,7 @@ def test_feasible_segments_match_the_frozen_sweep():
     }
 
 
-# Long steps along the Dikin ellipsoid's long axes
+# The thin-region chain: block steps in the Dikin ellipsoid's eigenbasis
 
 
 def slab(sigma=None, seed=41, plane=False):
@@ -744,17 +708,27 @@ def slab(sigma=None, seed=41, plane=False):
     return ProblemSpec(mu=np.zeros(3), sigma=sigma, A=A, b=b, C=C, d=d), rotation
 
 
+SLAB_LOWS, SLAB_HIGHS = np.array([-1e-3, -1.0, -np.inf]), np.array([1e-3, 2.0, np.inf])
+
+
 def chain_setup(spec):
-    """The latent map, the chain's start u0 and its long and thin axes, from plan."""
+    """The chain's latent map, its start and its number of long coordinates,
+    as sample_constrained runs it. On a thin region the map and the start
+    are in the Dikin eigenbasis R (B R, G R and R' u0); long is None for
+    the plain chain."""
     planned = plan(spec)
     transformed, u0 = planned.transformed, planned.start
-    return transformed, u0, long_directions(transformed, u0)
+    axes = long_directions(transformed, u0)
+    if axes is None:
+        return transformed, u0, None
+    R, long = axes
+    return replace(transformed, B=transformed.B @ R, G=transformed.G @ R), R.T @ u0, long
 
 
 def axis_counts(spec):
     """The numbers of long and of thin axes, (0, 0) for the plain chain."""
-    axes = chain_setup(spec)[2]
-    return (0, 0) if axes is None else (axes[0].shape[1], axes[1].shape[1])
+    transformed, _, long = chain_setup(spec)
+    return (0, 0) if long is None else (long, transformed.G.shape[1] - long)
 
 
 def normal_pdf(t):
@@ -770,26 +744,34 @@ def truncated_normal_moments(low, high):
 
 def test_long_directions_span_the_long_axes_of_the_slab():
     spec, rotation = slab()
-    transformed, u0, (long, narrow) = chain_setup(spec)
-    assert long.shape == (3, 2) and narrow.shape == (3, 1)
-    axes = np.hstack([long, narrow])
-    np.testing.assert_allclose(axes.T @ axes, np.eye(3), atol=1e-12)
-    # Sigma = I: the long directions of x, B Q, are w2 and w3, orthogonal to the thin w1
-    P = transformed.B @ long
+    planned = plan(spec)
+    transformed, u0 = planned.transformed, planned.start
+    R, long = long_directions(transformed, u0)
+    assert R.shape == (3, 3) and long == 2
+    np.testing.assert_allclose(R.T @ R, np.eye(3), atol=1e-12)
+    # the Dikin ellipsoid's semi-axis along column j of R is 1 / |D R_j|:
+    # at least THIN on the first `long` columns, below it on the others
+    D = transformed.G / (transformed.G @ u0 + transformed.k)[:, None]
+    semi_axes = 1.0 / np.linalg.norm(D @ R, axis=0)
+    assert (semi_axes[:long] >= THIN).all() and (semi_axes[long:] < THIN).all(), semi_axes
+    # Sigma = I: the long directions of x, B R[:, :2], are w2 and w3, orthogonal to the thin w1
+    P = transformed.B @ R[:, :long]
     np.testing.assert_allclose(rotation[:, 0] @ P, 0.0, atol=1e-9)
     np.testing.assert_allclose(np.linalg.svd(rotation[:, 1:].T @ P)[1], 1.0, atol=1e-9)
-    # and the thin axis of x, B V, is w1
-    np.testing.assert_allclose(np.abs(rotation[:, 0] @ transformed.B @ narrow), 1.0, atol=1e-9)
+    # and the thin direction of x, B R[:, 2:], is w1
+    np.testing.assert_allclose(np.abs(rotation[:, 0] @ transformed.B @ R[:, long:]), 1.0, atol=1e-9)
 
 
 def test_long_directions_are_whitened_orthonormal():
-    # with a correlated sigma, Q is orthonormal and its directions of x,
-    # P = B Q = L Q, are orthonormal under sigma^-1: P' sigma^-1 P = I
+    # with a correlated sigma, R is orthogonal and the directions of x it
+    # gives, P = B R = L R, long ones first, are orthonormal under sigma^-1
     spec, _ = slab(sigma=lambda rotation: random_spd(np.random.default_rng(43), 3))
-    transformed, _, (long, _) = chain_setup(spec)
-    P = transformed.B @ long
-    np.testing.assert_allclose(P.T @ np.linalg.solve(spec.sigma, P), np.eye(2), atol=1e-10)
-    np.testing.assert_allclose(long.T @ long, np.eye(2), atol=1e-10)
+    planned = plan(spec)
+    R, long = long_directions(planned.transformed, planned.start)
+    assert long == 2
+    np.testing.assert_allclose(R.T @ R, np.eye(3), atol=1e-10)
+    P = planned.transformed.B @ R
+    np.testing.assert_allclose(P.T @ np.linalg.solve(spec.sigma, P), np.eye(3), atol=1e-10)
 
 
 def test_long_chain_matches_truncated_normal_moments_and_beats_the_plain_chain():
@@ -801,11 +783,11 @@ def test_long_chain_matches_truncated_normal_moments_and_beats_the_plain_chain()
     # on the plane w3 = 0.1, w3 is fixed and w1, w2 keep their laws (sigma = I)
     for plane, free in ((False, 3), (True, 2)):
         spec, rotation = slab(plane=plane)
-        transformed, u0, axes = chain_setup(spec)
-        assert axes[0].shape[1] == free - 1
+        transformed, w0, long = chain_setup(spec)
+        assert long == free - 1
         steps = 20_000
-        chain = chain_states(transformed, u0, steps, np.random.default_rng(47), axes)
-        plain = chain_states(transformed, u0, steps, np.random.default_rng(47))
+        chain = chain_states(transformed, w0, steps, np.random.default_rng(47), long)
+        plain = chain_states(transformed, w0, steps, np.random.default_rng(47))
         chain = chain @ transformed.B.T + transformed.g
         plain = plain @ transformed.B.T + transformed.g
         if plane:
@@ -875,10 +857,10 @@ def test_singular_sigma_takes_long_steps():
     # sigma of rank 2 leaves u two coordinates, w1 and w2 of x; the slab is
     # thin in w1 and long in w2, so one of the two is long
     spec, rotation = slab(sigma=lambda rotation: rotation @ np.diag([1.0, 1.0, 0.0]) @ rotation.T)
-    transformed, u0, (long, narrow) = chain_setup(spec)
+    transformed, _, long = chain_setup(spec)
     assert spec.factor.rank == 2 and transformed.B.shape == (3, 2)
-    assert long.shape == (2, 1) and narrow.shape == (2, 1)
-    P = transformed.B @ long  # the long direction of x is w2
+    assert axis_counts(spec) == (1, 1)
+    P = transformed.B[:, :long]  # B R: the long direction of x is w2
     np.testing.assert_allclose(np.abs(rotation[:, 1] @ P), 1.0, atol=1e-9)
 
 
@@ -906,77 +888,107 @@ def test_corrupted_state_raises_on_a_long_step(value):
     # starts from is corrupted; -inf puts the angle at -inf, where cos and
     # sin are undefined
     spec, _ = slab()
-    transformed, u0, axes = chain_setup(spec)
+    transformed, w0, long = chain_setup(spec)
     with pytest.raises(NumericalBreakdown, match="corrupted"):
-        chain_states(transformed, u0, 2, _FaultyRandom(59, value), axes)
+        chain_states(transformed, w0, 2, _FaultyRandom(59, value), long)
     if value == -np.inf:  # an infinite angle raises on the step that draws it
         with pytest.raises(NumericalBreakdown, match="corrupted"):
-            chain_states(transformed, u0, 1, _FaultyRandom(59, value), axes)
+            chain_states(transformed, w0, 1, _FaultyRandom(59, value), long)
     else:  # the same first step passes with one step only: nothing checks its output
-        single = chain_states(transformed, u0, 1, _FaultyRandom(59, value), axes)
+        single = chain_states(transformed, w0, 1, _FaultyRandom(59, value), long)
         assert single.shape == (1, 3)
 
 
 def test_an_infinite_angle_raises_on_a_long_step():
     # step 1, a long step, opens block 1: its uniform is the first of call 1
     spec, _ = slab()
-    transformed, u0, axes = chain_setup(spec)
+    transformed, w0, long = chain_setup(spec)
     with pytest.raises(NumericalBreakdown, match="corrupted"):
-        chain_states(transformed, u0, 2, _FaultyRandom(59, -np.inf, call=1), axes)
+        chain_states(transformed, w0, 2, _FaultyRandom(59, -np.inf, call=1), long)
     # so the angle raises, not a state check: no later step checks step 1's
     # output, and a finite angle as far off passes
-    off = chain_states(transformed, u0, 2, _FaultyRandom(59, -1e3, call=1), axes)
+    off = chain_states(transformed, w0, 2, _FaultyRandom(59, -1e3, call=1), long)
     assert off.shape == (2, 3)
 
 
 def test_long_chain_even_steps_use_the_thin_axis_draws():
-    # on the pentagon (two thin and two long axes) step 0 is a thin step
-    # along thin axis 0: one normal z, no long step's normals, one uniform
-    transformed, u0, (long, narrow) = chain_setup(pentagon_problem("inequality"))
-    assert long.shape == (4, 2) and narrow.shape == (4, 2)
-    first = chain_states(transformed, u0, 1, np.random.default_rng(61), (long, narrow))
+    # on the pentagon (two long and two thin coordinates) step 0 is a thin
+    # step: it draws one normal vector and one uniform and moves coordinate
+    # 2 alone, along nu's coordinate 2, over the slack of the others
+    transformed, w0, long = chain_setup(pentagon_problem("inequality"))
+    assert long == 2 and w0.size == 4
+    first = chain_states(transformed, w0, 1, np.random.default_rng(61), long)
     rng = np.random.default_rng(61)
-    (z,), _, (r,) = rng.standard_normal(1), rng.standard_normal((0, 2)), rng.random(1)
-    v = narrow[:, 0]
-    a = v @ u0
+    (nu,), (r,) = rng.standard_normal((1, 4)), rng.random(1)
     G, k = transformed.G, transformed.k
-    arcs = active_arcs(a * v, z * v, G, G @ u0 + k - a * (G @ v)).intervals
+    thin = np.eye(4)[2]
+    rest = w0 - w0[2] * thin
+    arcs = active_arcs(w0[2] * thin, nu[2] * thin, G, G @ rest + k).intervals
     theta = _angle_at(arcs.tolist(), float(np.sum(arcs[:, 1] - arcs[:, 0])) * r)
-    expected = u0 + v * (a * (math.cos(theta) - 1.0) + z * math.sin(theta))
+    expected = rest + thin * (w0[2] * math.cos(theta) + nu[2] * math.sin(theta))
     np.testing.assert_allclose(first[0], expected, rtol=1e-12, atol=1e-15)
-    # even step i moves along thin axis (i // 2) mod 2 alone, odd steps along Q
-    chain = chain_states(transformed, u0, 400, np.random.default_rng(61), (long, narrow))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: slab()[0], lambda: pentagon_problem("inequality")], ids=["slab", "pentagon"]
+)
+def test_each_step_moves_only_its_block(make):
+    # even step i moves the thin coordinate long + (i // 2) mod t alone and
+    # odd steps [0, long) alone: every other coordinate keeps its bits, and
+    # each moved one changes
+    transformed, w0, long = chain_setup(make())
+    dimension = w0.size
+    chain = chain_states(transformed, w0, 400, np.random.default_rng(61), long)
     assert (chain @ transformed.G.T + transformed.k).min() >= -SLACK_TOL
-    moves = np.diff(np.vstack([u0, chain]), axis=0)
-    for i, move in enumerate(moves):
-        basis = long if i % 2 else narrow[:, [(i // 2) % 2]]
-        assert np.abs(move - basis @ (basis.T @ move)).max() <= 1e-12, i
-    # and the thin steps do move
-    assert np.all(np.abs(moves[0::4] @ narrow[:, 0]) > 0.0)
-    assert np.all(np.abs(moves[2::4] @ narrow[:, 1]) > 0.0)
+    for i, (before, after) in enumerate(zip(np.vstack([w0, chain]), chain)):
+        block = [long + (i // 2) % (dimension - long)] if i % 2 == 0 else range(long)
+        moved = before != after
+        assert moved[list(block)].all() and np.count_nonzero(moved) == len(block), (i, moved)
+
+
+def test_slab_marginals_match_truncated_normal_cdfs(monkeypatch):
+    # the thin-region kernel on the slab: w1 is N(0, 1) truncated to
+    # [-1e-3, 1e-3], w2 to [-1, 2], and w3 is N(0, 1). KS distance times
+    # root ESS, as on the box, with its bound of 2.0: the real kernel reads
+    # 0.5-1.3 at 20k steps (seeds 1-8), theta drawn from one gap only about 6
+    spec, rotation = slab()
+    transformed, w0, long = chain_setup(spec)
+    assert long == 2
+
+    def scores(seed):
+        chain = chain_states(transformed, w0, 20_000, np.random.default_rng(seed), long)
+        x = chain @ transformed.B.T + transformed.g
+        return ks_times_root_ess(x @ rotation, SLAB_LOWS, SLAB_HIGHS)
+
+    for seed in (1, 2, 3, 4):
+        assert max(scores(seed)) < 2.0, seed
+    feasible_segments = elliptical_slice._feasible_segments
+    # theta drawn from the first gap, [0, s1], only
+    monkeypatch.setattr(elliptical_slice, "_feasible_segments", lambda *a: feasible_segments(*a)[:1])
+    assert max(scores(1)) > 2.0
 
 
 @pytest.mark.parametrize(
     "make", [lambda: slab()[0], lambda: pentagon_problem("inequality")], ids=["slab", "pentagon"]
 )
 def test_long_chain_matches_the_frozen_loop_bit_for_bit(make):
-    transformed, u0, axes = chain_setup(make())
-    assert axes is not None
+    transformed, w0, long = chain_setup(make())
+    assert long is not None
     steps = 2_000
-    expected = np.empty((steps, u0.size))
-    _frozen_fill_chain(transformed, u0, expected, np.random.default_rng(67), axes)
-    chain = chain_states(transformed, u0, steps, np.random.default_rng(67), axes)
+    expected = np.empty((steps, w0.size))
+    _frozen_fill_chain(transformed, w0, expected, np.random.default_rng(67), long)
+    chain = chain_states(transformed, w0, steps, np.random.default_rng(67), long)
     assert np.array_equal(chain, expected)
     # the per-arc reference, one step at a time, takes the same path
     stats = {"active": 0, "wrap": 0, "abutting": 0}
-    reference = _reference_chain(transformed, u0, steps, np.random.default_rng(67), stats, axes)
+    reference = _reference_chain(transformed, w0, steps, np.random.default_rng(67), stats, long)
     assert np.array_equal(chain, reference)
     assert stats["active"] >= steps, stats
     # with a burn-in and thinning, over 3 * 700 + 101 steps
-    expected = np.empty((700, u0.size))
-    _frozen_fill_chain(transformed, u0, expected, np.random.default_rng(71), axes, 101, 3)
+    expected = np.empty((700, w0.size))
+    _frozen_fill_chain(transformed, w0, expected, np.random.default_rng(71), long, 101, 3)
     rows = np.empty_like(expected)
-    fill_chain(transformed, u0, rows, np.random.default_rng(71), axes, burn_in=101, thin=3)
+    fill_chain(transformed, w0, rows, np.random.default_rng(71), long, burn_in=101, thin=3)
     assert np.array_equal(rows, expected)
 
 
@@ -1005,43 +1017,36 @@ PREFIX_LENGTHS = [1, 2, 3, 63, 64, 65, 127, 1000]
 @pytest.mark.parametrize("name", list(PREFIX_CHAINS))
 def test_a_shorter_chain_is_a_prefix_of_a_longer_one(name):
     make, alternates = PREFIX_CHAINS[name]
-    transformed, u0, axes = chain_setup(make())
-    assert (axes is not None) == alternates
-    full = chain_states(transformed, u0, 2_000, np.random.default_rng(73), axes)
+    transformed, w0, long = chain_setup(make())
+    assert (long is not None) == alternates
+    full = chain_states(transformed, w0, 2_000, np.random.default_rng(73), long)
     for n in PREFIX_LENGTHS:
-        chain = chain_states(transformed, u0, n, np.random.default_rng(73), axes)
+        chain = chain_states(transformed, w0, n, np.random.default_rng(73), long)
         assert np.array_equal(chain, full[:n]), n
     # with a burn-in and thinning, the kept states are a prefix too
-    rows = np.empty((2_000, u0.size))
-    fill_chain(transformed, u0, rows, np.random.default_rng(79), axes, 37, 3)
+    rows = np.empty((2_000, w0.size))
+    fill_chain(transformed, w0, rows, np.random.default_rng(79), long, 37, 3)
     for n in PREFIX_LENGTHS:
-        part = np.empty((n, u0.size))
-        fill_chain(transformed, u0, part, np.random.default_rng(79), axes, 37, 3)
+        part = np.empty((n, w0.size))
+        fill_chain(transformed, w0, part, np.random.default_rng(79), long, 37, 3)
         assert np.array_equal(part, rows[:n]), n
 
 
-def _draw_the_schedule(rng, steps, dimension, width=None):
+def _draw_the_schedule(rng, steps, dimension):
     """Draw what the documented blocks of a chain of `steps` steps draw:
-    given the long steps' width, one normal per thin (even) step and
-    `width` per long (odd) step."""
-    for start, size in _schedule(steps):
-        if width is None:
-            rng.standard_normal((size, dimension))
-        else:
-            thin = sum(1 for i in range(start, start + size) if i % 2 == 0)
-            rng.standard_normal(thin)
-            rng.standard_normal((size - thin, width))
+    one normal vector per step, then one uniform per step."""
+    for _, size in _schedule(steps):
+        rng.standard_normal((size, dimension))
         rng.random(size)
 
 
 @pytest.mark.parametrize("name", list(PREFIX_CHAINS))
 @pytest.mark.parametrize("rows, burn_in, thin", [(1, 0, 1), (64, 0, 1), (700, 101, 3)])
 def test_a_chain_draws_the_documented_blocks(name, rows, burn_in, thin):
-    transformed, u0, axes = chain_setup(PREFIX_CHAINS[name][0]())
+    transformed, w0, long = chain_setup(PREFIX_CHAINS[name][0]())
     generator, reference = np.random.default_rng(83), np.random.default_rng(83)
-    fill_chain(transformed, u0, np.empty((rows, u0.size)), generator, axes, burn_in, thin)
-    width = None if axes is None else axes[0].shape[1]
-    _draw_the_schedule(reference, burn_in + rows * thin, u0.size, width)
+    fill_chain(transformed, w0, np.empty((rows, w0.size)), generator, long, burn_in, thin)
+    _draw_the_schedule(reference, burn_in + rows * thin, w0.size)
     assert generator.bit_generator.state == reference.bit_generator.state
 
 

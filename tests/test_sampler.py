@@ -8,7 +8,7 @@ from scipy.stats import special_ortho_group
 
 import lingauss.sampler
 import lingauss.transform
-from lingauss.elliptical_slice import fill_chain, long_directions
+from lingauss.elliptical_slice import fill_chain
 from lingauss.errors import DegenerateRegion
 from lingauss.fixtures import pentagon_problem
 from lingauss.linalg import BLOCK_ELEMENTS
@@ -20,7 +20,7 @@ from lingauss.stats import compare_stats, sample_stats
 from lingauss.transform import build_transform
 
 from conftest import random_spd
-from test_elliptical_slice import rotated_box, slab
+from test_elliptical_slice import chain_setup, rotated_box, slab
 
 
 def test_unconstrained_recipe():
@@ -679,7 +679,7 @@ def stacked_samples(spec, n_samples, seed, burn_in=0, thin=1, chains=1):
     if spec.m == 0:
         draws = np.random.default_rng(seed).standard_normal((n_samples, k))
         return mapped_in_blocks(transformed, draws)
-    axes = long_directions(transformed, planned.start)
+    transformed, start, long = chain_setup(spec)
     base, extra = divmod(n_samples, chains)
     parts = []
     for i in range(chains):
@@ -687,7 +687,7 @@ def stacked_samples(spec, n_samples, seed, burn_in=0, thin=1, chains=1):
         if count:
             latent = np.empty((burn_in + count * thin, k))
             generator = np.random.default_rng(seed + i)
-            fill_chain(transformed, planned.start, latent, generator, axes)
+            fill_chain(transformed, start, latent, generator, long)
             parts.append(mapped_in_blocks(transformed, latent[burn_in::thin]))
     return np.vstack(parts)
 
