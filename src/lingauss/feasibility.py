@@ -13,11 +13,13 @@ its optimum places the start point of a full-dimensional region:
    are decided first: 0 + k_i >= 0 either fails outright or holds for
    every y, and then the row is dropped. The remaining rows are scaled to
    unit norm before the program is posed, so FEAS_TOL bounds a distance in
-   y and no verdict depends on how the rows were scaled.
+   y and no verdict depends on how the rows were scaled. The program is
+   posed in t = s - shift, shift = min(min_i k_i, 1), which puts its
+   origin (y, t) = 0 inside it: the simplex starts there, with no phase 1.
 2. Where is a good start point?  For a full-dimensional region, trade
    slack against distance from the origin (_pull_in). That program is the
-   slack program with a floor on s and another cost, so it needs no phase 1
-   of its own: it carries on from the slack optimum's basis.
+   slack program with a floor on s and another cost, so it carries on from
+   the slack optimum's basis.
 3. Which rows make the interior empty?  The slack program's optimal
    multipliers satisfy H' lambda = 0 and sum(lambda) = 1, so every feasible
    y has sum_i lambda_i slack_i(y) = s*: when s* = 0, each row with
@@ -76,27 +78,28 @@ class FeasibilityResult:
 
 
 def max_slack_model(H, k):
-    """(cost, G, h) of  max s  s.t.  H y + k >= s * rownorm(H),  s <= 1,
-    posed for solve_lp as min -s: -1 on s+ and +1 on s-, 0 on y."""
+    """(cost, G, h, shift) of  max s  s.t.  H y + k >= s,  s <= 1  over unit
+    rows H, posed for solve_lp in t = s - shift as min -t: -1 on t+ and +1
+    on t-, 0 on y. Its rows are H y - t >= shift - k and -t >= shift - 1,
+    and shift = min(min_i k_i, 1) makes every right-hand side <= 0 exactly,
+    since rounding is monotone, so the origin satisfies them all. The
+    program's optimum s* is shift - objective."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
     k = np.asarray(k, dtype=float).reshape(-1)
     m, n = H.shape
-    cost = np.zeros(2 * n + 2)  # columns y1+, y1-, ..., yn+, yn-, s+, s-
+    shift = float(min(k.min(initial=1.0), 1.0))
+    cost = np.zeros(2 * n + 2)  # columns y1+, y1-, ..., yn+, yn-, t+, t-
     cost[-2:] = -1.0, 1.0
-    G = np.zeros((m + 1, n + 1))  # rows [H_i, -|H_i|], then the cap's [0, -1]
+    G = np.zeros((m + 1, n + 1))  # rows [H_i, -1], then the cap's [0, -1]
     G[:m, :n] = H
-    np.negative(np.linalg.norm(H, axis=1), out=G[:m, n])
-    G[m, n] = -1.0
-    h = np.empty(m + 1)
-    np.negative(k, out=h[:m])
-    h[m] = -1.0
-    return cost, G, h
+    G[:, n] = -1.0
+    return cost, G, shift - np.append(k, 1.0), shift
 
 
-def _pull_in(optimum: FeasibleBasis, n, radius):
+def _pull_in(optimum: FeasibleBasis, shift, n, radius):
     """Interior start point with slack priced against distance from the origin.
 
-    min  sum|y| - weight * s   s.t.   H y + k >= s * rownorm(H),
+    min  sum|y| - weight * s   s.t.   H y + k >= s,
                                       s >= radius * 1e-6
 
     The slack optimum of max_slack_model can be attained on a face that
@@ -109,18 +112,19 @@ def _pull_in(optimum: FeasibleBasis, n, radius):
     strictly interior either way, and the rows themselves hold s to at most
     radius.
 
-    The program is the slack program with the floor row added and another
-    cost, so a phase 2 continues from the slack program's optimal basis
-    (optimum), with the floor's surplus basic at radius * (1 - 1e-6). The
-    cost is 1 on both halves of each y_j, which prices |y_j|, -weight on s+
-    and +weight on s-. Returns the point, or None if the phase 2 fails to
-    end optimal, and its pivots.
+    The program is the slack program, in t = s - shift, with the floor row
+    t >= radius * 1e-6 - shift added and another cost, so a phase 2
+    continues from the slack program's optimal basis (optimum), with the
+    floor's surplus basic at radius * (1 - 1e-6). The cost is 1 on both
+    halves of each y_j, which prices |y_j|, -weight on t+ and +weight on t-.
+    Returns the point, or None if the phase 2 fails to end optimal, and its
+    pivots.
     """
     floor = np.zeros(n + 1)
     floor[-1] = 1.0
-    start = optimum.with_row(floor, radius * 1e-6)
+    start = optimum.with_row(floor, radius * 1e-6 - shift)
     weight = 4.0 * n
-    cost = np.ones(2 * n + 2)  # labels y1+, y1-, ..., yn+, yn-, s+, s-
+    cost = np.ones(2 * n + 2)  # labels y1+, y1-, ..., yn+, yn-, t+, t-
     cost[-2:] = -weight, weight
     solution = phase_two(start, cost)
     if solution.status != "optimal":
@@ -131,7 +135,8 @@ def _pull_in(optimum: FeasibleBasis, n, radius):
 def _slack_program(H, k):
     """(verdict, optimum) of the slack program on {y : H y + k >= 0}: the
     classify_region verdict, and for a full-dimensional region the
-    program's optimal basis, from which _pull_in continues (None otherwise).
+    program's optimal basis and its shift, from which _pull_in continues
+    (None otherwise).
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     k = np.asarray(k, dtype=float).reshape(-1)
@@ -148,17 +153,18 @@ def _slack_program(H, k):
         H, k = H[~zero], k[~zero]
     H, k = unit_rows(H, k)
 
-    slack = solve_lp(*max_slack_model(H, k))
+    cost, G, h, shift = max_slack_model(H, k)
+    slack = solve_lp(cost, G, h)
     if slack.status != "optimal":  # feasible and capped by construction
         raise NumericalBreakdown(f"slack program ended {slack.status}; expected optimal")
-    radius = -slack.objective
+    radius = shift - slack.objective
     if radius < -FEAS_TOL:
         return FeasibilityResult("infeasible", lp_pivots=slack.pivots, lp_solves=1), None
     if radius > FEAS_TOL:
         verdict = FeasibilityResult(
             "full_dimensional", slack.x[:n], radius, lp_pivots=slack.pivots, lp_solves=1
         )
-        return verdict, slack.basis
+        return verdict, (slack.basis, shift)
 
     # empty interior: the rows that carry the multipliers are tight on all of it
     rows = np.flatnonzero(~zero)[slack.multipliers[:-1] > FEAS_TOL]
@@ -188,7 +194,7 @@ def find_feasible_point(H, k) -> FeasibilityResult:
     if optimum is None:
         return verdict
     n = verdict.point.size
-    point, pivots = _pull_in(optimum, n, verdict.chebyshev_radius)
+    point, pivots = _pull_in(*optimum, n, verdict.chebyshev_radius)
     if point is None:  # bounded below, so only roundoff stops it; keep the vertex
         point = verdict.point
     return replace(verdict, point=point, lp_pivots=verdict.lp_pivots + pivots, lp_solves=2)

@@ -1,47 +1,45 @@
-"""Dense two-phase simplex for small linear programs in inequality form.
+"""Dense simplex for small linear programs in inequality form whose origin
+is feasible.
 
-Solves    minimize cost @ (x+, x-)    subject to    G @ x >= h,
+Solves    minimize cost @ (x+, x-)    subject to    G @ x >= h,  h <= 0,
 
 over free variables x. Each x_j is split into a positive and a negative
 part, the structural columns 2j and 2j + 1 of the standard form, so that
 x = x+ - x-, and the cost prices those columns one by one: opposite entries
 on a pair price x_j itself, equal ones |x_j|. Surplus variables turn the
-inequalities into equations. Phase 1 starts from the origin's slack
-basis: a row that x = 0 already satisfies (h_i <= 0) starts with its surplus
-variable basic, and only a row that the origin violates (h_i > 0) gets an
-artificial variable, which phase 1 drives out of the basis before phase 2
-optimizes the real objective. A region that contains the origin thus costs
-phase 1 no pivot at all. Phase 1 does not depend on the objective, so
-`phase_one` returns its feasible basis and `phase_two` prices one cost
-vector against a copy of it; `solve_lp` is one of each, and several
-objectives over one region can share a phase 1. An optimal phase 2 hands
+inequalities into equations. Since h <= 0, x = 0 satisfies every row, and
+the simplex starts from the origin's slack basis: each row is negated so
+that its surplus column is +e_i, basic at value -h_i >= 0. There is no
+phase 1 and no artificial variable; a program whose origin is infeasible
+is shifted by its caller first (see `feasibility.max_slack_model`).
+`solve_lp` prices its cost vector from that basis, and `phase_two` prices
+one from any feasible basis, leaving it unchanged. An optimal solve hands
 back its final basis too, and `FeasibleBasis.with_row` adds a row that the
 basis's vertex satisfies, with that row's surplus basic: a program that
 differs from a solved one by its cost and such a row continues from the
-solved optimum in another phase 2, with no phase 1 of its own.
+solved optimum in `phase_two`.
 Entering columns follow Dantzig's rule (most negative reduced cost) until
 the objective stops improving for STALL_LIMIT consecutive pivots, after
 which Bland's rule takes over to rule out cycling; a hard iteration cap
-backstops both phases.
+backstops both.
 
 The tableau is dense but stores one column per variable x_j, one per
-nonbasic surplus (or artificial) column, and the right-hand side. A basic
-column is a unit vector and needs no storage. Neither does the half of x_j
-that is not stored: while both halves are nonbasic, x_j-'s column is
-exactly the negative of x_j+'s, since negation is exact and every rounding
-is symmetric in sign, and once one half is basic in row i, the other's
-column is -e_i. So a phase-2 tableau has as many columns as there are
-variables, half the structural columns. Only the reduced costs of the two
-halves differ, unless their costs are opposite; the simplex keeps those of
-the halves it does not store, updated by the same rounded products, and
-prices both halves of every variable. Each stored column keeps a label, its
-index in the standard form (structural, then surplus, then artificial
-columns), and a pivot swaps the labels of the entering and the leaving
-variable. Every tie, of the entering column, in the ratio test and in the
-drive-out of zero artificials, breaks by label, so the pivots and the bits
-are those of a tableau that stores every column in label order. A half
-that enters takes the slot of its variable, with the negated column when
-it is the one not stored, and a half whose partner is basic has no
+nonbasic surplus column, and the right-hand side. A basic column is a unit
+vector and needs no storage. Neither does the half of x_j that is not
+stored: while both halves are nonbasic, x_j-'s column is exactly the
+negative of x_j+'s, since negation is exact and every rounding is
+symmetric in sign, and once one half is basic in row i, the other's column
+is -e_i. So the tableau has as many columns as there are variables, half
+the structural columns. Only the reduced costs of the two halves differ,
+unless their costs are opposite; the simplex keeps those of the halves it
+does not store, updated by the same rounded products, and prices both
+halves of every variable. Each stored column keeps a label, its index in
+the standard form (structural, then surplus columns), and a pivot swaps
+the labels of the entering and the leaving variable. Every tie, of the
+entering column and in the ratio test, breaks by label, so the pivots and
+the bits are those of a tableau that stores every column in label order. A
+half that enters takes the slot of its variable, with the negated column
+when it is the one not stored, and a half whose partner is basic has no
 positive entry, so choosing it ends the program unbounded, as it does for
 the full tableau.
 
@@ -58,13 +56,13 @@ there on, but no comparison or ratio test can tell the two apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CyclingGuardExceeded
 
-PIVOT_TOL = 1e-9  # least reduced cost, pivot entry and phase-1 residual that count
+PIVOT_TOL = 1e-9  # least reduced cost and pivot entry that count
 STALL_LIMIT = 100  # non-improving pivots tolerated before switching to Bland's rule
 
 
@@ -72,8 +70,7 @@ STALL_LIMIT = 100  # non-improving pivots tolerated before switching to Bland's 
 class LpSolution:
     """x holds the variables, x+ - x-, and objective the cost of the
     structural columns' values. pivots counts the simplex pivots that reached
-    this result: phase 1 and phase 2 for solve_lp, phase 2 alone for
-    phase_two.
+    this result from its start basis.
 
     multipliers holds, for an optimal solution, one Lagrange multiplier per
     row of G: the reduced cost of the row's surplus column in the final
@@ -82,7 +79,7 @@ class LpSolution:
     each variable's two columns cost opposite amounts.
     """
 
-    status: str  # "optimal" | "unbounded" | "infeasible"
+    status: str  # "optimal" | "unbounded"
     objective: float | None
     x: np.ndarray | None
     pivots: int = 0
@@ -259,18 +256,17 @@ def _iterate(work, row_partners, columns, basis, cap):
 
 @dataclass(frozen=True)
 class FeasibleBasis:
-    """A feasible basis of the standard form of {G x >= h}, found by phase 1
-    or left optimal by a phase 2.
+    """A feasible basis of the standard form of {G x >= h}: the origin's
+    slack basis, or one left optimal by a phase 2.
 
-    A phase 1 basis depends only on (G, h), so one phase 1 serves any number
-    of objectives over the same region: phase_two copies the tableau and
-    prices one cost vector. Columns are labelled in the standard form's
-    order: structural columns first, two per variable, then one surplus
-    column per row of G. The tableau stores one column per variable and per
-    nonbasic surplus column, in the slots whose labels `columns` lists, and
-    the right-hand side last (see the module docstring), so the structural
-    count is 2 * columns.size. It has one row per row of G, whose basic
-    labels `basis` lists, and a cost row. No artificial column is left.
+    phase_two copies the tableau and prices one cost vector, so one basis
+    serves any number of objectives over the same region. Columns are
+    labelled in the standard form's order: structural columns first, two
+    per variable, then one surplus column per row of G. The tableau stores
+    one column per variable and per nonbasic surplus column, in the slots
+    whose labels `columns` lists, and the right-hand side last (see the
+    module docstring), so the structural count is 2 * columns.size. It has
+    one row per row of G, whose basic labels `basis` lists, and a cost row.
 
     `work` is the working tableau of the program that found the basis (see
     _iterate), and `added` holds the rows with_row has added since, in the
@@ -314,79 +310,6 @@ class FeasibleBasis:
         added = np.concatenate((self.added, row[None]))
         basis = np.concatenate((self.basis, [coefficients.size]))
         return FeasibleBasis(self.work, basis, self.columns, self.cap, added)
-
-
-def phase_one(G, h) -> tuple[FeasibleBasis | None, int]:
-    """A feasible basis of {G x >= h}, or None if empty, with the number of
-    pivots phase 1 made either way.
-
-    The start basis is the origin's: each row with h_i <= 0, which x = 0
-    satisfies, is negated so that its surplus column is +e_i and starts
-    basic at value -h_i >= 0. Only the rows with h_i > 0 get an artificial
-    column, and the phase-1 cost sums those artificials alone. When the
-    origin satisfies every row, that start basis is feasible as it stands
-    and is returned without any phase-1 work. The tableau starts with the
-    columns of x_j+ and the surplus columns of the artificial rows stored;
-    the phase-1 costs of x_j- are those of x_j+ negated.
-
-    G and h must already have consistent shapes (solve_lp checks them).
-    """
-    nrows, nv = G.shape
-    n_struct = 2 * nv
-    rhs = np.array(h, dtype=float)
-    slack_start = rhs <= 0.0  # rows the origin satisfies, -0.0 included
-    art_rows = (~slack_start).nonzero()[0]
-    art0 = n_struct + nrows
-
-    work = np.zeros((nrows + 2, nv + art_rows.size + 1))  # see _iterate
-    # x_j+'s column g_i, negated on the rows the origin satisfies
-    np.multiply(G, np.where(slack_start, -1.0, 1.0)[:, None], out=work[:nrows, :nv])
-    work[:nrows, -1] = np.abs(rhs)
-    columns = np.arange(0, n_struct, 2)
-    basis = np.arange(n_struct, art0)
-    cap = 50 * (n_struct + 3 * nrows)
-    if not art_rows.size:
-        return FeasibleBasis(work, basis, columns, cap, work[:0]), 0
-
-    work[art_rows, nv + np.arange(art_rows.size)] = -1.0
-    columns = np.concatenate((columns, n_struct + art_rows))
-    basis[art_rows] = np.arange(art0, art0 + art_rows.size)
-    # phase-1 reduced costs: artificial costs 1, priced out against the basis;
-    # x_j-'s are x_j+'s negated, and no basic variable has a partner
-    work[-1] -= work[art_rows].sum(axis=0)
-    np.negative(work[-1, :nv], out=work[-2, :nv])
-    work[-2, nv:] = np.inf
-    row_partners = np.full(nrows, np.inf)
-
-    status, pivots = _iterate(work, row_partners, columns, basis, cap)
-    if status == "unbounded":  # impossible for a sum of nonnegative variables
-        raise CyclingGuardExceeded("phase 1 reported unbounded: numerical breakdown")
-    if -work[-1, -1] > PIVOT_TOL:
-        return None, pivots
-
-    # drive any leftover zero-valued artificials out of the basis. The row's
-    # own surplus column, the negative of its artificial, holds about -1
-    # there, so a pivot always exists and no row is ever redundant. A stored
-    # half and its partner tie in size, and the x_j+ half has the lower label.
-    # row_partners is not kept here: phase 2 prices every partner afresh, and
-    # the only partner costs a later drive-out reads are those of stored
-    # variables, which the partner row's multiplier keeps.
-    for i in (basis >= art0).nonzero()[0]:
-        sizes = np.where(columns < art0, np.abs(work[i, :-1]), 0.0)
-        largest = sizes.max()
-        if not largest > PIVOT_TOL:
-            raise CyclingGuardExceeded("phase 1 left an artificial it cannot pivot out")
-        labels = np.where(columns < n_struct, columns & -2, columns)
-        slot = _first_label(labels, (sizes == largest).nonzero()[0])
-        partner = columns[slot] != labels[slot]
-        multipliers, _ = _entering_column(work, slot, partner)
-        if partner:
-            columns[slot] ^= 1
-        _pivot(work, columns, basis, i, slot, multipliers)
-        pivots += 1
-    real = columns < art0
-    work = work[:, np.concatenate((real, [True]))]
-    return FeasibleBasis(work, basis, columns[real], cap, work[:0]), pivots
 
 
 def phase_two(start: FeasibleBasis, cost) -> LpSolution:
@@ -448,6 +371,11 @@ def phase_two(start: FeasibleBasis, cost) -> LpSolution:
 def solve_lp(cost, G, h) -> LpSolution:
     """Minimize cost @ (x+, x-) subject to G @ x >= h, with one cost per
     structural column; an optimal solution is a vertex of the standard form.
+
+    The origin must satisfy every row, h <= 0, or ValueError: the simplex
+    starts from the origin's slack basis (see the module docstring), each row
+    negated so that its surplus column is +e_i and basic at -h_i, with the
+    columns of x_j+ stored.
     """
     cost = np.asarray(cost, dtype=float).reshape(-1)
     G = np.atleast_2d(np.asarray(G, dtype=float))
@@ -456,8 +384,17 @@ def solve_lp(cost, G, h) -> LpSolution:
         raise ValueError(f"cost needs 2 entries per column of G ({G.shape[1]}), got {cost.size}")
     if G.shape[0] != h.size:
         raise ValueError(f"G has {G.shape[0]} rows but h has {h.size}")
-    start, pivots = phase_one(G, h)
-    if start is None:
-        return LpSolution("infeasible", None, None, pivots)
-    solution = phase_two(start, cost)
-    return replace(solution, pivots=pivots + solution.pivots)
+    if not (h <= 0.0).all():
+        raise ValueError("the origin must satisfy G x >= h: every entry of h must be <= 0")
+    nrows, nv = G.shape
+    work = np.empty((nrows + 2, nv + 1))  # see _iterate; phase_two prices the last two rows
+    np.negative(G, out=work[:nrows, :nv])
+    np.abs(h, out=work[:nrows, -1])  # -h, with +0.0 for a zero of either sign
+    start = FeasibleBasis(
+        work,
+        np.arange(2 * nv, 2 * nv + nrows),
+        np.arange(0, 2 * nv, 2),
+        50 * (2 * nv + 3 * nrows),
+        work[:0],
+    )
+    return phase_two(start, cost)

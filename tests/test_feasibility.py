@@ -16,7 +16,7 @@ from lingauss.feasibility import (
 from lingauss.linalg import unit_rows
 from lingauss.problem import ProblemSpec
 from lingauss.sampler import POINT_TOL
-from lingauss.simplex import phase_one, phase_two, solve_lp
+from lingauss.simplex import solve_lp
 from lingauss.transform import build_transform
 from test_simplex import reference_phase_one, reference_phase_two
 
@@ -159,7 +159,8 @@ def test_start_point_stays_near_origin_on_narrow_cone(pentagon_inequality):
     # the slack-1 face of this cone only exists ~3e4 away from the origin, where
     # the slack program's vertex lies (|y|_1 about 6.3e4); the start point that
     # continues from that vertex must leave it for the knee near the origin
-    vertex = solve_lp(*max_slack_model(*unit_rows(transformed.H, transformed.k))).x[:-1]
+    cost, G, h, _ = max_slack_model(*unit_rows(transformed.H, transformed.k))
+    vertex = solve_lp(cost, G, h).x[:-1]
     assert np.abs(vertex).sum() > 1e4
     assert np.abs(result.point).sum() < 1.0  # about 0.04
     assert (transformed.H @ result.point + transformed.k > 0.0).all()
@@ -209,9 +210,16 @@ def test_grid_confirms_classification_2d():
 def test_model_builders_shapes():
     H = np.array([[1.0, -1.0], [0.5, 2.0]])
     k = np.array([0.3, -0.7])
-    cost, G, h = max_slack_model(H, k)
+    cost, G, h, shift = max_slack_model(H, k)
     assert G.shape == (3, 3)  # two rows plus the cap row
-    assert cost.shape == (6,) and h.shape == (3,)  # two columns per variable y1, y2, s
+    assert cost.shape == (6,) and h.shape == (3,)  # two columns per variable y1, y2, t
+    # t = s - shift with shift = min(min k, 1): every right-hand side is at
+    # most 0, so the origin is feasible, and the slack column is -1 throughout
+    assert shift == -0.7 and (h <= 0.0).all() and h[1] == 0.0
+    np.testing.assert_array_equal(G[:, -1], -1.0)
+    for k in (np.array([2.0, 3.0]), np.array([1e16, 1.0 + 2**-52]), np.array([-1e300, 1e300])):
+        cost, G, h, shift = max_slack_model(H, k)
+        assert shift == min(k.min(), 1.0) and (h <= 0.0).all()
 
 
 def test_classification_always_reaches_a_verdict():
@@ -308,9 +316,8 @@ def test_point_mass_among_redundant_rows():
 
 
 def test_rotated_box_around_the_origin_takes_few_pivots():
-    # 50-D box [-lo, hi] in rotated coordinates, each row scaled: the origin
-    # satisfies all 100 rows, so phase 1 starts feasible (480 pivots when every
-    # row carried an artificial column)
+    # 50-D box [-lo, hi] in rotated coordinates, each row scaled, around the
+    # origin (480 pivots when every row carried an artificial column)
     rng = np.random.default_rng(103)
     n = 50
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
@@ -458,10 +465,35 @@ def test_a_flat_region_places_no_start_point(monkeypatch):
 # The classifier as it was before the slack LP's multipliers could certify a
 # point mass, kept verbatim apart from its names: every empty interior ran
 # phase 1 and the 2n range LPs, and every full-dimensional region solved the
-# start point's program afresh, with a phase 1 of its own. It calls the same
-# simplex, except that the start point's program, posed over sign-restricted
-# variables, runs on the full-tableau reference of tests/test_simplex.py,
-# which makes the package kernel's pivots and bits.
+# start point's program afresh, with a phase 1 of its own. Its programs,
+# the slack program among them, posed as they were then (s itself, with the
+# rows' norms taken again as its column) and over variables whose origin
+# need not be feasible, run on the full-tableau reference of
+# tests/test_simplex.py, with its phase 1; on programs whose origin is
+# feasible it makes the package kernel's pivots and bits.
+
+
+def reference_solve(c, G, h, nonneg=None):
+    """The reference's phase 1 and phase 2, as a whole solve: (solution or
+    None if infeasible, pivots)."""
+    start, pivots = reference_phase_one(G, h, nonneg=nonneg)
+    if start is None:
+        return None, pivots
+    solution = reference_phase_two(start, c)
+    return solution, pivots + solution.pivots
+
+
+def reference_max_slack_model(H, k):
+    """(cost, G, h) of  max s  s.t.  H y + k >= s * rownorm(H),  s <= 1,
+    posed as min -s: -1 on s+ and +1 on s-, 0 on y."""
+    m, n = H.shape
+    cost = np.zeros(2 * n + 2)  # columns y1+, y1-, ..., yn+, yn-, s+, s-
+    cost[-2:] = -1.0, 1.0
+    G = np.zeros((m + 1, n + 1))  # rows [H_i, -|H_i|], then the cap's [0, -1]
+    G[:m, :n] = H
+    G[:m, n] = -np.linalg.norm(H, axis=1)
+    G[m, n] = -1.0
+    return cost, G, np.append(-k, -1.0)
 
 
 def reference_pull_in(H, k, radius):
@@ -482,12 +514,8 @@ def reference_pull_in(H, k, radius):
     G[m, -1] = 1.0  # s >= radius * 1e-6
     G[m + 1, -1] = -1.0  # s <= radius
     h = np.concatenate([-k, [radius * 1e-6, -radius]])
-    start, pivots = reference_phase_one(G, h, nonneg=np.ones(2 * n + 1, dtype=bool))
-    if start is None:
-        return None, pivots
-    solution = reference_phase_two(start, c)
-    pivots += solution.pivots
-    if solution.status != "optimal":
+    solution, pivots = reference_solve(c, G, h, nonneg=np.ones(2 * n + 1, dtype=bool))
+    if solution is None or solution.status != "optimal":
         return None, pivots
     return solution.x[:n] - solution.x[n : 2 * n], pivots
 
@@ -500,7 +528,7 @@ def reference_coordinate_range(start, n, i):
     for sign in (1.0, -1.0):
         c = np.zeros(2 * n)  # y_i's two columns
         c[2 * i : 2 * i + 2] = sign, -sign
-        solution = phase_two(start, c)
+        solution = reference_phase_two(start, c)
         pivots += solution.pivots
         bounds.append(None if solution.status == "unbounded" else sign * solution.objective)
     return bounds[0], bounds[1], pivots
@@ -527,11 +555,10 @@ def reference_find_feasible_point(H, k) -> FeasibilityResult:
         H, k = H[~zero], k[~zero]
     H, k = unit_rows(H, k)
 
-    slack = solve_lp(*max_slack_model(H, k))
+    slack, pivots = reference_solve(*reference_max_slack_model(H, k))
     if slack.status != "optimal":  # feasible and capped by construction
         raise NumericalBreakdown(f"slack program ended {slack.status}; expected optimal")
     radius = -slack.objective
-    pivots = slack.pivots
     if radius < -FEAS_TOL:
         return FeasibilityResult("infeasible", lp_pivots=pivots)
     if radius > FEAS_TOL:
@@ -543,7 +570,7 @@ def reference_find_feasible_point(H, k) -> FeasibilityResult:
         )
 
     # empty interior: point mass or flat region?
-    start, start_pivots = phase_one(H, -k)
+    start, start_pivots = reference_phase_one(H, -k)
     pivots += start_pivots
     if start is None:  # |s*| <= FEAS_TOL, yet phase 1 leaves a violation above it
         return FeasibilityResult("infeasible", lp_pivots=pivots)
@@ -680,11 +707,13 @@ def test_certificate_keeps_every_verdict_of_the_frozen_classifier():
     # Outside the band every verdict is the frozen classifier's. A point mass
     # is now the solution of the equations its tight rows make, not the
     # slack LP's vertex, so it agrees to POINT_TOL, after at most n rounds
-    # of one program each. A full-dimensional region keeps its radius bit
-    # for bit, but its start point now continues from the slack optimum
-    # instead of solving its program afresh, so it may reach another optimal
-    # vertex by other roundoff: it must be strictly interior, as good by the
-    # program's objective, and take no more pivots.
+    # of one program each. A full-dimensional region keeps its radius to
+    # roundoff (6.7e-16 at most here): the slack program is now posed in
+    # t = s - shift, with a slack column of exact -1s. Its start point now
+    # continues from the slack optimum instead of solving its program
+    # afresh, so it may reach another optimal vertex by other roundoff: it
+    # must be strictly interior, as good by the program's objective, and
+    # take no more pivots.
     regions = reference_regions()
     assert len(regions) >= 300
     taken = {"point": 0, "raised": 0, "full": 0, "infeasible": 0}
@@ -718,7 +747,7 @@ def test_certificate_keeps_every_verdict_of_the_frozen_classifier():
         else:
             taken["full"] += 1
             got = find_feasible_point(H, k)
-            assert got.chebyshev_radius == want.chebyshev_radius, family
+            assert got.chebyshev_radius == pytest.approx(want.chebyshev_radius, abs=1e-12), family
             assert (H @ got.point + k > 0.0).all(), family
             radius = got.chebyshev_radius
             objective = pull_in_objective(H, k, radius, got.point)
@@ -729,7 +758,36 @@ def test_certificate_keeps_every_verdict_of_the_frozen_classifier():
     assert taken["raised"] >= 20
     assert taken["full"] >= 20
     assert taken["infeasible"] >= 10
-    assert pivots["got"] < 0.6 * pivots["want"]  # 3008 against 7271
+    assert pivots["got"] < 0.35 * pivots["want"]  # 2096 against 7271
+
+
+def test_a_translated_region_keeps_its_verdict_and_radius():
+    # k += H c moves each region by -c, and the slack program's shift,
+    # min(min k, 1) over the unit rows, grows with |c|: the verdict must
+    # stay, and the radius within 1e-9 (1 + |c|). A region whose optimum
+    # s* lies within roundoff, 1e-14 (1 + |c|), of +-FEAS_TOL sits on the
+    # threshold itself, where roundoff of any size decides (the gaps of
+    # +-2e-9, whose s* is +-FEAS_TOL): its verdict is not compared
+    rng = np.random.default_rng(151)
+    kinds, edges = set(), 0
+    for family, H, k in reference_regions():
+        want = find_feasible_point(H, k)
+        cost, G, h, shift = max_slack_model(*unit_rows(H, k))
+        optimum = shift - solve_lp(cost, G, h).objective
+        for size in (1.0, 1e2, 1e4):
+            c = rng.normal(size=H.shape[1])
+            c *= size / np.linalg.norm(c)
+            got = find_feasible_point(H, k + H @ c)
+            if abs(abs(optimum) - FEAS_TOL) <= 1e-14 * (1.0 + size):
+                edges += 1
+                continue
+            assert got.kind == want.kind, (family, size)
+            kinds.add(got.kind)
+            if want.kind == "full_dimensional":
+                radius = pytest.approx(want.chebyshev_radius, abs=1e-9 * (1.0 + size))
+                assert got.chebyshev_radius == radius, (family, size)
+    assert kinds == {"infeasible", "empty_interior", "full_dimensional"}
+    assert 6 <= edges <= 12  # the two gaps at +-FEAS_TOL at each size, 5 slivers at 1e4
 
 
 def test_certified_multipliers_balance_the_rows():
@@ -738,7 +796,8 @@ def test_certified_multipliers_balance_the_rows():
         H, k = point_mass_region(rng, n)
         result = find_feasible_point(H, k)
         H, k = unit_rows(H, k)
-        multipliers = solve_lp(*max_slack_model(H, k)).multipliers
+        cost, G, h, _ = max_slack_model(H, k)
+        multipliers = solve_lp(cost, G, h).multipliers
         assert multipliers[-1] == 0.0  # the cap s <= 1 is slack
         assert abs(multipliers.sum() - 1.0) <= 1e-12
         assert np.abs(H.T @ multipliers[:-1]).max() <= 1e-12

@@ -1,6 +1,8 @@
+import math
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,6 +244,44 @@ def test_direct_draws_match_the_conditional_oracle(name):
         sigma_level=4.0,
     )
     assert report.all_passed, report.to_text()
+
+
+def test_pentagon_equality_marginals_match_the_conditional_normal_cdfs(monkeypatch):
+    # pentagon_equality has no inequality row, so its samples are iid draws
+    # of the normal law on its plane: mean mu - E (C mu + d) and covariance
+    # sigma - E C sigma, E = sigma C' (C sigma C')^-1, from the raw problem.
+    # Each coordinate's KS distance from Phi((t - mean_j) / sd_j), by
+    # math.erf, times root n: iid draws exceed 1.95 with probability 0.001.
+    # It reads 0.6-1.6 at seeds 1-3 (0.6-1.1 at seeds 4-5); the map's B
+    # scaled by 1.05 reads 5.2-6.2, and g moved along the plane by 0.1 sd
+    # of x1 about 18
+    spec = pentagon_problem("equality")
+    mu, sigma, C, d = spec.mu, spec.sigma, spec.C, spec.d
+    E = sigma @ C.T @ np.linalg.inv(C @ sigma @ C.T)
+    mean, covariance = mu - E @ (C @ mu + d), sigma - E @ C @ sigma
+    sd = np.sqrt(np.diag(covariance))
+    phi = np.vectorize(lambda t: 0.5 * (1.0 + math.erf(t / math.sqrt(2.0))))
+    n = 200_000
+    ranks = np.arange(1, n + 1) / n
+
+    def scores(seed):
+        x = sample_constrained(spec, n, seed).samples
+        cdf = phi((np.sort(x, axis=0) - mean) / sd)
+        above = (ranks[:, None] - cdf).max(axis=0)
+        below = (cdf - (ranks - 1.0 / n)[:, None]).max(axis=0)
+        return np.maximum(above, below) * math.sqrt(n)
+
+    for seed in (1, 2, 3):
+        assert scores(seed).max() < 2.0, seed
+    build = lingauss.sampler.build_transform
+    for defect in (
+        lambda t: replace(t, B=1.05 * t.B),
+        lambda t: replace(t, g=t.g + 0.1 * covariance[:, 0] / sd[0]),  # x1's mean by 0.1 sd
+    ):
+        monkeypatch.setattr(
+            lingauss.sampler, "build_transform", lambda *a, _d=defect, **kw: _d(build(*a, **kw))
+        )
+        assert scores(1).max() > 2.0
 
 
 @pytest.mark.parametrize(
