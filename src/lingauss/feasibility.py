@@ -96,7 +96,7 @@ def max_slack_model(H, k):
     return cost, G, shift - np.append(k, 1.0), shift
 
 
-def _pull_in(optimum: FeasibleBasis, shift, n, radius):
+def _pull_in(optimum: FeasibleBasis, shift, H, k, radius):
     """Interior start point with slack priced against distance from the origin.
 
     min  sum|y| - weight * s   s.t.   H y + k >= s,
@@ -109,17 +109,18 @@ def _pull_in(optimum: FeasibleBasis, shift, n, radius):
     full slack whenever it is cheap -- bounded regions, where the optimum face
     passes near the mass anyway -- and otherwise settles at the knee of the
     distance/slack tradeoff close to the origin. The floor keeps the point
-    strictly interior either way, and the rows themselves hold s to at most
-    radius.
+    strictly interior either way, up to the roundoff of rows evaluated far
+    from the origin, and the rows themselves hold s to at most radius.
 
     The program is the slack program, in t = s - shift, with the floor row
     t >= radius * 1e-6 - shift added and another cost, so a phase 2
     continues from the slack program's optimal basis (optimum), with the
     floor's surplus basic at radius * (1 - 1e-6). The cost is 1 on both
     halves of each y_j, which prices |y_j|, -weight on t+ and +weight on t-.
-    Returns the point, or None if the phase 2 fails to end optimal, and its
-    pivots.
+    Returns the point, or None if the phase 2 fails to end optimal or the
+    point holds no slack on some unit row of (H, k), and its pivots.
     """
+    n = H.shape[1]
     floor = np.zeros(n + 1)
     floor[-1] = 1.0
     start = optimum.with_row(floor, radius * 1e-6 - shift)
@@ -129,14 +130,17 @@ def _pull_in(optimum: FeasibleBasis, shift, n, radius):
     solution = phase_two(start, cost)
     if solution.status != "optimal":
         return None, solution.pivots
-    return solution.x[:n], solution.pivots
+    point = solution.x[:n]
+    if not (H @ point + k > 0.0).all():
+        return None, solution.pivots
+    return point, solution.pivots
 
 
 def _slack_program(H, k):
     """(verdict, optimum) of the slack program on {y : H y + k >= 0}: the
     classify_region verdict, and for a full-dimensional region the
-    program's optimal basis and its shift, from which _pull_in continues
-    (None otherwise).
+    program's optimal basis, its shift and its unit rows H, k, from which
+    _pull_in continues (None otherwise).
     """
     H = np.atleast_2d(np.asarray(H, dtype=float))
     k = np.asarray(k, dtype=float).reshape(-1)
@@ -157,14 +161,14 @@ def _slack_program(H, k):
     slack = solve_lp(cost, G, h)
     if slack.status != "optimal":  # feasible and capped by construction
         raise NumericalBreakdown(f"slack program ended {slack.status}; expected optimal")
-    radius = shift - slack.objective
+    radius = min(shift - slack.objective, 1.0)  # roundoff can lift it an ulp past the cap
     if radius < -FEAS_TOL:
         return FeasibilityResult("infeasible", lp_pivots=slack.pivots, lp_solves=1), None
     if radius > FEAS_TOL:
         verdict = FeasibilityResult(
             "full_dimensional", slack.x[:n], radius, lp_pivots=slack.pivots, lp_solves=1
         )
-        return verdict, (slack.basis, shift)
+        return verdict, (slack.basis, shift, H, k)
 
     # empty interior: the rows that carry the multipliers are tight on all of it
     rows = np.flatnonzero(~zero)[slack.multipliers[:-1] > FEAS_TOL]
@@ -193,8 +197,7 @@ def find_feasible_point(H, k) -> FeasibilityResult:
     verdict, optimum = _slack_program(H, k)
     if optimum is None:
         return verdict
-    n = verdict.point.size
-    point, pivots = _pull_in(*optimum, n, verdict.chebyshev_radius)
-    if point is None:  # bounded below, so only roundoff stops it; keep the vertex
+    point, pivots = _pull_in(*optimum, verdict.chebyshev_radius)
+    if point is None:  # only roundoff fails it; keep the vertex
         point = verdict.point
     return replace(verdict, point=point, lp_pivots=verdict.lp_pivots + pivots, lp_solves=2)

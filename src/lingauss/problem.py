@@ -27,9 +27,11 @@ class ProblemSpec:
 
     A/b and C/d must be supplied together or not at all; `None` blocks are
     normalized to empty (0, n) / (0,) arrays. Construction validates shapes,
-    finiteness, and that sigma is symmetric positive semidefinite (raising
-    NotSymmetric / NotPSD otherwise). The factor that check computes is kept
-    as `factor`, so sigma is factored once per spec.
+    finiteness, row norms (a row of A or C whose norm overflows, or a
+    nonzero row of A whose norm underflows to 0, is refused), and that sigma
+    is symmetric positive semidefinite (raising NotSymmetric / NotPSD
+    otherwise). The factor that check computes is kept as `factor`, so
+    sigma is factored once per spec.
     """
 
     mu: np.ndarray
@@ -82,6 +84,20 @@ def _constraint_block(mat_name, mat, vec_name, vec, n):
         raise ValueError(f"{mat_name} entries must be finite")
     if vec.size and not np.all(np.isfinite(vec)):
         raise ValueError(f"{vec_name} entries must be finite")
+    # every row is divided by its norm downstream: a row whose norm
+    # overflows is lost, and an inequality row whose norm underflows is
+    # taken for a zero row (an equality row that small still solves)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(mat, axis=1)
+    unusable = np.isinf(norms)
+    if mat_name == "A":
+        unusable |= (norms == 0.0) & mat.any(axis=1)
+    if unusable.any():
+        row = int(np.flatnonzero(unusable)[0])
+        raise ValueError(
+            f"the norm of row {row} of {mat_name} {'overflows' if norms[row] else 'underflows'}"
+            " in floating point; rescale the row"
+        )
     return mat, vec
 
 

@@ -39,9 +39,10 @@ the labels of the entering and the leaving variable. Every tie, of the
 entering column and in the ratio test, breaks by label, so the pivots and
 the bits are those of a tableau that stores every column in label order. A
 half that enters takes the slot of its variable, with the negated column
-when it is the one not stored, and a half whose partner is basic has no
-positive entry, so choosing it ends the program unbounded, as it does for
-the full tableau.
+when it is the one not stored. Every cost must price each variable
+convexly, c+ + c- >= 0 over its two columns: then a half whose partner is
+basic has the reduced cost c+ + c- >= 0, exactly 0 for opposite costs, and
+never enters.
 
 A pivot's rank-1 update, the bulk of its work, is one BLAS product of the
 multiplier column and the pivot row with an inner dimension of 1, cheaper
@@ -142,35 +143,9 @@ def _cost_labels(columns, candidates):
     return np.concatenate((columns ^ 1, [-1], columns))[candidates]
 
 
-def _entering(costs, row_partners, columns, basis, bland):
-    """The entering column by Bland's rule, or by Dantzig's where a basic
-    variable's partner may enter, over both halves of every variable, or
-    None when no reduced cost is negative. Ties break by label.
-
-    Returns an index into costs (see _iterate), or costs.size + i for the
-    partner of row i's basic variable.
-    """
-    if bland:
-        chosen = (costs < -PIVOT_TOL).nonzero()[0]
-        rows = (row_partners < -PIVOT_TOL).nonzero()[0]
-    else:
-        least = min(costs.min(), row_partners.min())
-        if least >= -PIVOT_TOL:
-            return None
-        chosen = (costs == least).nonzero()[0]
-        rows = (row_partners == least).nonzero()[0]
-    labels = np.concatenate((_cost_labels(columns, chosen), basis[rows] ^ 1))
-    if not labels.size:
-        return None
-    first = labels.argmin()
-    if first < chosen.size:
-        return chosen[first]
-    return costs.size + rows[first - chosen.size]
-
-
 def _iterate(work, row_partners, columns, basis, cap):
-    """Pivot until no reduced cost is negative, of a stored column or of a
-    partner. Mutates all four.
+    """Pivot until no reduced cost of either half of a stored variable is
+    negative. Mutates all four.
 
     The working tableau holds the rows of G, the partner row and, last, the
     cost row. The partner row holds the reduced cost of each stored
@@ -185,10 +160,10 @@ def _iterate(work, row_partners, columns, basis, cap):
     Ties break by label, never by slot, so the pivots are those of a tableau
     that stores every column in label order. A stored variable's partner
     enters with the negated column and leaves its slot to the leaving
-    variable, as the stored one would; the partner of a basic variable is
-    -e_row, with no positive entry, so choosing it ends the program
-    unbounded. Returns ("optimal" or "unbounded", pivots made); raises
-    CyclingGuardExceeded at the cap.
+    variable, as the stored one would. A basic variable's partner, whose
+    reduced cost is c+ + c- >= 0 (see phase_two), never enters. Returns
+    ("optimal" or "unbounded", pivots made); raises CyclingGuardExceeded at
+    the cap.
     """
     width = columns.size
     costs = work[-2:].reshape(-1)[:-1]  # a view: work is C-contiguous
@@ -197,19 +172,17 @@ def _iterate(work, row_partners, columns, basis, cap):
     rhs = work[:-2, -1]
     ratios = np.empty(rhs.size)
     ratios_backwards = ratios[::-1]
-    negatives = np.count_nonzero(row_partners < -PIVOT_TOL)
     bland = False
     stalled = 0
     best = -work[-1, -1]
     with np.errstate(divide="ignore", invalid="ignore"):
         for pivots in range(cap):
-            if bland or negatives:
-                entering = _entering(costs, row_partners, columns, basis, bland)
-                if entering is None:
+            if bland:
+                chosen = (costs < -PIVOT_TOL).nonzero()[0]
+                if not chosen.size:
                     return "optimal", pivots
-                if entering >= costs.size:  # a basic variable's partner
-                    return "unbounded", pivots
-            else:  # Dantzig's rule, where no basic variable's partner can enter
+                entering = chosen[_cost_labels(columns, chosen).argmin()]
+            else:  # Dantzig's rule
                 entering = costs.argmin()
                 least = costs[entering]
                 if least >= -PIVOT_TOL:
@@ -237,12 +210,8 @@ def _iterate(work, row_partners, columns, basis, cap):
             # partner, whose column was -e_row (r = -1/p): its cost joins
             # from row_partners (+inf where no structural half left), and the
             # entering variable's other half (r = p/p = 1) takes its place there
-            left = row_partners[row]
-            work[-2, slot] += left
-            joined = stays + cost
-            row_partners[row] = joined
-            if joined < -PIVOT_TOL or left < -PIVOT_TOL:
-                negatives = np.count_nonzero(row_partners < -PIVOT_TOL)
+            work[-2, slot] += row_partners[row]
+            row_partners[row] = stays + cost
             objective = -work[-1, -1]
             if objective < best - PIVOT_TOL:
                 best = objective
@@ -316,10 +285,16 @@ def phase_two(start: FeasibleBasis, cost) -> LpSolution:
     """Minimize cost @ (x+, x-) from a feasible basis, with one cost per
     structural column (see the module docstring); start itself is left
     unchanged.
+
+    The cost must price each variable convexly, cost[2j] + cost[2j + 1] >= 0,
+    or ValueError: opposite entries price x_j, equal ones |x_j|.
     """
+    cost = np.asarray(cost, dtype=float)
     n_struct = 2 * start.columns.size
-    if np.shape(cost) != (n_struct,):
+    if cost.shape != (n_struct,):
         raise ValueError(f"cost needs one entry per structural column ({n_struct})")
+    if (cost[0::2] + cost[1::2] < 0.0).any():
+        raise ValueError("cost must price each variable convexly: cost[2j] + cost[2j + 1] >= 0")
     rows = start.basis.size
     labels = n_struct + rows
     solved = start.work.shape[0] - 2
@@ -372,7 +347,8 @@ def solve_lp(cost, G, h) -> LpSolution:
     """Minimize cost @ (x+, x-) subject to G @ x >= h, with one cost per
     structural column; an optimal solution is a vertex of the standard form.
 
-    The origin must satisfy every row, h <= 0, or ValueError: the simplex
+    The cost must price each variable convexly, as phase_two requires, and
+    the origin must satisfy every row, h <= 0, or ValueError: the simplex
     starts from the origin's slack basis (see the module docstring), each row
     negated so that its surplus column is +e_i and basic at -h_i, with the
     columns of x_j+ stored.

@@ -31,7 +31,6 @@ draws and its start alike become an x through the one map x = g + B u.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Literal
 
@@ -42,7 +41,6 @@ from .linalg import BLOCK_ELEMENTS, DEFAULT_TOL, doubling_blocks, unit_rows
 from .problem import ProblemSpec
 
 EQUALITY_TOL = 1e-8  # relative rank cut of C's unit rows, and its residual test
-_SCRATCH = threading.local()  # see _scratch
 
 
 @dataclass(frozen=True)
@@ -180,18 +178,6 @@ def packed_latent(rows: np.ndarray, k: int) -> np.ndarray:
     return rows.reshape(-1)[: len(rows) * k].reshape(len(rows), k)
 
 
-def _scratch(elements: int) -> np.ndarray:
-    """A float buffer of at least `elements` entries, kept for the calling
-    thread's later calls. map_latent_rows allocates its block temporaries
-    here, once, rather than on every call: freeing them at the end of each
-    call let the allocator hand their pages back, so that every call
-    faulted them in again."""
-    buffer = getattr(_SCRATCH, "buffer", None)
-    if buffer is None or buffer.size < elements:
-        buffer = _SCRATCH.buffer = np.empty(elements)
-    return buffer
-
-
 def map_latent_rows(transformed: TransformedProblem, rows: np.ndarray) -> None:
     """Overwrite the C-contiguous 2-D float array rows with g + B u, one row
     for each row u of packed_latent(rows, k).
@@ -207,8 +193,7 @@ def map_latent_rows(transformed: TransformedProblem, rows: np.ndarray) -> None:
     have already read. Every block's product is written into one buffer,
     the padded block's u into another, and g is added from a third that
     holds it once per row of the largest block, so that each block's sum
-    is one pass over contiguous memory rather than a loop per row. All
-    three are held by _scratch.
+    is one pass over contiguous memory rather than a loop per row.
     """
     B_t = transformed.B.T
     k = B_t.shape[0]
@@ -216,10 +201,9 @@ def map_latent_rows(transformed: TransformedProblem, rows: np.ndarray) -> None:
     latent = packed_latent(rows, k)
     blocks = list(doubling_blocks(count, max(1, BLOCK_ELEMENTS // width)))
     largest = blocks[-1][1]  # the last block, the only one padded, is the largest
-    scratch = _scratch(largest * (2 * width + k))
-    product = scratch[: largest * width].reshape(largest, width)
-    offset = scratch[largest * width : 2 * largest * width].reshape(largest, width)
-    pad = scratch[2 * largest * width : largest * (2 * width + k)].reshape(largest, k)
+    product = np.empty((largest, width))
+    offset = np.empty((largest, width))
+    pad = np.empty((largest, k))
     offset[: min(count, largest)] = transformed.g
     for start, size in reversed(blocks):
         u = latent[start : start + size]

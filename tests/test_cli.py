@@ -330,6 +330,26 @@ def test_an_object_where_a_number_belongs_exits_1(tmp_path, capsys, field, value
     assert code == 1 and err.startswith("error: ") and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"A": [[1e155, 1e155]], "b": [0.0]},
+        {"C": [[1e155, 1e155]], "d": [-1e155]},
+        {"A": [[1e-170, 1e-170]], "b": [0.0]},
+    ],
+    ids=["A overflows", "C overflows", "A underflows"],
+)
+def test_a_row_whose_norm_is_lost_exits_1(tmp_path, capsys, block):
+    # at x1 + x2 >= 0 (or = 1) such a row was dropped, and half the draws broke it
+    doc = {"n": 2, "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]], **block}
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    for command in (["check"], ["sample", "--n", "10", "--seed", "1"]):
+        code = main([*command, "--problem", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1 and "row 0 of" in err and "rescale" in err, err
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     code = main(["check", "--problem", str(tmp_path / "missing.json")])
     assert code == 1

@@ -168,6 +168,14 @@ def test_start_point_stays_near_origin_on_narrow_cone(pentagon_inequality):
     assert ((transformed.H @ result.point + transformed.k) / norms).min() > 1e-6
 
 
+def test_the_radius_never_passes_its_cap(pentagon_inequality):
+    # the slack program's optimum s* = shift - objective can round an ulp
+    # past the cap s <= 1: the pentagon's read 1 + 2^-52
+    transformed = build_transform(pentagon_inequality)
+    for classify in (find_feasible_point, classify_region):
+        assert classify(transformed.H, transformed.k).chebyshev_radius <= 1.0
+
+
 def test_cheap_full_slack_is_kept():
     # half-line y >= 0: the capped optimum slack 1 is reachable at |y| = 1
     result = find_feasible_point(np.array([[1.0]]), np.array([0.0]))
@@ -786,6 +794,10 @@ def test_a_translated_region_keeps_its_verdict_and_radius():
             if want.kind == "full_dimensional":
                 radius = pytest.approx(want.chebyshev_radius, abs=1e-9 * (1.0 + size))
                 assert got.chebyshev_radius == radius, (family, size)
+                # the start point holds slack on every unit row, however far
+                # the region lies from the origin
+                unit_H, unit_k = unit_rows(H, k + H @ c)
+                assert (unit_H @ got.point + unit_k).min() > 0.0, (family, size)
     assert kinds == {"infeasible", "empty_interior", "full_dimensional"}
     assert 6 <= edges <= 12  # the two gaps at +-FEAS_TOL at each size, 5 slivers at 1e4
 

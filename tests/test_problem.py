@@ -86,6 +86,34 @@ def test_non_finite_entries_rejected():
         ProblemSpec(mu=[0.0, 0.0], sigma=np.eye(2), A=[[np.nan, 0.0]], b=[0.0])
 
 
+@pytest.mark.parametrize(
+    "block, flow",
+    [
+        ({"A": [[1e155, 1e155]], "b": [0.0]}, "overflows"),
+        ({"C": [[1e155, 1e155]], "d": [-1e155]}, "overflows"),
+        ({"A": [[1.0, 0.0], [1e-170, 1e-170]], "b": [0.0, 0.0]}, "underflows"),
+    ],
+    ids=["A overflows", "C overflows", "A underflows"],
+)
+def test_a_row_whose_norm_is_lost_is_refused(block, flow):
+    # every row is divided by its norm downstream, so a row whose norm reads
+    # inf, or 0 for a nonzero inequality row, would be dropped unseen
+    row = len(next(iter(block.values()))) - 1
+    name = next(iter(block))
+    with pytest.raises(ValueError, match=f"row {row} of {name} {flow}.*rescale"):
+        ProblemSpec(mu=[0.0, 0.0], sigma=np.eye(2), **block)
+    doc = {"n": 2, "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]], **block}
+    with pytest.raises(ProblemFormatError, match="rescale"):
+        problem_from_dict(doc)
+
+
+def test_a_tiny_equality_row_and_a_zero_inequality_row_are_kept():
+    spec = ProblemSpec(
+        mu=[0.0, 0.0], sigma=np.eye(2), A=[[0.0, 0.0]], b=[1.0], C=[[1e-170, 1e-170]], d=[0.0]
+    )
+    assert (spec.m, spec.p) == (1, 1)
+
+
 def test_n_must_match_mu():
     doc = minimal_doc()
     doc["n"] = 3

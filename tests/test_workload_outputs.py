@@ -71,7 +71,7 @@ FROZEN = {
         "samples",
         "full_dimensional",
         14,
-        "0x1.0000000000001p+0",
+        "0x1.0000000000000p+0",
         None,
         "27bea5a39c482549",
         ((20, 4), "ae93c244e6359462"),
